@@ -13,35 +13,6 @@ Channel::Channel(const TimingParams &timing, const Organization &org,
       lastActPerGroup_(org.bankGroups(), 0), nextRefresh_(timing.tREFI)
 {}
 
-Cycle
-Channel::earliestCa(Cycle not_before, Cycle) const
-{
-    return std::max(not_before, caNextFree_);
-}
-
-Cycle
-Channel::actWindowConstraint(BankId bank, Cycle not_before) const
-{
-    // Activation times are stored shifted by +1 so that 0 can mean
-    // "no previous activation" even when the first ACT lands at
-    // cycle 0.
-    const auto &t = *timing_;
-    Cycle when = not_before;
-    // tFAW: at most 4 activations per sliding window. The ring holds
-    // the last four ACT cycles; the next ACT must wait until the
-    // oldest leaves the window.
-    Cycle oldest = actRing_[actRingHead_];
-    if (oldest > 0)
-        when = std::max(when, (oldest - 1) + t.tFAW);
-    // tRRD: ACT-to-ACT spacing, long within a bank group.
-    if (lastActAny_ > 0)
-        when = std::max(when, (lastActAny_ - 1) + t.tRRD_S);
-    Cycle group_last = lastActPerGroup_[bankGroup(bank)];
-    if (group_last > 0)
-        when = std::max(when, (group_last - 1) + t.tRRD_L);
-    return when;
-}
-
 void
 Channel::recordActivate(BankId bank, Cycle when)
 {
@@ -50,27 +21,6 @@ Channel::recordActivate(BankId bank, Cycle when)
     lastActAny_ = std::max(lastActAny_, when + 1);
     lastActPerGroup_[bankGroup(bank)] =
         std::max(lastActPerGroup_[bankGroup(bank)], when + 1);
-}
-
-Cycle
-Channel::earliestActivate(BankId bank, BufferSide side,
-                          Cycle not_before) const
-{
-    Cycle when = banks_.earliestActivate(bank, side);
-    when = std::max(when, not_before);
-    when = actWindowConstraint(bank, when);
-    when = std::max(when, caNextFree_);
-    return when;
-}
-
-Cycle
-Channel::earliestColumn(BankId bank, BufferSide side, bool,
-                        Cycle not_before) const
-{
-    Cycle when = banks_.earliestColumn(bank, side);
-    when = std::max(when, not_before);
-    when = std::max(when, caNextFree_);
-    return when;
 }
 
 Cycle
@@ -92,7 +42,7 @@ std::pair<Cycle, Cycle>
 Channel::issueRead(BankId bank, BufferSide side, Cycle not_before)
 {
     const auto &t = *timing_;
-    Cycle when = earliestColumn(bank, side, false, not_before);
+    Cycle when = earliestColumn(bank, side, not_before);
     // The data burst lands tCL after the column command and must find
     // the data bus free; push the issue cycle until it does.
     Cycle burst_start = std::max(when + t.tCL, dataNextFree_);
@@ -111,7 +61,7 @@ std::pair<Cycle, Cycle>
 Channel::issueWrite(BankId bank, BufferSide side, Cycle not_before)
 {
     const auto &t = *timing_;
-    Cycle when = earliestColumn(bank, side, true, not_before);
+    Cycle when = earliestColumn(bank, side, not_before);
     Cycle burst_start = std::max(when + t.tCWL, dataNextFree_);
     when = burst_start - t.tCWL;
     banks_.write(bank, side, when);

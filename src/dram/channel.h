@@ -14,6 +14,7 @@
 #ifndef NEUPIMS_DRAM_CHANNEL_H_
 #define NEUPIMS_DRAM_CHANNEL_H_
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -48,20 +49,60 @@ class Channel
     // Earliest-issue queries (no side effects).
     // ------------------------------------------------------------------
 
-    /** Earliest cycle the C/A bus can carry a command of width @p w. */
-    Cycle earliestCa(Cycle not_before, Cycle w) const;
+    // Inline: the controller calls these per command and per candidate,
+    // and builds without LTO cannot inline across translation units.
+
+    /** Earliest cycle at or after @p not_before the C/A bus is free. */
+    Cycle
+    earliestCa(Cycle not_before) const
+    {
+        return std::max(not_before, caNextFree_);
+    }
+
+    /** Earliest ACT cycle >= @p not_before satisfying tFAW and tRRD. */
+    Cycle
+    actWindowConstraint(BankId bank, Cycle not_before) const
+    {
+        // Activation times are stored shifted by +1 so that 0 can mean
+        // "no previous activation" even when the first ACT lands at
+        // cycle 0.
+        const auto &t = *timing_;
+        Cycle when = not_before;
+        // tFAW: at most 4 activations per sliding window. The ring
+        // holds the last four ACT cycles; the next ACT must wait until
+        // the oldest leaves the window.
+        Cycle oldest = actRing_[actRingHead_];
+        if (oldest > 0)
+            when = std::max(when, (oldest - 1) + t.tFAW);
+        // tRRD: ACT-to-ACT spacing, long within a bank group.
+        if (lastActAny_ > 0)
+            when = std::max(when, (lastActAny_ - 1) + t.tRRD_S);
+        Cycle group_last = lastActPerGroup_[bankGroup(bank)];
+        if (group_last > 0)
+            when = std::max(when, (group_last - 1) + t.tRRD_L);
+        return when;
+    }
 
     /**
      * Earliest legal ACTIVATE to @p bank on @p side at or after
      * @p not_before, honoring bank state, tRRD, tFAW, C/A bus and any
      * pending refresh window.
      */
-    Cycle earliestActivate(BankId bank, BufferSide side,
-                           Cycle not_before) const;
+    Cycle
+    earliestActivate(BankId bank, BufferSide side, Cycle not_before) const
+    {
+        Cycle when = std::max(banks_.earliestActivate(bank, side),
+                              not_before);
+        return earliestCa(actWindowConstraint(bank, when));
+    }
 
     /** Earliest legal column command (RD/WR) to @p bank on @p side. */
-    Cycle earliestColumn(BankId bank, BufferSide side, bool is_write,
-                         Cycle not_before) const;
+    Cycle
+    earliestColumn(BankId bank, BufferSide side, Cycle not_before) const
+    {
+        return earliestCa(
+            std::max(banks_.earliestColumn(bank, side), not_before));
+    }
 
     // ------------------------------------------------------------------
     // Issue primitives: compute earliest legal cycle >= not_before,
@@ -143,8 +184,6 @@ class Channel
     }
 
   private:
-    /** Earliest ACT cycle satisfying tFAW and tRRD at channel level. */
-    Cycle actWindowConstraint(BankId bank, Cycle not_before) const;
     /** Commit an ACT at @p when into the tFAW ring / tRRD tracker. */
     void recordActivate(BankId bank, Cycle when);
 

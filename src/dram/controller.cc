@@ -13,6 +13,13 @@ ceilDiv(int a, int b)
     return (a + b - 1) / b;
 }
 
+/** Bit mask of banks [first, first + n). */
+constexpr std::uint64_t
+bankSpan(int first, int n)
+{
+    return (n >= 64 ? ~0ULL : (1ULL << n) - 1) << first;
+}
+
 } // namespace
 
 MemoryController::MemoryController(EventQueue &eq,
@@ -32,6 +39,11 @@ MemoryController::MemoryController(EventQueue &eq,
     // controller notes the same under-reservation).
     memQueue_.reserve(4096);
     pimQueue_.reserve(256);
+    // Same for the deferred-effect buffers: one prepare() pass can
+    // complete several jobs, and a batch can hold a few of this
+    // controller's events.
+    deferredCalls_.reserve(64);
+    deferredSegs_.reserve(4);
 }
 
 void
@@ -87,16 +99,23 @@ MemoryController::kick()
 void
 MemoryController::prepare()
 {
-    // Mirrors the former kick-event lambda: clear the pending-kick
-    // marker, then run the arbitration loop. deferred_ routes every
-    // external effect into the segment commit() replays.
-    kickScheduled_ = false;
-    nextKickAt_ = kCycleMax;
-    pendingResume_ = kCycleMax;
-    deferred_ = true;
-    process();
-    deferred_ = false;
-    deferredSegs_.push_back({deferredCalls_.size(), pendingResume_});
+    // A superseded wake-up (a kick overtook its resume, or a twin at
+    // the cycle the loop already ran) would issue nothing and only
+    // re-arm a duplicate resume, so it pushes an empty segment. It
+    // still runs when a policy held back a MEM command that is due by
+    // now: now may change which MEM job wins the (cycle, seq) tie, and
+    // pim-frfcfs lets a row hit pass (DESIGN.md §3.1).
+    const Cycle now = eq_.now();
+    const bool registered = kickScheduled_ && nextKickAt_ == now;
+    Cycle resume = kCycleMax;
+    if (registered ||
+        (lastRunAt_ != now && !(memScanValid_ && memBest_ > now))) {
+        lastRunAt_ = now;
+        kickScheduled_ = false;
+        nextKickAt_ = kCycleMax;
+        resume = process();
+    }
+    deferredSegs_.push_back({deferredCalls_.size(), resume});
 }
 
 void
@@ -141,6 +160,8 @@ MemoryController::refillMemWindow()
         exec.enqueued = eq_.now();
         exec.seq = memSeq_++;
         banksBusyMask_ |= 1ULL << bank;
+        staleBanks_ |= 1ULL << bank;
+        memScanValid_ = false;
         memInFlight_.push_back(std::move(exec));
     }
 }
@@ -154,6 +175,7 @@ MemoryController::startNextPimKernel()
     // the channel into PIM operation.
     if (cfg_.blockedMode && !memInFlight_.empty())
         return;
+    memScanValid_ = false;
     pim_ = std::make_unique<PimExec>();
     pim_->job = std::move(pimQueue_.front());
     pimQueue_.pop_front();
@@ -168,45 +190,65 @@ MemoryController::startNextPimKernel()
     pim_->groupRowReady.assign(pim_->groupsPerRound, 0);
 }
 
-Cycle
-MemoryController::candidateMem(int &which) const
+void
+MemoryController::recomputeNext(MemExec &m) const
 {
-    which = -1;
-    if (cfg_.blockedMode && pim_)
-        return kCycleMax;
-    Cycle best = kCycleMax;
-    std::uint64_t bestSeq = 0;
+    ConstBankRef bank = channel_.bank(m.job.bank);
+    int open = bank.openRow(BufferSide::Mem);
+    Cycle ready;
+    if (m.phase == MemExec::Phase::Bursts || open == m.job.row) {
+        m.next = MemExec::Next::Column;
+        ready = bank.earliestColumn(BufferSide::Mem);
+    } else if (open != -1) {
+        m.next = MemExec::Next::Precharge;
+        ready = bank.earliestPrecharge(BufferSide::Mem);
+    } else {
+        m.next = MemExec::Next::Activate;
+        ready = bank.earliestActivate(BufferSide::Mem);
+    }
+    m.ready = std::max(ready, m.enqueued);
+}
+
+Cycle
+MemoryController::candidateMem(int &which)
+{
+    // Nothing changed since the last scan and its winner still lies
+    // ahead of now, so now binds no candidate: the scan still holds.
+    if (!memScanValid_ || memBest_ <= eq_.now()) {
+        memScanValid_ = true;
+        memBest_ = kCycleMax;
+        memBestIdx_ = -1;
+        if (!(cfg_.blockedMode && pim_))
+            scanMem();
+    }
+    which = memBestIdx_;
+    return memBest_;
+}
+
+void
+MemoryController::scanMem()
+{
+    // Channel-wide terms once per scan; bank-local readiness is cached
+    // per job and recomputed only for banks touched since the last scan.
+    const Cycle ca = channel_.earliestCa(eq_.now());
+    std::uint64_t best_seq = 0;
     for (int i = 0; i < static_cast<int>(memInFlight_.size()); ++i) {
-        const auto &m = memInFlight_[i];
-        ConstBankRef bank = channel_.bank(m.job.bank);
-        Cycle lb = std::max(m.enqueued, eq_.now());
-        Cycle c;
-        if (m.phase == MemExec::Phase::PreOrAct) {
-            int open = bank.openRow(BufferSide::Mem);
-            if (open == m.job.row) {
-                c = channel_.earliestColumn(m.job.bank, BufferSide::Mem,
-                                            m.job.write, lb);
-            } else if (open != -1) {
-                c = std::max(lb, bank.earliestPrecharge(BufferSide::Mem));
-                c = channel_.earliestCa(c, 1);
-            } else {
-                c = channel_.earliestActivate(m.job.bank, BufferSide::Mem,
-                                              lb);
-            }
-        } else {
-            c = channel_.earliestColumn(m.job.bank, BufferSide::Mem,
-                                        m.job.write, lb);
-        }
+        auto &m = memInFlight_[i];
+        if (staleBanks_ & (1ULL << m.job.bank))
+            recomputeNext(m);
+        Cycle c = std::max(m.ready, ca);
+        if (m.next == MemExec::Next::Activate)
+            c = channel_.actWindowConstraint(m.job.bank, c);
         // Tie-break equal candidate cycles oldest-first: this matches
         // the former lowest-index rule (the in-flight vector used to
         // stay in admission order) while allowing swap-and-pop.
-        if (c < best || (c == best && m.seq < bestSeq)) {
-            best = c;
-            bestSeq = m.seq;
-            which = i;
+        if (c < memBest_ || (c == memBest_ && m.seq < best_seq)) {
+            memBest_ = c;
+            best_seq = m.seq;
+            memBestIdx_ = i;
         }
     }
-    return best;
+    staleBanks_ = 0;
 }
 
 Cycle
@@ -219,10 +261,9 @@ MemoryController::candidatePim() const
     Cycle lb = eq_.now();
     switch (p.phase) {
       case PimExec::Phase::Header:
-        return channel_.earliestCa(lb, t.caPimCmd);
+        return channel_.earliestCa(lb);
       case PimExec::Phase::Gwrite:
-        return channel_.earliestCa(std::max(lb, p.gwriteReady),
-                                   t.caPimCmd);
+        return channel_.earliestCa(std::max(lb, p.gwriteReady));
       case PimExec::Phase::Group: {
         // The operand vector must be staged before any dot-products.
         Cycle ready = std::max(lb, p.gwriteReady);
@@ -242,16 +283,14 @@ MemoryController::candidatePim() const
       }
       case PimExec::Phase::DotProduct:
         return channel_.earliestCa(
-            std::max(lb, p.groupRowReady[p.dotProductsDone / 4]),
-            t.caPimCmd);
+            std::max(lb, p.groupRowReady[p.dotProductsDone / 4]));
       case PimExec::Phase::RoundResult:
-        return channel_.earliestCa(std::max(lb, p.roundComputeEnd),
-                                   t.caPimCmd);
+        return channel_.earliestCa(std::max(lb, p.roundComputeEnd));
       case PimExec::Phase::FinalResult:
         return std::max(lb, p.kernelComputeEnd);
       case PimExec::Phase::Precharge:
         return channel_.earliestCa(
-            std::max({lb, p.kernelComputeEnd, p.resultEnd}), t.caPimCmd);
+            std::max({lb, p.kernelComputeEnd, p.resultEnd}));
       case PimExec::Phase::Done:
         return kCycleMax;
     }
@@ -264,6 +303,7 @@ MemoryController::stepMem(int which)
     auto &m = memInFlight_[which];
     BankRef bank = channel_.bank(m.job.bank);
     Cycle lb = std::max(m.enqueued, eq_.now());
+    staleBanks_ |= 1ULL << m.job.bank;
 
     if (m.phase == MemExec::Phase::PreOrAct) {
         int open = bank.openRow(BufferSide::Mem);
@@ -315,16 +355,12 @@ MemoryController::finishMem(MemExec &exec)
     // Callback contract: invoked as soon as the completion cycle is
     // *known* (commands are committed ahead of simulated time up to
     // the horizon); the Cycle argument is the authoritative completion
-    // time and callers schedule their continuations at it. Under
-    // sharded dispatch the invocation is deferred to commit(), which
-    // replays callbacks in the order they were produced here.
-    if (exec.job.onComplete) {
-        if (deferred_)
-            deferredCalls_.push_back(
-                {std::move(exec.job.onComplete), exec.lastBurstEnd});
-        else
-            exec.job.onComplete(exec.lastBurstEnd);
-    }
+    // time and callers schedule their continuations at it. The
+    // invocation is deferred to commit(), which replays callbacks in
+    // the order they were produced here.
+    if (exec.job.onComplete)
+        deferredCalls_.push_back(
+            {std::move(exec.job.onComplete), exec.lastBurstEnd});
 }
 
 void
@@ -372,6 +408,9 @@ MemoryController::stepPim()
         Cycle act = channel_.issuePimActivateGroup(
             first, nbanks, /*row=*/p.round, ready,
             /*charge_ca=*/!p.job.composite);
+        // tRC spans both row buffers, and single-buffer banks alias
+        // the MEM side outright.
+        staleBanks_ |= bankSpan(first, nbanks);
         Cycle row_ready = act + t.tRCD;
         p.groupRowReady[p.group] = row_ready;
         if (p.job.composite) {
@@ -445,6 +484,7 @@ MemoryController::stepPim()
                 when, banks.earliestPrecharge(b, BufferSide::Pim));
             banks.precharge(b, BufferSide::Pim, w);
         }
+        staleBanks_ |= bankSpan(0, p.job.banksUsed);
         p.phase = PimExec::Phase::Done;
         finishPim(std::max(p.resultEnd, p.kernelComputeEnd));
         return;
@@ -477,13 +517,9 @@ MemoryController::finishPim(Cycle done)
     ++completedPimJobs_;
     auto job = std::move(pim_->job);
     pim_.reset();
-    // Same synchronous-callback contract as finishMem.
-    if (job.onComplete) {
-        if (deferred_)
-            deferredCalls_.push_back({std::move(job.onComplete), done});
-        else
-            job.onComplete(done);
-    }
+    // Same deferred-callback contract as finishMem.
+    if (job.onComplete)
+        deferredCalls_.push_back({std::move(job.onComplete), done});
 }
 
 bool
@@ -499,10 +535,11 @@ MemoryController::maybeRefresh(Cycle when)
             return false;
     }
     channel_.issueRefresh(std::max(channel_.nextRefreshDue(), eq_.now()));
+    staleBanks_ = ~0ULL;
     return true;
 }
 
-void
+Cycle
 MemoryController::process()
 {
     while (true) {
@@ -513,7 +550,7 @@ MemoryController::process()
         Cycle cm = candidateMem(mem_idx);
         Cycle cp = candidatePim();
         if (cm == kCycleMax && cp == kCycleMax)
-            return; // idle: nothing queued or in flight
+            return kCycleMax; // idle: nothing queued or in flight
 
         ArbView v;
         v.cm = cm;
@@ -525,10 +562,7 @@ MemoryController::process()
             const auto &m = memInFlight_[mem_idx];
             v.memBank = m.job.bank;
             v.memRow = m.job.row;
-            v.memIsRowHit =
-                m.phase == MemExec::Phase::Bursts ||
-                channel_.bank(m.job.bank).openRow(BufferSide::Mem) ==
-                    m.job.row;
+            v.memIsRowHit = m.next == MemExec::Next::Column;
         }
 
         // The policy arbitrates only when both classes hold a legal
@@ -545,25 +579,23 @@ MemoryController::process()
             pick_pim = sched_->choosePim(v);
 
         Cycle cand = pick_pim ? cp : cm;
-        if (maybeRefresh(cand))
+        if (maybeRefresh(cand)) {
+            memScanValid_ = false;
             continue; // constraints changed; recompute candidates
+        }
 
         if (cand > eq_.now() + cfg_.horizon) {
             // Do not reserve bus slots far beyond simulated time: a
             // job arriving meanwhile deserves its priority. Resume
-            // when the candidate enters the horizon.
-            Cycle resume = cand - cfg_.horizon;
-            if (!kickScheduled_ || nextKickAt_ > resume) {
-                kickScheduled_ = true;
-                nextKickAt_ = resume;
-                if (deferred_)
-                    pendingResume_ = resume;
-                else
-                    eq_.scheduleSharded(resume, this);
-            }
-            return;
+            // when the candidate enters the horizon; commit()
+            // schedules it. No kick can land inside prepare(), so
+            // this is the only registered wake-up.
+            kickScheduled_ = true;
+            nextKickAt_ = cand - cfg_.horizon;
+            return nextKickAt_;
         }
 
+        memScanValid_ = false;
         sched_->recordIssue(v, pick_pim);
         if (pick_pim)
             stepPim();

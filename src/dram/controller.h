@@ -139,7 +139,8 @@ class MemoryController : public ShardedEvent
     void enqueuePim(PimJob job);
 
     // --- ShardedEvent ---------------------------------------------------
-    /** Run the arbitration loop, deferring external effects. */
+    /** Run the arbitration loop unless this wake-up was superseded
+     * (DESIGN.md §3.1), deferring external effects. */
     void prepare() override;
     /** Replay deferred completion callbacks and the resume schedule. */
     void commit() override;
@@ -188,6 +189,10 @@ class MemoryController : public ShardedEvent
         std::uint64_t seq = 0;
         /** Row-buffer outcome recorded (first stepMem only). */
         bool classified = false;
+        /** Next command and its bank-local ready cycle (enqueued
+         * folded in), recomputed only when the job's bank is touched. */
+        enum class Next { Column, Precharge, Activate } next = Next::Column;
+        Cycle ready = 0;
     };
 
     /** In-flight state machine for one PimJob. */
@@ -222,11 +227,17 @@ class MemoryController : public ShardedEvent
     };
 
     void kick();
-    void process();
+    /** The arbitration loop. @return the resume cycle it registered
+     * at the horizon, or kCycleMax when the controller went idle. */
+    Cycle process();
 
     /** Earliest cycle the front-most mem work could issue; kCycleMax
      * if none. Also selects which in-flight job that is. */
-    Cycle candidateMem(int &which) const;
+    Cycle candidateMem(int &which);
+    /** Rescan the in-flight window into memBest_/memBestIdx_. */
+    void scanMem();
+    /** Recompute @p m's next command and bank-local ready cycle. */
+    void recomputeNext(MemExec &m) const;
     /** Earliest cycle the active PIM kernel's next command could
      * issue; kCycleMax if none. */
     Cycle candidatePim() const;
@@ -260,17 +271,27 @@ class MemoryController : public ShardedEvent
     /** Banks with an in-flight mem job (one bit per bank), replacing
      * the former linear scan of memInFlight_ per admission. */
     std::uint64_t banksBusyMask_ = 0;
+    /** Banks whose state changed since the last candidate scan. */
+    std::uint64_t staleBanks_ = 0;
+    /** The last scan's MEM winner, valid until anything issues, enters
+     * the window, starts or refreshes. */
+    bool memScanValid_ = false;
+    Cycle memBest_ = kCycleMax;
+    int memBestIdx_ = -1;
     std::uint64_t memSeq_ = 0;
     std::unique_ptr<PimExec> pim_;
 
     bool kickScheduled_ = false;
     Cycle nextKickAt_ = kCycleMax;
+    Cycle lastRunAt_ = kCycleMax; ///< cycle of the last arbitration loop
 
     /**
-     * Deferred external effects of one prepare() pass. A controller
-     * can be dispatched twice in one batch (stale kick + resume at
-     * the same cycle), so segments carry watermarks: each commit()
-     * replays exactly its own prepare()'s callbacks and resume.
+     * Deferred external effects of one prepare() pass. A batch can
+     * still hold a superseded resume beside the registered wake-up at
+     * the same cycle; only the registered one runs the loop and the
+     * other pushes an empty segment. Segments carry watermarks, so
+     * each commit() replays exactly its own prepare()'s callbacks and
+     * resume.
      */
     struct DeferredCall
     {
@@ -282,8 +303,6 @@ class MemoryController : public ShardedEvent
         std::size_t callsEnd;  ///< watermark into deferredCalls_
         Cycle resume;          ///< kCycleMax: no resume to schedule
     };
-    bool deferred_ = false;        ///< inside prepare(): buffer effects
-    Cycle pendingResume_ = kCycleMax;
     std::vector<DeferredCall> deferredCalls_;
     std::vector<DeferredSeg> deferredSegs_;
     std::size_t callCursor_ = 0;

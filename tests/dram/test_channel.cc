@@ -130,9 +130,9 @@ TEST_F(ChannelTest, PimActivateGroupOpensFourRows)
 
 TEST_F(ChannelTest, PimActivateGroupWithoutCaIsFree)
 {
-    Cycle before_ca = ch.earliestCa(0, 1);
+    Cycle before_ca = ch.earliestCa(0);
     ch.issuePimActivateGroup(0, 4, 0, 0, false);
-    EXPECT_EQ(ch.earliestCa(0, 1), before_ca); // no C/A slot consumed
+    EXPECT_EQ(ch.earliestCa(0), before_ca); // no C/A slot consumed
     EXPECT_EQ(ch.commandCounts().count(CommandType::PimActivate), 0u);
 }
 

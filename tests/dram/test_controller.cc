@@ -431,6 +431,80 @@ TEST_F(ControllerTest, LatePimArrivalSeesBoundedStaleness)
     EXPECT_LT(pim_done, inject_at + 3000);
 }
 
+TEST_F(ControllerTest, MidStreamEnqueuesLeaveNoDuplicateWakeUps)
+{
+    // Each enqueue kicks the controller at the current cycle, which
+    // supersedes the pending horizon resume. A superseded wake-up that
+    // re-arms its own resume doubles every later wake-up. Rows
+    // alternate over two banks, so every row waits out a row cycle
+    // with a resume pending.
+    auto mc = make(true);
+    auto stream_row = [&](int i) {
+        MemJob job;
+        job.bank = i % 2;
+        job.row = i / 2;
+        job.bursts = 16;
+        mc->enqueueMem(std::move(job));
+    };
+    const int rows = 256;
+    for (int i = 0; i < rows; ++i)
+        stream_row(i);
+    const int late = 6;
+    for (int k = 0; k < late; ++k) {
+        eq.schedule(333 + 411 * static_cast<Cycle>(k), [&, k] {
+            stream_row(rows + 2 * k);
+            stream_row(rows + 2 * k + 1);
+        });
+    }
+    eq.run();
+    ASSERT_TRUE(mc->idle());
+    std::uint64_t commands = 0;
+    for (int i = 0; i < kNumCommandTypes; ++i)
+        commands += mc->channel().commandCounts().counts[i];
+    // Every live wake-up issues at least one command. Each enqueue
+    // event adds itself, its kick and the resume that kick superseded.
+    EXPECT_LE(eq.executedEvents(), commands + 4 * (late + 1));
+}
+
+TEST_F(ControllerTest, SupersededWakeUpServesDueRowHit)
+{
+    // pim-frfcfs may hold a due MEM command back for a PIM kernel; a
+    // superseded wake-up must then still run, because at its cycle an
+    // older row hit can win the (cycle, seq) tie and pass the kernel.
+    auto cfg = ControllerConfig::make(true);
+    cfg.horizon = 16;
+    cfg.sched.kind = MemSchedKind::PimFrFcfs;
+    cfg.sched.pimStarveCap = 1;
+    MemoryController mc(eq, t, org, cfg);
+    Cycle done_a = 0;
+    auto mem = [&](BankId bank, Cycle *done) {
+        MemJob job;
+        job.bank = bank;
+        job.bursts = 2;
+        if (done != nullptr)
+            job.onComplete = [done](Cycle c) { *done = c; };
+        mc.enqueueMem(std::move(job));
+    };
+    PimJob pim;
+    pim.rowTiles = 4;
+    pim.banksUsed = 4;
+    pim.gwrites = 1;
+    mc.enqueuePim(std::move(pim));
+    // The kernel's activation at 22 defers C's bank to 70 and spends
+    // the starvation cap; C's forced resume is registered at 54.
+    mem(1, nullptr);
+    eq.schedule(20, [&] {
+        // The cap forces A's ACT at 26; B, no row hit, yields to the
+        // kernel, whose compute ends at 116: the resume moves to 100.
+        mem(10, &done_a);
+        mem(20, nullptr);
+    });
+    eq.run();
+    // At the superseded wake-up (54) A's row is due and A is older than
+    // B, so its reads issue at 54 rather than at the resume (100).
+    EXPECT_EQ(done_a, 70u);
+}
+
 TEST_F(ControllerTest, IdleReportsPendingWork)
 {
     auto mc = make(true);

@@ -5,7 +5,8 @@
  * the structural invariants — everything completes, per-bank
  * completions are causally ordered, byte accounting matches the jobs
  * issued, blocked mode never beats concurrent mode, and the
- * composite interface never loses to the fine-grained one.
+ * composite interface never loses to the fine-grained one. Seeded
+ * floods across every policy and mode pin the exact schedules.
  */
 
 #include <gtest/gtest.h>
@@ -147,6 +148,175 @@ TEST_P(SeedOnly, DeeperIssueWindowHelpsOrTies)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedOnly,
                          ::testing::Values(7u, 77u, 777u, 7777u));
+
+// ---------------------------------------------------------------------------
+// Schedule pin. The controller's command schedule is part of the
+// behaviour contract — every golden and pinned checksum derives from
+// it — so a hot-path change must not move a single completion. Each
+// case floods one controller with a seeded mix of reads and writes,
+// same-bank row hits and conflicts, and MEM/PIM arrivals injected
+// mid-stream while a horizon resume is pending, then folds every
+// completion, the channel's CommandCounts and the policy's statistics
+// into one FNV-1a hash. A mismatch means a schedule moved; re-pin only
+// for an intended behaviour change.
+// ---------------------------------------------------------------------------
+
+void
+fnvFold(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+}
+
+struct PinCase
+{
+    MemSchedKind kind;
+    bool dual;
+    bool composite;
+    bool header;
+    Cycle horizon;
+};
+
+std::uint64_t
+runPinnedFlood(const PinCase &pc, std::uint64_t seed)
+{
+    EventQueue eq;
+    TimingParams t;
+    Organization org;
+    auto cfg = ControllerConfig::make(pc.dual);
+    cfg.horizon = pc.horizon;
+    cfg.sched.kind = pc.kind;
+    MemoryController mc(eq, t, org, cfg);
+
+    Rng rng(seed);
+    std::uint64_t h = 1469598103934665603ULL;
+    std::uint64_t next_id = 0;
+    std::vector<int> last_row(static_cast<std::size_t>(org.banksPerChannel),
+                              0);
+    auto mem = [&] {
+        MemJob job;
+        // Few banks and half repeated rows: hits, misses and conflicts.
+        job.bank = static_cast<BankId>(rng.uniformInt(0, 11));
+        int &row = last_row[static_cast<std::size_t>(job.bank)];
+        if (rng.uniform() < 0.5)
+            row = static_cast<int>(rng.uniformInt(0, 63));
+        job.row = row;
+        job.bursts = static_cast<int>(rng.uniformInt(1, 16));
+        job.write = rng.uniform() < 0.3;
+        job.onComplete = [&h, id = next_id++](Cycle c) {
+            fnvFold(h, id);
+            fnvFold(h, c);
+        };
+        mc.enqueueMem(std::move(job));
+    };
+    auto pim = [&] {
+        static constexpr int kBanks[] = {4, 8, 32};
+        PimJob job;
+        job.rowTiles = static_cast<int>(rng.uniformInt(1, 80));
+        job.banksUsed = kBanks[rng.uniformInt(0, 2)];
+        job.gwrites = static_cast<int>(rng.uniformInt(0, 3));
+        job.resultBursts = static_cast<int>(rng.uniformInt(1, 8));
+        job.composite = pc.composite;
+        job.header = pc.header;
+        job.onComplete = [&h, id = next_id++](Cycle c) {
+            fnvFold(h, id);
+            fnvFold(h, c);
+        };
+        mc.enqueuePim(std::move(job));
+    };
+
+    for (int i = 0; i < 320; ++i) {
+        if (rng.uniform() < 0.93)
+            mem();
+        else
+            pim();
+    }
+    for (int k = 0; k < 40; ++k) {
+        Cycle at = rng.uniformInt(50, 30000);
+        int nmem = static_cast<int>(rng.uniformInt(0, 6));
+        bool with_pim = rng.uniform() < 0.5;
+        eq.schedule(at, [&mem, &pim, nmem, with_pim] {
+            for (int i = 0; i < nmem; ++i)
+                mem();
+            if (with_pim)
+                pim();
+        });
+    }
+    eq.run();
+    EXPECT_TRUE(mc.idle());
+
+    for (std::uint64_t n : mc.channel().commandCounts().counts)
+        fnvFold(h, n);
+    const MemSchedStats &s = mc.memSchedStats();
+    for (std::uint64_t v : {s.rowHits, s.rowMisses, s.rowConflicts,
+                            s.memCommands, s.pimCommands, s.modeSwitches,
+                            s.pimStallCycles, s.pimWasteCycles})
+        fnvFold(h, v);
+    return h;
+}
+
+TEST(ControllerSchedulePin, FloodsReproducePinnedSchedules)
+{
+    // Case order: kind x dual x composite x header x horizon, the last
+    // varying fastest.
+    static constexpr std::uint64_t kPinned[48] = {
+        // frfcfs, dual
+        0x290af52ecfd880ecULL, 0x50ae7d5372992c60ULL,
+        0x950e5b01634f9d90ULL, 0xd727bfd814ee6b85ULL,
+        0x343a58c83d9d5d21ULL, 0xed7da76ae08e554eULL,
+        0x75cfd4aef0b28f70ULL, 0xbba5b0808d85a919ULL,
+        // frfcfs, blocked
+        0xe1fe4353730b834bULL, 0x49b3b1aad6d0a94dULL,
+        0xe70f3ffb69d192b3ULL, 0x78553c2096a9abbbULL,
+        0x5f904202f15cead7ULL, 0xd58666a5dd21cd56ULL,
+        0x54ec64763c46396dULL, 0x3ceb56d9be999d54ULL,
+        // pim-frfcfs, dual
+        0x319ab12caeba81c2ULL, 0xbe4c6cb4b3012368ULL,
+        0x57f1569f236923bdULL, 0xf2a397cfd9cd5dbbULL,
+        0xfd1ecb33557da26eULL, 0xefaeac631e4d57beULL,
+        0x91bcce31ac064228ULL, 0xcac04db8db0c14d1ULL,
+        // pim-frfcfs, blocked
+        0x315cd7e2685cf441ULL, 0x49ff8748356aa75fULL,
+        0x179b1a11a1713e2cULL, 0x1611138e7a21e8adULL,
+        0x61e01d4bf629433dULL, 0xa6521036786c1884ULL,
+        0x275667759bc35c8fULL, 0x5c22c6310b99d66bULL,
+        // paws, dual
+        0xd90197d5ef94d24eULL, 0x41acb72534222202ULL,
+        0xf40b9f67f1725b1aULL, 0x26183ada195d9c5aULL,
+        0xb1ad063b52553fcfULL, 0xd39a289858e25babULL,
+        0x8d1f8469d44d786cULL, 0xd025e399f0f52e2dULL,
+        // paws, blocked
+        0x48ec93dd0e7ddcf0ULL, 0x7149a7918529d7a4ULL,
+        0x0c8746252f44d7acULL, 0xf249fd5a8c583623ULL,
+        0xac7ae6e80ce7d38eULL, 0x7851f76b6a9664a8ULL,
+        0x347c4d914c8f7c1dULL, 0xd737e123a4705545ULL,
+    };
+    int i = 0;
+    for (MemSchedKind kind : {MemSchedKind::FrFcfs, MemSchedKind::PimFrFcfs,
+                              MemSchedKind::Paws}) {
+        for (bool dual : {true, false}) {
+            for (bool composite : {true, false}) {
+                for (bool header : {true, false}) {
+                    for (Cycle horizon : {Cycle{16}, Cycle{256}}) {
+                        PinCase pc{kind, dual, composite, header, horizon};
+                        std::uint64_t got = runPinnedFlood(
+                            pc, 1000 + static_cast<std::uint64_t>(i));
+                        EXPECT_EQ(got, kPinned[i])
+                            << "case " << i << ": " << memSchedKindName(kind)
+                            << (dual ? " dual" : " blocked")
+                            << (composite ? " composite" : " fine-grained")
+                            << (header ? " headered" : " headerless")
+                            << " horizon " << horizon << std::hex
+                            << " got 0x" << got;
+                        ++i;
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(ControllerRefresh, RefreshRateTracksElapsedTime)
 {
