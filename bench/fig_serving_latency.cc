@@ -61,7 +61,7 @@
  * anchored analytic ratios) against the N = 1 full-event baseline on
  * the strongest backend, emitting per-N latency errors and the
  * engine-invocation cut under "hybrid_sweep", and persisting the
- * learned anchors to BENCH_serving.anchors.tsv (DESIGN.md §12).
+ * learned anchors to BENCH_serving.anchors.tsv (DESIGN.md §12.2).
  * Wall-clock seconds print to stdout only — the JSON stays
  * deterministic for CI's full-content staleness compare.
  *
@@ -83,14 +83,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/batch_builder.h"
 #include "core/executor.h"
 #include "core/iteration_model.h"
-#include "core/parallel.h"
 #include "core/serving_setup.h"
 #include "dram/mem_sched.h"
 #include "runtime/serving_engine.h"
@@ -172,21 +170,15 @@ main()
                  llm.name.c_str(), requests,
                  static_cast<unsigned long long>(seed));
     // Execution context: CI's staleness check requires build_type
-    // "release"; num_cpus <= 1 hosts are labeled serial-baseline
-    // because thread-count comparisons there measure scheduler
-    // contention, not the worker pool.
-    std::fprintf(json,
-                 "  \"context\": {\"build_type\": \"%s\", "
-                 "\"threads\": %d, \"threads_label\": \"%s\"},\n",
+    // "release". Nothing host-dependent goes here: CI compares the
+    // whole file.
 #ifdef NDEBUG
-                 "release",
+    const char *build_type = "release";
 #else
-                 "debug",
+    const char *build_type = "debug";
 #endif
-                 core::resolveSimThreads(0),
-                 std::thread::hardware_concurrency() <= 1
-                     ? "serial-baseline"
-                     : "parallel-capable");
+    std::fprintf(json, "  \"context\": {\"build_type\": \"%s\"},\n",
+                 build_type);
     emitJsonArray(json, "ttft_budgets_ms", kTtftBudgetsMs, "  ");
     std::fprintf(json, ",\n");
     emitJsonArray(json, "per_token_budgets_ms", kPerTokenBudgetsMs,

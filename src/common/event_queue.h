@@ -51,47 +51,6 @@
 namespace neupims {
 
 /**
- * An event whose execution splits into a thread-safe preparation and
- * a main-thread commit (DESIGN.md §12). The queue batches maximal
- * runs of *consecutive same-cycle* sharded events: prepare() calls of
- * distinct shards run concurrently on a ShardRunner (same-shard
- * events stay sequential, in order), then commit() calls replay in
- * the original (cycle, sequence) order on the dispatching thread.
- *
- * Contract: prepare() may read the queue clock (now() is stable while
- * a batch is in flight) and mutate only shard-private state; every
- * externally visible effect — callbacks into other components,
- * schedule() calls — must be buffered and performed in commit().
- * With no runner installed the event degrades to an inline
- * prepare-then-commit, byte-identical to a plain callback.
- */
-class ShardedEvent
-{
-  public:
-    virtual ~ShardedEvent() = default;
-
-    /** Shard-local work; safe to run concurrently with other shards. */
-    virtual void prepare() = 0;
-
-    /** Replay buffered external effects; dispatching thread only. */
-    virtual void commit() = 0;
-};
-
-/**
- * Executes one batch of sharded-event groups: groups[i] holds the
- * prepare() targets of one shard in sequence order and must run
- * in-order; distinct groups may run concurrently. run() blocks until
- * every prepare() returned. Implemented by core::WorkerPool.
- */
-class ShardRunner
-{
-  public:
-    virtual ~ShardRunner() = default;
-    virtual void
-    run(const std::vector<std::vector<ShardedEvent *>> &groups) = 0;
-};
-
-/**
  * Move-only callable wrapper with a small-buffer optimization sized
  * for the simulator's callbacks (captures of a component pointer, a
  * couple of cycles/ids and a shared_ptr tracker all fit inline).
@@ -237,34 +196,42 @@ class EventQueue
     void
     schedule(Cycle when, F &&cb)
     {
-        scheduleTagged(when, std::forward<F>(cb), nullptr);
+        NEUPIMS_ASSERT(when >= now_, "when=", when, " now=", now_);
+        ++size_;
+        Cycle span = when >> kL0Bits;
+        if (span < l0Span_) {
+            // Rare: run(limit) parked now_ before a window that had
+            // already advanced to the next pending event, and the
+            // caller now schedules into the gap. Rewind the windows.
+            retreatWindow(span);
+        }
+        if (span == l0Span_) {
+            // Level 0: per-cycle bucket, O(1).
+            if (draining_ && when == now_) {
+                // Appending to the bucket being drained could move it
+                // under the executing callback; park same-cycle
+                // events aside — the drain loop folds them back in.
+                drainAppend_.emplace_back(seq_++, std::forward<F>(cb));
+                ++l0Count_;
+                return;
+            }
+            std::size_t idx = l0Index(when);
+            l0_[idx].emplace_back(seq_++, std::forward<F>(cb));
+            l0Bits_[idx >> 6] |= 1ULL << (idx & 63);
+            ++l0Count_;
+        } else if (span - l0Span_ < kL1Buckets) {
+            // Level 1: coarse bucket, cascaded when the window gets
+            // there. Insertion order within a bucket is sequence
+            // order, which the cascade preserves.
+            ensureL1();
+            std::size_t idx = l1Index(span);
+            l1_[idx].emplace_back(when, seq_++, std::forward<F>(cb));
+            l1Bits_[idx >> 6] |= 1ULL << (idx & 63);
+            ++l1Count_;
+        } else {
+            far_.push(L1Event{when, seq_++, std::forward<F>(cb)});
+        }
     }
-
-    /**
-     * Schedule @p ev as a sharded event at @p when. Ordering is
-     * identical to schedule()-ing an inline prepare-then-commit
-     * callback at the same point; the shard tag only lets run()
-     * batch consecutive same-cycle sharded events onto the installed
-     * ShardRunner. @p ev must outlive its dispatch.
-     */
-    void
-    scheduleSharded(Cycle when, ShardedEvent *ev)
-    {
-        scheduleTagged(
-            when,
-            [ev] {
-                ev->prepare();
-                ev->commit();
-            },
-            ev);
-    }
-
-    /**
-     * Install (or clear, with nullptr) the parallel batch executor.
-     * Without a runner every sharded event executes inline; results
-     * are bit-identical either way.
-     */
-    void setShardRunner(ShardRunner *runner) { runner_ = runner; }
 
     /** Schedule @p cb @p delta cycles from now. */
     template <typename F>
@@ -327,24 +294,8 @@ class EventQueue
             std::size_t start = head_; // step() may have consumed some
             draining_ = true;
             while (true) {
-                while (head_ < bucket.size()) {
-                    if (runner_ != nullptr &&
-                        bucket[head_].shard != nullptr) {
-                        // Maximal run of consecutive sharded events
-                        // at this cycle: prepare in parallel across
-                        // shards, then commit in sequence order.
-                        std::size_t last = head_ + 1;
-                        while (last < bucket.size() &&
-                               bucket[last].shard != nullptr)
-                            ++last;
-                        if (last - head_ > 1) {
-                            dispatchShardedRun(bucket, head_, last);
-                            head_ = last;
-                            continue;
-                        }
-                    }
+                while (head_ < bucket.size())
                     bucket[head_++].cb();
-                }
                 if (drainAppend_.empty())
                     break;
                 for (auto &e : drainAppend_)
@@ -414,27 +365,23 @@ class EventQueue
     struct L0Event
     {
         template <typename F>
-        L0Event(std::uint64_t s, F &&f, ShardedEvent *sh = nullptr)
-            : seq(s), cb(std::forward<F>(f)), shard(sh)
+        L0Event(std::uint64_t s, F &&f) : seq(s), cb(std::forward<F>(f))
         {}
 
         std::uint64_t seq;
         Callback cb;
-        ShardedEvent *shard; ///< non-null: batchable via ShardRunner
     };
 
     struct L1Event
     {
         template <typename F>
-        L1Event(Cycle w, std::uint64_t s, F &&f,
-                ShardedEvent *sh = nullptr)
-            : when(w), seq(s), cb(std::forward<F>(f)), shard(sh)
+        L1Event(Cycle w, std::uint64_t s, F &&f)
+            : when(w), seq(s), cb(std::forward<F>(f))
         {}
 
         Cycle when;
         std::uint64_t seq;
         mutable Callback cb; ///< moved out of the heap top on sweep
-        ShardedEvent *shard; ///< non-null: batchable via ShardRunner
 
         bool
         operator>(const L1Event &other) const
@@ -444,89 +391,6 @@ class EventQueue
             return seq > other.seq;
         }
     };
-
-    /** schedule() with an optional shard tag carried alongside @p cb. */
-    template <typename F>
-    void
-    scheduleTagged(Cycle when, F &&cb, ShardedEvent *shard)
-    {
-        NEUPIMS_ASSERT(when >= now_, "when=", when, " now=", now_);
-        ++size_;
-        Cycle span = when >> kL0Bits;
-        if (span < l0Span_) {
-            // Rare: run(limit) parked now_ before a window that had
-            // already advanced to the next pending event, and the
-            // caller now schedules into the gap. Rewind the windows.
-            retreatWindow(span);
-        }
-        if (span == l0Span_) {
-            // Level 0: per-cycle bucket, O(1).
-            if (draining_ && when == now_) {
-                // Appending to the bucket being drained could move it
-                // under the executing callback; park same-cycle
-                // events aside — the drain loop folds them back in.
-                drainAppend_.emplace_back(seq_++, std::forward<F>(cb),
-                                          shard);
-                ++l0Count_;
-                return;
-            }
-            std::size_t idx = l0Index(when);
-            l0_[idx].emplace_back(seq_++, std::forward<F>(cb), shard);
-            l0Bits_[idx >> 6] |= 1ULL << (idx & 63);
-            ++l0Count_;
-        } else if (span - l0Span_ < kL1Buckets) {
-            // Level 1: coarse bucket, cascaded when the window gets
-            // there. Insertion order within a bucket is sequence
-            // order, which the cascade preserves.
-            ensureL1();
-            std::size_t idx = l1Index(span);
-            l1_[idx].emplace_back(when, seq_++, std::forward<F>(cb),
-                                  shard);
-            l1Bits_[idx >> 6] |= 1ULL << (idx & 63);
-            ++l1Count_;
-        } else {
-            far_.push(
-                L1Event{when, seq_++, std::forward<F>(cb), shard});
-        }
-    }
-
-    /**
-     * Execute bucket[first..last) — all sharded — as one batch:
-     * group by shard (insertion order preserves per-shard sequence
-     * order), run every group's prepare()s on the runner (groups in
-     * parallel, in-order within a group), then commit() back on this
-     * thread in original sequence order. commit() may schedule; the
-     * drain loop's drainAppend_ protocol already covers that.
-     */
-    void
-    dispatchShardedRun(std::vector<L0Event> &bucket, std::size_t first,
-                       std::size_t last)
-    {
-        std::size_t used = 0;
-        for (std::size_t i = first; i < last; ++i) {
-            ShardedEvent *ev = bucket[i].shard;
-            std::size_t g = 0;
-            while (g < used && shardGroups_[g].front() != ev)
-                ++g;
-            if (g == used) {
-                if (used == shardGroups_.size())
-                    shardGroups_.emplace_back();
-                shardGroups_[used].clear();
-                ++used;
-            }
-            shardGroups_[g].push_back(ev);
-        }
-        if (shardGroups_.size() != used)
-            shardGroups_.resize(used);
-        if (used > 1) {
-            runner_->run(shardGroups_);
-        } else {
-            for (ShardedEvent *ev : shardGroups_.front())
-                ev->prepare();
-        }
-        for (std::size_t i = first; i < last; ++i)
-            bucket[i].shard->commit();
-    }
 
     std::size_t
     l0Index(Cycle when) const
@@ -626,7 +490,7 @@ class EventQueue
             for (auto &e : l1_[idx]) {
                 std::size_t b = l0Index(e.when);
                 l0_[b].push_back(
-                    L0Event{e.seq, std::move(e.cb), e.shard});
+                    L0Event{e.seq, std::move(e.cb)});
                 l0Bits_[b >> 6] |= 1ULL << (b & 63);
                 ++l0Count_;
                 --l1Count_;
@@ -659,8 +523,7 @@ class EventQueue
                 continue;
             Cycle when = (l0Span_ << kL0Bits) + static_cast<Cycle>(idx);
             for (auto &e : l0_[idx]) {
-                far_.push(
-                    L1Event{when, e.seq, std::move(e.cb), e.shard});
+                far_.push(L1Event{when, e.seq, std::move(e.cb)});
                 --l0Count_;
             }
             l0_[idx].clear();
@@ -671,8 +534,7 @@ class EventQueue
             if (!(l1Bits_[idx >> 6] & (1ULL << (idx & 63))))
                 continue;
             for (auto &e : l1_[idx]) {
-                far_.push(
-                    L1Event{e.when, e.seq, std::move(e.cb), e.shard});
+                far_.push(L1Event{e.when, e.seq, std::move(e.cb)});
                 --l1Count_;
             }
             l1_[idx].clear();
@@ -694,16 +556,14 @@ class EventQueue
             const L1Event &top = far_.top();
             if (span == l0Span_) {
                 std::size_t b = l0Index(top.when);
-                l0_[b].push_back(
-                    L0Event{top.seq, std::move(top.cb), top.shard});
+                l0_[b].push_back(L0Event{top.seq, std::move(top.cb)});
                 l0Bits_[b >> 6] |= 1ULL << (b & 63);
                 ++l0Count_;
             } else {
                 ensureL1();
                 std::size_t idx = l1Index(span);
-                l1_[idx].push_back(L1Event{top.when, top.seq,
-                                           std::move(top.cb),
-                                           top.shard});
+                l1_[idx].push_back(
+                    L1Event{top.when, top.seq, std::move(top.cb)});
                 l1Bits_[idx >> 6] |= 1ULL << (idx & 63);
                 ++l1Count_;
             }
@@ -744,10 +604,6 @@ class EventQueue
     std::size_t size_ = 0;
     bool draining_ = false; ///< a bucket is being executed in place
     std::vector<L0Event> drainAppend_; ///< same-cycle mid-drain appends
-
-    ShardRunner *runner_ = nullptr; ///< null: sharded events run inline
-    std::vector<std::vector<ShardedEvent *>>
-        shardGroups_; ///< pooled per-batch grouping scratch
 
     Cycle now_ = 0;
     std::uint64_t seq_ = 0;

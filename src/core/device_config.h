@@ -107,15 +107,9 @@ struct DeviceConfig
     dram::MemSchedConfig memSched;
 
     /**
-     * Simulator execution lanes (not a hardware feature, like
-     * channelSymmetry): >1 installs a worker pool on the event queue
-     * so same-cycle controller events of different channels step in
-     * parallel. Bit-identical to serial by construction (DESIGN.md
-     * §12; the differential test locks it). 0 defers to the
-     * NEUPIMS_SIM_THREADS environment variable and then to 1 —
-     * that hook is how the sanitizer CI drives the whole test suite
-     * through the threaded path. Deliberately excluded from
-     * calibration anchor keys: it cannot change results.
+     * Inert: nothing reads it. The engine steps every channel on one
+     * thread; the field stays only because simbench/ still assigns
+     * it, and goes with the next change to that tree.
      */
     int simThreads = 0;
 

@@ -765,14 +765,6 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
                    layersPerDevice_, " < ", window_layers);
 
     eq_ = std::make_unique<EventQueue>();
-    int threads = resolveSimThreads(cfg_.simThreads);
-    if (threads > 1) {
-        // The pool persists across runIteration calls; the queue is
-        // rebuilt each run, so re-install the runner every time.
-        if (!pool_ || pool_->threads() != threads)
-            pool_ = std::make_unique<WorkerPool>(threads);
-        eq_->setShardRunner(pool_.get());
-    }
     auto groups =
         cfg_.flags.channelSymmetry
             ? computeSymmetryGroups(cfg_.org.channels, batch)

@@ -28,7 +28,6 @@
 
 #include "common/event_queue.h"
 #include "core/device_config.h"
-#include "core/parallel.h"
 #include "dram/hbm.h"
 #include "model/compiler.h"
 #include "model/llm_config.h"
@@ -174,9 +173,6 @@ class DeviceExecutor
     std::unique_ptr<npu::Npu> npu_;
     std::unique_ptr<npu::DmaEngine> dma_;
     int lastSymmetryClasses_ = 0;
-
-    /** Persistent worker pool when cfg_.simThreads resolves > 1. */
-    std::unique_ptr<WorkerPool> pool_;
 };
 
 } // namespace neupims::core

@@ -39,11 +39,9 @@ MemoryController::MemoryController(EventQueue &eq,
     // controller notes the same under-reservation).
     memQueue_.reserve(4096);
     pimQueue_.reserve(256);
-    // Same for the deferred-effect buffers: one prepare() pass can
-    // complete several jobs, and a batch can hold a few of this
-    // controller's events.
-    deferredCalls_.reserve(64);
-    deferredSegs_.reserve(4);
+    // Same for the completion buffer: one process() call can complete
+    // several jobs.
+    completions_.reserve(64);
 }
 
 void
@@ -93,51 +91,34 @@ MemoryController::kick()
         return;
     kickScheduled_ = true;
     nextKickAt_ = now;
-    eq_.scheduleSharded(now, this);
+    eq_.schedule(now, [this] { wake(); });
 }
 
 void
-MemoryController::prepare()
+MemoryController::wake()
 {
     // A superseded wake-up (a kick overtook its resume, or a twin at
     // the cycle the loop already ran) would issue nothing and only
-    // re-arm a duplicate resume, so it pushes an empty segment. It
-    // still runs when a policy held back a MEM command that is due by
-    // now: now may change which MEM job wins the (cycle, seq) tie, and
+    // re-arm a duplicate resume, so it does nothing. It still runs
+    // when a policy held back a MEM command that is due by now: now
+    // may change which MEM job wins the (cycle, seq) tie, and
     // pim-frfcfs lets a row hit pass (DESIGN.md §3.1).
     const Cycle now = eq_.now();
     const bool registered = kickScheduled_ && nextKickAt_ == now;
-    Cycle resume = kCycleMax;
-    if (registered ||
-        (lastRunAt_ != now && !(memScanValid_ && memBest_ > now))) {
-        lastRunAt_ = now;
-        kickScheduled_ = false;
-        nextKickAt_ = kCycleMax;
-        resume = process();
-    }
-    deferredSegs_.push_back({deferredCalls_.size(), resume});
-}
-
-void
-MemoryController::commit()
-{
-    NEUPIMS_ASSERT(segCursor_ < deferredSegs_.size(),
-                   "commit without a matching prepare");
-    const DeferredSeg seg = deferredSegs_[segCursor_++];
-    while (callCursor_ < seg.callsEnd) {
-        DeferredCall &c = deferredCalls_[callCursor_++];
+    if (!registered &&
+        (lastRunAt_ == now || (memScanValid_ && memBest_ > now)))
+        return;
+    lastRunAt_ = now;
+    kickScheduled_ = false;
+    nextKickAt_ = kCycleMax;
+    const Cycle resume = process();
+    for (Completion &c : completions_)
         c.fn(c.at);
-    }
-    // The resume is scheduled after the callbacks, exactly where the
-    // serial control flow placed its eq_.schedule call.
-    if (seg.resume != kCycleMax)
-        eq_.scheduleSharded(seg.resume, this);
-    if (segCursor_ == deferredSegs_.size()) {
-        deferredSegs_.clear();
-        deferredCalls_.clear();
-        segCursor_ = 0;
-        callCursor_ = 0;
-    }
+    // The resume is scheduled after the callbacks, so a kick one of
+    // them causes is queued ahead of it.
+    if (resume != kCycleMax)
+        eq_.schedule(resume, [this] { wake(); });
+    completions_.clear();
 }
 
 void
@@ -355,11 +336,10 @@ MemoryController::finishMem(MemExec &exec)
     // Callback contract: invoked as soon as the completion cycle is
     // *known* (commands are committed ahead of simulated time up to
     // the horizon); the Cycle argument is the authoritative completion
-    // time and callers schedule their continuations at it. The
-    // invocation is deferred to commit(), which replays callbacks in
-    // the order they were produced here.
+    // time and callers schedule their continuations at it. wake()
+    // invokes it once process() returns, in completion order.
     if (exec.job.onComplete)
-        deferredCalls_.push_back(
+        completions_.push_back(
             {std::move(exec.job.onComplete), exec.lastBurstEnd});
 }
 
@@ -519,7 +499,7 @@ MemoryController::finishPim(Cycle done)
     pim_.reset();
     // Same deferred-callback contract as finishMem.
     if (job.onComplete)
-        deferredCalls_.push_back({std::move(job.onComplete), done});
+        completions_.push_back({std::move(job.onComplete), done});
 }
 
 bool
@@ -587,9 +567,9 @@ MemoryController::process()
         if (cand > eq_.now() + cfg_.horizon) {
             // Do not reserve bus slots far beyond simulated time: a
             // job arriving meanwhile deserves its priority. Resume
-            // when the candidate enters the horizon; commit()
-            // schedules it. No kick can land inside prepare(), so
-            // this is the only registered wake-up.
+            // when the candidate enters the horizon; wake() schedules
+            // it. No kick can land inside the loop, so this is the
+            // only registered wake-up.
             kickScheduled_ = true;
             nextKickAt_ = cand - cfg_.horizon;
             return nextKickAt_;

@@ -118,18 +118,7 @@ struct ControllerConfig
     }
 };
 
-/**
- * The controller is a ShardedEvent: its kick/resume events carry a
- * shard tag so the event queue can batch same-cycle events of
- * *different* controllers onto the worker pool. prepare() runs the
- * arbitration loop touching only this channel's state (plus the
- * stable queue clock); every externally visible effect — job
- * completion callbacks and the horizon-resume schedule() — is
- * buffered and replayed by commit() in original sequence order, which
- * is what makes threaded stepping bit-identical to serial
- * (DESIGN.md §12).
- */
-class MemoryController : public ShardedEvent
+class MemoryController
 {
   public:
     MemoryController(EventQueue &eq, const TimingParams &timing,
@@ -137,13 +126,6 @@ class MemoryController : public ShardedEvent
 
     void enqueueMem(MemJob job);
     void enqueuePim(PimJob job);
-
-    // --- ShardedEvent ---------------------------------------------------
-    /** Run the arbitration loop unless this wake-up was superseded
-     * (DESIGN.md §3.1), deferring external effects. */
-    void prepare() override;
-    /** Replay deferred completion callbacks and the resume schedule. */
-    void commit() override;
 
     Channel &channel() { return channel_; }
     const Channel &channel() const { return channel_; }
@@ -227,6 +209,10 @@ class MemoryController : public ShardedEvent
     };
 
     void kick();
+    /** A kick or resume event: run the arbitration loop unless this
+     * wake-up was superseded (DESIGN.md §3.1), then invoke the
+     * completions it collected and schedule its resume. */
+    void wake();
     /** The arbitration loop. @return the resume cycle it registered
      * at the horizon, or kCycleMax when the controller went idle. */
     Cycle process();
@@ -286,27 +272,16 @@ class MemoryController : public ShardedEvent
     Cycle lastRunAt_ = kCycleMax; ///< cycle of the last arbitration loop
 
     /**
-     * Deferred external effects of one prepare() pass. A batch can
-     * still hold a superseded resume beside the registered wake-up at
-     * the same cycle; only the registered one runs the loop and the
-     * other pushes an empty segment. Segments carry watermarks, so
-     * each commit() replays exactly its own prepare()'s callbacks and
-     * resume.
+     * Completions collected by one process() call, invoked in order
+     * once it returns: a callback may enqueue onto this controller,
+     * and its kick must not land inside the loop (DESIGN.md §3.1).
      */
-    struct DeferredCall
+    struct Completion
     {
         std::function<void(Cycle)> fn;
         Cycle at;
     };
-    struct DeferredSeg
-    {
-        std::size_t callsEnd;  ///< watermark into deferredCalls_
-        Cycle resume;          ///< kCycleMax: no resume to schedule
-    };
-    std::vector<DeferredCall> deferredCalls_;
-    std::vector<DeferredSeg> deferredSegs_;
-    std::size_t callCursor_ = 0;
-    std::size_t segCursor_ = 0;
+    std::vector<Completion> completions_;
 
     std::unique_ptr<MemSchedPolicy> sched_;
     std::vector<Cycle> memBankBusyCycles_;

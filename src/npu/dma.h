@@ -3,8 +3,8 @@
  * DMA stream engine: converts tensor-level transfers into DRAM
  * row-stream jobs spread over the device's channels.
  *
- * Weight matrices are page-interleaved across all channels (see
- * dram/address.h); KV-cache traffic targets the specific channel a
+ * Weight matrices are split evenly across all channels in whole
+ * bursts; KV-cache traffic targets the specific channel a
  * request was bin-packed onto. The engine keeps per-channel bank/row
  * cursors so successive rows rotate banks and the controllers can
  * pipeline activations.

@@ -2,11 +2,8 @@
 # run prints its pinned checksum:
 #
 #   cmake -DSERVE_TRACE=<serve_trace> -DTABLE=<checksums.tsv>
-#         [-DEXTRA_ARGS="--threads 4"] -P checksums.cmake
-#
-# EXTRA_ARGS is appended to every row (CI's threaded battery).
+#         -P checksums.cmake
 
-separate_arguments(extra UNIX_COMMAND "${EXTRA_ARGS}")
 file(STRINGS "${TABLE}" rows)
 set(checked 0)
 set(failed 0)
@@ -20,7 +17,7 @@ foreach(row IN LISTS rows)
   set(name "${CMAKE_MATCH_1}")
   set(expected "${CMAKE_MATCH_2}")
   separate_arguments(args UNIX_COMMAND "${CMAKE_MATCH_3}")
-  execute_process(COMMAND "${SERVE_TRACE}" ${args} ${extra}
+  execute_process(COMMAND "${SERVE_TRACE}" ${args}
                   OUTPUT_VARIABLE out RESULT_VARIABLE rc)
   string(FIND "${out}" "${expected}" pos)
   math(EXPR checked "${checked} + 1")
@@ -32,4 +29,4 @@ endforeach()
 if(failed GREATER 0)
   message(FATAL_ERROR "${failed} of ${checked} pinned checksums drifted")
 endif()
-message(STATUS "${checked} pinned checksums match ${EXTRA_ARGS}")
+message(STATUS "${checked} pinned checksums match")

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "common/golden_util.h"
@@ -45,6 +46,15 @@ struct GoldenServingCase
     double rate;
     int requests;
 };
+
+/** Print the golden file: gtest would dump the raw bytes, pointers
+ * included, and gtest_discover_tests copies that dump into the CTest
+ * names, so they would change on every discovery run (ASLR). */
+void
+PrintTo(const GoldenServingCase &c, std::ostream *os)
+{
+    *os << c.file;
+}
 
 runtime::ServingEngine
 makeEngine(const GoldenServingCase &c,
