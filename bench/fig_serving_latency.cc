@@ -694,8 +694,7 @@ main()
             fit_a > 0 ? std::min(1.0, std::max(0.0, fit_b / fit_a))
                       : 0.25;
 
-        // Shipping model: calibrated surface (auto) + scale anchor.
-        analytic.setSbiHideFraction(-1.0);
+        // Shipping model: calibrated surface + scale anchor.
         analytic.setScale(1.0);
         analytic.calibrate(grid_batches.front(), grid_seqs.front());
 
@@ -774,17 +773,17 @@ main()
     std::fprintf(json, "\n  ],\n  \"hybrid_sweep\": [\n");
 
     // --- Hybrid-fidelity sweep: sampled engine vs full-event -------
-    // N = 1 replays every iteration through the cycle-accurate engine
-    // (bit-identical to the measured model); larger N samples every
-    // Nth boundary plus forced samples on composition changes and
-    // fast-forwards the rest on anchored measured/analytic ratios.
-    // Two speedup ratios, both deterministic (raw seconds print to
-    // stdout only): full_event_cut = iterations / engine invocations
-    // — the wall-clock cut vs pricing *every* iteration through the
-    // engine, since an invocation costs the same either way — and
-    // engine_run_cut, the invocation cut vs the shipping memoized
-    // measured model (whose composition cache already skips repeat
-    // compositions, so its baseline is lower). Two configurations:
+    // N = 1 prices every iteration on the cycle-accurate engine (the
+    // full-event baseline); larger N samples every Nth boundary plus
+    // forced samples on composition changes and fast-forwards the
+    // rest on anchored measured/analytic ratios. Two speedup ratios,
+    // both deterministic (raw seconds print to stdout only):
+    // full_event_cut = iterations / engine invocations — the
+    // wall-clock cut vs pricing *every* iteration through the engine,
+    // since an invocation costs the same either way — and
+    // engine_run_cut, the invocation cut vs the N = 1 run (whose
+    // composition cache already skips repeat compositions, so its
+    // baseline is lower). Two configurations:
     // the standard device at 1.4x, and the over-capacity policy-grid
     // config (KV/6, maxlen 320, recompute, fcfs) where preemptions
     // drive the forced-sample path.

@@ -14,7 +14,7 @@
  *
  *   ./serve_trace [--requests N] [--rate RPS] [--seed S]
  *                 [--model NAME] [--backend NAME] [--traffic KIND]
- *                 [--dataset NAME] [--trace FILE.csv] [--measured]
+ *                 [--dataset NAME] [--trace FILE.csv]
  *                 [--calibrate] [--dump-trace]
  *                 [--mem-sched frfcfs|pim-frfcfs|paws]
  *                 [--prefill legacy|whole|chunked] [--chunk N]
@@ -33,14 +33,12 @@
  *                 [--hybrid N] [--hybrid-anchors FILE]
  *
  * --trace replays an external CSV (arrival_us,input,output rows) in
- * place of the synthetic fixed-rate replay trace. --measured swaps
- * the analytic iteration model for the memoized cycle-accurate
- * executor (orders of magnitude slower; small request counts only).
- * --calibrate anchors the analytic model to one measured point per
- * backend first. --prefill selects the prompt-pass policy (default
- * chunked with a --chunk token budget, piggybacked onto decode
- * iterations unless --no-piggyback); the report's TTFT splits into
- * queueing + prefill + first-decode accordingly.
+ * place of the synthetic fixed-rate replay trace. --calibrate anchors
+ * the analytic model to one measured point per backend first.
+ * --prefill selects the prompt-pass policy (default chunked with a
+ * --chunk token budget, piggybacked onto decode iterations unless
+ * --no-piggyback); the report's TTFT splits into queueing + prefill +
+ * first-decode accordingly.
  *
  * --preempt selects the memory-pressure policy: off stalls admission
  * while the KV cache is full (legacy), recompute frees victims' pages
@@ -55,7 +53,7 @@
  * pim-frfcfs drains PIM at row-buffer-friendly priority, paws runs
  * PAWS-style cap-and-switch MEM<->PIM modes. The choice also selects
  * the analytic model's calibrated SBI overlap surface. Runs whose
- * latency model executed the cycle-accurate engine (--measured, or
+ * latency model executed the cycle-accurate engine (--hybrid, or
  * --calibrate's anchor) print a mem-sched summary line (row-hit rate,
  * stall/waste cycles, mode switches) under the config row.
  *
@@ -94,11 +92,13 @@
  * with sharing enabled print a prefix summary line (hit rate, tokens/
  * pages deduplicated, COW copies) under the config row.
  *
- * --hybrid N swaps in the hybrid-fidelity model: the engine executes
- * every Nth iteration plus forced samples on composition changes,
- * everything between is analytically fast-forwarded at the last
- * measured/analytic ratio; a sampling summary line prints under each
- * config row.
+ * --hybrid N swaps in the engine-backed model: the cycle-accurate
+ * engine executes every Nth iteration plus forced samples on
+ * composition changes, everything between is analytically
+ * fast-forwarded at the last measured/analytic ratio; a sampling
+ * summary line prints under each config row. --hybrid 1 prices every
+ * iteration on the engine (orders of magnitude slower than the
+ * analytic default; small request counts only).
  * --hybrid-anchors FILE preloads the persisted measured/analytic
  * anchor sidecar (written by bench/fig_serving_latency next to
  * BENCH_serving.json, and re-saved here after the run) so the
@@ -133,31 +133,18 @@ struct Options
     std::string prefill = "chunked";
     int chunkTokens = 256;
     bool piggyback = true;
-    std::string preempt = "off";
-    std::string victim = "lifo";
-    double swapGbps = 64.0;
-    int kvScale = 1;
-    std::string policy = "fcfs";
     std::string classes = "uniform";
     std::string memSched = "frfcfs";
-    double sloTtftMs = 250.0;
-    double sloTptMs = 25.0;
-    double agingMs = 50.0;
-    std::string fault;
     double clientTimeoutMs = 0.0;
-    int retries = 0;
-    double retryBackoffMs = 5.0;
-    double shedWatermark = 0.0;
-    double shedWaitMs = 0.0;
-    /** Refcounted COW prefix sharing (runtime/kv_cache.h). */
-    bool prefixShare = false;
+    /** Preemption, policy, capacity, prefix sharing and robustness
+     * knobs (faultSeed follows --seed). */
+    core::ServingOptions serving;
     /** Session-traffic shape (used by --traffic session only). */
     double hotFraction = 0.75;
     int sysTokens = 192;
     double meanTurns = 3.0;
     double thinkMs = 150.0;
     int maxLen = 0; ///< 0 = dataset default
-    bool measured = false;
     bool calibrate = false;
     bool dumpTrace = false;
     /** Hybrid fidelity: engine-sample every Nth iteration (0 = off). */
@@ -207,8 +194,7 @@ usage(const char *argv0)
         "NPU-only|NPU+PIM|NeuPIMs|NeuPIMs+SBI|all]\n"
         "          [--traffic poisson|bursty|replay|session|all] "
         "[--dataset ShareGPT|Alpaca|all]\n"
-        "          [--trace FILE.csv] [--measured] [--calibrate] "
-        "[--dump-trace]\n"
+        "          [--trace FILE.csv] [--calibrate] [--dump-trace]\n"
         "          [--prefill legacy|whole|chunked] [--chunk N] "
         "[--no-piggyback]\n"
         "          [--mem-sched frfcfs|pim-frfcfs|paws]\n"
@@ -267,39 +253,39 @@ main(int argc, char **argv)
         else if (arg == "--no-piggyback")
             opt.piggyback = false;
         else if (arg == "--preempt")
-            opt.preempt = value();
+            opt.serving.preempt = value();
         else if (arg == "--victim")
-            opt.victim = value();
+            opt.serving.victim = value();
         else if (arg == "--swap-gbps")
-            opt.swapGbps = std::atof(value());
+            opt.serving.swapGbps = std::atof(value());
         else if (arg == "--kv-scale")
-            opt.kvScale = std::atoi(value());
+            opt.serving.kvScale = std::atoi(value());
         else if (arg == "--policy")
-            opt.policy = value();
+            opt.serving.policy = value();
         else if (arg == "--mem-sched")
             opt.memSched = value();
         else if (arg == "--classes")
             opt.classes = value();
         else if (arg == "--slo-ttft-ms")
-            opt.sloTtftMs = std::atof(value());
+            opt.serving.sloTtftMs = std::atof(value());
         else if (arg == "--slo-tpt-ms")
-            opt.sloTptMs = std::atof(value());
+            opt.serving.sloTptMs = std::atof(value());
         else if (arg == "--aging-ms")
-            opt.agingMs = std::atof(value());
+            opt.serving.agingMs = std::atof(value());
         else if (arg == "--fault")
-            opt.fault = value();
+            opt.serving.fault = value();
         else if (arg == "--client-timeout-ms")
             opt.clientTimeoutMs = std::atof(value());
         else if (arg == "--retries")
-            opt.retries = std::atoi(value());
+            opt.serving.retries = std::atoi(value());
         else if (arg == "--retry-backoff-ms")
-            opt.retryBackoffMs = std::atof(value());
+            opt.serving.retryBackoffMs = std::atof(value());
         else if (arg == "--shed-watermark")
-            opt.shedWatermark = std::atof(value());
+            opt.serving.shedWatermark = std::atof(value());
         else if (arg == "--shed-wait-ms")
-            opt.shedWaitMs = std::atof(value());
+            opt.serving.shedWaitMs = std::atof(value());
         else if (arg == "--prefix-share")
-            opt.prefixShare = true;
+            opt.serving.prefixShare = true;
         else if (arg == "--hot-fraction")
             opt.hotFraction = std::atof(value());
         else if (arg == "--sys-tokens")
@@ -314,8 +300,6 @@ main(int argc, char **argv)
             opt.hybrid = std::atoi(value());
         else if (arg == "--hybrid-anchors")
             opt.hybridAnchors = value();
-        else if (arg == "--measured")
-            opt.measured = true;
         else if (arg == "--calibrate")
             opt.calibrate = true;
         else if (arg == "--dump-trace")
@@ -326,14 +310,15 @@ main(int argc, char **argv)
         }
     }
 
+    opt.serving.faultSeed = opt.seed;
     auto llm = model::modelByName(opt.model);
 
     // Fault recovery re-dispatches force-evicted requests through the
     // preemption lifecycle; there is no recovery path with it off.
-    if (!opt.fault.empty() && opt.preempt == "off") {
+    if (!opt.serving.fault.empty() && opt.serving.preempt == "off") {
         std::printf("# --fault requires preemption for recovery; "
                     "upgrading --preempt off -> recompute\n");
-        opt.preempt = "recompute";
+        opt.serving.preempt = "recompute";
     }
 
     std::vector<core::ServingBackend> backends;
@@ -372,14 +357,13 @@ main(int argc, char **argv)
                 "%s mem-sched\n\n",
                 llm.name.c_str(), opt.requests,
                 static_cast<unsigned long long>(opt.seed),
-                opt.hybrid > 0 ? "hybrid"
-                : opt.measured ? "measured"
-                               : "analytic",
+                opt.hybrid > 0 ? "hybrid" : "analytic",
                 opt.prefill.c_str(), opt.chunkTokens,
                 opt.piggyback ? ", piggyback" : "",
-                opt.preempt.c_str(), opt.victim.c_str(), opt.swapGbps,
-                opt.kvScale > 1 ? ", shrunk KV" : "",
-                opt.policy.c_str(), opt.classes.c_str(),
+                opt.serving.preempt.c_str(), opt.serving.victim.c_str(),
+                opt.serving.swapGbps,
+                opt.serving.kvScale > 1 ? ", shrunk KV" : "",
+                opt.serving.policy.c_str(), opt.classes.c_str(),
                 opt.memSched.c_str());
     std::printf("%-12s %-8s %-9s %5s %9s %9s %6s | %8s %8s %8s | "
                 "%8s %8s %8s | %8s %8s | %6s | %4s %4s %7s | %s\n",
@@ -394,7 +378,7 @@ main(int argc, char **argv)
         core::HybridIterationModel *hybrid = nullptr;
         if (opt.hybrid > 0) {
             auto h = core::makeHybridIterationModel(
-                backend.device, llm, opt.hybrid, 64, opt.hybridAnchors);
+                backend.device, llm, opt.hybrid, opt.hybridAnchors);
             if (!opt.hybridAnchors.empty() && h->anchorCount() > 0)
                 std::printf("# hybrid %s: preloaded %d anchors "
                             "from %s\n",
@@ -404,16 +388,13 @@ main(int argc, char **argv)
             hybrid = h.get();
             latency = std::move(h);
         } else {
-            latency = core::makeIterationModel(backend.device, llm,
-                                               opt.measured);
-        }
-        if (opt.calibrate && !opt.measured && opt.hybrid == 0) {
-            double s =
-                static_cast<core::AnalyticIterationModel *>(
-                    latency.get())
-                    ->calibrate(256, 512);
-            std::printf("# calibrated %s: scale %.3f\n",
-                        backend.name.c_str(), s);
+            auto analytic = core::makeIterationModel(backend.device, llm);
+            if (opt.calibrate) {
+                double s = analytic->calibrate(256, 512);
+                std::printf("# calibrated %s: scale %.3f\n",
+                            backend.name.c_str(), s);
+            }
+            latency = std::move(analytic);
         }
         for (const auto &ds : datasets) {
             double rate = opt.rate > 0 ? opt.rate : defaultRate(ds);
@@ -444,23 +425,7 @@ main(int argc, char **argv)
                 cfg.scheduler.prefill.policy = policy;
                 cfg.scheduler.prefill.chunkTokens = opt.chunkTokens;
                 cfg.scheduler.prefill.piggyback = opt.piggyback;
-                core::ServingOptions serving_opt;
-                serving_opt.preempt = opt.preempt;
-                serving_opt.victim = opt.victim;
-                serving_opt.swapGbps = opt.swapGbps;
-                serving_opt.policy = opt.policy;
-                serving_opt.agingMs = opt.agingMs;
-                serving_opt.sloTtftMs = opt.sloTtftMs;
-                serving_opt.sloTptMs = opt.sloTptMs;
-                serving_opt.kvScale = opt.kvScale;
-                serving_opt.fault = opt.fault;
-                serving_opt.faultSeed = opt.seed;
-                serving_opt.retries = opt.retries;
-                serving_opt.retryBackoffMs = opt.retryBackoffMs;
-                serving_opt.shedWatermark = opt.shedWatermark;
-                serving_opt.shedWaitMs = opt.shedWaitMs;
-                serving_opt.prefixShare = opt.prefixShare;
-                core::applyServingOptions(cfg, serving_opt);
+                core::applyServingOptions(cfg, opt.serving);
                 runtime::ServingEngine engine(cfg, *traffic, *latency);
                 auto report = engine.run();
                 report.backend = backend.name;
@@ -494,7 +459,7 @@ main(int argc, char **argv)
 
                 // Prefix-sharing summary whenever the feature is on:
                 // how much prefill the radix index collapsed.
-                if (opt.prefixShare) {
+                if (opt.serving.prefixShare) {
                     std::printf(
                         "    prefix: hit %.1f%% (%llu/%llu) | "
                         "tok-dedup %llu pages-dedup %llu | cow %llu "
@@ -569,7 +534,7 @@ main(int argc, char **argv)
 
                 // DRAM arbitration summary whenever the latency
                 // model ran the cycle-accurate memory system
-                // (--measured accumulates it over cache-miss runs,
+                // (--hybrid accumulates it over its engine runs,
                 // --calibrate carries its anchor run's stats).
                 if (report.memSched.valid) {
                     std::printf(

@@ -320,8 +320,7 @@ AnalyticIterationModel::AnalyticIterationModel(
                                 cfg.org.pageBytes, cfg.org.burstBytes}),
       saPool_(cfg.npu.sa, cfg.npu.systolicArrays),
       vuPool_(cfg.npu.vu, cfg.npu.vectorUnits),
-      estimator_(latencyParamsFor(cfg, model, tp)),
-      sbiHideFraction_(-1.0) // auto: calibrated surface
+      estimator_(latencyParamsFor(cfg, model, tp))
 {
     NEUPIMS_ASSERT(layersPerDevice_ >= 1);
 }
@@ -561,29 +560,23 @@ AnalyticIterationModel::sbiLayerCycles(const model::LayerPlan &sb1,
     // min(both threads' MHA, both threads' non-MHA) comes from the
     // per-(device policy, composition) calibrated surface measured
     // from the engine grid (calibratedSbiHideFraction; DESIGN.md
-    // §11); a non-negative sbiHideFraction_ overrides it with the
-    // historical constant-fraction model (0.25 shipped, ±9%
-    // residual). (No prefetch credit under SBI: the other sub-batch's
-    // GEMM traffic owns the bus during MHA.)
+    // §11). (No prefetch credit under SBI: the other sub-batch's GEMM
+    // traffic owns the bus during MHA.)
     double s1 = serialLayerCycles(sb1, false);
     double s2 = serialLayerCycles(sb2, false);
     double mha = mhaCycles(sb1) + mhaCycles(sb2);
-    double f = sbiHideFraction_;
-    if (f < 0.0) {
-        int batch = sb1.batch + sb2.batch;
-        double per_ch =
-            static_cast<double>(batch) /
-            (2.0 * static_cast<double>(cfg_.org.channels));
-        const Bytes kv_tok = model_.kvBytesPerTokenPerLayer(tp_);
-        double kv_len =
-            batch > 0 && kv_tok > 0
-                ? static_cast<double>(sb1.mha.kvReadBytes +
-                                      sb2.mha.kvReadBytes) /
-                      (static_cast<double>(batch) *
-                       static_cast<double>(kv_tok))
-                : kSbiGridKvLen[0];
-        f = calibratedSbiHideFraction(cfg_, per_ch, kv_len);
-    }
+    int batch = sb1.batch + sb2.batch;
+    double per_ch = static_cast<double>(batch) /
+                    (2.0 * static_cast<double>(cfg_.org.channels));
+    const Bytes kv_tok = model_.kvBytesPerTokenPerLayer(tp_);
+    double kv_len =
+        batch > 0 && kv_tok > 0
+            ? static_cast<double>(sb1.mha.kvReadBytes +
+                                  sb2.mha.kvReadBytes) /
+                  (static_cast<double>(batch) *
+                   static_cast<double>(kv_tok))
+            : kSbiGridKvLen[0];
+    double f = calibratedSbiHideFraction(cfg_, per_ch, kv_len);
     double hidden = f * std::min(mha, (s1 + s2) - mha);
     return s1 + s2 - hidden;
 }
@@ -745,178 +738,6 @@ AnalyticIterationModel::calibrate(int batch, int seq_len,
     return scale_;
 }
 
-// --- MeasuredIterationModel ------------------------------------------------
-
-MeasuredIterationModel::MeasuredIterationModel(
-    const DeviceConfig &cfg, const model::LlmConfig &model, int tp,
-    int layers_per_device, int quantize_seq)
-    : name_("measured(" + cfg.name + ")"),
-      executor_(cfg, model, tp, layers_per_device),
-      analytic_(cfg, model, tp, layers_per_device),
-      quantizeSeq_(quantize_seq)
-{
-    NEUPIMS_ASSERT(quantizeSeq_ >= 1);
-}
-
-BatchComposition
-MeasuredIterationModel::quantized(const BatchComposition &comp) const
-{
-    if (quantizeSeq_ == 1)
-        return comp;
-    auto round_up = [this](std::vector<std::vector<int>> groups) {
-        for (auto &ch : groups) {
-            for (int &len : ch) {
-                len = ((len + quantizeSeq_ - 1) / quantizeSeq_) *
-                      quantizeSeq_;
-            }
-        }
-        return groups;
-    };
-    BatchComposition q;
-    q.full = round_up(comp.full);
-    q.sb1 = round_up(comp.sb1);
-    q.sb2 = round_up(comp.sb2);
-    return q;
-}
-
-Cycle
-MeasuredIterationModel::iterationCyclesFor(const BatchComposition &comp)
-{
-    BatchComposition q = quantized(comp);
-    auto key = compositionKey(q);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-        ++hits_;
-        return it->second;
-    }
-    ++misses_;
-    int window =
-        executor_.config().flags.subBatchInterleaving ? 3 : 2;
-    auto result = executor_.runIteration(q, window, 1);
-    cache_.emplace(std::move(key), result.iterationCycles);
-    // Accumulate DRAM scheduling stats over the miss runs (hits replay
-    // a cached latency; the memory system did not execute again).
-    memSchedAccum_.rowHits += result.memSched.rowHits;
-    memSchedAccum_.rowMisses += result.memSched.rowMisses;
-    memSchedAccum_.rowConflicts += result.memSched.rowConflicts;
-    memSchedAccum_.memCommands += result.memSched.memCommands;
-    memSchedAccum_.pimCommands += result.memSched.pimCommands;
-    memSchedAccum_.modeSwitches += result.memSched.modeSwitches;
-    memSchedAccum_.pimStallCycles += result.memSched.pimStallCycles;
-    memSchedAccum_.pimWasteCycles += result.memSched.pimWasteCycles;
-    bankUtilSum_ += result.memBankUtil;
-    // Refresh the measured/analytic anchor (consumed by prefill-only
-    // iterations, which the event engine cannot run) on the miss
-    // branch only: the ratio is an approximation keyed to the latest
-    // measurement, and cache hits must stay lookup-cheap.
-    Cycle analytic = analytic_.iterationCyclesFor(q);
-    if (analytic > 0) {
-        measuredOverAnalytic_ =
-            static_cast<double>(result.iterationCycles) /
-            static_cast<double>(analytic);
-    }
-    return result.iterationCycles;
-}
-
-Cycle
-MeasuredIterationModel::iterationCyclesFor(const MixedComposition &mix)
-{
-    // Swap traffic is host-link transfer time — already on the
-    // physical clock, so it adds outside the measured/analytic
-    // rescaling below (it must not be stretched by the decode ratio).
-    Cycle swap = analytic_.swapOverheadCycles(mix);
-    MixedComposition work = mix;
-    work.swapBytes = 0;
-    if (!work.hasPrefill())
-        return iterationCyclesFor(work.decode) + swap;
-    Cycle analytic_mixed = analytic_.iterationCyclesFor(work);
-    if (!work.hasDecode()) {
-        // No decode work for the event engine to measure: rescale
-        // the analytic value onto the measured clock with the most
-        // recent decode anchor so prefill-only spans are not on a
-        // different time scale than the surrounding iterations.
-        double scaled = static_cast<double>(analytic_mixed) *
-                        measuredOverAnalytic_;
-        return static_cast<Cycle>(std::max(1.0, scaled)) + swap;
-    }
-    Cycle measured = iterationCyclesFor(work.decode);
-    Cycle analytic_decode = analytic_.iterationCyclesFor(work.decode);
-    NEUPIMS_ASSERT(analytic_decode > 0);
-    double scaled = static_cast<double>(measured) *
-                    (static_cast<double>(analytic_mixed) /
-                     static_cast<double>(analytic_decode));
-    return static_cast<Cycle>(std::max(1.0, scaled)) + swap;
-}
-
-Cycle
-MeasuredIterationModel::iterationCycles(
-    const runtime::IterationSchedule &schedule)
-{
-    MixedComposition mix = mixedCompositionOf(schedule);
-    if (!mix.hasDecode() && !mix.hasPrefill()) {
-        return priceStragglers(
-            std::max<Cycle>(1, analytic_.swapOverheadCycles(mix)),
-            schedule);
-    }
-    return priceStragglers(iterationCyclesFor(mix), schedule);
-}
-
-runtime::MemSchedSummary
-MeasuredIterationModel::memSchedSummary() const
-{
-    if (misses_ == 0)
-        return {};
-    return summarizeMemSched(
-        dram::memSchedKindName(
-            executor_.config().memSched.kind),
-        memSchedAccum_, memSchedAccum_.rowHitRate(),
-        bankUtilSum_ / static_cast<double>(misses_));
-}
-
-bool
-MeasuredIterationModel::priceIfCached(
-    const runtime::IterationSchedule &schedule, Cycle &out)
-{
-    MixedComposition mix = mixedCompositionOf(schedule);
-    Cycle swap = analytic_.swapOverheadCycles(mix);
-    if (!mix.hasDecode() && !mix.hasPrefill()) {
-        out = priceStragglers(std::max<Cycle>(1, swap), schedule);
-        return true;
-    }
-    MixedComposition work = mix;
-    work.swapBytes = 0;
-    if (!work.hasDecode()) {
-        // Prefill-only pricing never runs the engine: rescaled
-        // analytic, same as iterationCyclesFor(mix).
-        double scaled =
-            static_cast<double>(analytic_.iterationCyclesFor(work)) *
-            measuredOverAnalytic_;
-        out = priceStragglers(
-            static_cast<Cycle>(std::max(1.0, scaled)) + swap,
-            schedule);
-        return true;
-    }
-    auto it = cache_.find(compositionKey(quantized(work.decode)));
-    if (it == cache_.end())
-        return false;
-    ++hits_;
-    Cycle priced;
-    if (!work.hasPrefill()) {
-        priced = it->second + swap;
-    } else {
-        Cycle analytic_mixed = analytic_.iterationCyclesFor(work);
-        Cycle analytic_decode =
-            analytic_.iterationCyclesFor(work.decode);
-        NEUPIMS_ASSERT(analytic_decode > 0);
-        double scaled = static_cast<double>(it->second) *
-                        (static_cast<double>(analytic_mixed) /
-                         static_cast<double>(analytic_decode));
-        priced = static_cast<Cycle>(std::max(1.0, scaled)) + swap;
-    }
-    out = priceStragglers(priced, schedule);
-    return true;
-}
-
 // --- HybridIterationModel --------------------------------------------------
 
 namespace {
@@ -932,6 +753,26 @@ namespace {
 constexpr int kBatchBucket = 8;
 
 int
+roundUpToQuantum(int len)
+{
+    constexpr int q = HybridIterationModel::kQuantizeSeq;
+    return ((len + q - 1) / q) * q;
+}
+
+/** @p comp with every sequence length rounded up to the quantum. */
+BatchComposition
+quantized(BatchComposition comp)
+{
+    for (auto *groups : {&comp.full, &comp.sb1, &comp.sb2}) {
+        for (auto &ch : *groups) {
+            for (int &len : ch)
+                len = roundUpToQuantum(len);
+        }
+    }
+    return comp;
+}
+
+int
 meanKvLen(const BatchComposition &comp)
 {
     long long sum = 0;
@@ -945,20 +786,33 @@ meanKvLen(const BatchComposition &comp)
     return n > 0 ? static_cast<int>(sum / n) : 0;
 }
 
+/** Anchor-table key: batch bucket (shared with the forced-sample
+ * signature), quantized mean KV length, prefill present. */
+std::string
+anchorKeyOf(const MixedComposition &mix,
+            const runtime::IterationSchedule &schedule)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "b%d/kv%d/p%d",
+                  schedule.batchSize() / kBatchBucket,
+                  roundUpToQuantum(meanKvLen(mix.decode)),
+                  schedule.prefillTokens() > 0 ? 1 : 0);
+    return buf;
+}
+
 } // namespace
 
 HybridIterationModel::HybridIterationModel(
     const DeviceConfig &cfg, const model::LlmConfig &model, int tp,
-    int layers_per_device, int sample_every, int quantize_seq,
+    int layers_per_device, int sample_every,
     const std::string &anchor_path)
     : name_("hybrid(" + cfg.name + ",N=" +
             std::to_string(sample_every) + ")"),
-      measured_(cfg, model, tp, layers_per_device, quantize_seq),
+      executor_(cfg, model, tp, layers_per_device),
       analytic_(cfg, model, tp, layers_per_device),
-      sampleEvery_(sample_every), quantizeSeq_(quantize_seq)
+      sampleEvery_(sample_every)
 {
     NEUPIMS_ASSERT(sampleEvery_ >= 1);
-    NEUPIMS_ASSERT(quantizeSeq_ >= 1);
     if (!anchor_path.empty())
         loadAnchors(anchor_path); // missing file: cold start
 }
@@ -979,18 +833,64 @@ HybridIterationModel::signatureOf(
     return sig;
 }
 
-std::string
-HybridIterationModel::anchorKeyOf(
-    const runtime::IterationSchedule &schedule)
+std::optional<Cycle>
+HybridIterationModel::engineCycles(const MixedComposition &mix,
+                                   bool run_engine)
 {
-    MixedComposition mix = mixedCompositionOf(schedule);
-    int kv = meanKvLen(mix.decode);
-    kv = ((kv + quantizeSeq_ - 1) / quantizeSeq_) * quantizeSeq_;
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "b%d/kv%d/p%d",
-                  schedule.batchSize() / kBatchBucket, kv,
-                  schedule.prefillTokens() > 0 ? 1 : 0);
-    return buf;
+    // Swap traffic is host-link transfer time — already on the
+    // physical clock, so it adds outside the measured/analytic
+    // rescaling below (it must not be stretched by the decode ratio).
+    Cycle swap = analytic_.swapOverheadCycles(mix);
+    if (!mix.hasDecode() && !mix.hasPrefill())
+        return std::max<Cycle>(1, swap); // restore-only: the transfer
+    MixedComposition work = mix;
+    work.swapBytes = 0;
+    if (!work.hasDecode()) {
+        // No decode work for the event engine to measure: rescale
+        // the analytic value onto the measured clock with the latest
+        // engine run's quotient so prefill-only spans are not on a
+        // different time scale than the surrounding iterations.
+        double scaled =
+            static_cast<double>(analytic_.iterationCyclesFor(work)) *
+            measuredOverAnalytic_;
+        return static_cast<Cycle>(std::max(1.0, scaled)) + swap;
+    }
+
+    BatchComposition q = quantized(work.decode);
+    auto key = compositionKey(q);
+    auto it = cache_.find(key);
+    if (it == cache_.end()) {
+        if (!run_engine)
+            return std::nullopt;
+        int window =
+            executor_.config().flags.subBatchInterleaving ? 3 : 2;
+        auto result = executor_.runIteration(q, window, 1);
+        it = cache_.emplace(std::move(key), result.iterationCycles).first;
+        // Cache hits replay a latency; the memory system did not
+        // execute again, so only engine runs add to the stats.
+        memSchedAccum_ += result.memSched;
+        bankUtilSum_ += result.memBankUtil;
+        // Refresh the prefill-only quotient on engine runs only: it
+        // is an approximation keyed to the latest measurement, and
+        // cache hits must stay lookup-cheap.
+        Cycle analytic = analytic_.iterationCyclesFor(q);
+        if (analytic > 0) {
+            measuredOverAnalytic_ =
+                static_cast<double>(result.iterationCycles) /
+                static_cast<double>(analytic);
+        }
+    }
+    if (!work.hasPrefill())
+        return it->second + swap;
+    // The engine executes decode only: scale its measurement by the
+    // analytic mixed/decode ratio, in which the analytic scale cancels.
+    Cycle analytic_mixed = analytic_.iterationCyclesFor(work);
+    Cycle analytic_decode = analytic_.iterationCyclesFor(work.decode);
+    NEUPIMS_ASSERT(analytic_decode > 0);
+    double scaled = static_cast<double>(it->second) *
+                    (static_cast<double>(analytic_mixed) /
+                     static_cast<double>(analytic_decode));
+    return static_cast<Cycle>(std::max(1.0, scaled)) + swap;
 }
 
 Cycle
@@ -1003,20 +903,21 @@ HybridIterationModel::iterationCycles(
     ++iter_;
     lastSig_ = sig;
     haveSig_ = true;
+    MixedComposition mix = mixedCompositionOf(schedule);
 
     if (!boundary && !forced) {
         ++fastForwarded_;
-        // A measured-cache hit is engine-accurate pricing for free:
+        // A cached engine run is engine-accurate pricing for free:
         // prefer it over the anchored-ratio estimate. (Compositions
         // revisit constantly once KV quantization folds them.)
-        Cycle cached = 0;
-        if (measured_.priceIfCached(schedule, cached)) {
+        if (std::optional<Cycle> cached = engineCycles(mix, false)) {
             ++ffCacheHits_;
-            return cached;
+            return priceStragglers(*cached, schedule);
         }
-        Cycle analytic = analytic_.iterationCycles(schedule);
+        Cycle analytic =
+            priceStragglers(analytic_.iterationCyclesFor(mix), schedule);
         double r = ratio_;
-        auto it = anchors_.find(anchorKeyOf(schedule));
+        auto it = anchors_.find(anchorKeyOf(mix, schedule));
         if (it != anchors_.end())
             r = it->second.ratio;
         return static_cast<Cycle>(
@@ -1026,19 +927,19 @@ HybridIterationModel::iterationCycles(
     ++sampled_;
     if (forced && !boundary)
         ++forced_;
-    Cycle measured = measured_.iterationCycles(schedule);
+    Cycle measured = priceStragglers(*engineCycles(mix, true), schedule);
     // Re-anchor the measured/analytic ratio — but only on iterations
     // with compute: a swap-only boundary prices identically in both
     // models (host-link transfer time), and letting its ratio of ~1.0
     // overwrite the decode anchor would corrupt every following
     // fast-forward.
-    MixedComposition mix = mixedCompositionOf(schedule);
     if (mix.hasDecode() || mix.hasPrefill()) {
-        Cycle analytic = analytic_.iterationCycles(schedule);
+        Cycle analytic =
+            priceStragglers(analytic_.iterationCyclesFor(mix), schedule);
         if (analytic > 0 && measured > 0) {
             ratio_ = static_cast<double>(measured) /
                      static_cast<double>(analytic);
-            Anchor &a = anchors_[anchorKeyOf(schedule)];
+            Anchor &a = anchors_[anchorKeyOf(mix, schedule)];
             a.ratio = ratio_;
             ++a.samples;
         }
@@ -1049,7 +950,12 @@ HybridIterationModel::iterationCycles(
 runtime::MemSchedSummary
 HybridIterationModel::memSchedSummary() const
 {
-    return measured_.memSchedSummary();
+    if (cache_.empty())
+        return {};
+    return summarizeMemSched(
+        dram::memSchedKindName(executor_.config().memSched.kind),
+        memSchedAccum_, memSchedAccum_.rowHitRate(),
+        bankUtilSum_ / static_cast<double>(cache_.size()));
 }
 
 bool

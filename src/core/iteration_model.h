@@ -14,19 +14,22 @@
  *    sweeps tractable; accuracy against the engine is a constant
  *    factor absorbed by calibrate() (DESIGN.md §6).
  *
- *  - MeasuredIterationModel: the cycle-accurate DeviceExecutor
- *    itself, memoized on a (optionally sequence-length-quantized)
- *    composition key so a serving run's slowly-drifting batches hit
- *    the cache.
+ *  - HybridIterationModel: the cycle-accurate DeviceExecutor itself,
+ *    run on every Nth iteration (plus forced samples when the
+ *    composition steps) and memoized on a sequence-length-quantized
+ *    composition key; the iterations between samples fast-forward on
+ *    the analytic model rescaled by an anchored measured/analytic
+ *    ratio. N = 1 prices every iteration on the engine.
  *
  * Both models price mixed prefill+decode iterations. The analytic
  * model compiles the mixed LayerPlan (prompt tokens as extra GEMM
  * rows, NPU-side causal prefill attention, prefill KV appends) and,
  * on pipelined-MHA devices, credits part of the NPU prefill work as
  * hidden under the PIM decode MHA span (the piggyback slack). The
- * measured model has no prefill path in the event engine, so it
- * scales its measured decode cycles by the analytic mixed/decode
- * ratio; a prefill-only iteration is priced purely analytically.
+ * event engine has no prefill path, so the engine-backed model scales
+ * its measured decode cycles by the analytic mixed/decode ratio; a
+ * prefill-only iteration is priced analytically on the measured
+ * clock.
  */
 
 #ifndef NEUPIMS_CORE_ITERATION_MODEL_H_
@@ -35,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,19 +123,6 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
     }
 
     /**
-     * The SBI overlap hide fraction override: what share of
-     * min(both threads' MHA, both threads' non-MHA) the pipeline
-     * hides per layer. Negative (the default) selects the per-(device
-     * policy, composition) calibrated surface measured from the
-     * engine grid (calibratedSbiHideFraction); setting a fixed value
-     * reproduces the historical constant-fraction model (0.25 was the
-     * shipped constant, with its ±9% residual) — used by the
-     * mem_sched_sweep fitting pass and the regression tests.
-     */
-    double sbiHideFraction() const { return sbiHideFraction_; }
-    void setSbiHideFraction(double f) { sbiHideFraction_ = f; }
-
-    /**
      * Scale-free SBI overlap components of @p comp: @p serial is the
      * summed serial cost of both sub-batches (s1 + s2), @p hideable
      * is min(mha, serial - mha) — the span the hide fraction
@@ -172,7 +163,6 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
     npu::VectorUnitPool vuPool_;
     runtime::MhaLatencyEstimator estimator_;
     double scale_ = 1.0;
-    double sbiHideFraction_;
     runtime::MemSchedSummary memSchedSummary_;
 };
 
@@ -211,91 +201,27 @@ double calibratedSbiHideFraction(const DeviceConfig &cfg);
  */
 std::size_t calibrationAnchorCount();
 
-class MeasuredIterationModel : public runtime::IterationLatencyModel
-{
-  public:
-    /**
-     * @param quantize_seq round every sequence length up to this
-     *        multiple before simulating, so drifting serving batches
-     *        reuse measurements (1 = exact; then nearly every
-     *        iteration is a cache miss costing seconds).
-     */
-    MeasuredIterationModel(const DeviceConfig &cfg,
-                           const model::LlmConfig &model, int tp,
-                           int layers_per_device, int quantize_seq = 64);
-
-    const std::string &name() const override { return name_; }
-
-    Cycle
-    iterationCycles(const runtime::IterationSchedule &schedule) override;
-
-    Cycle iterationCyclesFor(const BatchComposition &comp);
-
-    /**
-     * Mixed prefill+decode pricing: the event engine executes decode
-     * only, so the measured decode cycles are scaled by the analytic
-     * model's mixed/decode ratio — the analytic scale factor cancels
-     * in the ratio, keeping the result on the measured time scale. A
-     * prefill-only iteration has no measured anchor of its own, so
-     * the analytic value is rescaled by the most recently observed
-     * measured/analytic decode ratio (1.0 until one exists), keeping
-     * every span of a run on one clock.
-     */
-    Cycle iterationCyclesFor(const MixedComposition &mix);
-
-    std::uint64_t cacheHits() const { return hits_; }
-    std::uint64_t cacheMisses() const { return misses_; }
-
-    /**
-     * Price @p schedule exactly as iterationCycles() would — but only
-     * if doing so needs no engine run: the decode composition is
-     * already in the measurement cache (or there is no decode work to
-     * measure). Returns true and sets @p out on success; on false,
-     * nothing ran and nothing was cached. This is the hybrid model's
-     * fast-forward shortcut: a cache hit is engine-accurate pricing
-     * at lookup cost.
-     */
-    bool priceIfCached(const runtime::IterationSchedule &schedule,
-                       Cycle &out);
-
-    /** DRAM arbitration stats accumulated over the cache-miss engine
-     * runs (invalid until the first miss). */
-    runtime::MemSchedSummary memSchedSummary() const override;
-
-  private:
-    BatchComposition quantized(const BatchComposition &comp) const;
-
-    std::string name_;
-    DeviceExecutor executor_;
-    AnalyticIterationModel analytic_; ///< prefill add-on pricing
-    int quantizeSeq_;
-    std::map<std::vector<std::vector<int>>, Cycle> cache_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    /** Last measured/analytic decode ratio (prefill-only anchor). */
-    double measuredOverAnalytic_ = 1.0;
-    /** Scheduling stats summed over miss runs (memSchedSummary). */
-    dram::MemSchedStats memSchedAccum_;
-    double bankUtilSum_ = 0.0;
-};
-
 /**
- * Hybrid fidelity: runs the cycle-accurate event engine on sampled
- * iteration windows only — every @p sample_every iteration boundary,
- * plus forced samples whenever the batch composition steps (batch-size
- * bucket change, preemption or restore, swap traffic, fault eviction,
- * load shedding, a straggler window opening or closing) — and
- * fast-forwards the iterations in between with the analytic model
- * rescaled by the last measured/analytic ratio observed at a sample.
+ * The engine-backed iteration model (hybrid fidelity): runs the
+ * cycle-accurate event engine on sampled iteration windows — every
+ * @p sample_every iteration boundary, plus forced samples whenever
+ * the batch composition steps (batch-size bucket change, preemption
+ * or restore, swap traffic, fault eviction, load shedding, a
+ * straggler window opening or closing) — and fast-forwards the
+ * iterations in between with the analytic model rescaled by the last
+ * measured/analytic ratio observed at a sample. sample_every == 1
+ * prices every iteration on the engine.
  *
- * This generalizes MeasuredIterationModel's memoization (repeated
- * compositions replay a cached engine run) into windowed
- * auto-calibration: between samples no engine run happens at all, not
- * even a cache lookup of an engine run, so a thousand-iteration
- * serving sweep pays for ~1/N engine windows while every composition
- * change re-anchors the ratio before drift can accumulate. Sampled
- * iterations return the measured value exactly — a run with
- * sample_every == 1 is bit-identical to MeasuredIterationModel.
+ * Engine runs are memoized on the decode composition with every
+ * sequence length rounded up to kQuantizeSeq, so a serving run's
+ * slowly drifting batches replay cached windows, and a fast-forward
+ * whose composition is already cached takes the engine value at
+ * lookup cost instead of the ratio estimate. The engine executes
+ * decode only: a mixed iteration scales the measured decode cycles
+ * by the analytic mixed/decode ratio (the analytic scale cancels), and
+ * a prefill-only iteration rescales the analytic value by the
+ * measured/analytic quotient of the latest engine run, keeping every
+ * span of a run on one clock.
  *
  * Anchors (per composition-bucket measured/analytic ratios) persist
  * to a TSV sidecar (saveAnchors / loadAnchors) written next to
@@ -306,17 +232,19 @@ class MeasuredIterationModel : public runtime::IterationLatencyModel
 class HybridIterationModel : public runtime::IterationLatencyModel
 {
   public:
+    /** Engine runs round every sequence length up to this multiple,
+     * so drifting serving batches reuse measurements. */
+    static constexpr int kQuantizeSeq = 64;
+
     /**
      * @param sample_every run the event engine every Nth iteration
-     *        boundary (>= 1; 1 degenerates to the measured model)
-     * @param quantize_seq measured-model sequence quantization
+     *        boundary (>= 1; 1 prices every iteration on the engine)
      * @param anchor_path optional sidecar to preload anchors from
      *        (silently ignored when the file does not exist)
      */
     HybridIterationModel(const DeviceConfig &cfg,
                          const model::LlmConfig &model, int tp,
                          int layers_per_device, int sample_every = 8,
-                         int quantize_seq = 64,
                          const std::string &anchor_path = "");
 
     const std::string &name() const override { return name_; }
@@ -324,7 +252,8 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     Cycle
     iterationCycles(const runtime::IterationSchedule &schedule) override;
 
-    /** DRAM arbitration stats of the sampled engine windows. */
+    /** DRAM arbitration stats summed over the engine runs (invalid
+     * until the first). */
     runtime::MemSchedSummary memSchedSummary() const override;
 
     // --- sampling telemetry (benches, tests) ------------------------
@@ -334,12 +263,12 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     std::uint64_t forcedSamples() const { return forced_; }
     /** Iterations fast-forwarded analytically. */
     std::uint64_t fastForwarded() const { return fastForwarded_; }
-    /** Fast-forwards that hit the measured-model composition cache —
-     * engine-accurate pricing at lookup cost, no ratio involved. */
+    /** Fast-forwards that hit the engine-run cache — engine-accurate
+     * pricing at lookup cost, no ratio involved. */
     std::uint64_t fastForwardCacheHits() const { return ffCacheHits_; }
-    /** Engine windows actually executed (measured-cache misses) —
-     * the wall-clock proxy the bench's speedup assertion uses. */
-    std::uint64_t executorRuns() const { return measured_.cacheMisses(); }
+    /** Engine windows actually executed (one per cached composition)
+     * — the wall-clock proxy the bench's speedup assertion uses. */
+    std::uint64_t executorRuns() const { return cache_.size(); }
     /** Last measured/analytic ratio (1.0 until the first sample). */
     double ratio() const { return ratio_; }
     int sampleEvery() const { return sampleEvery_; }
@@ -352,10 +281,6 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     /** Merge anchors from @p path (later loads win on key clashes).
      * @return anchors read, or -1 when the file cannot be opened. */
     int loadAnchors(const std::string &path);
-
-    /** Composition bucket key of @p schedule (tests; the anchor table
-     * and the forced-sample signature share its batch bucketing). */
-    std::string anchorKeyOf(const runtime::IterationSchedule &schedule);
 
   private:
     /** Composition signature: a forced sample fires when any field
@@ -391,11 +316,27 @@ class HybridIterationModel : public runtime::IterationLatencyModel
 
     Signature signatureOf(const runtime::IterationSchedule &schedule) const;
 
+    /**
+     * @p mix priced on the engine clock, stragglers excluded. A decode
+     * composition missing from the cache runs the engine when
+     * @p run_engine; otherwise nothing runs and the result is empty.
+     */
+    std::optional<Cycle> engineCycles(const MixedComposition &mix,
+                                      bool run_engine);
+
     std::string name_;
-    MeasuredIterationModel measured_;
+    DeviceExecutor executor_;
     AnalyticIterationModel analytic_;
     int sampleEvery_;
-    int quantizeSeq_;
+    /** Engine cycles per quantized decode composition. */
+    std::map<std::vector<std::vector<int>>, Cycle> cache_;
+    /** Measured/analytic quotient of the latest engine run: prices
+     * prefill-only iterations. Unlike ratio_ it is taken per engine
+     * run over decode work alone, not per sample over the iteration. */
+    double measuredOverAnalytic_ = 1.0;
+    /** Scheduling stats summed over engine runs (memSchedSummary). */
+    dram::MemSchedStats memSchedAccum_;
+    double bankUtilSum_ = 0.0;
     std::uint64_t iter_ = 0;
     std::uint64_t sampled_ = 0;
     std::uint64_t forced_ = 0;

@@ -107,35 +107,23 @@ applyMemSched(DeviceConfig &dev, const std::string &name)
     dev.memSched.kind = kind;
 }
 
-std::unique_ptr<runtime::IterationLatencyModel>
-makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm,
-                   bool measured, int quantize_seq)
+std::unique_ptr<AnalyticIterationModel>
+makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm)
 {
-    int layers = llm.layersPerDevice(llm.defaultPp);
-    if (measured) {
-        // The serving engine replays the memoized executor on
-        // quantized compositions; symmetry folding keeps each miss
-        // tractable.
-        DeviceConfig dev2 = dev;
-        dev2.flags.channelSymmetry = true;
-        return std::make_unique<MeasuredIterationModel>(
-            dev2, llm, llm.defaultTp, layers, quantize_seq);
-    }
     return std::make_unique<AnalyticIterationModel>(
-        dev, llm, llm.defaultTp, layers);
+        dev, llm, llm.defaultTp, llm.layersPerDevice(llm.defaultPp));
 }
 
 std::unique_ptr<HybridIterationModel>
 makeHybridIterationModel(const DeviceConfig &dev,
                          const model::LlmConfig &llm, int sample_every,
-                         int quantize_seq, const std::string &anchor_path)
+                         const std::string &anchor_path)
 {
-    int layers = llm.layersPerDevice(llm.defaultPp);
     DeviceConfig dev2 = dev;
     dev2.flags.channelSymmetry = true;
     return std::make_unique<HybridIterationModel>(
-        dev2, llm, llm.defaultTp, layers, sample_every, quantize_seq,
-        anchor_path);
+        dev2, llm, llm.defaultTp, llm.layersPerDevice(llm.defaultPp),
+        sample_every, anchor_path);
 }
 
 } // namespace neupims::core

@@ -51,26 +51,22 @@ runtime::ServingConfig
 servingConfigFor(const DeviceConfig &dev, const model::LlmConfig &llm,
                  int max_batch = 256);
 
-/**
- * Build the iteration-latency model for a backend: analytic by
- * default, the memoized cycle-accurate executor when @p measured.
- */
-std::unique_ptr<runtime::IterationLatencyModel>
-makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm,
-                   bool measured = false, int quantize_seq = 64);
+/** Build the analytic iteration-latency model for a backend. */
+std::unique_ptr<AnalyticIterationModel>
+makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm);
 
 /**
- * Build the hybrid-fidelity model (HybridIterationModel): event-engine
+ * Build the engine-backed model (HybridIterationModel): event-engine
  * samples every @p sample_every iterations (plus forced samples on
- * composition changes), analytic fast-forward between them. Applies
- * the same channel-symmetry folding as the measured model so each
- * sampled window stays tractable. @p anchor_path optionally preloads
- * a persisted anchor sidecar (missing file = cold start).
+ * composition changes), analytic fast-forward between them; 1 prices
+ * every iteration on the engine. Turns on channel-symmetry folding
+ * (bit-identical, DESIGN.md §5) so each sampled window stays
+ * tractable. @p anchor_path optionally preloads a persisted anchor
+ * sidecar (missing file = cold start).
  */
 std::unique_ptr<HybridIterationModel>
 makeHybridIterationModel(const DeviceConfig &dev,
                          const model::LlmConfig &llm, int sample_every,
-                         int quantize_seq = 64,
                          const std::string &anchor_path = "");
 
 /**

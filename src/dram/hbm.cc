@@ -75,17 +75,8 @@ MemSchedStats
 HbmStack::totalMemSchedStats() const
 {
     MemSchedStats total;
-    for (ChannelId ch = 0; ch < numChannels(); ++ch) {
-        const auto &s = controller(ch).memSchedStats();
-        total.rowHits += s.rowHits;
-        total.rowMisses += s.rowMisses;
-        total.rowConflicts += s.rowConflicts;
-        total.memCommands += s.memCommands;
-        total.pimCommands += s.pimCommands;
-        total.modeSwitches += s.modeSwitches;
-        total.pimStallCycles += s.pimStallCycles;
-        total.pimWasteCycles += s.pimWasteCycles;
-    }
+    for (ChannelId ch = 0; ch < numChannels(); ++ch)
+        total += controller(ch).memSchedStats();
     return total;
 }
 

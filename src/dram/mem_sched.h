@@ -90,6 +90,20 @@ struct MemSchedStats
      * waited for a PIM command while MEM work was ready earlier. */
     Cycle pimWasteCycles = 0;
 
+    MemSchedStats &
+    operator+=(const MemSchedStats &o)
+    {
+        rowHits += o.rowHits;
+        rowMisses += o.rowMisses;
+        rowConflicts += o.rowConflicts;
+        memCommands += o.memCommands;
+        pimCommands += o.pimCommands;
+        modeSwitches += o.modeSwitches;
+        pimStallCycles += o.pimStallCycles;
+        pimWasteCycles += o.pimWasteCycles;
+        return *this;
+    }
+
     std::uint64_t
     classifiedMemJobs() const
     {

@@ -159,6 +159,8 @@ class RequestPool
      */
     void abandon(RequestId id, RequestStatus terminal);
 
+    /** The request @p id; the reference stays valid for the pool's
+     * lifetime (submitAt never moves a stored request). */
     Request &request(RequestId id);
     const Request &request(RequestId id) const;
 
@@ -200,7 +202,10 @@ class RequestPool
         }
     };
 
-    std::vector<Request> all_; ///< indexed by RequestId
+    /** Indexed by RequestId. A deque keeps every element's address
+     * on push_back: schedules hold Request pointers across a
+     * mid-iteration submitAt (a shed victim's retry). */
+    std::deque<Request> all_;
     std::priority_queue<PendingArrival, std::vector<PendingArrival>,
                         std::greater<>>
         pending_; ///< submitted, not yet arrived

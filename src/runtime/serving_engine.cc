@@ -94,10 +94,11 @@ ServingEngine::run()
 
     // Re-submit an abandoned attempt as a NEW arrival after
     // exponential backoff with jitter (dedicated RNG stream — no draw
-    // unless a retry actually fires). Snapshot before submitAt: the
-    // pool's request table may reallocate.
+    // unless a retry actually fires). submitAt never moves a stored
+    // request, so `req` and the Request pointers in this iteration's
+    // schedule stay valid across it.
     auto scheduleRetry = [&](RequestId abandoned) {
-        const Request req = pool_.request(abandoned);
+        const Request &req = pool_.request(abandoned);
         if (req.attempt >= cfg_.client.maxRetries)
             return;
         Cycle base = cfg_.client.backoffCycles

@@ -38,9 +38,9 @@ namespace neupims::runtime {
 /**
  * DRAM command-arbitration summary surfaced by an iteration-latency
  * model whose backing engine ran the cycle-accurate memory system
- * (dram/mem_sched.h): the measured model accumulates it over its
- * cache-miss executor runs, the analytic model carries its
- * calibration anchor's run. `valid` stays false for models that never
+ * (dram/mem_sched.h): the engine-backed model accumulates it over
+ * its executor runs, the analytic model carries its calibration
+ * anchor's run. `valid` stays false for models that never
  * executed the engine, and drivers print nothing then — the runtime
  * layer holds only plain counters, no dram dependency.
  */

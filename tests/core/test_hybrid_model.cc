@@ -1,12 +1,14 @@
 /**
  * @file
- * Property tests of the hybrid-fidelity iteration model: sampled
- * windows reprice exactly as the event engine (sample_every = 1
- * degenerates to MeasuredIterationModel bit-for-bit), the periodic
- * cadence and the forced-sample triggers fire when — and only when —
- * the composition signature changes, fast-forwarded iterations sit on
- * the measured clock via the anchored ratio, and the anchor sidecar
- * round-trips through save/load.
+ * Property tests of the engine-backed (hybrid-fidelity) iteration
+ * model: sampled windows price exactly as a direct event-engine run
+ * (sample_every = 1 prices every iteration that way), mixed and
+ * prefill-only iterations rescale the decode measurement by analytic
+ * ratios, the DRAM summary accumulates over engine runs only, the
+ * periodic cadence and the forced-sample triggers fire when — and
+ * only when — the composition signature changes, fast-forwarded
+ * iterations sit on the measured clock via the anchored ratio, and
+ * the anchor sidecar round-trips through save/load.
  */
 
 #include <gtest/gtest.h>
@@ -78,7 +80,7 @@ class ScheduleFactory
     }
 
     /** Uniform decode schedule: @p per_ch requests of @p len on each
-     * of @p channels channels. */
+     * of @p channels channels (0 requests: an empty decode batch). */
     runtime::IterationSchedule
     uniform(int channels, int per_ch, int len)
     {
@@ -86,6 +88,23 @@ class ScheduleFactory
             static_cast<std::size_t>(channels),
             std::vector<int>(static_cast<std::size_t>(per_ch), len));
         return make(lens);
+    }
+
+    /** @p s plus one prefilling request per entry of @p slices,
+     * prefilling newTokens prompt tokens from startToken. */
+    runtime::IterationSchedule
+    withPrefill(runtime::IterationSchedule s,
+                const std::vector<model::PrefillSliceSpec> &slices)
+    {
+        for (const auto &spec : slices) {
+            runtime::Request &req = *dummy();
+            req.id = static_cast<RequestId>(requests_.size() - 1);
+            req.channel = spec.channel;
+            req.inputLength = spec.startToken + spec.newTokens;
+            req.phase = runtime::RequestPhase::Prefill;
+            s.prefill.push_back({&req, spec.startToken, spec.newTokens});
+        }
+        return s;
     }
 
     runtime::Request *
@@ -99,7 +118,11 @@ class ScheduleFactory
     std::deque<runtime::Request> requests_;
 };
 
-TEST(HybridModel, SampleEveryOneMatchesMeasuredExactly)
+/** N = 1 prices every iteration on the engine: exactly a direct
+ * DeviceExecutor run of the composition with every sequence length
+ * rounded up to the quantum (129 is the shortest length that rounds
+ * to 192). */
+TEST(HybridModel, SampleEveryOneMatchesDirectEngineRun)
 {
     auto llm = tinyModel();
     auto dev = testDevice();
@@ -107,17 +130,93 @@ TEST(HybridModel, SampleEveryOneMatchesMeasuredExactly)
 
     HybridIterationModel hybrid(dev, llm, 1, layers,
                                 /*sample_every=*/1);
-    MeasuredIterationModel measured(dev, llm, 1, layers);
+    DeviceExecutor reference(dev, llm, 1, layers);
+    const int window = dev.flags.subBatchInterleaving ? 3 : 2;
+    const int q = HybridIterationModel::kQuantizeSeq;
 
     ScheduleFactory f;
     for (int step = 0; step < 4; ++step) {
-        auto s = f.uniform(dev.org.channels, 2, 128 + 64 * step);
-        EXPECT_EQ(hybrid.iterationCycles(s),
-                  measured.iterationCycles(s))
-            << "step " << step;
+        int rounded = 128 + q * step;
+        int len = step == 0 ? rounded : rounded - q + 1;
+        auto s = f.uniform(dev.org.channels, 2, len);
+        auto exact = f.uniform(dev.org.channels, 2, rounded);
+        Cycle direct =
+            reference.runIteration(compositionOf(exact), window, 1)
+                .iterationCycles;
+        EXPECT_EQ(hybrid.iterationCycles(s), direct) << "step " << step;
     }
     EXPECT_EQ(hybrid.fastForwarded(), 0u);
     EXPECT_EQ(hybrid.sampledIterations(), 4u);
+    EXPECT_EQ(hybrid.executorRuns(), 4u);
+}
+
+/** The engine runs decode only: a mixed iteration scales the measured
+ * decode cycles by the analytic mixed/decode ratio, and a
+ * prefill-only iteration rescales its analytic price by the latest
+ * engine run's measured/analytic quotient. Neither runs the engine. */
+TEST(HybridModel, MixedPricingScalesDecodeMeasurementByAnalyticRatio)
+{
+    auto llm = model::gpt3_7b();
+    DeviceConfig dev = DeviceConfig::neuPims();
+    dev.flags.subBatchInterleaving = false;
+    dev.flags.channelSymmetry = true; // keep the measurement cheap
+    HybridIterationModel m(dev, llm, llm.defaultTp, 2,
+                           /*sample_every=*/1);
+    AnalyticIterationModel analytic(dev, llm, llm.defaultTp, 2);
+
+    ScheduleFactory f;
+    auto decode = f.uniform(dev.org.channels, 1, 256);
+    Cycle measured_decode = m.iterationCycles(decode);
+    ASSERT_GT(measured_decode, 0u);
+
+    auto mixed = f.withPrefill(f.uniform(dev.org.channels, 1, 256),
+                               {{0, 0, 128}});
+    Cycle mixed_cycles = m.iterationCycles(mixed);
+    EXPECT_GT(mixed_cycles, measured_decode);
+    // The scaling is a ratio, not an unbounded add-on: a modest
+    // prefill chunk cannot triple the decode iteration.
+    EXPECT_LT(mixed_cycles, measured_decode * 3);
+    double mixed_over_decode =
+        static_cast<double>(
+            analytic.iterationCyclesFor(mixedCompositionOf(mixed))) /
+        static_cast<double>(analytic.iterationCyclesFor(compositionOf(mixed)));
+    EXPECT_EQ(mixed_cycles,
+              static_cast<Cycle>(static_cast<double>(measured_decode) *
+                                 mixed_over_decode));
+
+    auto prefill_only =
+        f.withPrefill(f.uniform(dev.org.channels, 0, 0), {{0, 0, 128}});
+    double quotient = static_cast<double>(measured_decode) /
+                      static_cast<double>(analytic.iterationCycles(decode));
+    EXPECT_EQ(m.iterationCycles(prefill_only),
+              static_cast<Cycle>(
+                  static_cast<double>(analytic.iterationCycles(prefill_only)) *
+                  quotient));
+    EXPECT_EQ(m.executorRuns(), 1u);
+}
+
+/** The DRAM summary accumulates over engine runs only: invalid
+ * before the first, and a cache hit replays a latency without adding
+ * stats. */
+TEST(HybridModel, EngineRunsAccumulateMemSchedSummary)
+{
+    auto llm = model::gpt3_13b();
+    const auto &backend = servingBackendByName("NeuPIMs+SBI");
+    auto m = makeHybridIterationModel(backend.device, llm,
+                                      /*sample_every=*/1);
+    EXPECT_FALSE(m->memSchedSummary().valid);
+
+    ScheduleFactory f;
+    const int channels = backend.device.org.channels;
+    m->iterationCycles(f.uniform(channels, 2, 512));
+    auto once = m->memSchedSummary();
+    ASSERT_TRUE(once.valid);
+    EXPECT_EQ(once.policy, "frfcfs");
+    EXPECT_GT(once.memCommands, 0u);
+
+    m->iterationCycles(f.uniform(channels, 2, 512)); // cache hit
+    EXPECT_EQ(m->executorRuns(), 1u);
+    EXPECT_EQ(m->memSchedSummary().memCommands, once.memCommands);
 }
 
 TEST(HybridModel, PeriodicCadenceAndStableFastForward)
@@ -240,8 +339,7 @@ TEST(HybridModel, AnchorSidecarRoundTripsAndSeedsFastForward)
         ASSERT_TRUE(writer.saveAnchors(path));
     }
 
-    HybridIterationModel reader(dev, llm, 1, llm.numLayers, 1000, 64,
-                                path);
+    HybridIterationModel reader(dev, llm, 1, llm.numLayers, 1000, path);
     EXPECT_EQ(reader.anchorCount(), 1u);
 
     // Round trip: loading and re-saving reproduces the file.
@@ -261,7 +359,7 @@ TEST(HybridModel, AnchorSidecarRoundTripsAndSeedsFastForward)
     std::string first = slurp(path);
     // The samples column accumulates on load (merge semantics), so
     // compare keys and ratios via a fresh no-accumulation reload.
-    HybridIterationModel reader2(dev, llm, 1, llm.numLayers, 1000, 64,
+    HybridIterationModel reader2(dev, llm, 1, llm.numLayers, 1000,
                                  path2);
     EXPECT_EQ(reader2.anchorCount(), reader.anchorCount());
     EXPECT_FALSE(first.empty());
@@ -272,8 +370,7 @@ TEST(HybridModel, AnchorSidecarRoundTripsAndSeedsFastForward)
     // within the anchored measured value's neighborhood rather than
     // raw analytic (ratio 1.0).
     AnalyticIterationModel analytic(dev, llm, 1, llm.numLayers);
-    HybridIterationModel seeded(dev, llm, 1, llm.numLayers, 1000, 64,
-                                path);
+    HybridIterationModel seeded(dev, llm, 1, llm.numLayers, 1000, path);
     seeded.iterationCycles(cold); // iteration 0: periodic sample
     Cycle ff = seeded.iterationCycles(warm); // fast-forward, anchored
     EXPECT_EQ(seeded.fastForwarded(), 1u);

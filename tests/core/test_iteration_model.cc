@@ -3,10 +3,10 @@
  * Unit tests of the iteration-latency models' mixed prefill+decode
  * pricing: prefill work always costs cycles, the cost grows with the
  * prompt tokens scheduled, an empty prefill set degenerates to the
- * decode-only price (legacy equivalence at the model layer), the
- * pipelined-MHA piggyback credit hides part of the NPU prefill work,
- * and the measured model's mixed scaling stays consistent with its
- * decode measurement.
+ * decode-only price (legacy equivalence at the model layer), and the
+ * pipelined-MHA piggyback credit hides part of the NPU prefill work.
+ * The engine-backed model's mixed pricing is tested in
+ * test_hybrid_model.cc.
  */
 
 #include <gtest/gtest.h>
@@ -105,32 +105,6 @@ TEST(AnalyticMixedPricing, PiggybackCreditNeedsPipelinedMha)
     double rigid = addon(DeviceConfig::naiveNpuPim());
     EXPECT_GT(pipelined, 0.0);
     EXPECT_LT(pipelined, rigid);
-}
-
-TEST(MeasuredMixedPricing, ScalesDecodeMeasurementByAnalyticRatio)
-{
-    auto llm = model::gpt3_7b();
-    DeviceConfig dev = DeviceConfig::neuPims();
-    dev.flags.subBatchInterleaving = false;
-    dev.flags.channelSymmetry = true; // keep the measurement cheap
-    MeasuredIterationModel m(dev, llm, llm.defaultTp, 2, 64);
-
-    auto decode = uniformComposition(32, 256, dev.org.channels);
-    Cycle measured_decode = m.iterationCyclesFor(decode);
-    ASSERT_GT(measured_decode, 0u);
-
-    MixedComposition mix;
-    mix.decode = decode;
-    mix.prefill = {{0, 0, 128}};
-    Cycle mixed = m.iterationCyclesFor(mix);
-    EXPECT_GT(mixed, measured_decode);
-    // The scaling is a ratio, not an unbounded add-on: a modest
-    // prefill chunk cannot triple the decode iteration.
-    EXPECT_LT(mixed, measured_decode * 3);
-
-    // Prefill-only iterations fall back to the analytic model.
-    auto prefill_only = mixOf(0, 1, dev.org.channels, {{0, 0, 128}});
-    EXPECT_GT(m.iterationCyclesFor(prefill_only), 0u);
 }
 
 } // namespace

@@ -136,6 +136,23 @@ TEST(RequestPool, RunningRequestsExposeMutableState)
     EXPECT_EQ(pool.request(id).channel, 7);
 }
 
+/** Schedules hold Request pointers while the serving engine submits a
+ * shed victim's retry mid-iteration: submitting must never move a
+ * stored request. */
+TEST(RequestPool, SubmitKeepsEveryRequestAddress)
+{
+    RequestPool pool;
+    auto id = pool.submit(10, 5);
+    pool.admit(1);
+    const Request *first = &pool.request(id);
+    const Request *running = pool.runningRequests()[0];
+    for (int i = 0; i < 300; ++i)
+        pool.submitAt(static_cast<Cycle>(1000 + i), 8, 4);
+    EXPECT_EQ(&pool.request(id), first);
+    EXPECT_EQ(running, first);
+    EXPECT_EQ(running->inputLength, 10);
+}
+
 TEST(RequestPoolDeathTest, RequeueNonRunningPanics)
 {
     RequestPool pool;

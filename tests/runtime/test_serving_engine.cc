@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests of the closed-loop serving engine against a fake
- * iteration-latency model (runtime-only; the analytic/measured models
- * are integration-tested by the golden traces and tests/core): the
- * serving timeline is stamped consistently, the clock fast-forwards
- * across idle gaps, impossible requests are dropped rather than
- * livelocked, safety stops trip, and runs are deterministic.
+ * iteration-latency model (runtime-only; the analytic and
+ * engine-backed models are integration-tested by the golden traces
+ * and tests/core): the serving timeline is stamped consistently, the
+ * clock fast-forwards across idle gaps, impossible requests are
+ * dropped rather than livelocked, safety stops trip, and runs are
+ * deterministic.
  */
 
 #include <gtest/gtest.h>
