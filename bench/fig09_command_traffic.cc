@@ -49,8 +49,11 @@ measure(int row_tiles, bool composite)
     TrafficResult r;
     r.pimCommands = mc.channel().commandCounts().totalPim();
     r.kernelCycles = done;
+    // The window [0, done) leaves out only the kernel's closing
+    // PIM_PRECHARGE, which issues at or after done.
     r.caBusyFraction =
-        mc.channel().caBusUtil().utilization(0, std::max<Cycle>(done, 1));
+        static_cast<double>(mc.channel().caBusyCycles() - t.caPimCmd) /
+        static_cast<double>(std::max<Cycle>(done, 1));
     return r;
 }
 

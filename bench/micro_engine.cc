@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulation engine itself:
  * event-queue throughput (two-level calendar queue vs the seed's
- * std::function heap), DRAM command throughput, PIM kernel execution,
+ * std::function heap), DRAM command throughput of one controller and
+ * of the whole device, PIM kernel execution,
  * systolic-array model evaluation, compiled-layer caching and the
  * full runIteration path with the channel-symmetry fast path on and
  * off. These guard the simulator's own performance — the Fig. 12
@@ -22,11 +23,14 @@
 #include <vector>
 
 #include "common/event_queue.h"
+#include "common/heap_event_queue.h"
 #include "core/batch_builder.h"
 #include "core/device_config.h"
 #include "core/executor.h"
 #include "dram/controller.h"
+#include "dram/hbm.h"
 #include "model/llm_config.h"
+#include "npu/dma.h"
 #include "npu/systolic_array.h"
 
 using namespace neupims;
@@ -149,6 +153,34 @@ BM_MemStream(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * rows * 1024);
 }
 BENCHMARK(BM_MemStream)->Arg(1024)->Arg(16384);
+
+/**
+ * The device path BM_MemStream misses: an HbmStack of 32 unfolded
+ * channels fed by the DMA engine, so MEM-only stretches run as epochs
+ * with burst trains (DESIGN.md §3.4). One all-channel read stream of
+ * 16-burst (weight) or 2-burst (strided GEMV) rows; reports host time
+ * per DRAM command.
+ */
+void
+BM_DeviceStream(benchmark::State &state)
+{
+    const int bursts = static_cast<int>(state.range(0));
+    double commands = 0.0;
+    for (auto _ : state) {
+        EventQueue eq;
+        MemConfig cfg;
+        HbmStack hbm(eq, cfg);
+        npu::DmaEngine dma(eq, hbm);
+        dma.streamAllChannels(8_MiB, false, bursts, [](Cycle) {});
+        eq.run();
+        for (std::uint64_t n : hbm.totalCommandCounts().counts)
+            commands += static_cast<double>(n);
+    }
+    // Seconds per command: printed with an SI prefix (e.g. "53ns").
+    state.counters["time_per_dram_cmd"] = benchmark::Counter(
+        commands, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DeviceStream)->Arg(16)->Arg(2)->ArgNames({"bursts"});
 
 void
 BM_PimKernel(benchmark::State &state)

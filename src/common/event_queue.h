@@ -26,9 +26,10 @@
  * small-buffer-optimized EventCallback. DESIGN.md §2 describes the
  * architecture and the ordering argument.
  *
- * HeapEventQueue preserves the original std::function-over-
- * std::priority_queue implementation as the reference for differential
- * tests and the bucketed-vs-heap engine microbenchmark.
+ * An event may carry a tag naming the component it wakes. A Batcher
+ * (the HBM stack's epoch runner, DESIGN.md §3.4) is offered every
+ * bucket that holds tagged events only, and may consume a stretch of
+ * them unexecuted and simulate it in bulk.
  */
 
 #ifndef NEUPIMS_COMMON_EVENT_QUEUE_H_
@@ -177,7 +178,26 @@ class EventQueue
   public:
     using Callback = EventCallback;
 
-    EventQueue() : l0_(kL0Span), l0Bits_(kL0Span / 64, 0)
+    /**
+     * A component that simulates a stretch of its own tagged events in
+     * bulk. run() offers it every cycle whose bucket holds tagged
+     * events only, before dispatching them. It either declines or
+     * consumes the events of some [now(), end) through taggedEnd()
+     * and takeTagged(), scheduling whatever they would have scheduled.
+     */
+    class Batcher
+    {
+      public:
+        /** @return whether events were consumed; none past @p limit. */
+        virtual bool runBatch(Cycle limit) = 0;
+
+      protected:
+        ~Batcher() = default;
+    };
+
+    EventQueue()
+        : l0_(kL0Span), l0Bits_(kL0Span / 64, 0),
+          l0UntaggedBits_(kL0Span / 64, 0)
     {
         // Level 1 is allocated on first use: short-lived queues that
         // never schedule past the level-0 window skip its setup cost.
@@ -185,6 +205,10 @@ class EventQueue
 
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
+
+    /** The queue's batcher, or null. At most one per queue. */
+    Batcher *batcher() const { return batcher_; }
+    void setBatcher(Batcher *b) { batcher_ = b; }
 
     /**
      * Schedule @p cb (any void() callable) at absolute cycle @p when.
@@ -196,41 +220,19 @@ class EventQueue
     void
     schedule(Cycle when, F &&cb)
     {
-        NEUPIMS_ASSERT(when >= now_, "when=", when, " now=", now_);
-        ++size_;
-        Cycle span = when >> kL0Bits;
-        if (span < l0Span_) {
-            // Rare: run(limit) parked now_ before a window that had
-            // already advanced to the next pending event, and the
-            // caller now schedules into the gap. Rewind the windows.
-            retreatWindow(span);
-        }
-        if (span == l0Span_) {
-            // Level 0: per-cycle bucket, O(1).
-            if (draining_ && when == now_) {
-                // Appending to the bucket being drained could move it
-                // under the executing callback; park same-cycle
-                // events aside — the drain loop folds them back in.
-                drainAppend_.emplace_back(seq_++, std::forward<F>(cb));
-                ++l0Count_;
-                return;
-            }
-            std::size_t idx = l0Index(when);
-            l0_[idx].emplace_back(seq_++, std::forward<F>(cb));
-            l0Bits_[idx >> 6] |= 1ULL << (idx & 63);
-            ++l0Count_;
-        } else if (span - l0Span_ < kL1Buckets) {
-            // Level 1: coarse bucket, cascaded when the window gets
-            // there. Insertion order within a bucket is sequence
-            // order, which the cascade preserves.
-            ensureL1();
-            std::size_t idx = l1Index(span);
-            l1_[idx].emplace_back(when, seq_++, std::forward<F>(cb));
-            l1Bits_[idx >> 6] |= 1ULL << (idx & 63);
-            ++l1Count_;
-        } else {
-            far_.push(L1Event{when, seq_++, std::forward<F>(cb)});
-        }
+        push(when, nullptr, std::forward<F>(cb));
+    }
+
+    /**
+     * Schedule @p cb tagged with @p tag, which names the component the
+     * event wakes. The batcher may consume it unexecuted.
+     */
+    template <typename F>
+    void
+    scheduleTagged(Cycle when, void *tag, F &&cb)
+    {
+        NEUPIMS_ASSERT(tag != nullptr);
+        push(when, tag, std::forward<F>(cb));
     }
 
     /** Schedule @p cb @p delta cycles from now. */
@@ -283,13 +285,16 @@ class EventQueue
             }
             NEUPIMS_ASSERT(when >= now_, "time went backwards");
             now_ = when;
+            std::size_t idx = l0Index(when);
+            if (batcher_ && head_ == 0 && !testBit(l0UntaggedBits_, idx) &&
+                batcher_->runBatch(limit))
+                continue;
             // Batched same-cycle dispatch: drain the whole bucket,
             // including events the callbacks append at this cycle.
             // Same-cycle appends are parked in drainAppend_, so the
             // bucket is stable and callbacks run in place with no
             // per-event move; executed callbacks are destroyed
             // wholesale when the bucket is released.
-            std::size_t idx = l0Index(when);
             auto &bucket = l0_[idx];
             std::size_t start = head_; // step() may have consumed some
             draining_ = true;
@@ -351,8 +356,50 @@ class EventQueue
         return true;
     }
 
-    /** Total events executed (engine statistics). */
+    /** Total events executed (engine statistics). Events a batcher
+     * consumes are not executed. */
     std::uint64_t executedEvents() const { return executed_; }
+
+    /**
+     * For a batcher: the first cycle in [now(), @p cap) whose bucket
+     * holds an untagged event, or @p cap, clipped to the level-0
+     * window (later windows are not inspected).
+     */
+    Cycle
+    taggedEnd(Cycle cap) const
+    {
+        const Cycle base = l0Span_ << kL0Bits;
+        cap = std::min(cap, base + static_cast<Cycle>(kL0Span));
+        if (cap <= now_)
+            return now_;
+        std::size_t idx = scanBits(l0UntaggedBits_, l0Index(now_),
+                                   static_cast<std::size_t>(cap - base));
+        return idx == kNpos ? cap : base + static_cast<Cycle>(idx);
+    }
+
+    /**
+     * For a batcher: remove every event in [now(), @p end) unexecuted,
+     * calling @p fn(cycle, tag) for each in (cycle, sequence) order.
+     * @pre end <= taggedEnd(end); the batch starts a bucket (run()
+     * offers no other).
+     */
+    template <typename Fn>
+    void
+    takeTagged(Cycle end, Fn &&fn)
+    {
+        NEUPIMS_ASSERT(head_ == 0 && end <= taggedEnd(end));
+        const Cycle base = l0Span_ << kL0Bits;
+        const auto to = static_cast<std::size_t>(end - base);
+        for (std::size_t idx = scanBits(l0Bits_, l0Index(now_), to);
+             idx != kNpos; idx = scanBits(l0Bits_, idx + 1, to)) {
+            auto &bucket = l0_[idx];
+            for (auto &e : bucket)
+                fn(base + static_cast<Cycle>(idx), e.tag);
+            size_ -= bucket.size();
+            l0Count_ -= bucket.size();
+            releaseBucket(idx);
+        }
+    }
 
   private:
     /** Level-0 wheel: one bucket per cycle over kL0Span cycles. */
@@ -365,22 +412,25 @@ class EventQueue
     struct L0Event
     {
         template <typename F>
-        L0Event(std::uint64_t s, F &&f) : seq(s), cb(std::forward<F>(f))
+        L0Event(std::uint64_t s, void *t, F &&f)
+            : seq(s), tag(t), cb(std::forward<F>(f))
         {}
 
         std::uint64_t seq;
+        void *tag; ///< fills the padding before the aligned callback
         Callback cb;
     };
 
     struct L1Event
     {
         template <typename F>
-        L1Event(Cycle w, std::uint64_t s, F &&f)
-            : when(w), seq(s), cb(std::forward<F>(f))
+        L1Event(Cycle w, std::uint64_t s, void *t, F &&f)
+            : when(w), seq(s), tag(t), cb(std::forward<F>(f))
         {}
 
         Cycle when;
         std::uint64_t seq;
+        void *tag;
         mutable Callback cb; ///< moved out of the heap top on sweep
 
         bool
@@ -391,6 +441,64 @@ class EventQueue
             return seq > other.seq;
         }
     };
+
+    template <typename F>
+    void
+    push(Cycle when, void *tag, F &&cb)
+    {
+        NEUPIMS_ASSERT(when >= now_, "when=", when, " now=", now_);
+        ++size_;
+        Cycle span = when >> kL0Bits;
+        if (span < l0Span_) {
+            // Rare: run(limit) parked now_ before a window that had
+            // already advanced to the next pending event, and the
+            // caller now schedules into the gap. Rewind the windows.
+            retreatWindow(span);
+        }
+        if (span == l0Span_) {
+            // Level 0: per-cycle bucket, O(1).
+            if (draining_ && when == now_) {
+                // Appending to the bucket being drained could move it
+                // under the executing callback; park same-cycle
+                // events aside — the drain loop folds them back in.
+                drainAppend_.emplace_back(seq_++, tag,
+                                          std::forward<F>(cb));
+                ++l0Count_;
+                return;
+            }
+            std::size_t idx = l0Index(when);
+            l0_[idx].emplace_back(seq_++, tag, std::forward<F>(cb));
+            markL0(idx, tag);
+            ++l0Count_;
+        } else if (span - l0Span_ < kL1Buckets) {
+            // Level 1: coarse bucket, cascaded when the window gets
+            // there. Insertion order within a bucket is sequence
+            // order, which the cascade preserves.
+            ensureL1();
+            std::size_t idx = l1Index(span);
+            l1_[idx].emplace_back(when, seq_++, tag, std::forward<F>(cb));
+            l1Bits_[idx >> 6] |= 1ULL << (idx & 63);
+            ++l1Count_;
+        } else {
+            far_.push(L1Event{when, seq_++, tag, std::forward<F>(cb)});
+        }
+    }
+
+    static bool
+    testBit(const std::vector<std::uint64_t> &bits, std::size_t idx)
+    {
+        return (bits[idx >> 6] >> (idx & 63)) & 1;
+    }
+
+    /** Mark level-0 bucket @p idx occupied, and as holding an untagged
+     * event unless @p tag is set. */
+    void
+    markL0(std::size_t idx, const void *tag)
+    {
+        l0Bits_[idx >> 6] |= 1ULL << (idx & 63);
+        if (tag == nullptr)
+            l0UntaggedBits_[idx >> 6] |= 1ULL << (idx & 63);
+    }
 
     std::size_t
     l0Index(Cycle when) const
@@ -489,9 +597,8 @@ class EventQueue
             l0Span_ = span;
             for (auto &e : l1_[idx]) {
                 std::size_t b = l0Index(e.when);
-                l0_[b].push_back(
-                    L0Event{e.seq, std::move(e.cb)});
-                l0Bits_[b >> 6] |= 1ULL << (b & 63);
+                l0_[b].push_back(L0Event{e.seq, e.tag, std::move(e.cb)});
+                markL0(b, e.tag);
                 ++l0Count_;
                 --l1Count_;
             }
@@ -523,18 +630,20 @@ class EventQueue
                 continue;
             Cycle when = (l0Span_ << kL0Bits) + static_cast<Cycle>(idx);
             for (auto &e : l0_[idx]) {
-                far_.push(L1Event{when, e.seq, std::move(e.cb)});
+                far_.push(L1Event{when, e.seq, e.tag, std::move(e.cb)});
                 --l0Count_;
             }
             l0_[idx].clear();
             l0Bits_[idx >> 6] &= ~(1ULL << (idx & 63));
+            l0UntaggedBits_[idx >> 6] &= ~(1ULL << (idx & 63));
         }
         for (std::size_t idx = 0; l1Count_ > 0 && idx < kL1Buckets;
              ++idx) {
             if (!(l1Bits_[idx >> 6] & (1ULL << (idx & 63))))
                 continue;
             for (auto &e : l1_[idx]) {
-                far_.push(L1Event{e.when, e.seq, std::move(e.cb)});
+                far_.push(
+                    L1Event{e.when, e.seq, e.tag, std::move(e.cb)});
                 --l1Count_;
             }
             l1_[idx].clear();
@@ -556,14 +665,15 @@ class EventQueue
             const L1Event &top = far_.top();
             if (span == l0Span_) {
                 std::size_t b = l0Index(top.when);
-                l0_[b].push_back(L0Event{top.seq, std::move(top.cb)});
-                l0Bits_[b >> 6] |= 1ULL << (b & 63);
+                l0_[b].push_back(
+                    L0Event{top.seq, top.tag, std::move(top.cb)});
+                markL0(b, top.tag);
                 ++l0Count_;
             } else {
                 ensureL1();
                 std::size_t idx = l1Index(span);
-                l1_[idx].push_back(
-                    L1Event{top.when, top.seq, std::move(top.cb)});
+                l1_[idx].push_back(L1Event{top.when, top.seq, top.tag,
+                                           std::move(top.cb)});
                 l1Bits_[idx >> 6] |= 1ULL << (idx & 63);
                 ++l1Count_;
             }
@@ -588,10 +698,14 @@ class EventQueue
         l0_[idx].clear();
         head_ = 0;
         l0Bits_[idx >> 6] &= ~(1ULL << (idx & 63));
+        l0UntaggedBits_[idx >> 6] &= ~(1ULL << (idx & 63));
     }
 
     std::vector<std::vector<L0Event>> l0_; ///< per-cycle buckets
     std::vector<std::uint64_t> l0Bits_;    ///< level-0 occupancy
+    /** Level-0 buckets holding an untagged event (set on placement,
+     * cleared on release: a stale set bit only shortens a batch). */
+    std::vector<std::uint64_t> l0UntaggedBits_;
     std::vector<std::vector<L1Event>> l1_; ///< per-span buckets
     std::vector<std::uint64_t> l1Bits_;    ///< level-1 occupancy
     std::priority_queue<L1Event, std::vector<L1Event>, std::greater<>>
@@ -604,106 +718,8 @@ class EventQueue
     std::size_t size_ = 0;
     bool draining_ = false; ///< a bucket is being executed in place
     std::vector<L0Event> drainAppend_; ///< same-cycle mid-drain appends
+    Batcher *batcher_ = nullptr;
 
-    Cycle now_ = 0;
-    std::uint64_t seq_ = 0;
-    std::uint64_t executed_ = 0;
-};
-
-/**
- * Reference implementation: the seed's std::function-over-
- * std::priority_queue queue, byte-for-byte semantics. Kept for
- * differential tests and to quantify the calendar queue in the
- * engine microbenchmarks.
- */
-class HeapEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    HeapEventQueue() = default;
-
-    Cycle now() const { return now_; }
-
-    void
-    schedule(Cycle when, Callback cb)
-    {
-        NEUPIMS_ASSERT(when >= now_, "when=", when, " now=", now_);
-        heap_.push(Entry{when, seq_++, std::move(cb)});
-    }
-
-    void
-    scheduleIn(Cycle delta, Callback cb)
-    {
-        schedule(now_ + delta, std::move(cb));
-    }
-
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-
-    Cycle
-    nextEventCycle() const
-    {
-        NEUPIMS_ASSERT(!heap_.empty());
-        return heap_.top().when;
-    }
-
-    Cycle
-    run(Cycle limit = kCycleMax)
-    {
-        while (!heap_.empty()) {
-            // Copy out the entry: callbacks may schedule new events.
-            Entry e = heap_.top();
-            if (e.when > limit) {
-                now_ = std::max(now_, limit);
-                return now_;
-            }
-            heap_.pop();
-            NEUPIMS_ASSERT(e.when >= now_, "time went backwards");
-            now_ = e.when;
-            e.cb();
-            ++executed_;
-        }
-        return now_;
-    }
-
-    bool
-    step(Cycle limit = kCycleMax)
-    {
-        if (heap_.empty())
-            return false;
-        Entry e = heap_.top();
-        if (e.when > limit) {
-            now_ = std::max(now_, limit);
-            return false;
-        }
-        heap_.pop();
-        NEUPIMS_ASSERT(e.when >= now_, "time went backwards");
-        now_ = e.when;
-        e.cb();
-        ++executed_;
-        return true;
-    }
-
-    std::uint64_t executedEvents() const { return executed_; }
-
-  private:
-    struct Entry
-    {
-        Cycle when;
-        std::uint64_t seq;
-        Callback cb;
-
-        bool
-        operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
     Cycle now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

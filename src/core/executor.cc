@@ -764,6 +764,9 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
                    "device must hold at least the window: ",
                    layersPerDevice_, " < ", window_layers);
 
+    // The stack must not outlive its queue.
+    dma_.reset();
+    hbm_.reset();
     eq_ = std::make_unique<EventQueue>();
     auto groups =
         cfg_.flags.channelSymmetry

@@ -32,46 +32,10 @@ Channel::issueActivate(BankId bank, BufferSide side, int row,
     banks_.activate(bank, side, row, when);
     recordActivate(bank, when);
     caNextFree_ = when + t.caMemCmd;
-    caBusUtil_.addBusy(when, when + t.caMemCmd);
+    caBusyCycles_ += t.caMemCmd;
     counts_.record(side == BufferSide::Pim ? CommandType::PimActivate
                                            : CommandType::Act);
     return when;
-}
-
-std::pair<Cycle, Cycle>
-Channel::issueRead(BankId bank, BufferSide side, Cycle not_before)
-{
-    const auto &t = *timing_;
-    Cycle when = earliestColumn(bank, side, not_before);
-    // The data burst lands tCL after the column command and must find
-    // the data bus free; push the issue cycle until it does.
-    Cycle burst_start = std::max(when + t.tCL, dataNextFree_);
-    when = burst_start - t.tCL;
-    banks_.read(bank, side, when);
-    caNextFree_ = when + t.caMemCmd;
-    caBusUtil_.addBusy(when, when + t.caMemCmd);
-    dataNextFree_ = burst_start + t.tBL;
-    dataBusUtil_.addBusy(burst_start, burst_start + t.tBL);
-    dataBusBytes_ += org_->burstBytes;
-    counts_.record(CommandType::Rd);
-    return {when, burst_start + t.tBL};
-}
-
-std::pair<Cycle, Cycle>
-Channel::issueWrite(BankId bank, BufferSide side, Cycle not_before)
-{
-    const auto &t = *timing_;
-    Cycle when = earliestColumn(bank, side, not_before);
-    Cycle burst_start = std::max(when + t.tCWL, dataNextFree_);
-    when = burst_start - t.tCWL;
-    banks_.write(bank, side, when);
-    caNextFree_ = when + t.caMemCmd;
-    caBusUtil_.addBusy(when, when + t.caMemCmd);
-    dataNextFree_ = burst_start + t.tBL;
-    dataBusUtil_.addBusy(burst_start, burst_start + t.tBL);
-    dataBusBytes_ += org_->burstBytes;
-    counts_.record(CommandType::Wr);
-    return {when, burst_start + t.tBL};
 }
 
 Cycle
@@ -83,7 +47,7 @@ Channel::issuePrecharge(BankId bank, BufferSide side, Cycle not_before)
     when = std::max(when, caNextFree_);
     banks_.precharge(bank, side, when);
     caNextFree_ = when + t.caMemCmd;
-    caBusUtil_.addBusy(when, when + t.caMemCmd);
+    caBusyCycles_ += t.caMemCmd;
     counts_.record(side == BufferSide::Pim ? CommandType::PimPrecharge
                                            : CommandType::Pre);
     return when;
@@ -99,7 +63,7 @@ Channel::issueRefresh(Cycle not_before)
     when = std::max(when, banks_.maxEarliestPrecharge());
     banks_.refreshAll(when);
     caNextFree_ = when + t.caMemCmd;
-    caBusUtil_.addBusy(when, when + t.caMemCmd);
+    caBusyCycles_ += t.caMemCmd;
     counts_.record(CommandType::Ref);
     nextRefresh_ += t.tREFI * (1 + postponedRefreshes_);
     postponedRefreshes_ = 0;
@@ -133,7 +97,7 @@ Channel::issuePimActivateGroup(BankId first, int nbanks, int row,
     recordActivate(first, when);
     if (charge_ca) {
         caNextFree_ = when + t.caPimCmd;
-        caBusUtil_.addBusy(when, when + t.caPimCmd);
+        caBusyCycles_ += t.caPimCmd;
         counts_.record(CommandType::PimActivate);
     }
     return when;
@@ -156,7 +120,7 @@ Channel::issuePimCaCommand(CommandType type, Cycle not_before)
     const auto &t = *timing_;
     Cycle when = std::max(not_before, caNextFree_);
     caNextFree_ = when + t.caPimCmd;
-    caBusUtil_.addBusy(when, when + t.caPimCmd);
+    caBusyCycles_ += t.caPimCmd;
     counts_.record(type);
     return when;
 }

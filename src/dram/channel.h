@@ -112,11 +112,65 @@ class Channel
 
     Cycle issueActivate(BankId bank, BufferSide side, int row,
                         Cycle not_before);
-    /** @return pair{issue cycle, cycle the read data burst completes}. */
-    std::pair<Cycle, Cycle> issueRead(BankId bank, BufferSide side,
-                                      Cycle not_before);
-    std::pair<Cycle, Cycle> issueWrite(BankId bank, BufferSide side,
-                                       Cycle not_before);
+
+    /**
+     * Issue a column command (RD, or WR if @p write) whose data burst
+     * lands tCL (tCWL) later on a free data bus.
+     * @return pair{issue cycle, cycle the data burst completes}.
+     */
+    std::pair<Cycle, Cycle>
+    issueColumn(BankId bank, BufferSide side, bool write, Cycle not_before)
+    {
+        const auto &t = *timing_;
+        const Cycle lat = write ? t.tCWL : t.tCL;
+        Cycle when = earliestColumn(bank, side, not_before);
+        // The burst must find the data bus free; push the issue cycle
+        // until it does.
+        Cycle burst_start = std::max(when + lat, dataNextFree_);
+        when = burst_start - lat;
+        if (write)
+            banks_.write(bank, side, when);
+        else
+            banks_.read(bank, side, when);
+        caNextFree_ = when + t.caMemCmd;
+        caBusyCycles_ += t.caMemCmd;
+        dataNextFree_ = burst_start + t.tBL;
+        dataBusUtil_.addBusy(burst_start, burst_start + t.tBL);
+        dataBusBytes_ += org_->burstBytes;
+        counts_.record(write ? CommandType::Wr : CommandType::Rd);
+        return {when, burst_start + t.tBL};
+    }
+    std::pair<Cycle, Cycle>
+    issueRead(BankId bank, BufferSide side, Cycle not_before)
+    {
+        return issueColumn(bank, side, false, not_before);
+    }
+    std::pair<Cycle, Cycle>
+    issueWrite(BankId bank, BufferSide side, Cycle not_before)
+    {
+        return issueColumn(bank, side, true, not_before);
+    }
+
+    /**
+     * A burst train (DESIGN.md §3.4): up to @p n column commands to
+     * @p bank, each issued as issueColumn() would at its earliest legal
+     * cycle, stopping before the first whose C/A candidate reaches
+     * @p until. @p on_burst(candidate, data_end) runs after each.
+     * @return the number issued.
+     */
+    template <typename F>
+    int
+    issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
+                     Cycle until, F &&on_burst)
+    {
+        for (int i = 0; i < n; ++i) {
+            Cycle cand = earliestColumn(bank, side, 0);
+            if (cand >= until)
+                return i;
+            on_burst(cand, issueColumn(bank, side, write, cand).second);
+        }
+        return n;
+    }
     Cycle issuePrecharge(BankId bank, BufferSide side, Cycle not_before);
 
     /** Issue an all-bank refresh; returns the cycle it completes. */
@@ -173,15 +227,9 @@ class Channel
     const CommandCounts &commandCounts() const { return counts_; }
     Bytes dataBusBytes() const { return dataBusBytes_; }
     UtilizationTracker &dataBusUtil() { return dataBusUtil_; }
-    UtilizationTracker &caBusUtil() { return caBusUtil_; }
-    UtilizationTracker &pimComputeUtil() { return pimComputeUtil_; }
-
-    /** Record per-bank PIM adder-tree busy time (utilization stat). */
-    void
-    recordPimCompute(Cycle start, Cycle end)
-    {
-        pimComputeUtil_.addBusy(start, end);
-    }
+    /** C/A bus busy cycles so far. Slots never overlap and issue in
+     * order, so the running sum is the exact busy time. */
+    Cycle caBusyCycles() const { return caBusyCycles_; }
 
   private:
     /** Commit an ACT at @p when into the tFAW ring / tRRD tracker. */
@@ -208,8 +256,7 @@ class Channel
     CommandCounts counts_;
     Bytes dataBusBytes_ = 0;
     UtilizationTracker dataBusUtil_;
-    UtilizationTracker caBusUtil_;
-    UtilizationTracker pimComputeUtil_;
+    Cycle caBusyCycles_ = 0;
 };
 
 } // namespace neupims::dram

@@ -47,6 +47,8 @@ MemoryController::MemoryController(EventQueue &eq,
 void
 MemoryController::enqueueMem(MemJob job)
 {
+    NEUPIMS_ASSERT(!epoch_ || !epoch_->replaying,
+                   "a completion enqueued during an epoch replay");
     NEUPIMS_ASSERT(job.bank >= 0 && job.bank < channel_.numBanks());
     NEUPIMS_ASSERT(job.bursts >= 1 &&
                    job.bursts <= channel_.organization().burstsPerRow());
@@ -60,6 +62,10 @@ MemoryController::enqueuePim(PimJob job)
     NEUPIMS_ASSERT(job.rowTiles >= 1);
     NEUPIMS_ASSERT(job.banksUsed >= 1 &&
                    job.banksUsed <= channel_.numBanks());
+    NEUPIMS_ASSERT(!epoch_ || !epoch_->replaying,
+                   "a completion enqueued during an epoch replay");
+    if (epoch_)
+        ++epoch_->pimJobs;
     pimQueue_.push_back(std::move(job));
     kick();
 }
@@ -67,6 +73,8 @@ MemoryController::enqueuePim(PimJob job)
 bool
 MemoryController::idle() const
 {
+    NEUPIMS_ASSERT(!epoch_ || !epoch_->replaying,
+                   "a completion read controller state in a replay");
     return memQueue_.empty() && pimQueue_.empty() &&
            memInFlight_.empty() && !pim_;
 }
@@ -108,17 +116,71 @@ MemoryController::wake()
     if (!registered &&
         (lastRunAt_ == now || (memScanValid_ && memBest_ > now)))
         return;
-    lastRunAt_ = now;
-    kickScheduled_ = false;
-    nextKickAt_ = kCycleMax;
+    beginRun(now);
     const Cycle resume = process();
     for (Completion &c : completions_)
         c.fn(c.at);
     // The resume is scheduled after the callbacks, so a kick one of
     // them causes is queued ahead of it.
     if (resume != kCycleMax)
-        eq_.schedule(resume, [this] { wake(); });
+        scheduleResume(resume);
     completions_.clear();
+}
+
+void
+MemoryController::beginRun(Cycle at)
+{
+    now_ = lastRunAt_ = at;
+    kickScheduled_ = false;
+    nextKickAt_ = kCycleMax;
+}
+
+void
+MemoryController::scheduleResume(Cycle at)
+{
+    // Only a stack's controllers tag, and kicks stay untagged: an
+    // epoch never spans one (DESIGN.md §3.4).
+    if (epoch_)
+        eq_.scheduleTagged(at, this, [this] { wake(); });
+    else
+        eq_.schedule(at, [this] { wake(); });
+}
+
+void
+MemoryController::advanceEpoch(Cycle end)
+{
+    // Only the registered resume starts a run: in a MEM-only stretch
+    // every run ends with memBest_ = resume + horizon, so wake() skips
+    // any superseded event before the resume (DESIGN.md §3.4).
+    if (!kickScheduled_ || nextKickAt_ >= end)
+        return;
+    chain_.push_back(nextKickAt_);
+    beginRun(nextKickAt_);
+    epochEnd_ = end;
+    process();
+    epochEnd_ = 0;
+}
+
+Cycle
+MemoryController::fireEpochWake(Cycle w)
+{
+    // The first event at the chain's next cycle runs it, as in wake();
+    // any other event is a superseded one.
+    if (chainPos_ == chain_.size() || chain_[chainPos_] != w)
+        return kCycleMax;
+    ++chainPos_;
+    for (; compPos_ < completions_.size() &&
+           completions_[compPos_].wake == chainPos_;
+         ++compPos_)
+        completions_[compPos_].fn(completions_[compPos_].at);
+    if (chainPos_ < chain_.size())
+        return chain_[chainPos_];
+    if (kickScheduled_)
+        scheduleResume(nextKickAt_);
+    chain_.clear();
+    completions_.clear();
+    chainPos_ = compPos_ = 0;
+    return kCycleMax;
 }
 
 void
@@ -138,7 +200,7 @@ MemoryController::refillMemWindow()
         MemExec exec;
         exec.job = std::move(memQueue_.front());
         memQueue_.pop_front();
-        exec.enqueued = eq_.now();
+        exec.enqueued = now_;
         exec.seq = memSeq_++;
         banksBusyMask_ |= 1ULL << bank;
         staleBanks_ |= 1ULL << bank;
@@ -195,7 +257,7 @@ MemoryController::candidateMem(int &which)
 {
     // Nothing changed since the last scan and its winner still lies
     // ahead of now, so now binds no candidate: the scan still holds.
-    if (!memScanValid_ || memBest_ <= eq_.now()) {
+    if (!memScanValid_ || memBest_ <= now_) {
         memScanValid_ = true;
         memBest_ = kCycleMax;
         memBestIdx_ = -1;
@@ -211,7 +273,7 @@ MemoryController::scanMem()
 {
     // Channel-wide terms once per scan; bank-local readiness is cached
     // per job and recomputed only for banks touched since the last scan.
-    const Cycle ca = channel_.earliestCa(eq_.now());
+    const Cycle ca = channel_.earliestCa(now_);
     std::uint64_t best_seq = 0;
     for (int i = 0; i < static_cast<int>(memInFlight_.size()); ++i) {
         auto &m = memInFlight_[i];
@@ -239,7 +301,7 @@ MemoryController::candidatePim() const
         return kCycleMax;
     const auto &p = *pim_;
     const auto &t = channel_.timing();
-    Cycle lb = eq_.now();
+    Cycle lb = now_;
     switch (p.phase) {
       case PimExec::Phase::Header:
         return channel_.earliestCa(lb);
@@ -278,12 +340,12 @@ MemoryController::candidatePim() const
     return kCycleMax;
 }
 
-void
+bool
 MemoryController::stepMem(int which)
 {
     auto &m = memInFlight_[which];
     BankRef bank = channel_.bank(m.job.bank);
-    Cycle lb = std::max(m.enqueued, eq_.now());
+    Cycle lb = std::max(m.enqueued, now_);
     staleBanks_ |= 1ULL << m.job.bank;
 
     if (m.phase == MemExec::Phase::PreOrAct) {
@@ -299,31 +361,81 @@ MemoryController::stepMem(int which)
             m.phase = MemExec::Phase::Bursts; // row hit, fall through
         } else if (open != -1) {
             channel_.issuePrecharge(m.job.bank, BufferSide::Mem, lb);
-            return;
+            return false;
         } else {
             channel_.issueActivate(m.job.bank, BufferSide::Mem,
                                    m.job.row, lb);
             m.phase = MemExec::Phase::Bursts;
-            return;
+            return false;
         }
     }
 
-    auto [cmd, data_end] =
-        m.job.write ? channel_.issueWrite(m.job.bank, BufferSide::Mem, lb)
-                    : channel_.issueRead(m.job.bank, BufferSide::Mem, lb);
-    (void)cmd;
-    m.lastBurstEnd = data_end;
+    m.lastBurstEnd =
+        channel_.issueColumn(m.job.bank, BufferSide::Mem, m.job.write, lb)
+            .second;
     memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
         channel_.timing().tBL;
-    if (++m.burstsDone == m.job.bursts) {
-        banksBusyMask_ &= ~(1ULL << m.job.bank);
-        finishMem(m);
-        // Swap-and-pop: candidate selection orders by (cycle, seq),
-        // not index, so in-flight order is free to shuffle.
-        if (which != static_cast<int>(memInFlight_.size()) - 1)
-            memInFlight_[which] = std::move(memInFlight_.back());
-        memInFlight_.pop_back();
+    if (++m.burstsDone < m.job.bursts)
+        return true;
+    retireMem(which);
+    return false;
+}
+
+void
+MemoryController::runTrain(int which)
+{
+    MemExec &m = memInFlight_[which];
+    // The winner's next burst waits only for the C/A bus (its row is
+    // open, and column commands leave no bank-local spacing), so its
+    // candidate is the bus cycle itself: a younger job can at most tie
+    // it and loses on seq. An older job ties it once the bus reaches
+    // that job's own ready cycle. Stop there, where a refresh falls
+    // due, or where the next burst's wake-up would reach the epoch's
+    // end (DESIGN.md §3.4).
+    Cycle until = std::min(channel_.nextRefreshDue(),
+                           epochEnd_ + cfg_.horizon);
+    for (MemExec &o : memInFlight_) {
+        if (o.seq >= m.seq)
+            continue;
+        if (staleBanks_ & (1ULL << o.job.bank))
+            recomputeNext(o);
+        until = std::min(until, o.next == MemExec::Next::Activate
+                                    ? channel_.actWindowConstraint(
+                                          o.job.bank, o.ready)
+                                    : o.ready);
     }
+    ArbView v; // a lone MEM class: recordIssue reads only cm and cp
+    const int n = channel_.issueColumnTrain(
+        m.job.bank, BufferSide::Mem, m.job.write,
+        m.job.bursts - m.burstsDone, until,
+        [&](Cycle cand, Cycle data_end) {
+            if (cand > now_ + cfg_.horizon) {
+                // The wake-up that would have issued this burst.
+                chain_.push_back(cand - cfg_.horizon);
+                beginRun(cand - cfg_.horizon);
+            }
+            v.cm = cand;
+            sched_->recordIssue(v, false);
+            m.lastBurstEnd = data_end;
+        });
+    memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
+        channel_.timing().tBL * static_cast<Cycle>(n);
+    m.burstsDone += n;
+    if (m.burstsDone == m.job.bursts)
+        retireMem(which);
+}
+
+void
+MemoryController::retireMem(int which)
+{
+    MemExec &m = memInFlight_[which];
+    banksBusyMask_ &= ~(1ULL << m.job.bank);
+    finishMem(m);
+    // Swap-and-pop: candidate selection orders by (cycle, seq), not
+    // index, so in-flight order is free to shuffle.
+    if (which != static_cast<int>(memInFlight_.size()) - 1)
+        memInFlight_[which] = std::move(memInFlight_.back());
+    memInFlight_.pop_back();
 }
 
 void
@@ -331,16 +443,14 @@ MemoryController::finishMem(MemExec &exec)
 {
     ++completedMemJobs_;
     sched_->noteMemJobCompleted();
-    memQueueDelay_.sample(
-        static_cast<double>(exec.lastBurstEnd - exec.enqueued));
     // Callback contract: invoked as soon as the completion cycle is
     // *known* (commands are committed ahead of simulated time up to
     // the horizon); the Cycle argument is the authoritative completion
     // time and callers schedule their continuations at it. wake()
     // invokes it once process() returns, in completion order.
     if (exec.job.onComplete)
-        completions_.push_back(
-            {std::move(exec.job.onComplete), exec.lastBurstEnd});
+        completions_.push_back({std::move(exec.job.onComplete),
+                                exec.lastBurstEnd, chain_.size()});
 }
 
 void
@@ -348,7 +458,7 @@ MemoryController::stepPim()
 {
     auto &p = *pim_;
     const auto &t = channel_.timing();
-    Cycle lb = eq_.now();
+    Cycle lb = now_;
 
     switch (p.phase) {
       case PimExec::Phase::Header: {
@@ -400,7 +510,6 @@ MemoryController::stepPim()
             pimBankBusyCycles_.add(
                 static_cast<double>(nbanks) *
                 static_cast<double>(t.pimComputePerRow));
-            channel_.recordPimCompute(row_ready, end);
             p.roundComputeEnd = std::max(p.roundComputeEnd, end);
             p.kernelComputeEnd = std::max(p.kernelComputeEnd, end);
         }
@@ -424,7 +533,6 @@ MemoryController::stepPim()
         Cycle start = std::max(when + 1, row_ready);
         Cycle end = start + t.pimComputePerRow;
         pimBankBusyCycles_.add(static_cast<double>(t.pimComputePerRow));
-        channel_.recordPimCompute(start, end);
         p.roundComputeEnd = std::max(p.roundComputeEnd, end);
         p.kernelComputeEnd = std::max(p.kernelComputeEnd, end);
         if (++p.dotProductsDone == p.banksThisRound)
@@ -495,11 +603,13 @@ void
 MemoryController::finishPim(Cycle done)
 {
     ++completedPimJobs_;
+    if (epoch_)
+        --epoch_->pimJobs;
     auto job = std::move(pim_->job);
     pim_.reset();
     // Same deferred-callback contract as finishMem.
     if (job.onComplete)
-        completions_.push_back({std::move(job.onComplete), done});
+        completions_.push_back({std::move(job.onComplete), done, 0});
 }
 
 bool
@@ -514,7 +624,7 @@ MemoryController::maybeRefresh(Cycle when)
         if (channel_.postponeRefresh())
             return false;
     }
-    channel_.issueRefresh(std::max(channel_.nextRefreshDue(), eq_.now()));
+    channel_.issueRefresh(std::max(channel_.nextRefreshDue(), now_));
     staleBanks_ = ~0ULL;
     return true;
 }
@@ -535,7 +645,7 @@ MemoryController::process()
         ArbView v;
         v.cm = cm;
         v.cp = cp;
-        v.now = eq_.now();
+        v.now = now_;
         v.memPending = pendingMemJobs();
         v.pimPending = pendingPimJobs();
         if (mem_idx >= 0) {
@@ -564,23 +674,32 @@ MemoryController::process()
             continue; // constraints changed; recompute candidates
         }
 
-        if (cand > eq_.now() + cfg_.horizon) {
+        if (cand > now_ + cfg_.horizon) {
             // Do not reserve bus slots far beyond simulated time: a
             // job arriving meanwhile deserves its priority. Resume
             // when the candidate enters the horizon; wake() schedules
             // it. No kick can land inside the loop, so this is the
             // only registered wake-up.
-            kickScheduled_ = true;
-            nextKickAt_ = cand - cfg_.horizon;
-            return nextKickAt_;
+            const Cycle resume = cand - cfg_.horizon;
+            if (resume >= epochEnd_) {
+                kickScheduled_ = true;
+                nextKickAt_ = resume;
+                return resume;
+            }
+            // Inside an epoch that wake-up runs now, virtually. Only
+            // the clock moved, and it binds no candidate, so the run
+            // at `resume` reaches this same decision (DESIGN.md §3.4).
+            chain_.push_back(resume);
+            beginRun(resume);
+            v.now = now_;
         }
 
         memScanValid_ = false;
         sched_->recordIssue(v, pick_pim);
         if (pick_pim)
             stepPim();
-        else
-            stepMem(mem_idx);
+        else if (stepMem(mem_idx) && epochEnd_ != 0)
+            runTrain(mem_idx);
     }
 }
 

@@ -21,7 +21,9 @@
  * Dispatch is event-driven with a bounded reservation horizon: the
  * controller never commits bus slots more than `horizon` cycles ahead
  * of simulated time, so a PIM kernel arriving mid-phase observes at
- * most `horizon` cycles of priority staleness.
+ * most `horizon` cycles of priority staleness. Inside an HbmStack,
+ * MEM-only stretches run as epochs on a virtual clock (DESIGN.md §3.4)
+ * with the exact schedule of the event-by-event path.
  *
  * Committed-schedule lifetime: a schedule (and its horizon-ahead
  * commitments) lives exactly as long as the controller object. The
@@ -67,7 +69,10 @@ struct MemJob
      * known. NOTE: the controller commits command schedules up to a
      * bounded horizon ahead of simulated time, so the callback may run
      * *before* the reported cycle is reached; the Cycle argument is
-     * authoritative and continuations must be scheduled at it.
+     * authoritative and continuations must be scheduled at it. It may
+     * schedule events but must not enqueue onto a controller or read
+     * controller state: inside an HbmStack it can run at the end of an
+     * epoch, after the controller moved on (DESIGN.md §3.4).
      */
     std::function<void(Cycle)> onComplete;
 };
@@ -86,6 +91,13 @@ struct PimJob
      * the host) is known; same synchronous contract as MemJob.
      */
     std::function<void(Cycle)> onComplete;
+};
+
+/** What an HbmStack shares with its controllers (DESIGN.md §3.4). */
+struct EpochState
+{
+    int pimJobs = 0;        ///< PIM kernels queued or running, device-wide
+    bool replaying = false; ///< an epoch is invoking its completions
 };
 
 struct ControllerConfig
@@ -141,7 +153,6 @@ class MemoryController
     // --- statistics -----------------------------------------------------
     Scalar &pimBankBusyCycles() { return pimBankBusyCycles_; }
     const Scalar &pimBankBusyCycles() const { return pimBankBusyCycles_; }
-    Distribution &memQueueDelay() { return memQueueDelay_; }
     std::uint64_t completedMemJobs() const { return completedMemJobs_; }
     std::uint64_t completedPimJobs() const { return completedPimJobs_; }
 
@@ -157,6 +168,8 @@ class MemoryController
     }
 
   private:
+    friend class HbmStack; // drives epochs through the hooks below
+
     /** In-flight state machine for one MemJob. */
     struct MemExec
     {
@@ -213,9 +226,29 @@ class MemoryController
      * wake-up was superseded (DESIGN.md §3.1), then invoke the
      * completions it collected and schedule its resume. */
     void wake();
+    /** Start a run of the loop at @p at: set the clock, clear the
+     * registration. */
+    void beginRun(Cycle at);
     /** The arbitration loop. @return the resume cycle it registered
-     * at the horizon, or kCycleMax when the controller went idle. */
+     * at the horizon, or kCycleMax when the controller went idle.
+     * Inside an epoch it runs the wake-ups before the epoch's end
+     * itself, on the virtual clock. */
     Cycle process();
+    /** Schedule a resume; tagged when an HbmStack runs epochs. */
+    void scheduleResume(Cycle at);
+
+    // --- epochs (DESIGN.md §3.4), driven by HbmStack ---
+    /** Run every wake-up in [registered resume, @p end) on the virtual
+     * clock, recording their cycles and holding back completions. */
+    void advanceEpoch(Cycle end);
+    /** Replay step: a wake-up event at @p w fires. If it runs the
+     * chain's next wake-up, invoke that wake-up's completions and,
+     * after the last one, schedule the boundary resume.
+     * @return the chain's next wake-up cycle, or kCycleMax. */
+    Cycle fireEpochWake(Cycle w);
+    /** Keep issuing in-flight job @p which's bursts as one train while
+     * it stays the winner and its wake-ups stay inside the epoch. */
+    void runTrain(int which);
 
     /** Earliest cycle the front-most mem work could issue; kCycleMax
      * if none. Also selects which in-flight job that is. */
@@ -228,8 +261,11 @@ class MemoryController
      * issue; kCycleMax if none. */
     Cycle candidatePim() const;
 
-    /** Issue the next sub-command of in-flight mem job @p which. */
-    void stepMem(int which);
+    /** Issue the next sub-command of in-flight mem job @p which.
+     * @return whether it issued a burst and the job is still in flight. */
+    bool stepMem(int which);
+    /** Complete in-flight job @p which and drop it from the window. */
+    void retireMem(int which);
     /** Issue the next sub-command of the active PIM kernel. */
     void stepPim();
     /** Advance the active PIM kernel to its next round or epilogue. */
@@ -270,24 +306,33 @@ class MemoryController
     bool kickScheduled_ = false;
     Cycle nextKickAt_ = kCycleMax;
     Cycle lastRunAt_ = kCycleMax; ///< cycle of the last arbitration loop
+    /** The clock every decision reads: the wake-up being run. */
+    Cycle now_ = 0;
 
     /**
      * Completions collected by one process() call, invoked in order
      * once it returns: a callback may enqueue onto this controller,
      * and its kick must not land inside the loop (DESIGN.md §3.1).
+     * An epoch holds them until its replay.
      */
     struct Completion
     {
         std::function<void(Cycle)> fn;
         Cycle at;
+        std::size_t wake; ///< 1-based epoch wake-up that collected it
     };
     std::vector<Completion> completions_;
+
+    EpochState *epoch_ = nullptr; ///< set by the owning HbmStack
+    Cycle epochEnd_ = 0;          ///< the running epoch's end, else 0
+    std::vector<Cycle> chain_;    ///< the epoch's wake-up cycles
+    std::size_t chainPos_ = 0;    ///< replay cursor into chain_
+    std::size_t compPos_ = 0;     ///< replay cursor into completions_
 
     std::unique_ptr<MemSchedPolicy> sched_;
     std::vector<Cycle> memBankBusyCycles_;
 
     Scalar pimBankBusyCycles_;
-    Distribution memQueueDelay_;
     std::uint64_t completedMemJobs_ = 0;
     std::uint64_t completedPimJobs_ = 0;
 };

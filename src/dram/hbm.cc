@@ -1,5 +1,7 @@
 #include "dram/hbm.h"
 
+#include <algorithm>
+
 namespace neupims::dram {
 
 HbmStack::HbmStack(EventQueue &eq, const MemConfig &cfg)
@@ -12,6 +14,8 @@ HbmStack::HbmStack(EventQueue &eq, const MemConfig &cfg,
 {
     NEUPIMS_ASSERT(static_cast<int>(groups_.representative.size()) ==
                    cfg_.org.channels);
+    NEUPIMS_ASSERT(eq_.batcher() == nullptr, "one HbmStack per queue");
+    eq_.setBatcher(this);
     ctrls_.resize(cfg_.org.channels);
     for (int c = 0; c < cfg_.org.channels; ++c) {
         ChannelId rep = groups_.representative[c];
@@ -21,8 +25,59 @@ HbmStack::HbmStack(EventQueue &eq, const MemConfig &cfg,
         if (rep == c) {
             ctrls_[c] = std::make_unique<MemoryController>(
                 eq_, cfg_.timing, cfg_.org, cfg_.ctrl);
+            ctrls_[c]->epoch_ = &epoch_;
         }
     }
+}
+
+HbmStack::~HbmStack()
+{
+    eq_.setBatcher(nullptr);
+}
+
+bool
+HbmStack::runBatch(Cycle limit)
+{
+    if (epoch_.pimJobs > 0)
+        return false;
+    const Cycle t = eq_.now();
+    // No run in [t, t + span) issues a command before t + span, so no
+    // completion it collects is due sooner (DESIGN.md §3.4).
+    const Cycle span = std::min(cfg_.ctrl.horizon, cfg_.timing.tRFC);
+    const Cycle end =
+        eq_.taggedEnd(limit < t + span ? limit + 1 : t + span);
+    if (end <= t)
+        return false;
+    for (auto &c : ctrls_) {
+        if (c)
+            c->advanceEpoch(end);
+    }
+    // Replay in the queue's (cycle, seq) order, the way its buckets
+    // would have run: the events taken from the queue first, in order,
+    // then each wake-up's successor behind the wake-up that scheduled
+    // it. Completions and boundary resumes land at or after `end`, so
+    // they go straight into the queue.
+    if (replay_.size() < end - t)
+        replay_.resize(end - t);
+    eq_.takeTagged(end, [&](Cycle w, void *tag) {
+        replay_[w - t].push_back(static_cast<MemoryController *>(tag));
+    });
+    epoch_.replaying = true;
+    for (Cycle w = t; w < end; ++w) {
+        auto &bucket = replay_[w - t];
+        for (MemoryController *c : bucket) {
+            Cycle next = c->fireEpochWake(w);
+            if (next != kCycleMax)
+                replay_[next - t].push_back(c);
+        }
+        bucket.clear();
+    }
+    epoch_.replaying = false;
+    for (auto &c : ctrls_)
+        NEUPIMS_ASSERT(!c || c->chain_.empty(), "epoch chain not replayed");
+    NEUPIMS_ASSERT(eq_.empty() || eq_.nextEventCycle() >= end,
+                   "a replayed completion scheduled inside its epoch");
+    return true;
 }
 
 bool

@@ -3,6 +3,9 @@
  * The full HBM-PIM memory of one NeuPIMs device: 32 channels, each
  * with its own memory controller (Table 2), plus aggregate statistics
  * used by the metrics and power layers.
+ *
+ * The stack is its queue's batcher: while no controller has PIM work,
+ * it runs stretches of controller wake-ups as epochs (DESIGN.md §3.4).
  */
 
 #ifndef NEUPIMS_DRAM_HBM_H_
@@ -54,11 +57,15 @@ struct SymmetryGroups
     }
 };
 
-class HbmStack
+class HbmStack : private EventQueue::Batcher
 {
   public:
+    /** @p eq must outlive the stack; a queue drives one stack. */
     HbmStack(EventQueue &eq, const MemConfig &cfg);
     HbmStack(EventQueue &eq, const MemConfig &cfg, SymmetryGroups groups);
+    ~HbmStack();
+    HbmStack(const HbmStack &) = delete;
+    HbmStack &operator=(const HbmStack &) = delete;
 
     int numChannels() const { return cfg_.org.channels; }
 
@@ -145,11 +152,19 @@ class HbmStack
     ChannelActivity channelActivity(ChannelId ch, Cycle window) const;
 
   private:
+    /** Run an epoch from the queue's current cycle unless a PIM job is
+     * pending or an untagged event is due there. */
+    bool runBatch(Cycle limit) override;
+
     EventQueue &eq_;
     MemConfig cfg_;
     SymmetryGroups groups_;
     /** Indexed by channel; null for folded (non-representative) slots. */
     std::vector<std::unique_ptr<MemoryController>> ctrls_;
+
+    EpochState epoch_;
+    /** Per-cycle replay buckets of an epoch, storage kept. */
+    std::vector<std::vector<MemoryController *>> replay_;
 };
 
 } // namespace neupims::dram

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/event_queue.h"
+#include "common/heap_event_queue.h"
 #include "common/rng.h"
 
 namespace neupims {

@@ -1,0 +1,264 @@
+/**
+ * @file
+ * Epochs against the event-by-event path (DESIGN.md §3.4). One seeded
+ * multi-channel workload runs twice: on an HbmStack, which simulates
+ * its MEM-only stretches as epochs, and on bare MemoryControllers
+ * sharing one EventQueue, which have no epochs. Completions, the
+ * events they schedule, command counts, scheduling statistics and
+ * data-bus utilization must all match exactly.
+ */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "dram/hbm.h"
+
+namespace neupims::dram {
+namespace {
+
+constexpr int kChannels = 8;
+
+/** Everything observable a run produced, in order. */
+struct Trace
+{
+    /** (id, cycle) per completion callback and per event they
+     * schedule, in invocation order. */
+    std::vector<std::pair<std::uint64_t, Cycle>> log;
+    std::vector<CommandCounts> counts;
+    std::vector<MemSchedStats> sched;
+    std::vector<Bytes> dataBytes;
+    std::vector<double> dataUtil;
+    std::vector<Cycle> caBusy;
+    std::vector<std::vector<Cycle>> bankBusy;
+    Cycle end = 0;
+    std::uint64_t events = 0;
+};
+
+void
+expectSame(const MemSchedStats &a, const MemSchedStats &b, int ch)
+{
+    EXPECT_EQ(a.rowHits, b.rowHits) << "channel " << ch;
+    EXPECT_EQ(a.rowMisses, b.rowMisses) << "channel " << ch;
+    EXPECT_EQ(a.rowConflicts, b.rowConflicts) << "channel " << ch;
+    EXPECT_EQ(a.memCommands, b.memCommands) << "channel " << ch;
+    EXPECT_EQ(a.pimCommands, b.pimCommands) << "channel " << ch;
+    EXPECT_EQ(a.modeSwitches, b.modeSwitches) << "channel " << ch;
+    EXPECT_EQ(a.pimStallCycles, b.pimStallCycles) << "channel " << ch;
+    EXPECT_EQ(a.pimWasteCycles, b.pimWasteCycles) << "channel " << ch;
+}
+
+/**
+ * The workload, DMA-shaped: streams of row jobs rotate banks per
+ * channel, and each stream's last completion schedules a done event at
+ * its cycle, as DmaEngine's trackers do. Callbacks follow the
+ * MemJob::onComplete contract: they log and schedule, nothing else.
+ */
+Trace
+drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
+      std::uint64_t seed)
+{
+    Trace tr;
+    Rng rng(seed);
+    std::uint64_t next_id = 0;
+    std::vector<int> next_bank(kChannels, 0);
+    std::vector<int> next_row(kChannels, 0);
+    const int banks = ctrls[0]->channel().numBanks();
+
+    struct Tracker
+    {
+        std::uint64_t id = 0;
+        int outstanding = 0;
+        Cycle last = 0;
+    };
+    auto done_cb = [&tr, &eq](const std::shared_ptr<Tracker> &t) {
+        return [&tr, &eq, t](Cycle c) {
+            tr.log.emplace_back(t->id, c);
+            t->last = std::max(t->last, c);
+            if (--t->outstanding == 0)
+                eq.schedule(std::max(t->last, eq.now()), [&tr, &eq, t] {
+                    tr.log.emplace_back(t->id, eq.now());
+                });
+        };
+    };
+    auto stream = [&](int first, int nch, int rows, int bursts,
+                      bool write) {
+        auto t = std::make_shared<Tracker>();
+        t->id = next_id++;
+        for (int ch = first; ch < first + nch; ++ch) {
+            for (int r = 0; r < rows; ++r) {
+                MemJob job;
+                job.bank = next_bank[ch];
+                job.row = next_row[ch];
+                job.bursts = bursts;
+                job.write = write;
+                ++t->outstanding;
+                job.onComplete = done_cb(t);
+                ctrls[ch]->enqueueMem(std::move(job));
+                if (++next_bank[ch] == banks) {
+                    next_bank[ch] = 0;
+                    ++next_row[ch];
+                }
+            }
+        }
+    };
+    auto pim = [&](int ch) {
+        static constexpr int kBanks[] = {4, 8, 32};
+        auto t = std::make_shared<Tracker>();
+        t->id = next_id++;
+        t->outstanding = 1;
+        PimJob job;
+        job.rowTiles = static_cast<int>(rng.uniformInt(1, 64));
+        job.banksUsed = kBanks[rng.uniformInt(0, 2)];
+        job.gwrites = static_cast<int>(rng.uniformInt(0, 2));
+        job.resultBursts = static_cast<int>(rng.uniformInt(1, 8));
+        job.composite = rng.uniform() < 0.5;
+        job.header = rng.uniform() < 0.5;
+        job.onComplete = done_cb(t);
+        ctrls[ch]->enqueuePim(std::move(job));
+    };
+
+    // Lockstep: identical streams on every channel complete on the
+    // same cycles everywhere. Then two identical streams on the two
+    // halves, whose final completions tie.
+    stream(0, kChannels, 40, 16, false);
+    stream(0, kChannels / 2, 24, 16, false);
+    stream(kChannels / 2, kChannels / 2, 24, 16, false);
+    // Mid-stream arrivals: MEM streams of every shape, writes, and PIM
+    // kernels that arrive and drain, over several refresh intervals.
+    for (int k = 0; k < 60; ++k) {
+        Cycle at = rng.uniformInt(40, 24'000);
+        int first = static_cast<int>(rng.uniformInt(0, kChannels - 1));
+        int nch = static_cast<int>(
+            rng.uniformInt(1, static_cast<std::uint64_t>(kChannels - first)));
+        int rows = static_cast<int>(rng.uniformInt(1, 24));
+        int bursts = static_cast<int>(rng.uniformInt(1, 16));
+        bool write = rng.uniform() < 0.3;
+        bool with_pim = rng.uniform() < 0.2;
+        int pim_ch = static_cast<int>(rng.uniformInt(0, kChannels - 1));
+        eq.schedule(at, [=, &stream, &pim] {
+            stream(first, nch, rows, bursts, write);
+            if (with_pim)
+                pim(pim_ch);
+        });
+    }
+    // Drain in slices, so epochs also meet run(limit).
+    while (!eq.empty())
+        eq.run(eq.now() + 4'999);
+
+    tr.end = eq.now();
+    tr.events = eq.executedEvents();
+    for (MemoryController *mc : ctrls) {
+        EXPECT_TRUE(mc->idle());
+        tr.counts.push_back(mc->channel().commandCounts());
+        tr.sched.push_back(mc->memSchedStats());
+        tr.dataBytes.push_back(mc->channel().dataBusBytes());
+        tr.dataUtil.push_back(
+            mc->channel().dataBusUtil().utilization(0, tr.end + 1));
+        tr.caBusy.push_back(mc->channel().caBusyCycles());
+        tr.bankBusy.push_back(mc->memBankBusyCycles());
+    }
+    return tr;
+}
+
+struct EpochCase
+{
+    MemSchedKind kind;
+    bool dual;
+    Cycle horizon;
+};
+
+std::string
+caseName(const EpochCase &c)
+{
+    std::string name = memSchedKindName(c.kind);
+    for (char &ch : name)
+        if (ch == '-')
+            ch = '_';
+    return name + (c.dual ? "_dual_h" : "_blocked_h") +
+           std::to_string(c.horizon);
+}
+
+/** Keeps the CTest names free of gtest's byte dump (padding bytes
+ * would make them differ between builds). */
+void
+PrintTo(const EpochCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
+class EpochDifferential : public ::testing::TestWithParam<EpochCase>
+{};
+
+TEST_P(EpochDifferential, MatchesEventByEventRun)
+{
+    const EpochCase c = GetParam();
+    MemConfig cfg;
+    cfg.org.channels = kChannels;
+    cfg.ctrl = ControllerConfig::make(c.dual);
+    cfg.ctrl.horizon = c.horizon;
+    cfg.ctrl.sched.kind = c.kind;
+
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        EventQueue eq_epochs;
+        HbmStack hbm(eq_epochs, cfg);
+        std::vector<MemoryController *> stacked;
+        for (ChannelId ch = 0; ch < kChannels; ++ch)
+            stacked.push_back(&hbm.controller(ch));
+        Trace with = drive(eq_epochs, stacked, seed);
+
+        EventQueue eq_plain;
+        std::vector<std::unique_ptr<MemoryController>> bare;
+        std::vector<MemoryController *> plain;
+        for (int ch = 0; ch < kChannels; ++ch) {
+            bare.push_back(std::make_unique<MemoryController>(
+                eq_plain, cfg.timing, cfg.org, cfg.ctrl));
+            plain.push_back(bare.back().get());
+        }
+        Trace without = drive(eq_plain, plain, seed);
+
+        ASSERT_GT(without.log.size(), 1000u);
+        EXPECT_EQ(with.log, without.log) << "seed " << seed;
+        EXPECT_EQ(with.end, without.end) << "seed " << seed;
+        for (int ch = 0; ch < kChannels; ++ch) {
+            for (int i = 0; i < kNumCommandTypes; ++i)
+                EXPECT_EQ(with.counts[ch].counts[i],
+                          without.counts[ch].counts[i])
+                    << "channel " << ch << " command " << i;
+            expectSame(with.sched[ch], without.sched[ch], ch);
+        }
+        EXPECT_EQ(with.dataBytes, without.dataBytes);
+        EXPECT_EQ(with.dataUtil, without.dataUtil);
+        EXPECT_EQ(with.caBusy, without.caBusy);
+        EXPECT_EQ(with.bankBusy, without.bankBusy);
+        // The stack really ran epochs: they replace most wake-up
+        // events.
+        EXPECT_LT(2 * with.events, without.events) << "seed " << seed;
+    }
+}
+
+std::vector<EpochCase>
+allCases()
+{
+    std::vector<EpochCase> cases;
+    for (MemSchedKind kind : {MemSchedKind::FrFcfs, MemSchedKind::PimFrFcfs,
+                              MemSchedKind::Paws})
+        for (bool dual : {true, false})
+            for (Cycle horizon : {Cycle{16}, Cycle{256}})
+                cases.push_back({kind, dual, horizon});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, EpochDifferential, ::testing::ValuesIn(allCases()),
+    [](const ::testing::TestParamInfo<EpochCase> &param_info) {
+        return caseName(param_info.param);
+    });
+
+} // namespace
+} // namespace neupims::dram

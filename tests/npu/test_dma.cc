@@ -135,5 +135,19 @@ TEST_F(DmaTest, RemainderBytesRideChannelZero)
     EXPECT_LT(sum - total, cfg.org.burstBytes);
 }
 
+TEST_F(DmaTest, MemOnlyStreamRunsAsEpochs)
+{
+    // With no PIM work anywhere, the stack simulates the stream's
+    // wake-ups in epochs instead of one event per DRAM command
+    // (DESIGN.md §3.4).
+    dma.streamAllChannels(4_MiB, false, 16, [](Cycle) {});
+    eq.run();
+    std::uint64_t commands = 0;
+    for (std::uint64_t n : hbm.totalCommandCounts().counts)
+        commands += n;
+    EXPECT_GT(commands, 60'000u);
+    EXPECT_LT(8 * eq.executedEvents(), commands);
+}
+
 } // namespace
 } // namespace neupims::npu
