@@ -60,9 +60,9 @@
  * forced samples on composition changes, fast-forward the rest on
  * anchored analytic ratios) against the N = 1 full-event baseline on
  * the strongest backend, emitting per-N latency errors and the
- * engine-invocation cut under "hybrid_sweep", and persisting the
- * learned anchors to BENCH_serving.anchors.tsv (DESIGN.md §12.2).
- * Wall-clock seconds print to stdout only — the JSON stays
+ * engine-invocation cut under "hybrid_sweep" (DESIGN.md §12). Each
+ * run's anchors live only for that run; nothing is written beside
+ * the JSON. Wall-clock seconds print to stdout only — the JSON stays
  * deterministic for CI's full-content staleness compare.
  *
  * An eighth sweep turns refcounted copy-on-write KV page sharing
@@ -905,20 +905,6 @@ main()
                 report.tbtUs.p95() * 1e-3, err_tbt,
                 report.e2eUs.p99() * 1e-3, err_e2e);
             first = false;
-
-            // Persist the standard config's mid-cadence anchors next
-            // to the JSON so a later serve_trace --hybrid-anchors run
-            // starts warm.
-            if (!hc.policy_grid && every == 8) {
-                if (hybrid->saveAnchors("BENCH_serving.anchors.tsv"))
-                    std::printf("      saved %d anchors to "
-                                "BENCH_serving.anchors.tsv\n",
-                                static_cast<int>(
-                                    hybrid->anchorCount()));
-                else
-                    std::printf("      FAILED writing "
-                                "BENCH_serving.anchors.tsv\n");
-            }
         }
     }
 

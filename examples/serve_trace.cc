@@ -17,7 +17,7 @@
  *                 [--dataset NAME] [--trace FILE.csv]
  *                 [--calibrate] [--dump-trace]
  *                 [--mem-sched frfcfs|pim-frfcfs|paws]
- *                 [--prefill legacy|whole|chunked] [--chunk N]
+ *                 [--prefill whole|chunked] [--chunk N]
  *                 [--no-piggyback]
  *                 [--preempt off|recompute|swap]
  *                 [--victim lifo|fewest|longest] [--swap-gbps F]
@@ -30,7 +30,15 @@
  *                 [--shed-watermark F] [--shed-wait-ms F]
  *                 [--prefix-share] [--hot-fraction F]
  *                 [--sys-tokens N] [--turns F] [--think-ms F]
- *                 [--hybrid N] [--hybrid-anchors FILE]
+ *                 [--max-len N] [--hybrid N]
+ *
+ * Numeric values are checked: the whole value must parse and lie in
+ * the flag's range, or the run stops with an error naming the flag.
+ * --requests, --chunk, --kv-scale and --turns are >= 1, --swap-gbps
+ * >= 0.001, --hot-fraction and --shed-watermark in [0, 1], --seed any
+ * unsigned 64-bit integer, and every other number >= 0 (0 for --rate
+ * or --max-len means the dataset default, for --hybrid analytic
+ * pricing).
  *
  * --trace replays an external CSV (arrival_us,input,output rows) in
  * place of the synthetic fixed-rate replay trace. --calibrate anchors
@@ -98,17 +106,17 @@
  * fast-forwarded at the last measured/analytic ratio; a sampling
  * summary line prints under each config row. --hybrid 1 prices every
  * iteration on the engine (orders of magnitude slower than the
- * analytic default; small request counts only).
- * --hybrid-anchors FILE preloads the persisted measured/analytic
- * anchor sidecar (written by bench/fig_serving_latency next to
- * BENCH_serving.json, and re-saved here after the run) so the
- * fast-forward starts calibrated instead of at ratio 1.0.
+ * analytic default; small request counts only). Each backend's
+ * hybrid model starts from ratio 1.0 and anchors within the run.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/serving_setup.h"
@@ -149,9 +157,29 @@ struct Options
     bool dumpTrace = false;
     /** Hybrid fidelity: engine-sample every Nth iteration (0 = off). */
     int hybrid = 0;
-    /** Anchor sidecar preloaded into and saved from the hybrid model. */
-    std::string hybridAnchors;
 };
+
+/**
+ * Parse @p text, the value of @p flag, as a T in [@p lo, @p hi]. The
+ * whole text must be one number in range; anything else is a fatal()
+ * naming the flag.
+ */
+template <typename T>
+T
+parseFlag(const std::string &flag, const char *text, T lo,
+          T hi = std::numeric_limits<T>::max())
+{
+    T v{};
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec == std::errc() && ptr == end && v >= lo && v <= hi)
+        return v;
+    const char *kind = std::is_integral_v<T> ? "an integer" : "a number";
+    if (hi == std::numeric_limits<T>::max())
+        fatal(flag, " expects ", kind, " >= ", lo, ", got '", text, "'");
+    fatal(flag, " expects ", kind, " in [", lo, ", ", hi, "], got '",
+          text, "'");
+}
 
 /**
  * Per-dataset default arrival rate: ~2/3 of full NeuPIMs' sustainable
@@ -195,7 +223,7 @@ usage(const char *argv0)
         "          [--traffic poisson|bursty|replay|session|all] "
         "[--dataset ShareGPT|Alpaca|all]\n"
         "          [--trace FILE.csv] [--calibrate] [--dump-trace]\n"
-        "          [--prefill legacy|whole|chunked] [--chunk N] "
+        "          [--prefill whole|chunked] [--chunk N] "
         "[--no-piggyback]\n"
         "          [--mem-sched frfcfs|pim-frfcfs|paws]\n"
         "          [--preempt off|recompute|swap] [--victim "
@@ -211,7 +239,7 @@ usage(const char *argv0)
         "          [--prefix-share] [--hot-fraction F] "
         "[--sys-tokens N]\n"
         "          [--turns F] [--think-ms F]\n"
-        "          [--hybrid N] [--hybrid-anchors FILE]\n",
+        "          [--max-len N] [--hybrid N]\n",
         argv0);
 }
 
@@ -231,11 +259,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--requests")
-            opt.requests = std::atoi(value());
+            opt.requests = parseFlag(arg, value(), 1);
         else if (arg == "--rate")
-            opt.rate = std::atof(value());
+            opt.rate = parseFlag(arg, value(), 0.0);
         else if (arg == "--seed")
-            opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            opt.seed = parseFlag<std::uint64_t>(arg, value(), 0);
         else if (arg == "--model")
             opt.model = value();
         else if (arg == "--backend")
@@ -249,7 +277,7 @@ main(int argc, char **argv)
         else if (arg == "--prefill")
             opt.prefill = value();
         else if (arg == "--chunk")
-            opt.chunkTokens = std::atoi(value());
+            opt.chunkTokens = parseFlag(arg, value(), 1);
         else if (arg == "--no-piggyback")
             opt.piggyback = false;
         else if (arg == "--preempt")
@@ -257,9 +285,9 @@ main(int argc, char **argv)
         else if (arg == "--victim")
             opt.serving.victim = value();
         else if (arg == "--swap-gbps")
-            opt.serving.swapGbps = std::atof(value());
+            opt.serving.swapGbps = parseFlag(arg, value(), 0.001);
         else if (arg == "--kv-scale")
-            opt.serving.kvScale = std::atoi(value());
+            opt.serving.kvScale = parseFlag(arg, value(), 1);
         else if (arg == "--policy")
             opt.serving.policy = value();
         else if (arg == "--mem-sched")
@@ -267,39 +295,38 @@ main(int argc, char **argv)
         else if (arg == "--classes")
             opt.classes = value();
         else if (arg == "--slo-ttft-ms")
-            opt.serving.sloTtftMs = std::atof(value());
+            opt.serving.sloTtftMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--slo-tpt-ms")
-            opt.serving.sloTptMs = std::atof(value());
+            opt.serving.sloTptMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--aging-ms")
-            opt.serving.agingMs = std::atof(value());
+            opt.serving.agingMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--fault")
             opt.serving.fault = value();
         else if (arg == "--client-timeout-ms")
-            opt.clientTimeoutMs = std::atof(value());
+            opt.clientTimeoutMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--retries")
-            opt.serving.retries = std::atoi(value());
+            opt.serving.retries = parseFlag(arg, value(), 0);
         else if (arg == "--retry-backoff-ms")
-            opt.serving.retryBackoffMs = std::atof(value());
+            opt.serving.retryBackoffMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--shed-watermark")
-            opt.serving.shedWatermark = std::atof(value());
+            opt.serving.shedWatermark =
+                parseFlag(arg, value(), 0.0, 1.0);
         else if (arg == "--shed-wait-ms")
-            opt.serving.shedWaitMs = std::atof(value());
+            opt.serving.shedWaitMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--prefix-share")
             opt.serving.prefixShare = true;
         else if (arg == "--hot-fraction")
-            opt.hotFraction = std::atof(value());
+            opt.hotFraction = parseFlag(arg, value(), 0.0, 1.0);
         else if (arg == "--sys-tokens")
-            opt.sysTokens = std::atoi(value());
+            opt.sysTokens = parseFlag(arg, value(), 0);
         else if (arg == "--turns")
-            opt.meanTurns = std::atof(value());
+            opt.meanTurns = parseFlag(arg, value(), 1.0);
         else if (arg == "--think-ms")
-            opt.thinkMs = std::atof(value());
+            opt.thinkMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--max-len")
-            opt.maxLen = std::atoi(value());
+            opt.maxLen = parseFlag(arg, value(), 0);
         else if (arg == "--hybrid")
-            opt.hybrid = std::atoi(value());
-        else if (arg == "--hybrid-anchors")
-            opt.hybridAnchors = value();
+            opt.hybrid = parseFlag(arg, value(), 0);
         else if (arg == "--calibrate")
             opt.calibrate = true;
         else if (arg == "--dump-trace")
@@ -377,14 +404,8 @@ main(int argc, char **argv)
         std::unique_ptr<runtime::IterationLatencyModel> latency;
         core::HybridIterationModel *hybrid = nullptr;
         if (opt.hybrid > 0) {
-            auto h = core::makeHybridIterationModel(
-                backend.device, llm, opt.hybrid, opt.hybridAnchors);
-            if (!opt.hybridAnchors.empty() && h->anchorCount() > 0)
-                std::printf("# hybrid %s: preloaded %d anchors "
-                            "from %s\n",
-                            backend.name.c_str(),
-                            static_cast<int>(h->anchorCount()),
-                            opt.hybridAnchors.c_str());
+            auto h = core::makeHybridIterationModel(backend.device, llm,
+                                                    opt.hybrid);
             hybrid = h.get();
             latency = std::move(h);
         } else {
@@ -618,18 +639,6 @@ main(int argc, char **argv)
                     }
                 }
             }
-        }
-        if (hybrid != nullptr && !opt.hybridAnchors.empty()) {
-            if (hybrid->saveAnchors(opt.hybridAnchors))
-                std::printf("# hybrid %s: saved %d anchors to %s\n",
-                            backend.name.c_str(),
-                            static_cast<int>(hybrid->anchorCount()),
-                            opt.hybridAnchors.c_str());
-            else
-                std::printf("# hybrid %s: FAILED to save anchors "
-                            "to %s\n",
-                            backend.name.c_str(),
-                            opt.hybridAnchors.c_str());
         }
     }
     return 0;

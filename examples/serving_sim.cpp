@@ -45,11 +45,8 @@ main(int argc, char **argv)
     sched_cfg.maxBatch = 256;
     sched_cfg.minLoadPacking = dev.flags.minLoadPacking;
     sched_cfg.estimator = core::latencyParamsFor(dev, llm, tp);
-    // Phase-aware lifecycle: admitted prompts prefill in 256-token
+    // The default prefill config: admitted prompts prefill in 256-token
     // chunks piggybacked onto decode iterations before generating.
-    sched_cfg.prefill.policy = runtime::PrefillPolicy::Chunked;
-    sched_cfg.prefill.chunkTokens = 256;
-    sched_cfg.prefill.piggyback = true;
     runtime::BatchScheduler scheduler(sched_cfg, pool, kv);
 
     runtime::WorkloadGenerator gen(runtime::shareGptDataset(), 7);

@@ -156,10 +156,9 @@ class IterationSim
   private:
     /**
      * Inject the out-of-band streams at cycle 0: swap-outs are reads
-     * (KV pages leave HBM for the host tier), swap-ins writes, and
-     * the prefill weight stream reads — all page-granular so they
-     * compete with PIM GEMV at full row-buffer locality, exactly the
-     * contention the MemSchedPolicy arbitrates.
+     * (KV pages leave HBM for the host tier), swap-ins writes — both
+     * page-granular so they compete with PIM GEMV at full row-buffer
+     * locality, exactly the contention the MemSchedPolicy arbitrates.
      */
     void
     launchExtraTraffic()
@@ -176,9 +175,6 @@ class IterationSim
         if (extra_.swapInBytes > 0)
             dma_.streamAllChannels(extra_.swapInBytes, true, dense,
                                    done);
-        if (extra_.prefillWeightBytes > 0)
-            dma_.streamAllChannels(extra_.prefillWeightBytes, false,
-                                   dense, done);
     }
     /**
      * An in-flight weight prefetch. The next layer's GEMM consumes

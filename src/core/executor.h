@@ -59,22 +59,15 @@ struct BatchComposition
  * Out-of-band memory traffic injected into the iteration window as
  * explicit per-channel MemJobs — it contends with the iteration's own
  * weight/KV/PIM command streams on the same channels instead of being
- * priced as a bandwidth-only analytic term. Used to model KV swap
- * traffic (preemption, PR 4) and piggybacked prefill weight streaming
- * at command-level fidelity.
+ * priced as a bandwidth-only analytic term. Models KV swap traffic
+ * (preemption) at command-level fidelity.
  */
 struct ExtraMemTraffic
 {
-    Bytes swapInBytes = 0;        ///< host->HBM KV restores (writes)
-    Bytes swapOutBytes = 0;       ///< HBM->host KV evictions (reads)
-    Bytes prefillWeightBytes = 0; ///< prompt-pass weight stream (reads)
+    Bytes swapInBytes = 0;  ///< host->HBM KV restores (writes)
+    Bytes swapOutBytes = 0; ///< HBM->host KV evictions (reads)
 
-    bool
-    any() const
-    {
-        return swapInBytes > 0 || swapOutBytes > 0 ||
-               prefillWeightBytes > 0;
-    }
+    bool any() const { return swapInBytes > 0 || swapOutBytes > 0; }
 };
 
 /** Phase-level breakdown of one measured decoder layer (Fig. 6). */
@@ -134,8 +127,8 @@ class DeviceExecutor
                                  int window_layers = 3,
                                  int warmup_layers = 1);
 
-    /** As above, with out-of-band traffic (KV swap, prefill weight
-     * streams) contending at the command level. */
+    /** As above, with out-of-band KV swap traffic contending at the
+     * command level. */
     IterationResult runIteration(const BatchComposition &batch,
                                  const ExtraMemTraffic &extra,
                                  int window_layers = 3,

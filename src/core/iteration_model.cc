@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <mutex>
 
 #include "common/log.h"
 
@@ -64,39 +63,6 @@ constexpr double kPrefillHideFraction = 0.5;
  */
 constexpr double kSwapHideFraction = 0.25;
 
-/**
- * Process-wide calibration anchor memo: one measured engine point per
- * (masked device signature, model, tp, layers, batch, seq, window).
- * The measurement is a pure function of that key — the symmetry fast
- * path is bit-identical (DESIGN.md §5) and deliberately masked out of
- * the key, so symmetry-on and symmetry-off configurations resolve to
- * the same anchor instead of the off-path silently re-measuring (or,
- * historically, ignoring) it. Alongside the cycle count the anchor
- * keeps the run's DRAM scheduling stats, so an analytic model can
- * surface a MemSchedSummary without re-running the engine.
- */
-struct AnchorMeasurement
-{
-    double cycles = 0.0;
-    dram::MemSchedStats sched;
-    double rowHitRate = 0.0;
-    double memBankUtil = 0.0;
-};
-
-std::mutex &
-calibrationAnchorMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::map<std::string, AnchorMeasurement> &
-calibrationAnchorRegistry()
-{
-    static std::map<std::string, AnchorMeasurement> registry;
-    return registry;
-}
-
 runtime::MemSchedSummary
 summarizeMemSched(const char *policy, const dram::MemSchedStats &s,
                   double row_hit, double bank_util)
@@ -115,32 +81,6 @@ summarizeMemSched(const char *policy, const dram::MemSchedStats &s,
     out.rowHitRate = row_hit;
     out.memBankUtil = bank_util;
     return out;
-}
-
-std::string
-calibrationAnchorKey(const DeviceConfig &cfg,
-                     const model::LlmConfig &model, int tp, int layers,
-                     int batch, int seq, int window)
-{
-    // Every input that changes the measured anchor, EXCEPT perf-only
-    // flags (channelSymmetry): calibrate() always measures with the
-    // fast path on, and the result is bit-identical either way.
-    const auto &f = cfg.flags;
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "%s|k%d|f%d%d%d%d%d%d|sched%d:%d:%d:%d|g%d|mc%d|sb%d|rf%.4f|"
-        "ch%d|bk%d|tp%d|L%d|b%d|s%d|w%d",
-        model.name.c_str(), static_cast<int>(cfg.kind),
-        f.dualRowBuffers ? 1 : 0, f.compositeGemv ? 1 : 0,
-        f.minLoadPacking ? 1 : 0, f.subBatchInterleaving ? 1 : 0,
-        f.pipelinedMha ? 1 : 0, f.prefetchDuringMha ? 1 : 0,
-        static_cast<int>(cfg.memSched.kind), cfg.memSched.pimStarveCap,
-        cfg.memSched.pawsPimCap, cfg.memSched.pawsBinHot,
-        cfg.gemvStreamBursts, cfg.mhaChunks, cfg.sbiMinBatch,
-        cfg.rigidLayoutFactor, cfg.org.channels, cfg.org.banksPerChannel,
-        tp, layers, batch, seq, window);
-    return std::string(buf);
 }
 
 /** Extract the channel grouping used as the memo/analysis key. */
@@ -300,13 +240,6 @@ calibratedSbiHideFraction(const DeviceConfig &cfg)
         for (int j = 0; j < 3; ++j)
             sum += surface[i][j];
     return sum / 12.0;
-}
-
-std::size_t
-calibrationAnchorCount()
-{
-    std::lock_guard<std::mutex> lock(calibrationAnchorMutex());
-    return calibrationAnchorRegistry().size();
 }
 
 AnalyticIterationModel::AnalyticIterationModel(
@@ -701,40 +634,19 @@ AnalyticIterationModel::calibrate(int batch, int seq_len,
     dev.flags.channelSymmetry = true;
     if (window_layers == 0)
         window_layers = dev.flags.subBatchInterleaving ? 3 : 2;
-
-    // Anchor memo: the key masks perf-only flags (channelSymmetry), so
-    // a symmetry-off model reuses the anchor a symmetry-on model
-    // measured (and vice versa) instead of ignoring or re-running it.
-    std::string key = calibrationAnchorKey(cfg_, model_, tp_,
-                                           layersPerDevice_, batch,
-                                           seq_len, window_layers);
-    AnchorMeasurement anchor;
-    {
-        std::lock_guard<std::mutex> lock(calibrationAnchorMutex());
-        auto it = calibrationAnchorRegistry().find(key);
-        if (it != calibrationAnchorRegistry().end())
-            anchor = it->second;
-    }
-    if (anchor.cycles <= 0.0) {
-        DeviceExecutor exec(dev, model_, tp_, layersPerDevice_);
-        auto measured = exec.runIteration(comp, window_layers, 1);
-        anchor.cycles = static_cast<double>(measured.iterationCycles);
-        anchor.sched = measured.memSched;
-        anchor.rowHitRate = measured.rowHitRate;
-        anchor.memBankUtil = measured.memBankUtil;
-        std::lock_guard<std::mutex> lock(calibrationAnchorMutex());
-        calibrationAnchorRegistry().emplace(key, anchor);
-    }
+    DeviceExecutor exec(dev, model_, tp_, layersPerDevice_);
+    auto measured = exec.runIteration(comp, window_layers, 1);
+    // The engine run's DRAM scheduling stats become this model's
+    // MemSchedSummary.
     memSchedSummary_ = summarizeMemSched(
-        dram::memSchedKindName(cfg_.memSched.kind), anchor.sched,
-        anchor.rowHitRate, anchor.memBankUtil);
+        dram::memSchedKindName(cfg_.memSched.kind), measured.memSched,
+        measured.rowHitRate, measured.memBankUtil);
 
-    double prev_scale = scale_;
     scale_ = 1.0;
     Cycle analytic = iterationCyclesFor(comp);
-    scale_ = prev_scale;
     NEUPIMS_ASSERT(analytic > 0);
-    setScale(anchor.cycles / static_cast<double>(analytic));
+    setScale(static_cast<double>(measured.iterationCycles) /
+             static_cast<double>(analytic));
     return scale_;
 }
 
@@ -804,8 +716,7 @@ anchorKeyOf(const MixedComposition &mix,
 
 HybridIterationModel::HybridIterationModel(
     const DeviceConfig &cfg, const model::LlmConfig &model, int tp,
-    int layers_per_device, int sample_every,
-    const std::string &anchor_path)
+    int layers_per_device, int sample_every)
     : name_("hybrid(" + cfg.name + ",N=" +
             std::to_string(sample_every) + ")"),
       executor_(cfg, model, tp, layers_per_device),
@@ -813,8 +724,6 @@ HybridIterationModel::HybridIterationModel(
       sampleEvery_(sample_every)
 {
     NEUPIMS_ASSERT(sampleEvery_ >= 1);
-    if (!anchor_path.empty())
-        loadAnchors(anchor_path); // missing file: cold start
 }
 
 HybridIterationModel::Signature
@@ -919,7 +828,7 @@ HybridIterationModel::iterationCycles(
         double r = ratio_;
         auto it = anchors_.find(anchorKeyOf(mix, schedule));
         if (it != anchors_.end())
-            r = it->second.ratio;
+            r = it->second;
         return static_cast<Cycle>(
             std::max(1.0, static_cast<double>(analytic) * r));
     }
@@ -939,9 +848,7 @@ HybridIterationModel::iterationCycles(
         if (analytic > 0 && measured > 0) {
             ratio_ = static_cast<double>(measured) /
                      static_cast<double>(analytic);
-            Anchor &a = anchors_[anchorKeyOf(mix, schedule)];
-            a.ratio = ratio_;
-            ++a.samples;
+            anchors_[anchorKeyOf(mix, schedule)] = ratio_;
         }
     }
     return measured;
@@ -956,51 +863,6 @@ HybridIterationModel::memSchedSummary() const
         dram::memSchedKindName(executor_.config().memSched.kind),
         memSchedAccum_, memSchedAccum_.rowHitRate(),
         bankUtilSum_ / static_cast<double>(cache_.size()));
-}
-
-bool
-HybridIterationModel::saveAnchors(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    std::fprintf(f, "# neupims hybrid anchors v1\n");
-    std::fprintf(f, "# key\tratio\tsamples\n");
-    for (const auto &kv : anchors_) {
-        std::fprintf(f, "%s\t%.17g\t%llu\n", kv.first.c_str(),
-                     kv.second.ratio,
-                     static_cast<unsigned long long>(kv.second.samples));
-    }
-    bool ok = std::fclose(f) == 0;
-    return ok;
-}
-
-int
-HybridIterationModel::loadAnchors(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr)
-        return -1;
-    char line[256];
-    int loaded = 0;
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-        if (line[0] == '#' || line[0] == '\n')
-            continue;
-        char key[128];
-        double ratio = 0.0;
-        unsigned long long samples = 0;
-        if (std::sscanf(line, "%127[^\t]\t%lg\t%llu", key, &ratio,
-                        &samples) != 3)
-            continue;
-        if (!(ratio > 0.0))
-            continue;
-        Anchor &a = anchors_[key];
-        a.ratio = ratio;
-        a.samples += samples;
-        ++loaded;
-    }
-    std::fclose(f);
-    return loaded;
 }
 
 } // namespace neupims::core

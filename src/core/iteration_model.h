@@ -12,14 +12,16 @@
  *    (serial sum vs SBI overlap). Microseconds per iteration instead
  *    of seconds, which is what makes thousand-iteration serving
  *    sweeps tractable; accuracy against the engine is a constant
- *    factor absorbed by calibrate() (DESIGN.md §6).
+ *    factor absorbed by calibrate(), which measures one engine point
+ *    (DESIGN.md §6).
  *
  *  - HybridIterationModel: the cycle-accurate DeviceExecutor itself,
  *    run on every Nth iteration (plus forced samples when the
  *    composition steps) and memoized on a sequence-length-quantized
  *    composition key; the iterations between samples fast-forward on
- *    the analytic model rescaled by an anchored measured/analytic
- *    ratio. N = 1 prices every iteration on the engine.
+ *    the analytic model rescaled by a measured/analytic ratio
+ *    anchored earlier in the same run. N = 1 prices every iteration
+ *    on the engine.
  *
  * Both models price mixed prefill+decode iterations. The analytic
  * model compiles the mixed LayerPlan (prompt tokens as extra GEMM
@@ -106,7 +108,8 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
     /**
      * Scale so one DeviceExecutor measurement of a uniform
      * @p batch x @p seq_len composition matches the analytic value
-     * exactly at that point; everything else scales with it.
+     * exactly at that point; everything else scales with it. Every
+     * call runs the engine once.
      * @return the calibration factor applied.
      */
     double calibrate(int batch, int seq_len, int window_layers = 0);
@@ -193,15 +196,6 @@ double calibratedSbiHideFraction(const DeviceConfig &cfg,
 double calibratedSbiHideFraction(const DeviceConfig &cfg);
 
 /**
- * Process-wide count of memoized calibration anchors (testing). Each
- * distinct (masked device signature, model, tp, layers, batch, seq,
- * window) measured by AnalyticIterationModel::calibrate adds one;
- * repeated calibrations — including across the channelSymmetry fast
- * path, which is masked out of the key — reuse the stored anchor.
- */
-std::size_t calibrationAnchorCount();
-
-/**
  * The engine-backed iteration model (hybrid fidelity): runs the
  * cycle-accurate event engine on sampled iteration windows — every
  * @p sample_every iteration boundary, plus forced samples whenever
@@ -223,11 +217,9 @@ std::size_t calibrationAnchorCount();
  * measured/analytic quotient of the latest engine run, keeping every
  * span of a run on one clock.
  *
- * Anchors (per composition-bucket measured/analytic ratios) persist
- * to a TSV sidecar (saveAnchors / loadAnchors) written next to
- * BENCH_serving.json by the serving bench, so a later run —
- * serve_trace --hybrid with --hybrid-anchors — starts from the
- * calibrated surface instead of ratio 1.0 before its first sample.
+ * Anchors (per composition-bucket measured/analytic ratios) live for
+ * the model's lifetime: a fast-forward prices on its bucket's anchor
+ * when one was sampled, else on the running ratio.
  */
 class HybridIterationModel : public runtime::IterationLatencyModel
 {
@@ -239,13 +231,10 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     /**
      * @param sample_every run the event engine every Nth iteration
      *        boundary (>= 1; 1 prices every iteration on the engine)
-     * @param anchor_path optional sidecar to preload anchors from
-     *        (silently ignored when the file does not exist)
      */
     HybridIterationModel(const DeviceConfig &cfg,
                          const model::LlmConfig &model, int tp,
-                         int layers_per_device, int sample_every = 8,
-                         const std::string &anchor_path = "");
+                         int layers_per_device, int sample_every = 8);
 
     const std::string &name() const override { return name_; }
 
@@ -273,14 +262,8 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     double ratio() const { return ratio_; }
     int sampleEvery() const { return sampleEvery_; }
 
-    // --- anchor persistence -----------------------------------------
+    /** Anchor keys sampled so far. */
     std::size_t anchorCount() const { return anchors_.size(); }
-    /** Write the anchor table to @p path (TSV; deterministic order).
-     * @return false on I/O failure. */
-    bool saveAnchors(const std::string &path) const;
-    /** Merge anchors from @p path (later loads win on key clashes).
-     * @return anchors read, or -1 when the file cannot be opened. */
-    int loadAnchors(const std::string &path);
 
   private:
     /** Composition signature: a forced sample fires when any field
@@ -306,12 +289,6 @@ class HybridIterationModel : public runtime::IterationLatencyModel
                    shed == o.shed && straggler == o.straggler;
         }
         bool operator!=(const Signature &o) const { return !(*this == o); }
-    };
-
-    struct Anchor
-    {
-        double ratio = 1.0;
-        std::uint64_t samples = 0;
     };
 
     Signature signatureOf(const runtime::IterationSchedule &schedule) const;
@@ -345,8 +322,8 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     double ratio_ = 1.0;
     Signature lastSig_;
     bool haveSig_ = false;
-    /** std::map: saveAnchors emits keys in deterministic order. */
-    std::map<std::string, Anchor> anchors_;
+    /** Latest measured/analytic ratio per anchor key. */
+    std::map<std::string, double> anchors_;
 };
 
 /** Build @p schedule's composition (full batch + Algorithm-3 subs). */

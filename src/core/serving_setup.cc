@@ -49,9 +49,6 @@ servingConfigFor(const DeviceConfig &dev, const model::LlmConfig &llm,
     cfg.scheduler.maxBatch = max_batch;
     cfg.scheduler.minLoadPacking = dev.flags.minLoadPacking;
     cfg.scheduler.estimator = latencyParamsFor(dev, llm, tp);
-    cfg.scheduler.prefill.policy = runtime::PrefillPolicy::Chunked;
-    cfg.scheduler.prefill.chunkTokens = 256;
-    cfg.scheduler.prefill.piggyback = true;
     return cfg;
 }
 
@@ -116,14 +113,13 @@ makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm)
 
 std::unique_ptr<HybridIterationModel>
 makeHybridIterationModel(const DeviceConfig &dev,
-                         const model::LlmConfig &llm, int sample_every,
-                         const std::string &anchor_path)
+                         const model::LlmConfig &llm, int sample_every)
 {
     DeviceConfig dev2 = dev;
     dev2.flags.channelSymmetry = true;
     return std::make_unique<HybridIterationModel>(
         dev2, llm, llm.defaultTp, llm.layersPerDevice(llm.defaultPp),
-        sample_every, anchor_path);
+        sample_every);
 }
 
 } // namespace neupims::core

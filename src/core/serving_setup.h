@@ -40,12 +40,9 @@ const ServingBackend &servingBackendByName(const std::string &name);
  * Orca-style admission up to @p max_batch, the device's channel count
  * and packing policy, Algorithm-1 estimator parameters, and 3/4 of
  * each channel's capacity reserved for KV pages (the rest holds
- * weights), as the §8.1 setup assumes.
- *
- * Prefill defaults to chunked admission (256-token budget) with
- * piggybacking — the phase-model standard. Callers wanting the
- * pre-phase-model engine set
- * `cfg.scheduler.prefill.policy = runtime::PrefillPolicy::Legacy`.
+ * weights), as the §8.1 setup assumes. Prefill keeps the
+ * runtime::PrefillConfig defaults: chunked admission (256-token
+ * budget) piggybacked onto decode iterations.
  */
 runtime::ServingConfig
 servingConfigFor(const DeviceConfig &dev, const model::LlmConfig &llm,
@@ -61,13 +58,11 @@ makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm);
  * composition changes), analytic fast-forward between them; 1 prices
  * every iteration on the engine. Turns on channel-symmetry folding
  * (bit-identical, DESIGN.md §5) so each sampled window stays
- * tractable. @p anchor_path optionally preloads a persisted anchor
- * sidecar (missing file = cold start).
+ * tractable.
  */
 std::unique_ptr<HybridIterationModel>
 makeHybridIterationModel(const DeviceConfig &dev,
-                         const model::LlmConfig &llm, int sample_every,
-                         const std::string &anchor_path = "");
+                         const model::LlmConfig &llm, int sample_every);
 
 /**
  * Apply a --mem-sched policy name ("frfcfs" | "pim-frfcfs" | "paws",

@@ -86,22 +86,18 @@ preemptModeName(PreemptMode mode)
 PrefillPolicy
 prefillPolicyByName(const std::string &name)
 {
-    if (name == "legacy")
-        return PrefillPolicy::Legacy;
     if (name == "whole")
         return PrefillPolicy::WholePrompt;
     if (name == "chunked")
         return PrefillPolicy::Chunked;
     fatal("unknown prefill policy '", name,
-          "' (expected legacy|whole|chunked)");
+          "' (expected whole|chunked)");
 }
 
 const char *
 prefillPolicyName(PrefillPolicy policy)
 {
     switch (policy) {
-    case PrefillPolicy::Legacy:
-        return "legacy";
     case PrefillPolicy::WholePrompt:
         return "whole";
     case PrefillPolicy::Chunked:
@@ -118,23 +114,16 @@ BatchScheduler::BatchScheduler(const SchedulerConfig &cfg,
       policy_(makeSchedulingPolicy(cfg.policy, cfg.preempt.victim))
 {
     NEUPIMS_ASSERT(!fault_ || !fault_->enabled() ||
-                       (cfg_.preempt.enabled() &&
-                        cfg_.prefill.enabled()),
-                   "fault injection requires preemption and a prefill "
-                   "policy: channel-loss recovery force-preempts "
-                   "residents in recompute mode and re-dispatches "
-                   "them through the restore/prefill path");
+                       cfg_.preempt.enabled(),
+                   "fault injection requires preemption: channel-loss "
+                   "recovery force-preempts residents in recompute "
+                   "mode and re-dispatches them through the "
+                   "restore/prefill path");
     NEUPIMS_ASSERT(cfg_.channels >= 1 && cfg_.maxBatch >= 1);
     NEUPIMS_ASSERT(cfg_.prefill.policy != PrefillPolicy::Chunked ||
                        cfg_.prefill.chunkTokens >= 1,
                    "chunked prefill needs a positive token budget");
-    NEUPIMS_ASSERT(cfg_.preempt.mode != PreemptMode::Recompute ||
-                       cfg_.prefill.enabled(),
-                   "recompute preemption restores through the prefill "
-                   "path and needs a prefill policy");
-    NEUPIMS_ASSERT(!cfg_.preempt.enabled() ||
-                       !cfg_.prefill.enabled() ||
-                       cfg_.prefill.piggyback,
+    NEUPIMS_ASSERT(!cfg_.preempt.enabled() || cfg_.prefill.piggyback,
                    "preemption requires piggybacked prefill: "
                    "stall-the-world prefill-only iterations exclude "
                    "decode page-holders from the schedule, so an old "
@@ -151,8 +140,8 @@ BatchScheduler::lazyKvAlloc() const
 {
     // Chunk-by-chunk reservation makes mid-prefill preemption
     // meaningful; it is tied to preemption so PreemptMode::Off keeps
-    // the legacy whole-prompt-at-admission accounting bit-for-bit.
-    return cfg_.preempt.enabled() && cfg_.prefill.enabled();
+    // the whole-prompt-at-admission accounting bit-for-bit.
+    return cfg_.preempt.enabled();
 }
 
 int
@@ -232,8 +221,7 @@ ChannelId
 BatchScheduler::pickChannel(const Request &req,
                             std::vector<double> &loads)
 {
-    int tokens = lazyKvAlloc() ? admissionTokens(req)
-                               : req.currentSeqLen();
+    int tokens = admissionTokens(req);
     return placeByUrgency(req, loads, [&](ChannelId ch) {
         return kv_.canAllocate(ch, tokens);
     });
@@ -704,7 +692,7 @@ BatchScheduler::scheduleIteration(Cycle now)
         RequestId pick = nextAdmission(out);
         if (pick == kInvalidId)
             break;
-        pool_.admitId(pick, cfg_.prefill.enabled());
+        pool_.admitId(pick);
         Request &req = pool_.request(pick);
         ChannelId ch = pickChannel(req, loads);
         if (ch == kInvalidId) {
@@ -731,9 +719,7 @@ BatchScheduler::scheduleIteration(Cycle now)
                                            req.currentSeqLen(),
                                            req.promptTokens, cached);
             NEUPIMS_ASSERT(ok, "KV allocation raced admission check");
-            // Legacy admit-means-decode models no prefill compute to
-            // skip; the page dedup above still happened.
-            if (cached > 0 && req.prefilling())
+            if (cached > 0)
                 req.skipCachedPrefix(cached);
         }
         loads[ch] += estimator_.estimate(req.currentSeqLen());
@@ -741,20 +727,14 @@ BatchScheduler::scheduleIteration(Cycle now)
         ++out.admitted;
     }
 
-    if (cfg_.prefill.enabled()) {
-        schedulePrefill(out, running);
-        // Without piggybacking, a pending prompt pass owns the
-        // iteration: decode stalls until the prefill queue drains.
-        bool prefill_only =
-            !cfg_.prefill.piggyback && !out.prefill.empty();
-        if (!prefill_only) {
-            for (Request *req : running) {
-                if (req->decoding())
-                    out.batch.push_back(req);
-            }
+    schedulePrefill(out, running);
+    // Without piggybacking, a pending prompt pass owns the iteration:
+    // decode stalls until the prefill queue drains.
+    if (cfg_.prefill.piggyback || out.prefill.empty()) {
+        for (Request *req : running) {
+            if (req->decoding())
+                out.batch.push_back(req);
         }
-    } else {
-        out.batch = std::move(running);
     }
 
     if (preempting) {

@@ -53,9 +53,6 @@ namespace neupims::runtime {
 /** How admitted prompts are routed through the prefill phase. */
 enum class PrefillPolicy : std::uint8_t
 {
-    /** Pre-phase-model behavior: admission implies decode; the prompt
-     * pass is free and TTFT is pure queueing delay + one iteration. */
-    Legacy,
     /** Each prefilling request processes its whole remaining prompt in
      * a single iteration (no token budget). */
     WholePrompt,
@@ -66,7 +63,7 @@ enum class PrefillPolicy : std::uint8_t
 
 struct PrefillConfig
 {
-    PrefillPolicy policy = PrefillPolicy::Legacy;
+    PrefillPolicy policy = PrefillPolicy::Chunked;
     /** Per-iteration prompt-token budget (Chunked policy only). */
     int chunkTokens = 256;
     /**
@@ -76,8 +73,6 @@ struct PrefillConfig
      * completes (classic stall-the-world prefill).
      */
     bool piggyback = true;
-
-    bool enabled() const { return policy != PrefillPolicy::Legacy; }
 };
 
 /** What happens when an iteration cannot reserve KV pages. */
@@ -107,7 +102,7 @@ struct PreemptConfig
     double swapBytesPerCycle() const { return swapGBps; }
 };
 
-/** Parse "off|recompute|swap" / "legacy|whole|chunked"; fatal() on
+/** Parse "off|recompute|swap" / "whole|chunked"; fatal() on
  * unknown names. The *Name inverses round-trip exactly (victim and
  * scheduling-policy helpers live in runtime/sched_policy.h). */
 PreemptMode preemptModeByName(const std::string &name);
@@ -270,7 +265,7 @@ class BatchScheduler
     /**
      * @p fault (optional) injects channel faults at iteration
      * boundaries (runtime/fault_model.h). An enabled fault model
-     * requires preemption + prefill: channel-loss recovery
+     * requires preemption: channel-loss recovery
      * force-preempts residents in recompute mode and re-dispatches
      * them through the restore/prefill path.
      */

@@ -8,9 +8,7 @@
  * memory-bound *decode* (incremental generation) pass NeuPIMs
  * accelerates with PIM GEMV. The prefill cursor (`prefilledTokens`)
  * tracks chunked-prefill progress; a request only generates tokens
- * once the cursor reaches `inputLength`. Legacy admit-means-decode
- * behavior (the pre-phase-model engine) is recovered by skipping
- * prefill at admission (`skipPrefill`).
+ * once the cursor reaches `inputLength`.
  */
 
 #ifndef NEUPIMS_RUNTIME_REQUEST_H_
@@ -149,8 +147,7 @@ struct Request
         return admitCycle - arrivalCycle;
     }
 
-    /** Prompt-pass span (0 under legacy admit-means-decode);
-     * @pre prefillEndCycle is stamped. */
+    /** Prompt-pass span; @pre prefillEndCycle is stamped. */
     Cycle
     prefillLatency() const
     {
@@ -224,17 +221,6 @@ struct Request
     {
         phase = RequestPhase::Prefill;
         prefilledTokens = 0;
-    }
-
-    /**
-     * Legacy admit-means-decode: the prompt is considered processed
-     * the moment the request is admitted (pre-phase-model engine).
-     */
-    void
-    skipPrefill()
-    {
-        phase = RequestPhase::Decode;
-        prefilledTokens = inputLength;
     }
 
     /**

@@ -57,29 +57,14 @@ RequestPool::nextArrivalCycle() const
     return pending_.empty() ? kCycleMax : pending_.top().arrival;
 }
 
-std::vector<RequestId>
-RequestPool::admit(std::size_t max_new, bool prefill)
-{
-    std::vector<RequestId> admitted;
-    while (admitted.size() < max_new && !waiting_.empty()) {
-        RequestId id = waiting_.front();
-        admitId(id, prefill);
-        admitted.push_back(id);
-    }
-    return admitted;
-}
-
 void
-RequestPool::admitId(RequestId id, bool prefill)
+RequestPool::admitId(RequestId id)
 {
     auto it = std::find(waiting_.begin(), waiting_.end(), id);
     NEUPIMS_ASSERT(it != waiting_.end(), "request not waiting: ", id);
     waiting_.erase(it);
     all_[id].status = RequestStatus::Running;
-    if (prefill)
-        all_[id].beginPrefill();
-    else
-        all_[id].skipPrefill();
+    all_[id].beginPrefill();
     running_.push_back(id);
 }
 
@@ -216,12 +201,6 @@ RequestPool::runningRequests()
     for (RequestId id : running_)
         out.push_back(&all_[id]);
     return out;
-}
-
-std::vector<RequestId>
-RequestPool::completeIteration()
-{
-    return advanceRequests(runningRequests());
 }
 
 std::vector<RequestId>

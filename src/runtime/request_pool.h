@@ -64,22 +64,12 @@ class RequestPool
     std::uint64_t shedCount() const { return shed_; }
 
     /**
-     * Admit up to @p max_new waiting requests into the running batch.
-     * With @p prefill the admitted requests enter the prefill phase
-     * (cursor at 0); without it they are decode-ready (legacy
-     * admit-means-decode). The phase decision lives here so no caller
-     * can admit a request with an unset phase.
-     * @return the admitted requests' ids.
+     * Admit one specific waiting request into the running batch; it
+     * enters the prefill phase (cursor at 0). Scheduling policies
+     * pick admission order; Fcfs always picks the head.
+     * @pre @p id is in the waiting queue.
      */
-    std::vector<RequestId> admit(std::size_t max_new,
-                                 bool prefill = false);
-
-    /**
-     * Admit one specific waiting request (scheduling policies pick
-     * admission order; Fcfs always picks the head, reproducing
-     * admit(1)). @pre @p id is in the waiting queue.
-     */
-    void admitId(RequestId id, bool prefill);
+    void admitId(RequestId id);
 
     /** The waiting queue, admission (arrival) order. */
     const std::deque<RequestId> &waitingIds() const { return waiting_; }
@@ -132,15 +122,6 @@ class RequestPool
 
     /** Pointers to the running batch (stable for this iteration). */
     std::vector<Request *> runningRequests();
-
-    /**
-     * Advance every running request by one generated token and retire
-     * the finished ones. @return ids of retired requests.
-     *
-     * Legacy whole-batch form; phase-aware callers use
-     * advanceRequests() with the decode participants only.
-     */
-    std::vector<RequestId> completeIteration();
 
     /**
      * Advance exactly the given decode-phase requests by one generated

@@ -302,14 +302,10 @@ ServingEngine::run()
 
         // Stamp the serving timeline. Requests admitted this iteration
         // were picked up at the iteration boundary `now` (whether or
-        // not they received a prefill slice yet); a legacy admission
-        // skips prefill, so its prefill span collapses to zero.
+        // not they received a prefill slice yet).
         for (Request *req : pool_.runningRequests()) {
-            if (req->admitCycle == kCycleMax) {
+            if (req->admitCycle == kCycleMax)
                 req->admitCycle = now;
-                if (req->decoding())
-                    req->prefillEndCycle = now;
-            }
         }
         // A slice that consumes the last prompt tokens completes the
         // prefill phase when the iteration does. A recompute restore

@@ -260,7 +260,7 @@ struct ServingReport
     LatencyStats ttftUs;
     /** TTFT decomposition: per-request queueing, prefill and
      * first-decode spans. Component cycle spans sum to ttft()
-     * exactly; prefill is identically 0 under the legacy policy. */
+     * exactly. */
     LatencyStats queueUs;
     LatencyStats prefillUs;
     LatencyStats firstDecodeUs;

@@ -6,16 +6,14 @@
  * prefill-only iterations rescale the decode measurement by analytic
  * ratios, the DRAM summary accumulates over engine runs only, the
  * periodic cadence and the forced-sample triggers fire when — and
- * only when — the composition signature changes, fast-forwarded
- * iterations sit on the measured clock via the anchored ratio, and
- * the anchor sidecar round-trips through save/load.
+ * only when — the composition signature changes, and fast-forwarded
+ * iterations sit on the measured clock via their anchor key's ratio.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cmath>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "core/iteration_model.h"
@@ -315,72 +313,45 @@ TEST(HybridModel, ForcedSampleFiresOnEveryCompositionChange)
     EXPECT_EQ(hybrid.sampledIterations(), 1u + forced);
 }
 
-TEST(HybridModel, AnchorSidecarRoundTripsAndSeedsFastForward)
+/** A fast-forward that misses the engine cache prices on its own
+ * anchor key's ratio, not on the running ratio a later sample of
+ * another key left behind. */
+TEST(HybridModel, FastForwardPricesOnItsAnchorKeyRatio)
 {
     auto llm = tinyModel();
     auto dev = testDevice();
-    std::string path = ::testing::TempDir() + "hybrid_anchors.tsv";
+    const int channels = dev.org.channels;
+    // Periodic samples at iterations 0 and 2; 1 and 3 fast-forward.
+    HybridIterationModel hybrid(dev, llm, 1, llm.numLayers,
+                                /*sample_every=*/2);
+    AnalyticIterationModel analytic(dev, llm, 1, llm.numLayers);
 
     ScheduleFactory f;
-    auto warm = f.uniform(dev.org.channels, 2, 256);
-    auto cold = f.uniform(dev.org.channels, 2, 1024);
+    // A: 2 requests per channel at 256 tokens.
+    hybrid.iterationCycles(f.uniform(channels, 2, 256));
+    const double ratio_a = hybrid.ratio();
+    hybrid.iterationCycles(f.uniform(channels, 2, 256)); // cache hit
+    // Another KV key, same signature: a periodic sample that moves
+    // the running ratio.
+    hybrid.iterationCycles(f.uniform(channels, 2, 1024));
+    const double ratio_other = hybrid.ratio();
+    EXPECT_EQ(hybrid.anchorCount(), 2u);
 
-    double warm_ratio = 0.0;
-    {
-        HybridIterationModel writer(dev, llm, 1, llm.numLayers, 4);
-        writer.iterationCycles(warm);
-        writer.iterationCycles(cold); // kv differs: same signature,
-                                      // distinct anchor... but not a
-                                      // forced sample (fast-forward)
-        writer.iterationCycles(cold);
-        // Only the sampled composition has an anchor.
-        EXPECT_EQ(writer.anchorCount(), 1u);
-        warm_ratio = writer.ratio();
-        ASSERT_TRUE(writer.saveAnchors(path));
-    }
+    // B: per channel {192, 320} — A's batch bucket and mean KV length
+    // (A's anchor key), but a composition the engine never ran.
+    std::vector<std::vector<int>> lens(
+        static_cast<std::size_t>(channels), std::vector<int>{192, 320});
+    auto b = f.make(lens);
+    const double analytic_b =
+        static_cast<double>(analytic.iterationCycles(b));
+    // The two ratios must price B apart, or the test proves nothing.
+    ASSERT_GT(std::abs(ratio_a - ratio_other) * analytic_b, 2.0);
 
-    HybridIterationModel reader(dev, llm, 1, llm.numLayers, 1000, path);
-    EXPECT_EQ(reader.anchorCount(), 1u);
-
-    // Round trip: loading and re-saving reproduces the file.
-    std::string path2 = ::testing::TempDir() + "hybrid_anchors2.tsv";
-    ASSERT_TRUE(reader.saveAnchors(path2));
-    auto slurp = [](const std::string &p) {
-        std::FILE *fp = std::fopen(p.c_str(), "r");
-        EXPECT_NE(fp, nullptr);
-        std::string out;
-        char buf[256];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, fp)) > 0)
-            out.append(buf, n);
-        std::fclose(fp);
-        return out;
-    };
-    std::string first = slurp(path);
-    // The samples column accumulates on load (merge semantics), so
-    // compare keys and ratios via a fresh no-accumulation reload.
-    HybridIterationModel reader2(dev, llm, 1, llm.numLayers, 1000,
-                                 path2);
-    EXPECT_EQ(reader2.anchorCount(), reader.anchorCount());
-    EXPECT_FALSE(first.empty());
-
-    // A preloaded anchor seeds fast-forward pricing: after the
-    // iteration-0 sample of a *different* composition, the warm
-    // composition fast-forwards on its persisted ratio, landing
-    // within the anchored measured value's neighborhood rather than
-    // raw analytic (ratio 1.0).
-    AnalyticIterationModel analytic(dev, llm, 1, llm.numLayers);
-    HybridIterationModel seeded(dev, llm, 1, llm.numLayers, 1000, path);
-    seeded.iterationCycles(cold); // iteration 0: periodic sample
-    Cycle ff = seeded.iterationCycles(warm); // fast-forward, anchored
-    EXPECT_EQ(seeded.fastForwarded(), 1u);
-    double expected =
-        static_cast<double>(analytic.iterationCycles(warm)) *
-        warm_ratio;
-    EXPECT_NEAR(static_cast<double>(ff), expected, 1.0);
-
-    std::remove(path.c_str());
-    std::remove(path2.c_str());
+    Cycle ff = hybrid.iterationCycles(b);
+    EXPECT_EQ(hybrid.fastForwarded(), 2u);
+    EXPECT_EQ(hybrid.fastForwardCacheHits(), 1u);
+    EXPECT_EQ(hybrid.executorRuns(), 2u);
+    EXPECT_NEAR(static_cast<double>(ff), analytic_b * ratio_a, 1.0);
 }
 
 TEST(HybridModel, SwapOnlyBoundaryLeavesRatioUntouched)

@@ -3,8 +3,8 @@
  * Unit tests of the iteration-latency models' mixed prefill+decode
  * pricing: prefill work always costs cycles, the cost grows with the
  * prompt tokens scheduled, an empty prefill set degenerates to the
- * decode-only price (legacy equivalence at the model layer), and the
- * pipelined-MHA piggyback credit hides part of the NPU prefill work.
+ * decode-only price, and the pipelined-MHA piggyback credit hides
+ * part of the NPU prefill work.
  * The engine-backed model's mixed pricing is tested in
  * test_hybrid_model.cc.
  */

@@ -2,7 +2,10 @@
  * @file
  * Integration tests of the Orca-style iteration-level scheduler:
  * admission under KV pressure, channel assignment policies, sub-batch
- * production and retirement.
+ * production and retirement. Admission enters the prefill phase, so a
+ * request placed at one boundary joins the decode batch only after
+ * its prompt pass (the default 256-token chunk covers every prompt
+ * here in one iteration).
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +40,20 @@ class BatchSchedulerTest : public ::testing::Test
         cfg.minLoadPacking = min_load;
         return cfg;
     }
+
+    /** Run one admission boundary, whose iteration prefills every
+     * admitted prompt, and return the next boundary's schedule: the
+     * admitted requests decode there. */
+    IterationSchedule
+    admitAndPrefill(BatchScheduler &sched)
+    {
+        auto first = sched.scheduleIteration();
+        EXPECT_TRUE(first.batch.empty());
+        EXPECT_EQ(static_cast<int>(first.prefill.size()),
+                  first.admitted);
+        sched.completeIteration(first);
+        return sched.scheduleIteration();
+    }
 };
 
 TEST_F(BatchSchedulerTest, AdmitsUpToMaxBatch)
@@ -47,8 +64,15 @@ TEST_F(BatchSchedulerTest, AdmitsUpToMaxBatch)
     for (int i = 0; i < 32; ++i)
         pool.submit(10, 5);
     auto it = sched.scheduleIteration();
-    EXPECT_EQ(it.batchSize(), 16);
     EXPECT_EQ(it.admitted, 16);
+    EXPECT_EQ(pool.runningCount(), 16u);
+    EXPECT_EQ(pool.waitingCount(), 16u);
+    // All 16 prompts fit one chunk; the next boundary decodes all of
+    // them and admits nobody (the batch is full).
+    sched.completeIteration(it);
+    auto it2 = sched.scheduleIteration();
+    EXPECT_EQ(it2.batchSize(), 16);
+    EXPECT_EQ(it2.admitted, 0);
     EXPECT_EQ(pool.waitingCount(), 16u);
 }
 
@@ -60,7 +84,8 @@ TEST_F(BatchSchedulerTest, EveryAdmittedRequestHasChannelAndKv)
     for (int i = 0; i < 8; ++i)
         pool.submit(10 + i, 5);
     auto it = sched.scheduleIteration();
-    for (const Request *req : it.batch) {
+    ASSERT_EQ(it.admitted, 8);
+    for (const Request *req : pool.runningRequests()) {
         EXPECT_GE(req->channel, 0);
         EXPECT_LT(req->channel, 4);
         EXPECT_EQ(kv.channelOf(req->id), req->channel);
@@ -76,7 +101,8 @@ TEST_F(BatchSchedulerTest, KvPressureStopsAdmission)
     for (int i = 0; i < 16; ++i)
         pool.submit(32, 5); // 2 pages each: one request per channel
     auto it = sched.scheduleIteration();
-    EXPECT_EQ(it.batchSize(), 4);
+    EXPECT_EQ(it.admitted, 4);
+    EXPECT_EQ(pool.runningCount(), 4u);
     EXPECT_EQ(pool.waitingCount(), 12u);
 }
 
@@ -87,7 +113,8 @@ TEST_F(BatchSchedulerTest, SubBatchesCoverBatch)
     BatchScheduler sched(schedConfig(true), pool, kv);
     for (int i = 0; i < 11; ++i)
         pool.submit(10, 5);
-    auto it = sched.scheduleIteration();
+    auto it = admitAndPrefill(sched);
+    ASSERT_EQ(it.batchSize(), 11);
     EXPECT_EQ(it.subBatches.size1() + it.subBatches.size2(),
               it.batchSize());
     EXPECT_LE(std::abs(it.subBatches.size1() - it.subBatches.size2()),
@@ -99,11 +126,13 @@ TEST_F(BatchSchedulerTest, CompleteIterationGrowsKvAndRetires)
     RequestPool pool;
     PagedKvCache kv(kvConfig(1000));
     BatchScheduler sched(schedConfig(true), pool, kv);
-    pool.submit(15, 1); // will retire after one iteration
+    pool.submit(15, 1); // will retire after one decode iteration
     pool.submit(15, 3);
-    auto it = sched.scheduleIteration();
+    auto it = admitAndPrefill(sched);
     ASSERT_EQ(it.batchSize(), 2);
     RequestId retiring = it.batch[0]->id;
+    // The prompt pass reserved no pages beyond the prompt.
+    EXPECT_EQ(kv.tokensOf(retiring), 15);
     int retired = sched.completeIteration(it);
     EXPECT_EQ(retired, 1);
     // Retired request released its pages.
@@ -124,15 +153,18 @@ TEST_F(BatchSchedulerTest, MinLoadBalancesSkewedArrivals)
     for (int i = 0; i < 7; ++i)
         pool.submit(10, 5);
     auto it = sched.scheduleIteration();
-    // The giant's channel should not also host small ones... find it.
+    ASSERT_EQ(it.admitted, 8);
+    // Channels are placed at admission, before any prompt pass. The
+    // giant's channel should not also host small ones... find it.
+    auto running = pool.runningRequests();
     ChannelId giant_ch = -1;
-    for (const Request *r : it.batch) {
+    for (const Request *r : running) {
         if (r->inputLength == 1000)
             giant_ch = r->channel;
     }
     ASSERT_NE(giant_ch, kInvalidId);
     int on_giant = 0;
-    for (const Request *r : it.batch)
+    for (const Request *r : running)
         on_giant += (r->channel == giant_ch);
     EXPECT_EQ(on_giant, 1);
     EXPECT_LT(loadImbalance(it.channelLoads), 4.0);
@@ -146,8 +178,9 @@ TEST_F(BatchSchedulerTest, RoundRobinCyclesChannels)
     for (int i = 0; i < 8; ++i)
         pool.submit(10, 5);
     auto it = sched.scheduleIteration();
+    ASSERT_EQ(it.admitted, 8);
     std::vector<int> counts(4, 0);
-    for (const Request *r : it.batch)
+    for (const Request *r : pool.runningRequests())
         ++counts[r->channel];
     for (int c : counts)
         EXPECT_EQ(c, 2);
@@ -160,7 +193,7 @@ TEST_F(BatchSchedulerTest, SeqLensMatchRequests)
     BatchScheduler sched(schedConfig(true), pool, kv);
     pool.submit(25, 5);
     pool.submit(35, 5);
-    auto it = sched.scheduleIteration();
+    auto it = admitAndPrefill(sched);
     auto lens = it.seqLensPerChannel();
     int total = 0;
     for (const auto &ch : lens)

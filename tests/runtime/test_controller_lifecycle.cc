@@ -59,8 +59,8 @@ TEST(ControllerLifecycle, NoScheduleResidueAcrossCompositions)
     EXPECT_EQ(first.dataBusBytes, third.dataBusBytes);
 }
 
-/** In-flight extra traffic (KV swap, prefill weight streams — the
- * PR 6 failure-window case) is also iteration-scoped: an iteration
+/** In-flight extra traffic (KV swap-out and swap-in streams — the
+ * failure-window case) is also iteration-scoped: an iteration
  * carrying ExtraMemTraffic perturbs nothing about the next plain
  * iteration. */
 TEST(ControllerLifecycle, ExtraTrafficDoesNotLeakIntoNextIteration)
@@ -75,7 +75,7 @@ TEST(ControllerLifecycle, ExtraTrafficDoesNotLeakIntoNextIteration)
 
     core::ExtraMemTraffic extra;
     extra.swapOutBytes = 64_MiB;
-    extra.prefillWeightBytes = 32_MiB;
+    extra.swapInBytes = 32_MiB;
     auto loaded = exec.runIteration(comp, extra, 3, 1);
     EXPECT_GT(loaded.extraTrafficEndCycle, 0u);
 

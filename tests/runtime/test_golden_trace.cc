@@ -9,13 +9,6 @@
  * or the analytic iteration model is caught — intended changes
  * regenerate with NEUPIMS_UPDATE_GOLDEN=1.
  *
- * The legacy-compat case runs the refactored engine with
- * PrefillPolicy::Legacy and serializes in the pre-phase-model column
- * format against a golden pinned *before* the phase-aware refactor:
- * it proves admit-means-decode behavior survived the rewrite
- * bit-for-bit. Do not regenerate it casually — it is the semantic
- * anchor of the legacy mode.
- *
  * Portability note: the traces embed doubles produced through libm
  * transcendentals (lognormal workload sampling, Poisson/Gamma gaps),
  * which can differ by an ulp across libm implementations. The
@@ -59,8 +52,7 @@ PrintTo(const GoldenServingCase &c, std::ostream *os)
 runtime::ServingEngine
 makeEngine(const GoldenServingCase &c,
            std::unique_ptr<runtime::TrafficModel> &traffic,
-           std::unique_ptr<runtime::IterationLatencyModel> &latency,
-           runtime::PrefillPolicy policy)
+           std::unique_ptr<runtime::IterationLatencyModel> &latency)
 {
     auto llm = model::gpt3_13b();
     const auto &backend = core::servingBackendByName(c.backend);
@@ -71,7 +63,6 @@ makeEngine(const GoldenServingCase &c,
         runtime::makeTraffic(c.traffic, ds, c.rate, c.requests, 7);
     latency = core::makeIterationModel(backend.device, llm);
     auto cfg = core::servingConfigFor(backend.device, llm);
-    cfg.scheduler.prefill.policy = policy;
     // Bound the trace length: the goldens pin the first 400
     // iterations plus the summary counters at that point.
     cfg.maxIterations = 400;
@@ -162,40 +153,11 @@ serializeServingRun(const GoldenServingCase &c)
 {
     std::unique_ptr<runtime::TrafficModel> traffic;
     std::unique_ptr<runtime::IterationLatencyModel> latency;
-    auto engine = makeEngine(c, traffic, latency,
-                             runtime::PrefillPolicy::Chunked);
+    auto engine = makeEngine(c, traffic, latency);
     auto report = engine.run();
 
     std::string out = caseHeader(c);
     out += phaseTraceRows(engine);
-    out += summaryLine(report);
-    return out;
-}
-
-/** Pre-phase-model serialization (legacy-compat anchor). */
-std::string
-serializeLegacyRun(const GoldenServingCase &c)
-{
-    std::unique_ptr<runtime::TrafficModel> traffic;
-    std::unique_ptr<runtime::IterationLatencyModel> latency;
-    auto engine = makeEngine(c, traffic, latency,
-                             runtime::PrefillPolicy::Legacy);
-    auto report = engine.run();
-
-    std::string out = caseHeader(c);
-    out += "# iter,start,cycles,batch,admitted,retired,"
-           "waiting,maxload,kvutil\n";
-    char line[256];
-    for (const auto &row : engine.trace()) {
-        std::snprintf(
-            line, sizeof(line), "%d,%llu,%llu,%d,%d,%d,%d,%.6g,%.6f\n",
-            row.iteration,
-            static_cast<unsigned long long>(row.startCycle),
-            static_cast<unsigned long long>(row.iterationCycles),
-            row.batch, row.admitted, row.retired, row.waiting,
-            row.maxChannelLoad, row.kvUtilization);
-        out += line;
-    }
     out += summaryLine(report);
     return out;
 }
@@ -361,7 +323,6 @@ TEST(GoldenServingTrace, ExplicitPreemptOffMatchesExistingGolden)
     traffic = runtime::makeTraffic(c.traffic, ds, c.rate, c.requests, 7);
     latency = core::makeIterationModel(backend.device, llm);
     auto cfg = core::servingConfigFor(backend.device, llm);
-    cfg.scheduler.prefill.policy = runtime::PrefillPolicy::Chunked;
     core::ServingOptions opt;
     opt.preempt = "off";
     opt.victim = "fewest";
@@ -489,20 +450,6 @@ TEST(GoldenServingTrace, PolicyEdfTwoTierMatchesGolden)
     testing::compareOrUpdateGolden(
         "serving_policy_edf_twotier_sbi_poisson_sharegpt.txt",
         serializePolicyRun(kPolicyCase, "edf", "two-tier"));
-}
-
-/**
- * Legacy-mode differential anchor: with PrefillPolicy::Legacy the
- * refactored engine must reproduce the pre-refactor engine's trace
- * byte-for-byte (the golden file was pinned before the phase-aware
- * rewrite and is serialized in the old column format).
- */
-TEST(GoldenServingTrace, LegacyModeMatchesPreRefactorEngine)
-{
-    GoldenServingCase c{
-        "serving_legacy_neupims_sbi_poisson_sharegpt.txt",
-        "NeuPIMs+SBI", "poisson", "ShareGPT", 180.0, 64};
-    testing::compareOrUpdateGolden(c.file, serializeLegacyRun(c));
 }
 
 /**

@@ -82,14 +82,11 @@ TEST(PolicyNames, VictimPolicyRoundTrips)
 TEST(PolicyNames, PrefillPolicyRoundTrips)
 {
     for (auto policy :
-         {PrefillPolicy::Legacy, PrefillPolicy::WholePrompt,
-          PrefillPolicy::Chunked}) {
+         {PrefillPolicy::WholePrompt, PrefillPolicy::Chunked}) {
         EXPECT_EQ(runtime::prefillPolicyByName(
                       runtime::prefillPolicyName(policy)),
                   policy);
     }
-    EXPECT_STREQ(runtime::prefillPolicyName(PrefillPolicy::Legacy),
-                 "legacy");
     EXPECT_STREQ(
         runtime::prefillPolicyName(PrefillPolicy::WholePrompt),
         "whole");
@@ -200,12 +197,14 @@ TEST(PolicyUnits, SloEdfOrdersByDeadlineThenSlack)
     // target: one far behind its next-token deadline outranks one
     // comfortably ahead.
     Request late = makeRequest(3, 0, 0);
-    late.skipPrefill();
+    late.beginPrefill();
+    late.advancePrefill(late.inputLength);
     late.firstTokenCycle = 1000;
     late.generatedTokens = 1;
     late.tptSlo = 10; // next-token deadline long past
     Request early = makeRequest(4, 0, 0);
-    early.skipPrefill();
+    early.beginPrefill();
+    early.advancePrefill(early.inputLength);
     early.firstTokenCycle = 1000;
     early.generatedTokens = 1;
     early.tptSlo = 100'000'000;

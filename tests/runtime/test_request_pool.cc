@@ -11,6 +11,33 @@
 namespace neupims::runtime {
 namespace {
 
+/** Admit the waiting-queue head. @return its id. */
+RequestId
+admitHead(RequestPool &pool)
+{
+    RequestId id = pool.waitingHead();
+    pool.admitId(id);
+    return id;
+}
+
+/** Admit the waiting-queue head and run its whole prompt through
+ * prefill, so it decodes from the next iteration. @return its id. */
+RequestId
+admitDecoding(RequestPool &pool)
+{
+    RequestId id = admitHead(pool);
+    Request &req = pool.request(id);
+    req.advancePrefill(req.inputLength);
+    return id;
+}
+
+/** One decode iteration over the whole running batch. */
+std::vector<RequestId>
+decodeAll(RequestPool &pool)
+{
+    return pool.advanceRequests(pool.runningRequests());
+}
+
 TEST(Request, LifecycleAdvancesThroughPhases)
 {
     Request r;
@@ -35,18 +62,6 @@ TEST(Request, LifecycleAdvancesThroughPhases)
     r.advance();
     EXPECT_TRUE(r.finished());
     EXPECT_EQ(r.status, RequestStatus::Done);
-}
-
-TEST(Request, SkipPrefillIsLegacyAdmitMeansDecode)
-{
-    Request r;
-    r.inputLength = 10;
-    r.outputLength = 1;
-    r.skipPrefill();
-    EXPECT_TRUE(r.decoding());
-    EXPECT_EQ(r.remainingPrefill(), 0);
-    r.advance();
-    EXPECT_TRUE(r.finished());
 }
 
 TEST(RequestDeathTest, DecodeBeforePrefillCompletesPanics)
@@ -82,20 +97,27 @@ TEST(RequestPool, AdmitMovesFifoOrder)
     auto a = pool.submit(1, 1);
     auto b = pool.submit(2, 1);
     pool.submit(3, 1);
-    auto admitted = pool.admit(2);
-    ASSERT_EQ(admitted.size(), 2u);
-    EXPECT_EQ(admitted[0], a);
-    EXPECT_EQ(admitted[1], b);
+    EXPECT_EQ(admitHead(pool), a);
+    EXPECT_EQ(admitHead(pool), b);
     EXPECT_EQ(pool.waitingCount(), 1u);
-    EXPECT_EQ(pool.runningCount(), 2u);
+    ASSERT_EQ(pool.runningCount(), 2u);
+    auto running = pool.runningRequests();
+    EXPECT_EQ(running[0]->id, a);
+    EXPECT_EQ(running[1]->id, b);
+    // Admission enters the prefill phase with the cursor at 0.
+    EXPECT_TRUE(running[0]->prefilling());
+    EXPECT_EQ(running[0]->prefilledTokens, 0);
 }
 
 TEST(RequestPool, AdmitIsBoundedByWaiting)
 {
     RequestPool pool;
-    pool.submit(1, 1);
-    EXPECT_EQ(pool.admit(10).size(), 1u);
-    EXPECT_TRUE(pool.admit(10).empty());
+    auto id = pool.submit(1, 1);
+    pool.admitId(id);
+    EXPECT_EQ(pool.waitingCount(), 0u);
+    EXPECT_TRUE(pool.waitingIds().empty());
+    // Only a waiting request can be admitted.
+    EXPECT_DEATH(pool.admitId(id), "not waiting");
 }
 
 TEST(RequestPool, CompleteIterationRetiresFinished)
@@ -103,8 +125,9 @@ TEST(RequestPool, CompleteIterationRetiresFinished)
     RequestPool pool;
     pool.submit(5, 1); // finishes after one iteration
     pool.submit(5, 3);
-    pool.admit(2);
-    auto retired = pool.completeIteration();
+    admitDecoding(pool);
+    admitDecoding(pool);
+    auto retired = decodeAll(pool);
     ASSERT_EQ(retired.size(), 1u);
     EXPECT_EQ(pool.runningCount(), 1u);
     EXPECT_EQ(pool.completedCount(), 1u);
@@ -116,20 +139,19 @@ TEST(RequestPool, RequeuePutsRequestAtFront)
     RequestPool pool;
     auto a = pool.submit(1, 1);
     pool.submit(2, 1);
-    pool.admit(1);
+    admitHead(pool);
     pool.requeue(a);
     EXPECT_EQ(pool.runningCount(), 0u);
     EXPECT_EQ(pool.waitingCount(), 2u);
     // Next admission re-admits the requeued request first.
-    auto admitted = pool.admit(1);
-    EXPECT_EQ(admitted[0], a);
+    EXPECT_EQ(admitHead(pool), a);
 }
 
 TEST(RequestPool, RunningRequestsExposeMutableState)
 {
     RequestPool pool;
     auto id = pool.submit(10, 5);
-    pool.admit(1);
+    admitHead(pool);
     auto reqs = pool.runningRequests();
     ASSERT_EQ(reqs.size(), 1u);
     reqs[0]->channel = 7;
@@ -143,7 +165,7 @@ TEST(RequestPool, SubmitKeepsEveryRequestAddress)
 {
     RequestPool pool;
     auto id = pool.submit(10, 5);
-    pool.admit(1);
+    admitHead(pool);
     const Request *first = &pool.request(id);
     const Request *running = pool.runningRequests()[0];
     for (int i = 0; i < 300; ++i)
@@ -171,10 +193,11 @@ TEST(RequestPool, ManyIterationsDrainEverything)
     RequestPool pool;
     for (int i = 0; i < 20; ++i)
         pool.submit(1 + i, 1 + i % 5);
-    pool.admit(20);
+    while (pool.waitingCount() > 0)
+        admitDecoding(pool);
     int guard = 0;
     while (pool.runningCount() > 0 && guard++ < 100)
-        pool.completeIteration();
+        decodeAll(pool);
     EXPECT_EQ(pool.completedCount(), 20u);
 }
 
@@ -202,8 +225,9 @@ TEST(RequestPool, ConservationHoldsAcrossEveryTerminalPath)
     EXPECT_TRUE(pool.conservationHolds());
 
     // Run the rest; time one out from the preempted queue mid-way.
-    pool.admit(2);
-    pool.completeIteration(); // retires `done` (1 output token)
+    admitDecoding(pool);
+    admitDecoding(pool);
+    decodeAll(pool); // retires `done` (1 output token)
     EXPECT_TRUE(pool.conservationHolds());
     pool.preempt(preempted, /*recompute=*/true);
     EXPECT_TRUE(pool.conservationHolds());
@@ -231,9 +255,9 @@ TEST(RequestPool, AbandonFromRunningFreezesProgress)
 {
     RequestPool pool;
     auto id = pool.submit(2, 5);
-    pool.admit(1);
-    pool.completeIteration();
-    pool.completeIteration();
+    admitDecoding(pool);
+    decodeAll(pool);
+    decodeAll(pool);
     EXPECT_EQ(pool.request(id).generatedTokens, 2);
     pool.abandon(id, RequestStatus::TimedOut);
     EXPECT_TRUE(pool.conservationHolds());

@@ -118,11 +118,18 @@ TEST(ServingEngine, TraceRowsAreMonotoneAndConsistent)
     for (const auto &row : trace) {
         EXPECT_GE(row.startCycle, prev_end);
         EXPECT_GT(row.iterationCycles, 0u);
-        EXPECT_GT(row.batch, 0);
+        // Every iteration carries work: decode tokens, prefill
+        // slices, or both.
+        EXPECT_GT(row.batch + row.prefilling, 0);
+        EXPECT_EQ(row.prefilling > 0, row.prefillTokens > 0);
         prev_end = row.startCycle + row.iterationCycles;
         total_retired += row.retired;
     }
     EXPECT_EQ(total_retired, 3);
+    // The first iteration admits the first arrival into prefill: no
+    // request can decode before its prompt pass.
+    EXPECT_EQ(trace.front().batch, 0);
+    EXPECT_GT(trace.front().prefilling, 0);
 }
 
 TEST(ServingEngine, FastForwardsAcrossIdleGaps)
@@ -135,8 +142,9 @@ TEST(ServingEngine, FastForwardsAcrossIdleGaps)
     auto report = engine.run();
 
     EXPECT_EQ(report.requestsCompleted, 2);
-    // The engine must jump the clock to the second arrival, not spin.
-    EXPECT_EQ(report.iterations, 2);
+    // The engine must jump the clock to the second arrival, not spin:
+    // each request takes one prefill and one decode iteration.
+    EXPECT_EQ(report.iterations, 4);
     EXPECT_GE(report.makespanCycles, 10'000'000u);
     const Request &second = engine.pool().request(1);
     EXPECT_EQ(second.admitCycle, 10'000'000u);
@@ -254,26 +262,6 @@ TEST(ServingEngine, PrefillDecomposesTtftExactly)
     for (const auto &ev : events)
         prompt_tokens += static_cast<std::uint64_t>(ev.inputLength);
     EXPECT_EQ(report.prefilledTokens, prompt_tokens);
-}
-
-TEST(ServingEngine, LegacyModeCollapsesPrefillSpanToZero)
-{
-    ReplayTraffic traffic(
-        "replay", {arrival(0, 30, 2), arrival(100, 12, 3)});
-    FakeLatencyModel latency;
-    ServingEngine engine(smallConfig(), traffic, latency);
-    auto report = engine.run();
-
-    ASSERT_EQ(report.requestsCompleted, 2);
-    for (RequestId id = 0; id < 2; ++id) {
-        const Request &req = engine.pool().request(id);
-        EXPECT_EQ(req.prefillEndCycle, req.admitCycle);
-        EXPECT_EQ(req.prefillLatency(), 0u);
-        EXPECT_EQ(req.queueingDelay() + req.firstDecodeLatency(),
-                  req.ttft());
-    }
-    EXPECT_EQ(report.prefilledTokens, 0u);
-    EXPECT_EQ(report.prefillUs.maxValue(), 0.0);
 }
 
 TEST(ServingEngine, WholePromptPrefillIsASingleIteration)
