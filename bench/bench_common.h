@@ -6,17 +6,19 @@
  * DESIGN.md §3 for the index.
  *
  * Environment:
- *   NEUPIMS_BENCH_FAST=1  subsample sweeps (development mode)
+ *   NEUPIMS_BENCH_FAST=1  subsample sweeps (development mode; 0 or
+ *                         unset runs them in full)
  *   NEUPIMS_BENCH_SEED=n  workload seed (default 42)
  */
 
 #ifndef NEUPIMS_BENCH_BENCH_COMMON_H_
 #define NEUPIMS_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
+#include "common/parse_flag.h"
 #include "core/batch_builder.h"
 #include "core/device_config.h"
 #include "core/executor.h"
@@ -27,25 +29,39 @@
 
 namespace neupims::bench {
 
+/** The bench environment, read and checked once on first use. */
+struct BenchEnv
+{
+    bool fast = false;       ///< NEUPIMS_BENCH_FAST: 0 or 1
+    std::uint64_t seed = 42; ///< NEUPIMS_BENCH_SEED: unsigned 64-bit
+};
+
+/** Parse both variables on the first call; a malformed value of
+ * either is a fatal() naming it, before any bench work starts. */
+inline const BenchEnv &
+benchEnv()
+{
+    static const BenchEnv env = [] {
+        BenchEnv e;
+        if (const char *v = std::getenv("NEUPIMS_BENCH_FAST"))
+            e.fast = parseFlag<int>("NEUPIMS_BENCH_FAST", v, 0, 1) == 1;
+        if (const char *v = std::getenv("NEUPIMS_BENCH_SEED"))
+            e.seed = parseFlag<std::uint64_t>("NEUPIMS_BENCH_SEED", v, 0);
+        return e;
+    }();
+    return env;
+}
+
 inline bool
 fastMode()
 {
-    const char *v = std::getenv("NEUPIMS_BENCH_FAST");
-    return v && v[0] == '1';
+    return benchEnv().fast;
 }
 
 inline std::uint64_t
 benchSeed()
 {
-    const char *v = std::getenv("NEUPIMS_BENCH_SEED");
-    return v ? static_cast<std::uint64_t>(std::atoll(v)) : 42ULL;
-}
-
-inline runtime::DatasetConfig
-datasetByName(const std::string &name)
-{
-    return name == "Alpaca" ? runtime::alpacaDataset()
-                            : runtime::shareGptDataset();
+    return benchEnv().seed;
 }
 
 /** Warm batch per the paper's §8.1 warm-up methodology. */

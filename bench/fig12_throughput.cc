@@ -34,7 +34,7 @@ main()
     std::vector<double> vs_gpu, vs_npu, vs_pim;
 
     for (const auto &ds_name : {"Alpaca", "ShareGPT"}) {
-        auto ds = bench::datasetByName(ds_name);
+        auto ds = runtime::datasetByName(ds_name);
         for (const auto &llm : models) {
             std::printf("--- %s, %s (TP=%d, PP=%d) ---\n", ds.name.c_str(),
                         llm.name.c_str(), llm.defaultTp, llm.defaultPp);

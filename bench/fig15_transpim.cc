@@ -30,7 +30,7 @@ main()
     std::vector<double> speedups;
 
     for (const auto &ds_name : {"Alpaca", "ShareGPT"}) {
-        auto ds = bench::datasetByName(ds_name);
+        auto ds = runtime::datasetByName(ds_name);
         std::printf("--- %s, %s ---\n", ds.name.c_str(),
                     llm.name.c_str());
         core::TableWriter table(

@@ -110,15 +110,12 @@
  * hybrid model starts from ratio 1.0 and anchors within the run.
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "common/parse_flag.h"
 #include "core/serving_setup.h"
 #include "model/llm_config.h"
 #include "runtime/serving_engine.h"
@@ -130,56 +127,20 @@ namespace {
 
 struct Options
 {
-    int requests = 96;
     double rate = 0.0; ///< 0 = per-dataset default
-    std::uint64_t seed = 42;
     std::string model = "GPT3-13B";
     std::string backend = "all";
     std::string traffic = "all";
     std::string dataset = "all";
-    std::string traceCsv;
-    std::string prefill = "chunked";
-    int chunkTokens = 256;
-    bool piggyback = true;
-    std::string classes = "uniform";
     std::string memSched = "frfcfs";
-    double clientTimeoutMs = 0.0;
-    /** Preemption, policy, capacity, prefix sharing and robustness
-     * knobs (faultSeed follows --seed). */
-    core::ServingOptions serving;
-    /** Session-traffic shape (used by --traffic session only). */
-    double hotFraction = 0.75;
-    int sysTokens = 192;
-    double meanTurns = 3.0;
-    double thinkMs = 150.0;
-    int maxLen = 0; ///< 0 = dataset default
+    /** The run every config starts from (faultSeed follows --seed);
+     * each config sets its traffic kind, dataset and rate. */
+    core::ServingRun run;
     bool calibrate = false;
     bool dumpTrace = false;
     /** Hybrid fidelity: engine-sample every Nth iteration (0 = off). */
     int hybrid = 0;
 };
-
-/**
- * Parse @p text, the value of @p flag, as a T in [@p lo, @p hi]. The
- * whole text must be one number in range; anything else is a fatal()
- * naming the flag.
- */
-template <typename T>
-T
-parseFlag(const std::string &flag, const char *text, T lo,
-          T hi = std::numeric_limits<T>::max())
-{
-    T v{};
-    const char *end = text + std::strlen(text);
-    auto [ptr, ec] = std::from_chars(text, end, v);
-    if (ec == std::errc() && ptr == end && v >= lo && v <= hi)
-        return v;
-    const char *kind = std::is_integral_v<T> ? "an integer" : "a number";
-    if (hi == std::numeric_limits<T>::max())
-        fatal(flag, " expects ", kind, " >= ", lo, ", got '", text, "'");
-    fatal(flag, " expects ", kind, " in [", lo, ", ", hi, "], got '",
-          text, "'");
-}
 
 /**
  * Per-dataset default arrival rate: ~2/3 of full NeuPIMs' sustainable
@@ -188,9 +149,9 @@ parseFlag(const std::string &flag, const char *text, T lo,
  * serving designs differentiate.
  */
 double
-defaultRate(const runtime::DatasetConfig &ds)
+defaultRate(const std::string &dataset)
 {
-    return ds.name == "Alpaca" ? 320.0 : 48.0;
+    return dataset == "Alpaca" ? 320.0 : 48.0;
 }
 
 /** FNV-1a over every completed request's finish cycle (determinism). */
@@ -259,11 +220,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--requests")
-            opt.requests = parseFlag(arg, value(), 1);
+            opt.run.requests = parseFlag(arg, value(), 1);
         else if (arg == "--rate")
             opt.rate = parseFlag(arg, value(), 0.0);
         else if (arg == "--seed")
-            opt.seed = parseFlag<std::uint64_t>(arg, value(), 0);
+            opt.run.seed = parseFlag<std::uint64_t>(arg, value(), 0);
         else if (arg == "--model")
             opt.model = value();
         else if (arg == "--backend")
@@ -273,58 +234,58 @@ main(int argc, char **argv)
         else if (arg == "--dataset")
             opt.dataset = value();
         else if (arg == "--trace")
-            opt.traceCsv = value();
+            opt.run.traceCsv = value();
         else if (arg == "--prefill")
-            opt.prefill = value();
+            opt.run.prefill.policy = runtime::prefillPolicyByName(value());
         else if (arg == "--chunk")
-            opt.chunkTokens = parseFlag(arg, value(), 1);
+            opt.run.prefill.chunkTokens = parseFlag(arg, value(), 1);
         else if (arg == "--no-piggyback")
-            opt.piggyback = false;
+            opt.run.prefill.piggyback = false;
         else if (arg == "--preempt")
-            opt.serving.preempt = value();
+            opt.run.options.preempt = value();
         else if (arg == "--victim")
-            opt.serving.victim = value();
+            opt.run.options.victim = value();
         else if (arg == "--swap-gbps")
-            opt.serving.swapGbps = parseFlag(arg, value(), 0.001);
+            opt.run.options.swapGbps = parseFlag(arg, value(), 0.001);
         else if (arg == "--kv-scale")
-            opt.serving.kvScale = parseFlag(arg, value(), 1);
+            opt.run.options.kvScale = parseFlag(arg, value(), 1);
         else if (arg == "--policy")
-            opt.serving.policy = value();
+            opt.run.options.policy = value();
         else if (arg == "--mem-sched")
             opt.memSched = value();
         else if (arg == "--classes")
-            opt.classes = value();
+            opt.run.classes = value();
         else if (arg == "--slo-ttft-ms")
-            opt.serving.sloTtftMs = parseFlag(arg, value(), 0.0);
+            opt.run.options.sloTtftMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--slo-tpt-ms")
-            opt.serving.sloTptMs = parseFlag(arg, value(), 0.0);
+            opt.run.options.sloTptMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--aging-ms")
-            opt.serving.agingMs = parseFlag(arg, value(), 0.0);
+            opt.run.options.agingMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--fault")
-            opt.serving.fault = value();
+            opt.run.options.fault = value();
         else if (arg == "--client-timeout-ms")
-            opt.clientTimeoutMs = parseFlag(arg, value(), 0.0);
+            opt.run.clientTimeoutMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--retries")
-            opt.serving.retries = parseFlag(arg, value(), 0);
+            opt.run.options.retries = parseFlag(arg, value(), 0);
         else if (arg == "--retry-backoff-ms")
-            opt.serving.retryBackoffMs = parseFlag(arg, value(), 0.0);
+            opt.run.options.retryBackoffMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--shed-watermark")
-            opt.serving.shedWatermark =
+            opt.run.options.shedWatermark =
                 parseFlag(arg, value(), 0.0, 1.0);
         else if (arg == "--shed-wait-ms")
-            opt.serving.shedWaitMs = parseFlag(arg, value(), 0.0);
+            opt.run.options.shedWaitMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--prefix-share")
-            opt.serving.prefixShare = true;
+            opt.run.options.prefixShare = true;
         else if (arg == "--hot-fraction")
-            opt.hotFraction = parseFlag(arg, value(), 0.0, 1.0);
+            opt.run.session.hotFraction = parseFlag(arg, value(), 0.0, 1.0);
         else if (arg == "--sys-tokens")
-            opt.sysTokens = parseFlag(arg, value(), 0);
+            opt.run.session.systemPromptTokens = parseFlag(arg, value(), 0);
         else if (arg == "--turns")
-            opt.meanTurns = parseFlag(arg, value(), 1.0);
+            opt.run.session.meanTurns = parseFlag(arg, value(), 1.0);
         else if (arg == "--think-ms")
-            opt.thinkMs = parseFlag(arg, value(), 0.0);
+            opt.run.session.thinkMs = parseFlag(arg, value(), 0.0);
         else if (arg == "--max-len")
-            opt.maxLen = parseFlag(arg, value(), 0);
+            opt.run.maxLen = parseFlag(arg, value(), 0);
         else if (arg == "--hybrid")
             opt.hybrid = parseFlag(arg, value(), 0);
         else if (arg == "--calibrate")
@@ -337,15 +298,16 @@ main(int argc, char **argv)
         }
     }
 
-    opt.serving.faultSeed = opt.seed;
+    opt.run.options.faultSeed = opt.run.seed;
     auto llm = model::modelByName(opt.model);
 
     // Fault recovery re-dispatches force-evicted requests through the
     // preemption lifecycle; there is no recovery path with it off.
-    if (!opt.serving.fault.empty() && opt.serving.preempt == "off") {
+    core::ServingOptions &serving = opt.run.options;
+    if (!serving.fault.empty() && serving.preempt == "off") {
         std::printf("# --fault requires preemption for recovery; "
                     "upgrading --preempt off -> recompute\n");
-        opt.serving.preempt = "recompute";
+        serving.preempt = "recompute";
     }
 
     std::vector<core::ServingBackend> backends;
@@ -362,35 +324,29 @@ main(int argc, char **argv)
     else
         traffics.push_back(opt.traffic);
 
-    std::vector<runtime::DatasetConfig> datasets;
-    if (opt.dataset == "all" || opt.dataset == "ShareGPT")
-        datasets.push_back(runtime::shareGptDataset());
-    if (opt.dataset == "all" || opt.dataset == "Alpaca")
-        datasets.push_back(runtime::alpacaDataset());
+    std::vector<std::string> datasets;
+    for (const char *name : {"ShareGPT", "Alpaca"}) {
+        if (opt.dataset == "all" || opt.dataset == name)
+            datasets.push_back(name);
+    }
     if (datasets.empty())
         fatal("unknown dataset '", opt.dataset,
               "' (expected ShareGPT|Alpaca|all)");
-    if (opt.maxLen > 0) {
-        for (auto &ds : datasets)
-            ds.maxLength = opt.maxLen;
-    }
 
-    runtime::PrefillPolicy policy = runtime::prefillPolicyByName(opt.prefill);
-    runtime::ClassMix mix = runtime::classMixByName(opt.classes);
     std::printf("NeuPIMs closed-loop serving: %s, %d requests, "
                 "seed %llu, %s iteration model, %s prefill"
                 " (chunk %d%s), %s preemption (victim %s, "
                 "%.0f GB/s%s), %s policy (%s classes), "
                 "%s mem-sched\n\n",
-                llm.name.c_str(), opt.requests,
-                static_cast<unsigned long long>(opt.seed),
+                llm.name.c_str(), opt.run.requests,
+                static_cast<unsigned long long>(opt.run.seed),
                 opt.hybrid > 0 ? "hybrid" : "analytic",
-                opt.prefill.c_str(), opt.chunkTokens,
-                opt.piggyback ? ", piggyback" : "",
-                opt.serving.preempt.c_str(), opt.serving.victim.c_str(),
-                opt.serving.swapGbps,
-                opt.serving.kvScale > 1 ? ", shrunk KV" : "",
-                opt.serving.policy.c_str(), opt.classes.c_str(),
+                runtime::prefillPolicyName(opt.run.prefill.policy),
+                opt.run.prefill.chunkTokens,
+                opt.run.prefill.piggyback ? ", piggyback" : "",
+                serving.preempt.c_str(), serving.victim.c_str(),
+                serving.swapGbps, serving.kvScale > 1 ? ", shrunk KV" : "",
+                serving.policy.c_str(), opt.run.classes.c_str(),
                 opt.memSched.c_str());
     std::printf("%-12s %-8s %-9s %5s %9s %9s %6s | %8s %8s %8s | "
                 "%8s %8s %8s | %8s %8s | %6s | %4s %4s %7s | %s\n",
@@ -418,46 +374,24 @@ main(int argc, char **argv)
             latency = std::move(analytic);
         }
         for (const auto &ds : datasets) {
-            double rate = opt.rate > 0 ? opt.rate : defaultRate(ds);
+            core::ServingRun run = opt.run;
+            run.dataset = ds;
+            run.rate = opt.rate > 0 ? opt.rate : defaultRate(ds);
             for (const auto &kind : traffics) {
-                std::unique_ptr<runtime::TrafficModel> traffic;
-                if (kind == "replay" && !opt.traceCsv.empty()) {
-                    traffic = runtime::ReplayTraffic::fromCsvFile(
-                        opt.traceCsv);
-                } else if (kind == "session") {
-                    runtime::SessionTrafficConfig scfg;
-                    scfg.hotFraction = opt.hotFraction;
-                    scfg.systemPromptTokens = opt.sysTokens;
-                    scfg.meanTurns = opt.meanTurns;
-                    scfg.thinkMs = opt.thinkMs;
-                    traffic = runtime::makeSessionTraffic(
-                        ds, rate, opt.requests, opt.seed, scfg);
-                } else {
-                    traffic = runtime::makeTraffic(kind, ds, rate,
-                                                   opt.requests,
-                                                   opt.seed);
-                }
-                traffic->setClassMix(mix, opt.seed);
-                if (opt.clientTimeoutMs > 0)
-                    traffic->setClientTimeout(static_cast<Cycle>(
-                        opt.clientTimeoutMs * 1e6));
-
-                auto cfg = core::servingConfigFor(backend.device, llm);
-                cfg.scheduler.prefill.policy = policy;
-                cfg.scheduler.prefill.chunkTokens = opt.chunkTokens;
-                cfg.scheduler.prefill.piggyback = opt.piggyback;
-                core::applyServingOptions(cfg, opt.serving);
-                runtime::ServingEngine engine(cfg, *traffic, *latency);
+                run.traffic = kind;
+                auto setup = core::setupServingRun(backend.device, llm, run);
+                runtime::ServingEngine engine(setup.config, *setup.traffic,
+                                              *latency);
                 auto report = engine.run();
                 report.backend = backend.name;
-                report.dataset = ds.name;
+                report.dataset = ds;
 
                 std::printf(
                     "%-12s %-8s %-9s %5d %9.1f %9.0f %6.1f | %8.1f "
                     "%8.1f %8.1f | %8.1f %8.1f %8.1f | %8.0f %8.0f | "
                     "%6.2f | %4llu %4d %7.1f | %016llx\n",
                     backend.name.c_str(), report.traffic.c_str(),
-                    ds.name.c_str(), report.requestsCompleted,
+                    ds.c_str(), report.requestsCompleted,
                     cyclesToMicros(report.makespanCycles) / 1e3,
                     report.tokensPerSecond(), report.meanBatchSize,
                     report.ttftUs.p50() / 1e3,
@@ -480,7 +414,7 @@ main(int argc, char **argv)
 
                 // Prefix-sharing summary whenever the feature is on:
                 // how much prefill the radix index collapsed.
-                if (opt.serving.prefixShare) {
+                if (serving.prefixShare) {
                     std::printf(
                         "    prefix: hit %.1f%% (%llu/%llu) | "
                         "tok-dedup %llu pages-dedup %llu | cow %llu "

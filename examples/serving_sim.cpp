@@ -8,14 +8,17 @@
  * latency estimates.
  *
  *   ./examples/serving_sim [iterations] [arrival_per_iter]
+ *
+ * iterations (default 40) must be an integer >= 1 and
+ * arrival_per_iter (default 12) one >= 0; anything else stops the run
+ * with an error naming the argument.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
-#include "core/batch_builder.h"
-#include "core/device_config.h"
+#include "common/parse_flag.h"
+#include "core/serving_setup.h"
 #include "model/llm_config.h"
 #include "runtime/batch_scheduler.h"
 #include "runtime/workload.h"
@@ -25,29 +28,19 @@ using namespace neupims;
 int
 main(int argc, char **argv)
 {
-    int iterations = argc > 1 ? std::atoi(argv[1]) : 40;
-    int arrivals = argc > 2 ? std::atoi(argv[2]) : 12;
+    int iterations = argc > 1 ? parseFlag("iterations", argv[1], 1) : 40;
+    int arrivals =
+        argc > 2 ? parseFlag("arrival_per_iter", argv[2], 0) : 12;
 
     auto llm = model::gpt3_13b();
     auto dev = core::DeviceConfig::neuPims();
-    const int tp = llm.defaultTp;
-
+    // KV pages and Orca-style admission as in every serving run; the
+    // default prefill config prefills admitted prompts in 256-token
+    // chunks piggybacked onto decode iterations.
+    auto cfg = core::servingConfigFor(dev, llm);
     runtime::RequestPool pool;
-    runtime::KvCacheConfig kv_cfg;
-    kv_cfg.channels = dev.org.channels;
-    kv_cfg.bytesPerChannel = dev.org.channelCapacity * 3 / 4;
-    kv_cfg.bytesPerTokenPerLayer = llm.kvBytesPerTokenPerLayer(tp);
-    kv_cfg.layers = llm.layersPerDevice(llm.defaultPp);
-    runtime::PagedKvCache kv(kv_cfg);
-
-    runtime::SchedulerConfig sched_cfg;
-    sched_cfg.channels = dev.org.channels;
-    sched_cfg.maxBatch = 256;
-    sched_cfg.minLoadPacking = dev.flags.minLoadPacking;
-    sched_cfg.estimator = core::latencyParamsFor(dev, llm, tp);
-    // The default prefill config: admitted prompts prefill in 256-token
-    // chunks piggybacked onto decode iterations before generating.
-    runtime::BatchScheduler scheduler(sched_cfg, pool, kv);
+    runtime::PagedKvCache kv(cfg.kv);
+    runtime::BatchScheduler scheduler(cfg.scheduler, pool, kv);
 
     runtime::WorkloadGenerator gen(runtime::shareGptDataset(), 7);
 
@@ -58,8 +51,6 @@ main(int argc, char **argv)
                 "wait", "decode", "prefill", "admit", "retire",
                 "KV util", "est MHA (us)", "imbalance");
 
-    runtime::MhaLatencyEstimator est(sched_cfg.estimator);
-    (void)est;
     std::uint64_t served_tokens = 0;
     for (int it = 0; it < iterations; ++it) {
         for (int a = 0; a < arrivals; ++a) {

@@ -1,11 +1,8 @@
 /**
  * @file
- * Lightweight statistics package (gem5 Stats-inspired).
- *
- * Components register named scalars, averages and histograms with a
- * StatSet; benches and tests read them back by name. Busy-interval
- * tracking (UtilizationTracker) underlies every utilization number the
- * paper reports (Table 4, Figure 6).
+ * Lightweight statistics: accumulating scalars, and busy-interval
+ * tracking (UtilizationTracker), which underlies every utilization
+ * number the paper reports (Table 4, Figure 6).
  */
 
 #ifndef NEUPIMS_COMMON_STATS_H_
@@ -13,8 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -34,51 +30,6 @@ class Scalar
 
   private:
     double value_ = 0.0;
-    std::uint64_t samples_ = 0;
-};
-
-/** Distribution statistic: min/max/mean/stddev over samples. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        sumSq_ += v * v;
-        min_ = samples_ ? std::min(min_, v) : v;
-        max_ = samples_ ? std::max(max_, v) : v;
-        ++samples_;
-    }
-
-    std::uint64_t count() const { return samples_; }
-    double sum() const { return sum_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-    double minValue() const { return samples_ ? min_ : 0.0; }
-    double maxValue() const { return samples_ ? max_ : 0.0; }
-
-    double
-    variance() const
-    {
-        if (samples_ < 2)
-            return 0.0;
-        double m = mean();
-        return std::max(0.0, sumSq_ / samples_ - m * m);
-    }
-
-    void
-    reset()
-    {
-        sum_ = sumSq_ = 0.0;
-        min_ = max_ = 0.0;
-        samples_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
     std::uint64_t samples_ = 0;
 };
 
@@ -176,47 +127,6 @@ class UtilizationTracker
 
     std::vector<std::pair<Cycle, Cycle>> intervals_;
     bool merged_ = true;
-};
-
-/** Name → scalar/distribution registry for one component tree. */
-class StatSet
-{
-  public:
-    Scalar &scalar(const std::string &name) { return scalars_[name]; }
-    Distribution &dist(const std::string &name) { return dists_[name]; }
-
-    bool
-    hasScalar(const std::string &name) const
-    {
-        return scalars_.count(name) > 0;
-    }
-
-    double
-    value(const std::string &name) const
-    {
-        auto it = scalars_.find(name);
-        NEUPIMS_ASSERT(it != scalars_.end(), "unknown stat ", name);
-        return it->second.value();
-    }
-
-    const std::map<std::string, Scalar> &scalars() const { return scalars_; }
-    const std::map<std::string, Distribution> &dists() const
-    {
-        return dists_;
-    }
-
-    void
-    reset()
-    {
-        for (auto &[k, v] : scalars_)
-            v.reset();
-        for (auto &[k, v] : dists_)
-            v.reset();
-    }
-
-  private:
-    std::map<std::string, Scalar> scalars_;
-    std::map<std::string, Distribution> dists_;
 };
 
 } // namespace neupims

@@ -811,7 +811,6 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
     res.commands = hbm_->totalCommandCounts();
     res.phases = sim.phases_;
     res.memSched = hbm_->totalMemSchedStats();
-    res.rowHitRate = res.memSched.rowHitRate();
     res.memBankUtil = hbm_->memBankUtilization(warm_end, end);
     res.extraTrafficEndCycle = sim.extraEnd_;
     return res;

@@ -98,9 +98,10 @@ struct IterationResult
     dram::CommandCounts commands;
     PhaseBreakdown phases; ///< serial modes only (phases overlap in SBI)
 
-    /** Summed controller scheduling stats (dram/mem_sched.h). */
+    /** Summed controller scheduling stats (dram/mem_sched.h);
+     * rowHitRate() is the share of MEM jobs that found their row
+     * open. */
     dram::MemSchedStats memSched;
-    double rowHitRate = 0.0;  ///< MEM jobs that found their row open
     double memBankUtil = 0.0; ///< mean per-bank MEM data service
     /** Completion cycle of injected ExtraMemTraffic (0 if none). */
     Cycle extraTrafficEndCycle = 0;

@@ -231,17 +231,6 @@ calibratedSbiHideFraction(const DeviceConfig &cfg,
     return lo * (1.0 - tx) + hi * tx;
 }
 
-double
-calibratedSbiHideFraction(const DeviceConfig &cfg)
-{
-    const double(*surface)[3] = sbiHideSurface(cfg.memSched.kind);
-    double sum = 0.0;
-    for (int i = 0; i < 4; ++i)
-        for (int j = 0; j < 3; ++j)
-            sum += surface[i][j];
-    return sum / 12.0;
-}
-
 AnalyticIterationModel::AnalyticIterationModel(
     const DeviceConfig &cfg, const model::LlmConfig &model, int tp,
     int layers_per_device)
@@ -640,7 +629,7 @@ AnalyticIterationModel::calibrate(int batch, int seq_len,
     // MemSchedSummary.
     memSchedSummary_ = summarizeMemSched(
         dram::memSchedKindName(cfg_.memSched.kind), measured.memSched,
-        measured.rowHitRate, measured.memBankUtil);
+        measured.memSched.rowHitRate(), measured.memBankUtil);
 
     scale_ = 1.0;
     Cycle analytic = iterationCyclesFor(comp);

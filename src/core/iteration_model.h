@@ -191,10 +191,6 @@ double calibratedSbiHideFraction(const DeviceConfig &cfg,
                                  double per_channel_sub_batch,
                                  double kv_len);
 
-/** Grid-mean calibrated hide fraction of @p cfg's policy (reporting
- * and coarse comparisons; the model itself uses the surface). */
-double calibratedSbiHideFraction(const DeviceConfig &cfg);
-
 /**
  * The engine-backed iteration model (hybrid fidelity): runs the
  * cycle-accurate event engine on sampled iteration windows — every

@@ -87,6 +87,34 @@ applyServingOptions(runtime::ServingConfig &cfg,
         static_cast<Cycle>(opt.shedWaitMs * 1e6);
 }
 
+ServingSetup
+setupServingRun(const DeviceConfig &dev, const model::LlmConfig &llm,
+                const ServingRun &run)
+{
+    runtime::DatasetConfig ds = runtime::datasetByName(run.dataset);
+    if (run.maxLen > 0)
+        ds.maxLength = run.maxLen;
+    ServingSetup setup;
+    if (run.traffic == "replay" && !run.traceCsv.empty())
+        setup.traffic = runtime::ReplayTraffic::fromCsvFile(run.traceCsv);
+    else if (run.traffic == "session")
+        setup.traffic = runtime::makeSessionTraffic(
+            ds, run.rate, run.requests, run.seed, run.session);
+    else
+        setup.traffic = runtime::makeTraffic(run.traffic, ds, run.rate,
+                                             run.requests, run.seed);
+    setup.traffic->setClassMix(runtime::classMixByName(run.classes),
+                               run.seed);
+    if (run.clientTimeoutMs > 0)
+        setup.traffic->setClientTimeout(
+            static_cast<Cycle>(run.clientTimeoutMs * 1e6));
+
+    setup.config = servingConfigFor(dev, llm);
+    setup.config.scheduler.prefill = run.prefill;
+    applyServingOptions(setup.config, run.options);
+    return setup;
+}
+
 void
 scaleKvCapacity(runtime::ServingConfig &cfg, int denominator)
 {

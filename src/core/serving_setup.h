@@ -3,7 +3,8 @@
  * Shared wiring for serving-engine drivers (examples/serve_trace,
  * bench/fig_serving_latency, tests): the four standard serving
  * backends, scheduler/KV configuration derived from a device+model
- * pair, and iteration-latency model construction.
+ * pair, iteration-latency model construction, and the one assembly
+ * path from a ServingRun to its traffic model and ServingConfig.
  */
 
 #ifndef NEUPIMS_CORE_SERVING_SETUP_H_
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/iteration_model.h"
+#include "runtime/traffic.h"
 
 namespace neupims::core {
 
@@ -132,6 +134,58 @@ struct ServingOptions
  * this wiring; fatal() on unknown names). */
 void applyServingOptions(runtime::ServingConfig &cfg,
                          const ServingOptions &opt);
+
+/**
+ * One serving run beyond the backend/model pair: the traffic that
+ * drives it and the scheduler configuration it runs under.
+ * serve_trace's flags and each fig_serving_latency spec fill one in;
+ * setupServingRun assembles it.
+ */
+struct ServingRun
+{
+    // --- traffic (runtime/traffic.h) ----------------------------
+    /** "poisson" | "bursty" | "replay" | "session". */
+    std::string traffic = "poisson";
+    /** "ShareGPT" | "Alpaca" (runtime::datasetByName). */
+    std::string dataset = "ShareGPT";
+    /** Cap on a request's prompt + output tokens (0 = the
+     * dataset's own). */
+    int maxLen = 0;
+    double rate = 0.0; ///< offered load (requests/s)
+    int requests = 96;
+    /** Seeds the arrival stream and the class draws. */
+    std::uint64_t seed = 42;
+    /** Priority-class mix: "uniform" | "two-tier" | "three-tier". */
+    std::string classes = "uniform";
+    /** Client deadline after arrival (ms; 0 = patient clients). */
+    double clientTimeoutMs = 0.0;
+    /** Conversation shape of "session" traffic. */
+    runtime::SessionTrafficConfig session;
+    /** "replay" this CSV (arrival_us,input,output rows) in place of
+     * the synthetic fixed-rate trace (empty = synthetic). */
+    std::string traceCsv;
+
+    // --- configuration ------------------------------------------
+    runtime::PrefillConfig prefill;
+    ServingOptions options;
+};
+
+/** A run's assembled inputs; a ServingEngine borrows both. */
+struct ServingSetup
+{
+    std::unique_ptr<runtime::TrafficModel> traffic;
+    runtime::ServingConfig config;
+};
+
+/**
+ * Assemble @p run for serving @p llm on @p dev: its traffic model
+ * (dataset length cap, class mix, client timeout, session shape or
+ * CSV replay) and servingConfigFor + run.prefill +
+ * applyServingOptions. fatal() on unknown names.
+ */
+ServingSetup setupServingRun(const DeviceConfig &dev,
+                             const model::LlmConfig &llm,
+                             const ServingRun &run);
 
 /**
  * Shrink the device KV capacity by an integer factor — the standard

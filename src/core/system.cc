@@ -63,7 +63,6 @@ MultiDeviceSystem::run(
         }
     }
 
-    Cycle per_layer_total = dev.perLayerCycles + comm;
     Cycle iteration =
         dev.iterationCycles +
         comm * static_cast<Cycle>(model_.layersPerDevice(par_.pp));
@@ -76,7 +75,6 @@ MultiDeviceSystem::run(
     // Steady-state pipeline: the system emits one micro-batch's
     // tokens per stage time; with pp micro-batches in flight, the
     // full batch advances one token every stage iteration.
-    (void)per_layer_total;
     res.tokensPerSec = static_cast<double>(micro) /
                        cyclesToSeconds(iteration);
     return res;

@@ -31,6 +31,16 @@ alpacaDataset()
     return cfg;
 }
 
+DatasetConfig
+datasetByName(const std::string &name)
+{
+    if (name == "ShareGPT")
+        return shareGptDataset();
+    if (name == "Alpaca")
+        return alpacaDataset();
+    fatal("unknown dataset '", name, "' (expected ShareGPT|Alpaca)");
+}
+
 WorkloadGenerator::WorkloadGenerator(const DatasetConfig &cfg,
                                      std::uint64_t seed)
     : cfg_(cfg), rng_(seed)

@@ -40,6 +40,8 @@ struct DatasetConfig
 
 DatasetConfig shareGptDataset();
 DatasetConfig alpacaDataset();
+/** "ShareGPT" or "Alpaca"; fatal() on other names. */
+DatasetConfig datasetByName(const std::string &name);
 
 class WorkloadGenerator
 {

@@ -21,26 +21,6 @@ TEST(Scalar, AccumulatesAndCounts)
     EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
-TEST(Distribution, TracksMoments)
-{
-    Distribution d;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.minValue(), 1.0);
-    EXPECT_DOUBLE_EQ(d.maxValue(), 4.0);
-    EXPECT_NEAR(d.variance(), 1.25, 1e-12);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-}
-
 TEST(UtilizationTracker, DisjointIntervalsSum)
 {
     UtilizationTracker u;
@@ -82,25 +62,6 @@ TEST(UtilizationTracker, InterleavedAddAndQuery)
     EXPECT_EQ(u.busyCycles(), 5u);
     u.addBusy(3, 8); // merge after a query has sorted
     EXPECT_EQ(u.busyCycles(), 8u);
-}
-
-TEST(StatSet, RegistersAndLooksUp)
-{
-    StatSet set;
-    set.scalar("bytes").add(64.0);
-    set.scalar("bytes").add(64.0);
-    EXPECT_TRUE(set.hasScalar("bytes"));
-    EXPECT_DOUBLE_EQ(set.value("bytes"), 128.0);
-    set.dist("delay").sample(5.0);
-    EXPECT_EQ(set.dists().at("delay").count(), 1u);
-    set.reset();
-    EXPECT_DOUBLE_EQ(set.value("bytes"), 0.0);
-}
-
-TEST(StatSetDeathTest, UnknownStatPanics)
-{
-    StatSet set;
-    EXPECT_DEATH((void)set.value("nope"), "unknown stat");
 }
 
 } // namespace

@@ -98,5 +98,15 @@ TEST(Workload, ShareGptLongerThanAlpaca)
     EXPECT_GT(sg_sum, al_sum * 3);
 }
 
+// Dataset names come from flags and spec tables: an unknown one is a
+// fatal() naming it, never a silent fallback to ShareGPT.
+TEST(Workload, DatasetByNameIsStrict)
+{
+    EXPECT_EQ(datasetByName("ShareGPT").name, "ShareGPT");
+    EXPECT_EQ(datasetByName("Alpaca").name, "Alpaca");
+    EXPECT_EXIT(datasetByName("sharegpt"), ::testing::ExitedWithCode(1),
+                "unknown dataset 'sharegpt'");
+}
+
 } // namespace
 } // namespace neupims::runtime
