@@ -158,14 +158,16 @@ BENCHMARK(BM_MemStream)->Arg(1024)->Arg(16384);
  * The device path BM_MemStream misses: an HbmStack of 32 unfolded
  * channels fed by the DMA engine, so MEM-only stretches run as epochs
  * with burst trains (DESIGN.md §3.4). One all-channel read stream of
- * 16-burst (weight) or 2-burst (strided GEMV) rows; reports host time
- * per DRAM command.
+ * 16-burst (weight) or 2-burst (strided GEMV) rows, one stream
+ * descriptor per channel (DESIGN.md §3.5); reports host time per DRAM
+ * command and per row job.
  */
 void
 BM_DeviceStream(benchmark::State &state)
 {
     const int bursts = static_cast<int>(state.range(0));
     double commands = 0.0;
+    double rows = 0.0;
     for (auto _ : state) {
         EventQueue eq;
         MemConfig cfg;
@@ -175,10 +177,14 @@ BM_DeviceStream(benchmark::State &state)
         eq.run();
         for (std::uint64_t n : hbm.totalCommandCounts().counts)
             commands += static_cast<double>(n);
+        for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch)
+            rows += static_cast<double>(hbm.controller(ch).completedMemJobs());
     }
-    // Seconds per command: printed with an SI prefix (e.g. "53ns").
-    state.counters["time_per_dram_cmd"] = benchmark::Counter(
-        commands, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    // Seconds per command and per row: printed with an SI prefix
+    // (e.g. "53ns").
+    const auto per = benchmark::Counter::kIsRate | benchmark::Counter::kInvert;
+    state.counters["time_per_dram_cmd"] = benchmark::Counter(commands, per);
+    state.counters["time_per_row"] = benchmark::Counter(rows, per);
 }
 BENCHMARK(BM_DeviceStream)->Arg(16)->Arg(2)->ArgNames({"bursts"});
 

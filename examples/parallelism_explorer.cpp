@@ -7,13 +7,16 @@
  * fall back to PP only when the model no longer fits" guidance.
  *
  *   ./examples/parallelism_explorer [model] [requests]
- *     model: GPT3-7B | GPT3-13B | GPT3-30B | GPT3-175B
+ *     model:    GPT3-7B | GPT3-13B | GPT3-30B | GPT3-175B
+ *     requests: an integer >= 1 (default 256)
+ *
+ * Any other value stops the run with an error naming the argument.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse_flag.h"
 #include "core/metrics.h"
 #include "core/system.h"
 #include "runtime/workload.h"
@@ -24,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     std::string model_name = argc > 1 ? argv[1] : "GPT3-13B";
-    int requests = argc > 2 ? std::atoi(argv[2]) : 256;
+    int requests = argc > 2 ? parseFlag("requests", argv[2], 1) : 256;
 
     auto llm = model::modelByName(model_name);
     auto dev = core::DeviceConfig::neuPims();

@@ -7,12 +7,16 @@
  * traffic (the dual-row-buffer headline feature).
  *
  *   ./examples/pim_gemv_microbench [seq_len]
+ *
+ * seq_len (default 512) must be an integer in [1, 16384]; anything else
+ * stops the run with an error naming the argument.
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/event_queue.h"
+#include "common/parse_flag.h"
 #include "common/rng.h"
 #include "dram/controller.h"
 #include "dram/pim_functional.h"
@@ -48,17 +52,14 @@ runKernel(int row_tiles, bool dual, bool composite, bool with_mem)
     mc.enqueuePim(std::move(job));
 
     if (with_mem) {
-        // A concurrent weight stream, as the NPU would generate.
-        for (int i = 0; i < 512; ++i) {
-            MemJob m;
-            m.bank = i % org.banksPerChannel;
-            m.row = 100 + i / org.banksPerChannel;
-            m.bursts = org.burstsPerRow();
-            m.onComplete = [&](Cycle c) {
-                r.memDone = std::max(r.memDone, c);
-            };
-            mc.enqueueMem(std::move(m));
-        }
+        // A concurrent weight stream of 512 rows, as the NPU would
+        // generate.
+        MemJob m;
+        m.row = 100;
+        m.rows = 512;
+        m.bursts = org.burstsPerRow();
+        m.onComplete = [&](Cycle c) { r.memDone = c; };
+        mc.enqueueMem(std::move(m));
     }
     eq.run();
     return r;
@@ -69,7 +70,7 @@ runKernel(int row_tiles, bool dual, bool composite, bool with_mem)
 int
 main(int argc, char **argv)
 {
-    int seq_len = argc > 1 ? std::atoi(argv[1]) : 512;
+    int seq_len = argc > 1 ? parseFlag("seq_len", argv[1], 1, 16384) : 512;
 
     // --- functional check: in-bank GEMV matches a reference ---------
     std::printf("== functional: bank-interleaved GEMV vs reference ==\n");

@@ -5,14 +5,15 @@
  * NPU+PIM, NeuPIMs) and print throughput and resource utilization.
  *
  *   ./examples/quickstart [batch] [dataset]
- *     batch:   requests in the warm batch (default 256)
- *     dataset: sharegpt | alpaca (default sharegpt)
+ *     batch:   requests in the warm batch, an integer >= 1 (default 256)
+ *     dataset: ShareGPT | Alpaca (default ShareGPT)
+ *
+ * Any other value stops the run with an error naming the argument.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
+#include "common/parse_flag.h"
 #include "core/batch_builder.h"
 #include "core/device_config.h"
 #include "core/executor.h"
@@ -26,15 +27,13 @@ using namespace neupims;
 int
 main(int argc, char **argv)
 {
-    int batch = argc > 1 ? std::atoi(argv[1]) : 256;
-    std::string dataset = argc > 2 ? argv[2] : "sharegpt";
+    int batch = argc > 1 ? parseFlag("batch", argv[1], 1) : 256;
+    auto ds = runtime::datasetByName(argc > 2 ? argv[2] : "ShareGPT");
 
     auto llm = model::gpt3_30b();
     const int tp = llm.defaultTp;
     const int pp = llm.defaultPp;
 
-    auto ds = dataset == "alpaca" ? runtime::alpacaDataset()
-                                  : runtime::shareGptDataset();
     runtime::WorkloadGenerator gen(ds, /*seed=*/42);
     auto samples = gen.warmBatch(batch);
 

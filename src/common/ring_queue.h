@@ -4,7 +4,7 @@
  *
  * std::deque allocates its map and first chunk lazily and cannot
  * reserve, so queue-heavy components (the per-channel memory
- * controllers enqueue millions of row jobs per simulated iteration)
+ * controllers' stream and PIM kernel queues, refilled every layer)
  * pay repeated growth on the hot path. RingQueue keeps elements in a
  * single contiguous vector with a head cursor; pop_front is O(1) and
  * the dead prefix is recycled wholesale when the queue drains (or

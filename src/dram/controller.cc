@@ -33,11 +33,9 @@ MemoryController::MemoryController(EventQueue &eq,
     NEUPIMS_ASSERT(channel_.numBanks() <= 64,
                    "bank occupancy mask holds at most 64 banks");
     memInFlight_.reserve(cfg_.memIssueWindow);
-    // Reserve the transaction queues up front: the DMA engine enqueues
-    // a whole tensor stream's row jobs at once, and growth inside
-    // enqueueMem was a measurable cost (the upstream NewtonSim
-    // controller notes the same under-reservation).
-    memQueue_.reserve(4096);
+    // Reserve the transaction queues up front (the upstream NewtonSim
+    // controller notes the cost of under-reservation).
+    memQueue_.reserve(64);
     pimQueue_.reserve(256);
     // Same for the completion buffer: one process() call can complete
     // several jobs.
@@ -52,7 +50,22 @@ MemoryController::enqueueMem(MemJob job)
     NEUPIMS_ASSERT(job.bank >= 0 && job.bank < channel_.numBanks());
     NEUPIMS_ASSERT(job.bursts >= 1 &&
                    job.bursts <= channel_.organization().burstsPerRow());
-    memQueue_.push_back(std::move(job));
+    NEUPIMS_ASSERT(job.rows >= 1 && job.tailBursts >= 0 &&
+                   job.tailBursts <= job.bursts);
+    MemStream s{job.bank, job.row, job.rows, job.bursts,
+                job.tailBursts ? job.tailBursts : job.bursts, job.write,
+                -1};
+    if (job.onComplete) {
+        if (freeDone_.empty()) {
+            freeDone_.push_back(static_cast<int>(streamDone_.size()));
+            streamDone_.emplace_back();
+        }
+        s.done = freeDone_.back();
+        freeDone_.pop_back();
+        streamDone_[s.done] = {std::move(job.onComplete), job.rows, 0};
+    }
+    queuedRows_ += static_cast<std::size_t>(job.rows);
+    memQueue_.push_back(s);
     kick();
 }
 
@@ -82,7 +95,7 @@ MemoryController::idle() const
 std::size_t
 MemoryController::pendingMemJobs() const
 {
-    return memQueue_.size() + memInFlight_.size();
+    return queuedRows_ + memInFlight_.size();
 }
 
 std::size_t
@@ -190,22 +203,29 @@ MemoryController::refillMemWindow()
     // regular memory traffic while a PIM kernel is queued or running.
     if (cfg_.blockedMode && (pim_ || !pimQueue_.empty()))
         return;
+    // Expand the front stream's rows in order (DESIGN.md §3.5).
     while (static_cast<int>(memInFlight_.size()) < cfg_.memIssueWindow &&
            !memQueue_.empty()) {
         // Keep at most one in-flight job per bank so an incoming job
         // cannot precharge a row a sibling is still bursting on.
-        BankId bank = memQueue_.front().bank;
-        if (banksBusyMask_ & (1ULL << bank))
+        MemStream &s = memQueue_.front();
+        if (banksBusyMask_ & (1ULL << s.bank))
             break;
         MemExec exec;
-        exec.job = std::move(memQueue_.front());
-        memQueue_.pop_front();
+        exec.job = s;
+        exec.job.bursts = s.rows == 1 ? s.tailBursts : s.bursts;
         exec.enqueued = now_;
-        exec.seq = memSeq_++;
-        banksBusyMask_ |= 1ULL << bank;
-        staleBanks_ |= 1ULL << bank;
+        recomputeNext(exec);
+        banksBusyMask_ |= 1ULL << s.bank;
         memScanValid_ = false;
-        memInFlight_.push_back(std::move(exec));
+        memInFlight_.push_back(exec);
+        --queuedRows_;
+        if (--s.rows == 0) {
+            memQueue_.pop_front();
+        } else if (++s.bank == channel_.numBanks()) {
+            s.bank = 0;
+            ++s.row;
+        }
     }
 }
 
@@ -249,7 +269,9 @@ MemoryController::recomputeNext(MemExec &m) const
         m.next = MemExec::Next::Activate;
         ready = bank.earliestActivate(BufferSide::Mem);
     }
-    m.ready = std::max(ready, m.enqueued);
+    m.bankReady = m.ready = std::max(ready, m.enqueued);
+    if (m.next == MemExec::Next::Activate)
+        m.ready = channel_.actWindowConstraint(m.job.bank, m.ready);
 }
 
 Cycle
@@ -271,27 +293,33 @@ MemoryController::candidateMem(int &which)
 void
 MemoryController::scanMem()
 {
-    // Channel-wide terms once per scan; bank-local readiness is cached
-    // per job and recomputed only for banks touched since the last scan.
+    // A job's bankReady moves only when its bank is touched, and its
+    // ACT window only when an ACT issues (DESIGN.md §3.5).
+    if (staleBanks_ != 0 || actIssued_) {
+        for (MemExec &m : memInFlight_) {
+            if (staleBanks_ & (1ULL << m.job.bank))
+                recomputeNext(m);
+            else if (actIssued_ && m.next == MemExec::Next::Activate)
+                m.ready =
+                    channel_.actWindowConstraint(m.job.bank, m.bankReady);
+        }
+        staleBanks_ = 0;
+        actIssued_ = false;
+    }
+    // Each candidate is max(ready, C/A bus). The window is in admission
+    // order, so the first minimum breaks cycle ties oldest-first.
     const Cycle ca = channel_.earliestCa(now_);
-    std::uint64_t best_seq = 0;
+    Cycle best = kCycleMax;
+    int idx = -1;
     for (int i = 0; i < static_cast<int>(memInFlight_.size()); ++i) {
-        auto &m = memInFlight_[i];
-        if (staleBanks_ & (1ULL << m.job.bank))
-            recomputeNext(m);
-        Cycle c = std::max(m.ready, ca);
-        if (m.next == MemExec::Next::Activate)
-            c = channel_.actWindowConstraint(m.job.bank, c);
-        // Tie-break equal candidate cycles oldest-first: this matches
-        // the former lowest-index rule (the in-flight vector used to
-        // stay in admission order) while allowing swap-and-pop.
-        if (c < memBest_ || (c == memBest_ && m.seq < best_seq)) {
-            memBest_ = c;
-            best_seq = m.seq;
-            memBestIdx_ = i;
+        const Cycle c = std::max(memInFlight_[i].ready, ca);
+        if (c < best) {
+            best = c;
+            idx = i;
         }
     }
-    staleBanks_ = 0;
+    memBest_ = best;
+    memBestIdx_ = idx;
 }
 
 Cycle
@@ -346,8 +374,9 @@ MemoryController::stepMem(int which)
     auto &m = memInFlight_[which];
     BankRef bank = channel_.bank(m.job.bank);
     Cycle lb = std::max(m.enqueued, now_);
-    staleBanks_ |= 1ULL << m.job.bank;
 
+    // Only the issuing job's bank moves, so its ready cycle is
+    // recomputed at once and no other job's is (DESIGN.md §3.5).
     if (m.phase == MemExec::Phase::PreOrAct) {
         int open = bank.openRow(BufferSide::Mem);
         if (!m.classified) {
@@ -359,13 +388,16 @@ MemoryController::stepMem(int which)
         }
         if (open == m.job.row) {
             m.phase = MemExec::Phase::Bursts; // row hit, fall through
-        } else if (open != -1) {
-            channel_.issuePrecharge(m.job.bank, BufferSide::Mem, lb);
-            return false;
         } else {
-            channel_.issueActivate(m.job.bank, BufferSide::Mem,
-                                   m.job.row, lb);
-            m.phase = MemExec::Phase::Bursts;
+            if (open != -1) {
+                channel_.issuePrecharge(m.job.bank, BufferSide::Mem, lb);
+            } else {
+                channel_.issueActivate(m.job.bank, BufferSide::Mem,
+                                       m.job.row, lb);
+                actIssued_ = true;
+                m.phase = MemExec::Phase::Bursts;
+            }
+            recomputeNext(m);
             return false;
         }
     }
@@ -375,8 +407,10 @@ MemoryController::stepMem(int which)
             .second;
     memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
         channel_.timing().tBL;
-    if (++m.burstsDone < m.job.bursts)
+    if (++m.burstsDone < m.job.bursts) {
+        recomputeNext(m);
         return true;
+    }
     retireMem(which);
     return false;
 }
@@ -394,16 +428,9 @@ MemoryController::runTrain(int which)
     // end (DESIGN.md §3.4).
     Cycle until = std::min(channel_.nextRefreshDue(),
                            epochEnd_ + cfg_.horizon);
-    for (MemExec &o : memInFlight_) {
-        if (o.seq >= m.seq)
-            continue;
-        if (staleBanks_ & (1ULL << o.job.bank))
-            recomputeNext(o);
-        until = std::min(until, o.next == MemExec::Next::Activate
-                                    ? channel_.actWindowConstraint(
-                                          o.job.bank, o.ready)
-                                    : o.ready);
-    }
+    // The scan that picked the winner left every ready cycle current.
+    for (int i = 0; i < which; ++i)
+        until = std::min(until, memInFlight_[i].ready);
     ArbView v; // a lone MEM class: recordIssue reads only cm and cp
     const int n = channel_.issueColumnTrain(
         m.job.bank, BufferSide::Mem, m.job.write,
@@ -423,6 +450,8 @@ MemoryController::runTrain(int which)
     m.burstsDone += n;
     if (m.burstsDone == m.job.bursts)
         retireMem(which);
+    else if (n > 0)
+        recomputeNext(m);
 }
 
 void
@@ -431,26 +460,29 @@ MemoryController::retireMem(int which)
     MemExec &m = memInFlight_[which];
     banksBusyMask_ &= ~(1ULL << m.job.bank);
     finishMem(m);
-    // Swap-and-pop: candidate selection orders by (cycle, seq), not
-    // index, so in-flight order is free to shuffle.
-    if (which != static_cast<int>(memInFlight_.size()) - 1)
-        memInFlight_[which] = std::move(memInFlight_.back());
-    memInFlight_.pop_back();
+    // Keep admission order: it breaks candidate ties.
+    memInFlight_.erase(memInFlight_.begin() + which);
 }
 
 void
-MemoryController::finishMem(MemExec &exec)
+MemoryController::finishMem(const MemExec &exec)
 {
     ++completedMemJobs_;
     sched_->noteMemJobCompleted();
+    if (exec.job.done < 0)
+        return;
+    StreamDone &d = streamDone_[exec.job.done];
+    d.last = std::max(d.last, exec.lastBurstEnd);
+    if (--d.rowsLeft > 0)
+        return;
     // Callback contract: invoked as soon as the completion cycle is
     // *known* (commands are committed ahead of simulated time up to
     // the horizon); the Cycle argument is the authoritative completion
     // time and callers schedule their continuations at it. wake()
     // invokes it once process() returns, in completion order.
-    if (exec.job.onComplete)
-        completions_.push_back({std::move(exec.job.onComplete),
-                                exec.lastBurstEnd, chain_.size()});
+    completions_.push_back({std::move(d.fn), d.last, chain_.size()});
+    freeDone_.push_back(exec.job.done);
+    ++memCompletions_;
 }
 
 void
@@ -501,6 +533,7 @@ MemoryController::stepPim()
         // tRC spans both row buffers, and single-buffer banks alias
         // the MEM side outright.
         staleBanks_ |= bankSpan(first, nbanks);
+        actIssued_ = true;
         Cycle row_ready = act + t.tRCD;
         p.groupRowReady[p.group] = row_ready;
         if (p.job.composite) {

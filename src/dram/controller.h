@@ -57,22 +57,30 @@
 
 namespace neupims::dram {
 
-/** A regular memory access: one row's worth of reads or writes. */
+/**
+ * A stream of regular memory accesses on one channel (DESIGN.md §3.5):
+ * @p rows row jobs, the first at (@p bank, @p row), each later one on
+ * the next bank, the row advancing after a sweep of the banks. The
+ * controller expands them in that order. The defaults are one row.
+ */
 struct MemJob
 {
-    BankId bank = 0;
-    int row = 0;
-    int bursts = 1;           ///< 64 B bursts within the row (1..16)
+    BankId bank = 0;          ///< the first row's bank
+    int row = 0;              ///< the first row
+    int rows = 1;             ///< row jobs in the stream (>= 1)
+    int bursts = 1;           ///< 64 B bursts per row (1..16)
+    int tailBursts = 0;       ///< the last row's bursts; 0 means bursts
     bool write = false;
     /**
-     * Invoked once the completion cycle of the last data burst is
-     * known. NOTE: the controller commits command schedules up to a
-     * bounded horizon ahead of simulated time, so the callback may run
-     * *before* the reported cycle is reached; the Cycle argument is
-     * authoritative and continuations must be scheduled at it. It may
-     * schedule events but must not enqueue onto a controller or read
-     * controller state: inside an HbmStack it can run at the end of an
-     * epoch, after the controller moved on (DESIGN.md §3.4).
+     * Invoked once the stream's last row completes (rows may complete
+     * out of order), with the latest row's data-burst end. NOTE: the
+     * controller commits command schedules up to a bounded horizon
+     * ahead of simulated time, so the callback may run *before* the
+     * reported cycle is reached; the Cycle argument is authoritative
+     * and continuations must be scheduled at it. It may schedule events
+     * but must not enqueue onto a controller or read controller state:
+     * inside an HbmStack it can run at the end of an epoch, after the
+     * controller moved on (DESIGN.md §3.4).
      */
     std::function<void(Cycle)> onComplete;
 };
@@ -146,14 +154,17 @@ class MemoryController
     /** True when no job is queued or in flight. */
     bool idle() const;
 
-    /** Queued + in-flight counts (for tests and back-pressure). */
+    /** Queued + in-flight counts (for tests and back-pressure); MEM
+     * counts rows, expanded or not. */
     std::size_t pendingMemJobs() const;
     std::size_t pendingPimJobs() const;
 
     // --- statistics -----------------------------------------------------
     Scalar &pimBankBusyCycles() { return pimBankBusyCycles_; }
     const Scalar &pimBankBusyCycles() const { return pimBankBusyCycles_; }
+    /** MEM row jobs completed; MemJob completions invoked. */
     std::uint64_t completedMemJobs() const { return completedMemJobs_; }
+    std::uint64_t memCompletions() const { return memCompletions_; }
     std::uint64_t completedPimJobs() const { return completedPimJobs_; }
 
     /** The active arbitration policy and its scheduling statistics. */
@@ -170,23 +181,42 @@ class MemoryController
   private:
     friend class HbmStack; // drives epochs through the hooks below
 
-    /** In-flight state machine for one MemJob. */
+    /** A queued MemJob's rows not yet expanded: its row cursor, and the
+     * streamDone_ slot of its completion (-1 when it has none). */
+    struct MemStream
+    {
+        BankId bank = 0;
+        int row = 0;
+        int rows = 0;
+        int bursts = 0;
+        int tailBursts = 0;
+        bool write = false;
+        int done = -1;
+    };
+
+    /** A stream's completion, held until its last row retires. */
+    struct StreamDone
+    {
+        std::function<void(Cycle)> fn;
+        int rowsLeft = 0; ///< rows not yet retired
+        Cycle last = 0;   ///< latest row completion so far
+    };
+
+    /** In-flight state machine for one row job of a MemJob. */
     struct MemExec
     {
-        MemJob job;
-        enum class Phase { PreOrAct, Bursts, Done } phase = Phase::PreOrAct;
+        MemStream job; ///< the row: bank, row, bursts, write, done
+        enum class Phase { PreOrAct, Bursts } phase = Phase::PreOrAct;
         int burstsDone = 0;
         Cycle lastBurstEnd = 0;
         Cycle enqueued = 0;
-        /** Issue-window admission order: candidate selection breaks
-         * cycle ties oldest-first, so completion may swap-and-pop the
-         * vector without perturbing the schedule. */
-        std::uint64_t seq = 0;
         /** Row-buffer outcome recorded (first stepMem only). */
         bool classified = false;
-        /** Next command and its bank-local ready cycle (enqueued
-         * folded in), recomputed only when the job's bank is touched. */
+        /** Next command, its bank-local ready cycle (enqueued folded
+         * in), and that with tFAW and tRRD applied to an ACT: the
+         * candidate is max(ready, C/A bus) (DESIGN.md §3.5). */
         enum class Next { Column, Precharge, Activate } next = Next::Column;
+        Cycle bankReady = 0;
         Cycle ready = 0;
     };
 
@@ -255,7 +285,7 @@ class MemoryController
     Cycle candidateMem(int &which);
     /** Rescan the in-flight window into memBest_/memBestIdx_. */
     void scanMem();
-    /** Recompute @p m's next command and bank-local ready cycle. */
+    /** Recompute @p m's next command and ready cycles. */
     void recomputeNext(MemExec &m) const;
     /** Earliest cycle the active PIM kernel's next command could
      * issue; kCycleMax if none. */
@@ -280,14 +310,17 @@ class MemoryController
     /** Handle refresh that is (or would become) due before @p when. */
     bool maybeRefresh(Cycle when);
 
-    void finishMem(MemExec &exec);
+    void finishMem(const MemExec &exec);
     void finishPim(Cycle done);
 
     EventQueue &eq_;
     ControllerConfig cfg_;
     Channel channel_;
 
-    RingQueue<MemJob> memQueue_;
+    RingQueue<MemStream> memQueue_;
+    std::size_t queuedRows_ = 0; ///< rows in memQueue_
+    std::vector<StreamDone> streamDone_;
+    std::vector<int> freeDone_; ///< unused streamDone_ slots
     RingQueue<PimJob> pimQueue_;
     std::vector<MemExec> memInFlight_;
     /** Banks with an in-flight mem job (one bit per bank), replacing
@@ -295,12 +328,14 @@ class MemoryController
     std::uint64_t banksBusyMask_ = 0;
     /** Banks whose state changed since the last candidate scan. */
     std::uint64_t staleBanks_ = 0;
+    /** An ACT issued since the last scan: re-apply tFAW and tRRD to
+     * every job whose next command is an ACT. */
+    bool actIssued_ = false;
     /** The last scan's MEM winner, valid until anything issues, enters
      * the window, starts or refreshes. */
     bool memScanValid_ = false;
     Cycle memBest_ = kCycleMax;
     int memBestIdx_ = -1;
-    std::uint64_t memSeq_ = 0;
     std::unique_ptr<PimExec> pim_;
 
     bool kickScheduled_ = false;
@@ -334,6 +369,7 @@ class MemoryController
 
     Scalar pimBankBusyCycles_;
     std::uint64_t completedMemJobs_ = 0;
+    std::uint64_t memCompletions_ = 0;
     std::uint64_t completedPimJobs_ = 0;
 };
 

@@ -12,30 +12,43 @@ DmaEngine::DmaEngine(EventQueue &eq, dram::HbmStack &hbm)
 {}
 
 void
-DmaEngine::enqueueRows(ChannelId ch, Bytes bytes, bool write,
-                       int bursts_per_row,
-                       const std::shared_ptr<Tracker> &tracker)
+DmaEngine::launch(const std::vector<Bytes> &bytes_per_channel, bool write,
+                  int bursts_per_row, Callback on_done)
 {
     const auto &org = hbm_.config().org;
     NEUPIMS_ASSERT(bursts_per_row >= 1 &&
                    bursts_per_row <= org.burstsPerRow());
-    Bytes bytes_per_job =
-        org.burstBytes * static_cast<Bytes>(bursts_per_row);
-    auto &ctrl = hbm_.controller(ch);
-    while (bytes > 0) {
-        Bytes chunk = std::min(bytes, bytes_per_job);
-        int bursts = static_cast<int>(
-            (chunk + org.burstBytes - 1) / org.burstBytes);
+    auto tracker = std::make_shared<Tracker>();
+    tracker->onDone = std::move(on_done);
+    for (ChannelId ch = 0;
+         ch < static_cast<ChannelId>(bytes_per_channel.size()); ++ch) {
+        const Bytes bytes = bytes_per_channel[ch];
+        if (bytes == 0)
+            continue;
+        issuedBytes_ += bytes;
+        if (!hbm_.isRepresentative(ch)) {
+            // The fold is only exact when the member mirrors its
+            // representative's traffic byte for byte; only the traffic
+            // accounting is replicated.
+            NEUPIMS_ASSERT(bytes == bytes_per_channel[hbm_.representative(ch)],
+                           "asymmetric per-channel stream on folded "
+                           "channel ", ch);
+            continue;
+        }
+        // One descriptor per channel: whole rows, then a tail row of the
+        // remaining bursts, the last one rounded up (DESIGN.md §3.5).
+        const int bursts =
+            static_cast<int>((bytes + org.burstBytes - 1) / org.burstBytes);
         dram::MemJob job;
         job.bank = nextBank_[ch];
         job.row = nextRow_[ch];
-        job.bursts = bursts;
+        job.rows = (bursts + bursts_per_row - 1) / bursts_per_row;
+        job.bursts = bursts_per_row;
+        job.tailBursts = bursts - (job.rows - 1) * bursts_per_row;
         job.write = write;
-        ++tracker->outstanding;
         job.onComplete = [tracker, this](Cycle c) {
             tracker->last = std::max(tracker->last, c);
-            if (--tracker->outstanding == 0 && tracker->sealed &&
-                tracker->onDone) {
+            if (--tracker->outstanding == 0 && tracker->onDone) {
                 // Controller callbacks are synchronous (possibly ahead
                 // of simulated time); fire the stream-completion
                 // callback at the authoritative cycle.
@@ -43,15 +56,18 @@ DmaEngine::enqueueRows(ChannelId ch, Bytes bytes, bool write,
                              [tracker] { tracker->onDone(tracker->last); });
             }
         };
-        ctrl.enqueueMem(std::move(job));
-        issuedBytes_ += chunk;
-        bytes -= chunk;
-        // Rotate banks so successive rows pipeline; advance the row
-        // cursor after a full sweep of the banks.
-        if (++nextBank_[ch] == org.banksPerChannel) {
-            nextBank_[ch] = 0;
-            ++nextRow_[ch];
-        }
+        ++tracker->outstanding;
+        // Successive rows rotate banks so they pipeline; the row cursor
+        // advances after each full sweep of the banks.
+        const int pos = nextBank_[ch] + job.rows;
+        nextBank_[ch] = pos % org.banksPerChannel;
+        nextRow_[ch] += pos / org.banksPerChannel;
+        hbm_.controller(ch).enqueueMem(std::move(job));
+    }
+    if (tracker->outstanding == 0 && tracker->onDone) {
+        // Degenerate zero-byte stream: complete immediately.
+        eq_.schedule(eq_.now(),
+                     [cb = tracker->onDone, t = eq_.now()] { cb(t); });
     }
 }
 
@@ -59,8 +75,6 @@ void
 DmaEngine::streamAllChannels(Bytes total, bool write, int bursts_per_row,
                              Callback on_done)
 {
-    auto tracker = std::make_shared<Tracker>();
-    tracker->onDone = std::move(on_done);
     int n = hbm_.numChannels();
     // Whole bursts per channel; the sub-burst tail rides channel 0 so
     // only one channel rounds up.
@@ -71,24 +85,9 @@ DmaEngine::streamAllChannels(Bytes total, bool write, int bursts_per_row,
     // siblings'; the executor keeps channel 0 a singleton class.
     NEUPIMS_ASSERT(remainder == 0 || hbm_.classSize(0) == 1,
                    "all-channel tail requires channel 0 unfolded");
-    for (ChannelId ch = 0; ch < n; ++ch) {
-        Bytes bytes = per_channel + (ch == 0 ? remainder : 0);
-        if (bytes == 0)
-            continue;
-        if (!hbm_.isRepresentative(ch)) {
-            // Folded channel: its representative carries the identical
-            // stream; only the traffic accounting is replicated.
-            issuedBytes_ += bytes;
-            continue;
-        }
-        enqueueRows(ch, bytes, write, bursts_per_row, tracker);
-    }
-    tracker->sealed = true;
-    if (tracker->outstanding == 0 && tracker->onDone) {
-        // Degenerate zero-byte stream: complete immediately.
-        eq_.schedule(eq_.now(),
-                     [cb = tracker->onDone, t = eq_.now()] { cb(t); });
-    }
+    std::vector<Bytes> bytes(static_cast<std::size_t>(n), per_channel);
+    bytes[0] += remainder;
+    launch(bytes, write, bursts_per_row, std::move(on_done));
 }
 
 void
@@ -99,14 +98,9 @@ DmaEngine::streamChannel(ChannelId ch, Bytes bytes, bool write,
     // target channels that are actually simulated.
     NEUPIMS_ASSERT(hbm_.isRepresentative(ch) && hbm_.classSize(ch) == 1,
                    "streamChannel targets a folded channel ", ch);
-    auto tracker = std::make_shared<Tracker>();
-    tracker->onDone = std::move(on_done);
-    if (bytes > 0)
-        enqueueRows(ch, bytes, write, bursts_per_row, tracker);
-    tracker->sealed = true;
-    if (tracker->outstanding == 0 && tracker->onDone)
-        eq_.schedule(eq_.now(),
-                     [cb = tracker->onDone, t = eq_.now()] { cb(t); });
+    std::vector<Bytes> per_channel(static_cast<std::size_t>(ch) + 1, 0);
+    per_channel[ch] = bytes;
+    launch(per_channel, write, bursts_per_row, std::move(on_done));
 }
 
 void
@@ -116,30 +110,7 @@ DmaEngine::streamPerChannel(const std::vector<Bytes> &bytes_per_channel,
 {
     NEUPIMS_ASSERT(static_cast<int>(bytes_per_channel.size()) <=
                    hbm_.numChannels());
-    auto tracker = std::make_shared<Tracker>();
-    tracker->onDone = std::move(on_done);
-    for (ChannelId ch = 0;
-         ch < static_cast<ChannelId>(bytes_per_channel.size()); ++ch) {
-        if (bytes_per_channel[ch] == 0)
-            continue;
-        if (!hbm_.isRepresentative(ch)) {
-            // The fold is only exact when the member mirrors its
-            // representative's traffic byte for byte.
-            ChannelId rep = hbm_.representative(ch);
-            NEUPIMS_ASSERT(bytes_per_channel[ch] ==
-                               bytes_per_channel[rep],
-                           "asymmetric per-channel stream on folded "
-                           "channel ", ch);
-            issuedBytes_ += bytes_per_channel[ch];
-            continue;
-        }
-        enqueueRows(ch, bytes_per_channel[ch], write, bursts_per_row,
-                    tracker);
-    }
-    tracker->sealed = true;
-    if (tracker->outstanding == 0 && tracker->onDone)
-        eq_.schedule(eq_.now(),
-                     [cb = tracker->onDone, t = eq_.now()] { cb(t); });
+    launch(bytes_per_channel, write, bursts_per_row, std::move(on_done));
 }
 
 } // namespace neupims::npu

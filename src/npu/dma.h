@@ -5,7 +5,9 @@
  *
  * Weight matrices are split evenly across all channels in whole
  * bursts; KV-cache traffic targets the specific channel a
- * request was bin-packed onto. The engine keeps per-channel bank/row
+ * request was bin-packed onto. Each channel's share of a transfer is
+ * one stream descriptor (dram::MemJob), which its controller expands
+ * into row jobs (DESIGN.md §3.5). The engine keeps per-channel bank/row
  * cursors so successive rows rotate banks and the controllers can
  * pipeline activations.
  */
@@ -35,8 +37,8 @@ class DmaEngine
      * @p bursts_per_row caps the row-buffer locality of the stream:
      * 16 for dense weight streams, lower for strided GEMV-style
      * access (the NPU-only attention path).
-     * @p on_done fires once when every row job has completed, with
-     * the cycle of the last completion.
+     * @p on_done fires once when every channel's stream has
+     * completed, with the cycle of the last row completion.
      */
     void streamAllChannels(Bytes total, bool write, int bursts_per_row,
                            Callback on_done);
@@ -60,15 +62,15 @@ class DmaEngine
   private:
     struct Tracker
     {
-        int outstanding = 0;
-        bool sealed = false; ///< all jobs enqueued
+        int outstanding = 0; ///< channel streams not yet completed
         Cycle last = 0;
         Callback onDone;
     };
 
-    void enqueueRows(ChannelId ch, Bytes bytes, bool write,
-                     int bursts_per_row,
-                     const std::shared_ptr<Tracker> &tracker);
+    /** The one entry path: one stream descriptor per simulated channel
+     * with bytes; a zero-byte transfer completes at once. */
+    void launch(const std::vector<Bytes> &bytes_per_channel, bool write,
+                int bursts_per_row, Callback on_done);
 
     EventQueue &eq_;
     dram::HbmStack &hbm_;

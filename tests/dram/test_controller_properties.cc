@@ -6,7 +6,9 @@
  * completions are causally ordered, byte accounting matches the jobs
  * issued, blocked mode never beats concurrent mode, and the
  * composite interface never loses to the fine-grained one. Seeded
- * floods across every policy and mode pin the exact schedules.
+ * floods across every policy and mode pin the exact schedules, and a
+ * stream descriptor schedules exactly like its rows enqueued one by
+ * one.
  */
 
 #include <gtest/gtest.h>
@@ -312,6 +314,141 @@ TEST(ControllerSchedulePin, FloodsReproducePinnedSchedules)
                             << " got 0x" << got;
                         ++i;
                     }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Stream descriptors (DESIGN.md §3.5). One N-row MemJob must schedule
+// exactly like its N rows enqueued as one-row MemJobs, with its one
+// completion at the latest row completion.
+// ---------------------------------------------------------------------------
+
+struct DescriptorRun
+{
+    std::vector<Cycle> streamDone; ///< per stream, its final completion
+    int completions = 0;           ///< MemJob callbacks invoked
+    CommandCounts counts;
+    MemSchedStats sched;
+    double dataUtil = 0.0;
+    Cycle end = 0;
+};
+
+DescriptorRun
+runDescriptorFlood(MemSchedKind kind, bool dual, bool as_rows,
+                   std::uint64_t seed)
+{
+    EventQueue eq;
+    TimingParams t;
+    Organization org;
+    auto cfg = ControllerConfig::make(dual);
+    cfg.sched.kind = kind;
+    MemoryController mc(eq, t, org, cfg);
+
+    Rng rng(seed);
+    DescriptorRun r;
+    auto stream = [&] {
+        MemJob job;
+        job.bank = static_cast<BankId>(
+            rng.uniformInt(0, org.banksPerChannel - 1));
+        job.row = static_cast<int>(rng.uniformInt(0, 63));
+        job.rows = static_cast<int>(rng.uniformInt(1, 40));
+        job.bursts = static_cast<int>(rng.uniformInt(1, 16));
+        job.tailBursts = static_cast<int>(
+            rng.uniformInt(1, static_cast<std::uint64_t>(job.bursts)));
+        job.write = rng.uniform() < 0.3;
+        const std::size_t id = r.streamDone.size();
+        r.streamDone.push_back(0);
+        auto done = [&r, id](Cycle c) {
+            ++r.completions;
+            r.streamDone[id] = std::max(r.streamDone[id], c);
+        };
+        if (!as_rows) {
+            job.onComplete = done;
+            mc.enqueueMem(std::move(job));
+            return;
+        }
+        for (int i = 0; i < job.rows; ++i) {
+            MemJob one;
+            one.bank = (job.bank + i) % org.banksPerChannel;
+            one.row = job.row + (job.bank + i) / org.banksPerChannel;
+            one.bursts = i + 1 == job.rows ? job.tailBursts : job.bursts;
+            one.write = job.write;
+            one.onComplete = done;
+            mc.enqueueMem(std::move(one));
+        }
+    };
+    auto pim = [&] {
+        PimJob job;
+        job.rowTiles = static_cast<int>(rng.uniformInt(1, 64));
+        job.banksUsed = t.pimParallelBanks;
+        job.gwrites = static_cast<int>(rng.uniformInt(0, 2));
+        job.resultBursts = static_cast<int>(rng.uniformInt(1, 8));
+        job.composite = dual;
+        job.header = dual;
+        mc.enqueuePim(std::move(job));
+    };
+    for (int i = 0; i < 24; ++i) {
+        stream();
+        if (rng.uniform() < 0.25)
+            pim();
+    }
+    for (int k = 0; k < 24; ++k) {
+        Cycle at = rng.uniformInt(50, 40'000);
+        bool with_pim = rng.uniform() < 0.5;
+        eq.schedule(at, [&stream, &pim, with_pim] {
+            stream();
+            if (with_pim)
+                pim();
+        });
+    }
+    eq.run();
+    EXPECT_TRUE(mc.idle());
+    EXPECT_EQ(mc.memCompletions(), static_cast<std::uint64_t>(r.completions));
+    r.counts = mc.channel().commandCounts();
+    r.sched = mc.memSchedStats();
+    r.end = eq.now();
+    r.dataUtil = mc.channel().dataBusUtil().utilization(0, r.end + 1);
+    return r;
+}
+
+TEST(ControllerDescriptor, StreamMatchesItsRowsEnqueuedOneByOne)
+{
+    for (MemSchedKind kind : {MemSchedKind::FrFcfs, MemSchedKind::PimFrFcfs,
+                              MemSchedKind::Paws}) {
+        for (bool dual : {true, false}) {
+            for (std::uint64_t seed : {11u, 12u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << memSchedKindName(kind)
+                             << (dual ? " dual" : " blocked") << " seed "
+                             << seed);
+                DescriptorRun desc =
+                    runDescriptorFlood(kind, dual, false, seed);
+                DescriptorRun rows = runDescriptorFlood(kind, dual, true, seed);
+                EXPECT_EQ(desc.streamDone, rows.streamDone);
+                EXPECT_EQ(desc.end, rows.end);
+                EXPECT_EQ(desc.completions,
+                          static_cast<int>(desc.streamDone.size()));
+                EXPECT_GT(rows.completions, 4 * desc.completions);
+                for (int i = 0; i < kNumCommandTypes; ++i)
+                    EXPECT_EQ(desc.counts.counts[i], rows.counts.counts[i])
+                        << "command " << i;
+                for (auto field :
+                     {&MemSchedStats::rowHits, &MemSchedStats::rowMisses,
+                      &MemSchedStats::rowConflicts,
+                      &MemSchedStats::memCommands,
+                      &MemSchedStats::pimCommands,
+                      &MemSchedStats::modeSwitches})
+                    EXPECT_EQ(desc.sched.*field, rows.sched.*field);
+                EXPECT_EQ(desc.sched.pimStallCycles, rows.sched.pimStallCycles);
+                EXPECT_EQ(desc.sched.pimWasteCycles, rows.sched.pimWasteCycles);
+                EXPECT_EQ(desc.dataUtil, rows.dataUtil);
+                // Blocked mode never holds both classes at once, so
+                // paws switches modes only on dual row buffers.
+                if (kind == MemSchedKind::Paws && dual) {
+                    EXPECT_GT(desc.sched.modeSwitches, 0u);
                 }
             }
         }

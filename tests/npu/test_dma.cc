@@ -135,6 +135,60 @@ TEST_F(DmaTest, RemainderBytesRideChannelZero)
     EXPECT_LT(sum - total, cfg.org.burstBytes);
 }
 
+TEST_F(DmaTest, BackToBackStreamsContinueTheRowCursor)
+{
+    // 3 rows open row 0 of banks 0-2; the next stream continues on
+    // banks 3-31, then wraps to row 1 of bank 0: one conflict, no hit.
+    // A cursor reset would re-hit the open rows of banks 0-2.
+    const Bytes row = 2 * cfg.org.burstBytes;
+    dma.streamChannel(5, 3 * row, false, 2, [](Cycle) {});
+    dma.streamChannel(5, 30 * row, false, 2, [](Cycle) {});
+    eq.run();
+    const auto &s = hbm.controller(5).memSchedStats();
+    EXPECT_EQ(s.rowHits, 0u);
+    EXPECT_EQ(s.rowMisses, 32u);
+    EXPECT_EQ(s.rowConflicts, 1u);
+    EXPECT_EQ(hbm.controller(5).completedMemJobs(), 33u);
+}
+
+TEST_F(DmaTest, SubBurstTailRowRidesChannelZero)
+{
+    // One 16-burst row per channel; channel 0 adds a tail row of the
+    // remaining 100 bytes, rounded up to two bursts.
+    const Bytes total = 32 * cfg.org.pageBytes + 100;
+    dma.streamAllChannels(total, false, 16, [](Cycle) {});
+    eq.run();
+    const auto &ch0 = hbm.controller(0).channel().commandCounts();
+    EXPECT_EQ(ch0.count(dram::CommandType::Act), 2u);
+    EXPECT_EQ(ch0.count(dram::CommandType::Rd), 18u);
+    EXPECT_EQ(hbm.controller(0).completedMemJobs(), 2u);
+    for (ChannelId ch = 1; ch < hbm.numChannels(); ++ch) {
+        const auto &c = hbm.controller(ch).channel().commandCounts();
+        EXPECT_EQ(c.count(dram::CommandType::Rd), 16u) << "channel " << ch;
+    }
+    EXPECT_EQ(dma.issuedBytes(), total);
+}
+
+TEST_F(DmaTest, OneControllerCompletionPerChannelPerStream)
+{
+    int fired = 0;
+    std::vector<Bytes> bytes(hbm.numChannels(), 0);
+    bytes[2] = 64_KiB;
+    bytes[9] = 4_KiB;
+    dma.streamAllChannels(256_KiB, false, 2, [&](Cycle) { ++fired; });
+    dma.streamPerChannel(bytes, true, 16, [&](Cycle) { ++fired; });
+    eq.run();
+    EXPECT_EQ(fired, 2);
+    for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch) {
+        const auto &mc = hbm.controller(ch);
+        const std::uint64_t streams = bytes[ch] > 0 ? 2 : 1;
+        EXPECT_EQ(mc.memCompletions(), streams) << "channel " << ch;
+        // 8 KiB of 128 B rows, plus 1 KiB rows of the second stream.
+        EXPECT_EQ(mc.completedMemJobs(), 64 + bytes[ch] / 1_KiB)
+            << "channel " << ch;
+    }
+}
+
 TEST_F(DmaTest, MemOnlyStreamRunsAsEpochs)
 {
     // With no PIM work anywhere, the stack simulates the stream's
