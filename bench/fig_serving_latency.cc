@@ -471,7 +471,6 @@ memSchedRun(const Spec &s)
 {
     auto dev = core::servingBackendByName(s.backend).device;
     core::applyMemSched(dev, s.name);
-    dev.flags.channelSymmetry = true; // bit-identical fast path
     const int tp = kLlm.defaultTp;
     const int layers = kLlm.layersPerDevice(kLlm.defaultPp);
     core::AnalyticIterationModel analytic(dev, kLlm, tp, layers);

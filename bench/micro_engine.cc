@@ -5,8 +5,8 @@
  * std::function heap), DRAM command throughput of one controller and
  * of the whole device, PIM kernel execution,
  * systolic-array model evaluation, compiled-layer caching and the
- * full runIteration path with the channel-symmetry fast path on and
- * off. These guard the simulator's own performance — the Fig. 12
+ * full runIteration path. These guard the simulator's own
+ * performance — the Fig. 12
  * grid replays hundreds of millions of DRAM commands — and track the
  * perf trajectory across PRs.
  *
@@ -262,8 +262,7 @@ BENCHMARK(BM_CompileLayer)
     ->ArgNames({"cached"});
 
 // ---------------------------------------------------------------------------
-// Full engine: runIteration on Fig. 12-style cells and grid sweeps,
-// with the channel-symmetry fast path off (reference) and on.
+// Full engine: runIteration on Fig. 12-style cells and grid sweeps.
 // ---------------------------------------------------------------------------
 
 core::IterationResult
@@ -281,10 +280,8 @@ runCell(const core::DeviceConfig &dev, const model::LlmConfig &llm,
 void
 BM_RunIteration(benchmark::State &state)
 {
-    const bool symmetry = state.range(0) != 0;
     auto llm = model::gpt3_7b();
     auto dev = core::DeviceConfig::neuPims();
-    dev.flags.channelSymmetry = symmetry;
     Cycle sink = 0;
     for (auto _ : state) {
         sink += runCell(dev, llm, 256, 512).iterationCycles;
@@ -293,30 +290,23 @@ BM_RunIteration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RunIteration)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"symmetry"})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
 /**
  * A reduced Fig. 12 grid (all three simulated systems, the paper's
- * batch axis, ShareGPT/Alpaca-scale contexts) — the wall-clock
- * acceptance workload for the symmetry fast path. Bit-identity of
- * the two variants is covered by tests/core/test_symmetry.cc.
+ * batch axis, ShareGPT/Alpaca-scale contexts) on uniform batches,
+ * which fold to a few simulated channels (DESIGN.md §5).
  */
 void
 BM_Fig12GridSweep(benchmark::State &state)
 {
-    const bool symmetry = state.range(0) != 0;
     auto llm = model::gpt3_7b();
-    std::vector<core::DeviceConfig> systems = {
+    const std::vector<core::DeviceConfig> systems = {
         core::DeviceConfig::npuOnly(),
         core::DeviceConfig::naiveNpuPim(),
         core::DeviceConfig::neuPims(),
     };
-    for (auto &dev : systems)
-        dev.flags.channelSymmetry = symmetry;
 
     Cycle sink = 0;
     for (auto _ : state) {
@@ -333,9 +323,6 @@ BM_Fig12GridSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 30);
 }
 BENCHMARK(BM_Fig12GridSweep)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"symmetry"})
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 

@@ -34,9 +34,9 @@ buildComposition(const std::vector<runtime::SequenceSample> &samples,
  * Uniform composition: @p batch requests of identical KV length
  * @p seq_len split evenly across @p channels, with Algorithm-3
  * sub-batches. The per-channel request counts differ by at most one,
- * so at most a handful of distinct per-channel compositions exist —
- * the shape the channel-symmetry fast path collapses. Used by the
- * engine benchmarks and the symmetry equivalence tests.
+ * so at most a handful of distinct per-channel compositions exist.
+ * Used by the engine benchmarks, the calibration anchors and the
+ * channel-fold equivalence tests.
  */
 BatchComposition uniformComposition(int batch, int seq_len,
                                     int channels);

@@ -40,20 +40,6 @@ struct FeatureFlags
      */
     bool pipelinedMha = false;
     bool prefetchDuringMha = false;
-    /**
-     * Simulator fast path (not a hardware feature): group channels
-     * whose per-channel batch composition is identical into
-     * equivalence classes, simulate one representative memory
-     * controller per class and replicate its command counts, bus
-     * bytes and PIM busy cycles by class size. Exact — the per-layer
-     * work the engine drives is channel-symmetric whenever the
-     * compositions are (DESIGN.md §5 gives the argument), and
-     * channels whose composition matches no other fall back to
-     * individual simulation, so results are bit-identical with the
-     * flag on or off. splitEven-style uniform batches collapse 32
-     * channels into at most two classes.
-     */
-    bool channelSymmetry = false;
 };
 
 struct DeviceConfig

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 
 #include "common/log.h"
 #include "core/batch_builder.h"
@@ -23,36 +22,46 @@ splitEven(int total, int parts)
 }
 
 /**
- * Channel equivalence classes of a batch composition: channels whose
- * request lists (full batch and both sub-batches, in order) are
- * identical receive bit-identical engine work, so one representative
- * controller can stand in for the whole class (DESIGN.md §5).
- * Channel 0 always forms a singleton class because all-channel DMA
- * streams park their sub-burst tail there, which makes its job stream
- * differ from any sibling's whenever a transfer is not a multiple of
- * channels x burst bytes.
+ * Channel equivalence classes of one iteration: channels whose
+ * controllers receive identical work share one simulated controller,
+ * the class representative (DESIGN.md §5). A channel's signature is
+ * what the executor enqueues on it alone, per thread plan: its KV
+ * append bytes and, when MHA runs on PIM, its requests' GEMV kernels
+ * and softmax sizes in order. NPU-only MHA is one all-channel stream
+ * sized by device-wide totals, so there the append bytes are the
+ * whole signature. Channel 0 always forms a singleton class because
+ * all-channel DMA streams park their sub-burst tail there.
  */
 dram::SymmetryGroups
-computeSymmetryGroups(int channels, const BatchComposition &batch)
+computeSymmetryGroups(int channels,
+                      const std::vector<model::LayerPlan> &plans,
+                      bool mha_on_pim)
 {
     dram::SymmetryGroups g;
     g.representative.resize(channels);
     g.classSize.assign(channels, 0);
 
-    static const std::vector<int> kEmpty;
-    auto lens = [](const std::vector<std::vector<int>> &v,
-                   ChannelId ch) -> const std::vector<int> & {
-        return ch < static_cast<ChannelId>(v.size()) ? v[ch] : kEmpty;
-    };
-
-    using Signature = std::tuple<std::vector<int>, std::vector<int>,
-                                 std::vector<int>>;
+    using Signature = std::vector<std::uint64_t>;
     std::map<Signature, ChannelId> first_with;
     for (ChannelId ch = 0; ch < channels; ++ch) {
         ChannelId rep = ch;
         if (ch > 0) {
-            Signature sig{lens(batch.full, ch), lens(batch.sb1, ch),
-                          lens(batch.sb2, ch)};
+            Signature sig;
+            for (const auto &plan : plans) {
+                sig.push_back(plan.mha.kvAppendBytes[ch]);
+                if (!mha_on_pim)
+                    continue;
+                const auto &reqs = plan.mha.requests[ch];
+                sig.push_back(reqs.size());
+                for (const auto &r : reqs) {
+                    for (const auto *k : {&r.logit, &r.attend})
+                        sig.insert(sig.end(),
+                                   {std::uint64_t(k->rowTiles),
+                                    std::uint64_t(k->gwrites),
+                                    std::uint64_t(k->resultBursts)});
+                    sig.push_back(r.softmaxElems);
+                }
+            }
             rep = first_with.try_emplace(std::move(sig), ch)
                       .first->second;
         }
@@ -78,26 +87,18 @@ computeSymmetryGroups(int channels, const BatchComposition &batch)
 class IterationSim
 {
   public:
-    IterationSim(DeviceExecutor &ex, const BatchComposition &batch,
+    /** One thread per compiled plan in @p plans. */
+    IterationSim(DeviceExecutor &ex, std::vector<model::LayerPlan> plans,
                  int window_layers, int warmup_layers,
                  const ExtraMemTraffic &extra)
-        : ex_(ex), cfg_(ex.cfg_), eq_(*ex.eq_), hbm_(*ex.hbm_),
-          npu_(*ex.npu_), dma_(*ex.dma_), extra_(extra),
-          windowLayers_(window_layers), warmupLayers_(warmup_layers)
+        : cfg_(ex.cfg_), eq_(*ex.eq_), hbm_(*ex.hbm_), npu_(*ex.npu_),
+          dma_(*ex.dma_), extra_(extra), windowLayers_(window_layers),
+          warmupLayers_(warmup_layers)
     {
-        if (usesSubBatchInterleaving(cfg_, batch)) {
-            threads_.emplace_back(
-                ex.compiler_.compileLayer(batch.sb1));
-            threads_.emplace_back(
-                ex.compiler_.compileLayer(batch.sb2));
-        } else {
-            // A sub-batch too small to split falls back to serial
-            // execution (the paper notes SBI can hurt tiny batches).
-            threads_.emplace_back(
-                ex.compiler_.compileLayer(batch.full));
+        for (auto &p : plans) {
+            threads_.emplace_back(std::move(p));
+            threads_.back().layerEnd.assign(windowLayers_, 0);
         }
-        for (auto &t : threads_)
-            t.layerEnd.assign(windowLayers_, 0);
     }
 
     /** Launch all threads at cycle 0 and run the queue dry. */
@@ -150,6 +151,7 @@ class IterationSim
 
     Flops flopsAtWarmup_ = 0.0;
     Cycle pimBusyAtWarmup_ = 0;
+    Cycle memBusyAtWarmup_ = 0;
     PhaseBreakdown phases_;
     Cycle extraEnd_ = 0; ///< last ExtraMemTraffic row completion
 
@@ -278,9 +280,9 @@ class IterationSim
      * The 8x128-lane VU pool sustains far more softmax throughput
      * than the PIM GEMVs demand (§6.1: the softmax fully hides under
      * PIM compute), so cross-channel VU queueing is not modeled; this
-     * channel-locality is also what makes composition-identical
-     * channels behave identically end to end — the invariant the
-     * channel-symmetry fast path folds on (DESIGN.md §5).
+     * channel-locality is also what makes channels with identical
+     * kernels behave identically end to end — the invariant the
+     * channel fold rests on (DESIGN.md §5).
      */
     Cycle
     channelSoftmax(Cycle ready, std::uint64_t elems)
@@ -456,7 +458,7 @@ class IterationSim
 
         // Folded (non-representative) channels are skipped outright:
         // their representative's kernels, completions and statistics
-        // stand in for theirs (channel-symmetry fast path).
+        // stand in for theirs (DESIGN.md §5).
         if (cfg_.flags.pipelinedMha) {
             for (std::size_t ch = 0; ch < mha.requests.size(); ++ch) {
                 if (!hbm_.isRepresentative(static_cast<ChannelId>(ch)))
@@ -643,6 +645,7 @@ class IterationSim
         }
         flopsAtWarmup_ = npu_.flopsExecuted().value();
         pimBusyAtWarmup_ = hbm_.totalPimBankBusyCycles();
+        memBusyAtWarmup_ = hbm_.totalMemBankBusyCycles();
     }
 
     // --- Fig. 6 phase accounting (serial modes, measured layers) --------
@@ -712,7 +715,6 @@ class IterationSim
     }
 
   private:
-    DeviceExecutor &ex_;
     const DeviceConfig &cfg_;
     EventQueue &eq_;
     dram::HbmStack &hbm_;
@@ -752,6 +754,14 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
                              const ExtraMemTraffic &extra,
                              int window_layers, int warmup_layers)
 {
+    return run(batch, extra, window_layers, warmup_layers, true);
+}
+
+IterationResult
+DeviceExecutor::run(const BatchComposition &batch,
+                    const ExtraMemTraffic &extra, int window_layers,
+                    int warmup_layers, bool fold)
+{
     NEUPIMS_ASSERT(window_layers > warmup_layers && warmup_layers >= 1);
     // Never simulate more layers than the device actually holds.
     if (window_layers > layersPerDevice_ && layersPerDevice_ >= 2)
@@ -760,21 +770,33 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
                    "device must hold at least the window: ",
                    layersPerDevice_, " < ", window_layers);
 
+    // One plan per thread; the plans also decide the fold.
+    std::vector<model::LayerPlan> plans;
+    if (usesSubBatchInterleaving(cfg_, batch)) {
+        plans.push_back(compiler_.compileLayer(batch.sb1));
+        plans.push_back(compiler_.compileLayer(batch.sb2));
+    } else {
+        // A sub-batch too small to split falls back to serial
+        // execution (the paper notes SBI can hurt tiny batches).
+        plans.push_back(compiler_.compileLayer(batch.full));
+    }
+
     // The stack must not outlive its queue.
     dma_.reset();
     hbm_.reset();
     eq_ = std::make_unique<EventQueue>();
     auto groups =
-        cfg_.flags.channelSymmetry
-            ? computeSymmetryGroups(cfg_.org.channels, batch)
-            : dram::SymmetryGroups::identity(cfg_.org.channels);
+        fold ? computeSymmetryGroups(cfg_.org.channels, plans,
+                                     cfg_.kind != SystemKind::NpuOnly)
+             : dram::SymmetryGroups::identity(cfg_.org.channels);
     lastSymmetryClasses_ = groups.numClasses;
     hbm_ = std::make_unique<dram::HbmStack>(*eq_, cfg_.memConfig(),
                                             std::move(groups));
     npu_ = std::make_unique<npu::Npu>(cfg_.npu);
     dma_ = std::make_unique<npu::DmaEngine>(*eq_, *hbm_);
 
-    IterationSim sim(*this, batch, window_layers, warmup_layers, extra);
+    IterationSim sim(*this, std::move(plans), window_layers, warmup_layers,
+                     extra);
     sim.run();
     sim.finalizePhases();
 
@@ -811,7 +833,12 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
     res.commands = hbm_->totalCommandCounts();
     res.phases = sim.phases_;
     res.memSched = hbm_->totalMemSchedStats();
-    res.memBankUtil = hbm_->memBankUtilization(warm_end, end);
+    res.memBankUtil =
+        static_cast<double>(hbm_->totalMemBankBusyCycles() -
+                            sim.memBusyAtWarmup_) /
+        (static_cast<double>(cfg_.org.channels) *
+         static_cast<double>(cfg_.org.banksPerChannel) *
+         static_cast<double>(span));
     res.extraTrafficEndCycle = sim.extraEnd_;
     return res;
 }

@@ -145,15 +145,23 @@ class DeviceExecutor
     npu::Npu *npu() { return npu_.get(); }
 
     /**
-     * Channel equivalence classes the last runIteration simulated
-     * (== channel count when the symmetry fast path is off or every
-     * per-channel composition is distinct; see
-     * FeatureFlags::channelSymmetry).
+     * Channel equivalence classes the last runIteration simulated:
+     * channels whose controllers receive identical work fold onto one
+     * (DESIGN.md §5), so this equals the channel count only when no
+     * two channels' work matches.
      */
     int lastSymmetryClasses() const { return lastSymmetryClasses_; }
 
   private:
     friend class IterationSim;
+    /** Tests reach the unfolded reference run through this peer. */
+    friend class DeviceExecutorTestPeer;
+
+    /** runIteration; with @p fold false every channel gets its own
+     * controller, the reference the fold is tested against. */
+    IterationResult run(const BatchComposition &batch,
+                        const ExtraMemTraffic &extra, int window_layers,
+                        int warmup_layers, bool fold);
 
     DeviceConfig cfg_;
     model::LlmConfig model_;

@@ -616,14 +616,9 @@ AnalyticIterationModel::calibrate(int batch, int seq_len,
                                   int window_layers)
 {
     auto comp = uniformComposition(batch, seq_len, cfg_.org.channels);
-    // Uniform compositions collapse under the channel-symmetry fast
-    // path (bit-identical results, DESIGN.md §5), so one measured
-    // point costs seconds, not minutes.
-    DeviceConfig dev = cfg_;
-    dev.flags.channelSymmetry = true;
     if (window_layers == 0)
-        window_layers = dev.flags.subBatchInterleaving ? 3 : 2;
-    DeviceExecutor exec(dev, model_, tp_, layersPerDevice_);
+        window_layers = cfg_.flags.subBatchInterleaving ? 3 : 2;
+    DeviceExecutor exec(cfg_, model_, tp_, layersPerDevice_);
     auto measured = exec.runIteration(comp, window_layers, 1);
     // The engine run's DRAM scheduling stats become this model's
     // MemSchedSummary.

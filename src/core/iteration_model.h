@@ -180,7 +180,7 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
  * (near zero at 4 requests/channel/sub-batch, where the pipeline has
  * no interleaving grain, rising to policy-specific plateaus), which
  * is why the historical constant 0.25 left a ±9% gap no constant can
- * close. Perf-only flags (channelSymmetry) do not affect the lookup.
+ * close.
  *
  * @param per_channel_sub_batch decode requests per channel in ONE
  *        Algorithm-3 sub-batch (batch / (2 x channels) for a uniform

@@ -143,10 +143,8 @@ std::unique_ptr<HybridIterationModel>
 makeHybridIterationModel(const DeviceConfig &dev,
                          const model::LlmConfig &llm, int sample_every)
 {
-    DeviceConfig dev2 = dev;
-    dev2.flags.channelSymmetry = true;
     return std::make_unique<HybridIterationModel>(
-        dev2, llm, llm.defaultTp, llm.layersPerDevice(llm.defaultPp),
+        dev, llm, llm.defaultTp, llm.layersPerDevice(llm.defaultPp),
         sample_every);
 }
 

@@ -58,9 +58,7 @@ makeIterationModel(const DeviceConfig &dev, const model::LlmConfig &llm);
  * Build the engine-backed model (HybridIterationModel): event-engine
  * samples every @p sample_every iterations (plus forced samples on
  * composition changes), analytic fast-forward between them; 1 prices
- * every iteration on the engine. Turns on channel-symmetry folding
- * (bit-identical, DESIGN.md §5) so each sampled window stays
- * tractable.
+ * every iteration on the engine.
  */
 std::unique_ptr<HybridIterationModel>
 makeHybridIterationModel(const DeviceConfig &dev,

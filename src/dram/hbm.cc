@@ -93,8 +93,7 @@ HbmStack::idle() const
 // The aggregate walks every logical channel through controller(), so a
 // folded member contributes its representative's (bit-identical) value
 // in the same summation order as the unfolded simulation — keeping
-// floating-point accumulations exactly equal with the fast path on or
-// off.
+// floating-point accumulations exactly equal to the unfolded run's.
 
 Bytes
 HbmStack::totalDataBusBytes() const
@@ -126,6 +125,17 @@ HbmStack::totalPimBankBusyCycles() const
     return static_cast<Cycle>(total);
 }
 
+Cycle
+HbmStack::totalMemBankBusyCycles() const
+{
+    Cycle total = 0;
+    for (ChannelId ch = 0; ch < numChannels(); ++ch) {
+        for (Cycle c : controller(ch).memBankBusyCycles())
+            total += c;
+    }
+    return total;
+}
+
 MemSchedStats
 HbmStack::totalMemSchedStats() const
 {
@@ -133,22 +143,6 @@ HbmStack::totalMemSchedStats() const
     for (ChannelId ch = 0; ch < numChannels(); ++ch)
         total += controller(ch).memSchedStats();
     return total;
-}
-
-double
-HbmStack::memBankUtilization(Cycle window_start, Cycle window_end) const
-{
-    if (window_end <= window_start)
-        return 0.0;
-    double busy = 0.0;
-    double banks = 0.0;
-    for (ChannelId ch = 0; ch < numChannels(); ++ch) {
-        for (Cycle c : controller(ch).memBankBusyCycles())
-            busy += static_cast<double>(c);
-        banks += static_cast<double>(cfg_.org.banksPerChannel);
-    }
-    return busy /
-           (banks * static_cast<double>(window_end - window_start));
 }
 
 double

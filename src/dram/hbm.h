@@ -29,11 +29,11 @@ struct MemConfig
 };
 
 /**
- * Channel equivalence classes for the channel-symmetry fast path:
+ * Channel equivalence classes of the channel fold (DESIGN.md §5):
  * channels that will receive bit-identical job streams share one
  * simulated controller (the class representative). The identity
- * grouping (every channel its own representative) reproduces the
- * unfolded simulation exactly.
+ * grouping (every channel its own representative) is the unfolded
+ * simulation.
  */
 struct SymmetryGroups
 {
@@ -100,7 +100,6 @@ class HbmStack : private EventQueue::Batcher
     }
 
     int classSize(ChannelId ch) const { return groups_.classSize.at(ch); }
-    int symmetryClasses() const { return groups_.numClasses; }
 
     const MemConfig &config() const { return cfg_; }
 
@@ -118,15 +117,15 @@ class HbmStack : private EventQueue::Batcher
     /** Sum over channels and banks of PIM compute cycles. */
     Cycle totalPimBankBusyCycles() const;
 
+    /** Sum over channels and banks of MEM data-service cycles (64 B
+     * beats served). */
+    Cycle totalMemBankBusyCycles() const;
+
     /** Sum of per-channel scheduling statistics (row hit/miss/conflict
      * classification, per-class command counts, mode switches, PIM
      * stall/waste integrals); folded channels contribute their
      * representative's bit-identical values. */
     MemSchedStats totalMemSchedStats() const;
-
-    /** Mean MEM-side per-bank data-service fraction over a window:
-     * 64 B beats served per bank against the window span. */
-    double memBankUtilization(Cycle window_start, Cycle window_end) const;
 
     /** Mean data-bus utilization across channels over a window. */
     double dataBusUtilization(Cycle window_start, Cycle window_end);

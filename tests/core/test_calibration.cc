@@ -1,58 +1,18 @@
 /**
  * @file
- * Calibration-anchor consistency tests: calibrate() measures its one
- * engine point with the channelSymmetry fast path on whatever the
- * model's own flag says, so calibrating with the flag on or off
- * yields the SAME anchor and identical serial pricing — and the
- * anchor run's mem-sched statistics reach the analytic model's
- * summary.
+ * Calibration-anchor tests: anchors are keyed by arbitration policy,
+ * the anchor run's mem-sched statistics reach the analytic model's
+ * summary, and the calibrated SBI hide-fraction surface is sane.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/batch_builder.h"
 #include "core/iteration_model.h"
 #include "core/serving_setup.h"
 #include "dram/mem_sched.h"
 
 namespace neupims::core {
 namespace {
-
-/** Symmetry folding is a perf-only fast path: calibrated pricing must
- * be identical with it on or off. */
-TEST(CalibrationAnchors, SymmetryFastPathSharesAnchorAndPricing)
-{
-    auto llm = model::gpt3_13b();
-    const auto &backend = servingBackendByName("NeuPIMs+SBI");
-    const int layers = llm.layersPerDevice(llm.defaultPp);
-
-    auto dev_sym = backend.device;
-    dev_sym.flags.channelSymmetry = true;
-    auto dev_full = backend.device;
-    dev_full.flags.channelSymmetry = false;
-
-    AnalyticIterationModel sym(dev_sym, llm, llm.defaultTp, layers);
-    AnalyticIterationModel full(dev_full, llm, llm.defaultTp, layers);
-
-    double scale_sym = sym.calibrate(96, 640);
-    double scale_full = full.calibrate(96, 640);
-    EXPECT_DOUBLE_EQ(scale_sym, scale_full);
-    // Same engine run: the same DRAM command stream.
-    EXPECT_EQ(sym.memSchedSummary().memCommands,
-              full.memSchedSummary().memCommands);
-    EXPECT_EQ(sym.memSchedSummary().pimCommands,
-              full.memSchedSummary().pimCommands);
-    EXPECT_DOUBLE_EQ(sym.scale(), full.scale());
-
-    // Identical calibrated pricing on compositions off the anchor.
-    for (int batch : {48, 96, 192}) {
-        auto comp =
-            uniformComposition(batch, 512, backend.device.org.channels);
-        EXPECT_EQ(sym.perLayerCyclesFor(comp),
-                  full.perLayerCyclesFor(comp))
-            << "batch " << batch;
-    }
-}
 
 /** Anchors are policy-distinct: the same grid point under another
  * arbitration policy is a different engine and must not reuse the
@@ -127,11 +87,6 @@ TEST(CalibrationAnchors, HideFractionSurfaceSanity)
     // Policy-distinct surfaces.
     EXPECT_GT(calibratedSbiHideFraction(paws, 12.0, 1024.0),
               calibratedSbiHideFraction(dev, 12.0, 1024.0) + 0.2);
-    // A symmetry flip must not move the lookup (perf-only flag).
-    auto dev_sym = dev;
-    dev_sym.flags.channelSymmetry = !dev.flags.channelSymmetry;
-    EXPECT_DOUBLE_EQ(calibratedSbiHideFraction(dev, 8.0, 1024.0),
-                     calibratedSbiHideFraction(dev_sym, 8.0, 1024.0));
 }
 
 } // namespace

@@ -200,6 +200,19 @@ TEST(Executor, LongerContextSlowsIteration)
     EXPECT_GT(long_ctx.iterationCycles, short_ctx.iterationCycles);
 }
 
+/** MEM bank utilization counts only the measured layers' beats: on
+ * NPU-only every data-bus beat is a MEM beat, so the per-channel sum
+ * (memBankUtil x banks) is the data-bus utilization of the window. */
+TEST(Executor, MemBankUtilCountsOnlyTheMeasuredWindow)
+{
+    auto llm = tinyModel();
+    auto dev = DeviceConfig::npuOnly();
+    auto res = run(dev, llm, 64, 512, 2);
+    ASSERT_GT(res.bwUtil, 0.0);
+    EXPECT_NEAR(res.memBankUtil * dev.org.banksPerChannel / res.bwUtil,
+                1.0, 0.01);
+}
+
 TEST(ExecutorDeathTest, BadWindowPanics)
 {
     auto llm = tinyModel();

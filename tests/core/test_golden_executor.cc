@@ -25,15 +25,11 @@ serializeIteration(const std::string &backend_name,
                    const core::DeviceConfig &dev, int batch, int seq)
 {
     auto llm = model::gpt3_13b();
-    core::DeviceConfig cfg = dev;
-    // The symmetry fast path is proven bit-identical
-    // (tests/core/test_symmetry.cc); folding keeps this golden cheap.
-    cfg.flags.channelSymmetry = true;
-    auto comp = core::uniformComposition(batch, seq, cfg.org.channels);
-    core::DeviceExecutor exec(cfg, llm, llm.defaultTp,
+    auto comp = core::uniformComposition(batch, seq, dev.org.channels);
+    core::DeviceExecutor exec(dev, llm, llm.defaultTp,
                               llm.layersPerDevice(llm.defaultPp));
     auto r = exec.runIteration(
-        comp, cfg.flags.subBatchInterleaving ? 3 : 2, 1);
+        comp, dev.flags.subBatchInterleaving ? 3 : 2, 1);
 
     char line[512];
     std::snprintf(

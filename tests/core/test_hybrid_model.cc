@@ -43,7 +43,6 @@ testDevice()
 {
     auto dev = DeviceConfig::neuPims();
     dev.sbiMinBatch = 1 << 20; // serial pipeline: cheap samples
-    dev.flags.channelSymmetry = true;
     return dev;
 }
 
@@ -157,7 +156,6 @@ TEST(HybridModel, MixedPricingScalesDecodeMeasurementByAnalyticRatio)
     auto llm = model::gpt3_7b();
     DeviceConfig dev = DeviceConfig::neuPims();
     dev.flags.subBatchInterleaving = false;
-    dev.flags.channelSymmetry = true; // keep the measurement cheap
     HybridIterationModel m(dev, llm, llm.defaultTp, 2,
                            /*sample_every=*/1);
     AnalyticIterationModel analytic(dev, llm, llm.defaultTp, 2);

@@ -1,24 +1,42 @@
 /**
  * @file
- * Equivalence tests of the channel-symmetry fast path: for every
- * execution mode the paper evaluates (NPU-only, serial/blocked
- * NPU+PIM, NeuPIMs with and without sub-batch interleaving), folding
- * composition-identical channels onto one representative controller
- * must produce a bit-identical IterationResult — cycles, throughput,
- * utilizations, traffic and command counts — while actually
- * simulating far fewer controllers. DESIGN.md §5 gives the argument;
- * these tests are the proof obligation.
+ * Equivalence tests of the channel fold: for every execution mode the
+ * paper evaluates (NPU-only, serial/blocked NPU+PIM, NeuPIMs with and
+ * without sub-batch interleaving), folding channels whose controllers
+ * receive identical work onto one representative controller must
+ * produce a bit-identical IterationResult — cycles, throughput,
+ * utilizations, traffic, command counts and scheduling statistics —
+ * against the unfolded reference run, while actually simulating far
+ * fewer controllers. DESIGN.md §5 gives the argument; these tests are
+ * the proof obligation.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <tuple>
 
 #include "core/batch_builder.h"
 #include "core/device_config.h"
 #include "core/executor.h"
+#include "runtime/workload.h"
 
 namespace neupims::core {
+
+/** The unfolded reference run, which only tests may select. */
+class DeviceExecutorTestPeer
+{
+  public:
+    static IterationResult
+    runUnfolded(DeviceExecutor &ex, const BatchComposition &batch,
+                const ExtraMemTraffic &extra, int window_layers,
+                int warmup_layers)
+    {
+        return ex.run(batch, extra, window_layers, warmup_layers, false);
+    }
+};
+
 namespace {
 
 /** A small decoder model that keeps the unfolded runs fast. */
@@ -35,17 +53,20 @@ tinyModel()
     return cfg;
 }
 
-/** An execution mode, held by value with no pointer members: gtest
- * prints a parameter it has no printer for as its raw bytes, and
- * gtest_discover_tests copies that dump into the CTest names, so a
- * pointer here would rename the cases on every discovery run (ASLR
- * moves the addresses). */
+/** An execution mode, held by value with no pointer members so its
+ * printed form, and with it the CTest name, is stable. */
 struct ModeParam
 {
     char name[16];
 
     DeviceConfig make() const;
 };
+
+void
+PrintTo(const ModeParam &m, std::ostream *os)
+{
+    *os << m.name;
+}
 
 DeviceConfig
 makeNpuOnly()
@@ -93,6 +114,10 @@ ModeParam::make() const
     return makeNpuOnly();
 }
 
+const auto kModes =
+    ::testing::Values(ModeParam{"NpuOnly"}, ModeParam{"SerialNpuPim"},
+                      ModeParam{"NeuPimsSerial"}, ModeParam{"NeuPimsSbi"});
+
 /** Every IterationResult field, compared for exact equality (EQ on
  * doubles is bitwise equality for the values the engine produces). */
 void
@@ -119,6 +144,57 @@ expectBitIdentical(const IterationResult &a, const IterationResult &b)
     EXPECT_EQ(a.phases.npuUtilMha, b.phases.npuUtilMha);
     EXPECT_EQ(a.phases.npuUtilProjFfn, b.phases.npuUtilProjFfn);
     EXPECT_EQ(a.phases.pimUtilMha, b.phases.pimUtilMha);
+    EXPECT_EQ(a.memSched.rowHits, b.memSched.rowHits);
+    EXPECT_EQ(a.memSched.rowMisses, b.memSched.rowMisses);
+    EXPECT_EQ(a.memSched.rowConflicts, b.memSched.rowConflicts);
+    EXPECT_EQ(a.memSched.memCommands, b.memSched.memCommands);
+    EXPECT_EQ(a.memSched.pimCommands, b.memSched.pimCommands);
+    EXPECT_EQ(a.memSched.modeSwitches, b.memSched.modeSwitches);
+    EXPECT_EQ(a.memSched.pimStallCycles, b.memSched.pimStallCycles);
+    EXPECT_EQ(a.memSched.pimWasteCycles, b.memSched.pimWasteCycles);
+    EXPECT_EQ(a.memBankUtil, b.memBankUtil);
+    EXPECT_EQ(a.extraTrafficEndCycle, b.extraTrafficEndCycle);
+}
+
+/**
+ * Run @p comp folded and unfolded on fresh executors, expect
+ * bit-identical results and an unfolded run of one class per channel,
+ * and return the folded run's class count.
+ */
+int
+expectFoldExact(const DeviceConfig &dev, const BatchComposition &comp,
+                int window_layers, const ExtraMemTraffic &extra = {})
+{
+    auto llm = tinyModel();
+    DeviceExecutor unfolded(dev, llm, 1, llm.numLayers);
+    DeviceExecutor folded(dev, llm, 1, llm.numLayers);
+    auto a = DeviceExecutorTestPeer::runUnfolded(unfolded, comp, extra,
+                                                 window_layers, 1);
+    auto b = folded.runIteration(comp, extra, window_layers, 1);
+    EXPECT_EQ(unfolded.lastSymmetryClasses(), dev.org.channels);
+    expectBitIdentical(a, b);
+    return folded.lastSymmetryClasses();
+}
+
+/**
+ * Fold a warm batch built the way engine_grid and Fig. 12 build
+ * theirs. NPU-only channels differ only in request count, so a
+ * round-robin batch leaves channel 0 plus at most two classes.
+ */
+void
+expectWarmBatchFoldExact(const DeviceConfig &dev,
+                         const std::string &dataset, int batch,
+                         const ExtraMemTraffic &extra = {})
+{
+    runtime::WorkloadGenerator gen(runtime::datasetByName(dataset), 42);
+    auto comp = buildComposition(gen.warmBatch(batch), dev.org.channels,
+                                 dev.flags.minLoadPacking,
+                                 latencyParamsFor(dev, tinyModel(), 1));
+    int classes = expectFoldExact(
+        dev, comp, dev.flags.subBatchInterleaving ? 3 : 2, extra);
+    if (dev.kind == SystemKind::NpuOnly) {
+        EXPECT_LE(classes, 3);
+    }
 }
 
 class SymmetryEquivalence : public ::testing::TestWithParam<ModeParam>
@@ -126,35 +202,21 @@ class SymmetryEquivalence : public ::testing::TestWithParam<ModeParam>
 
 TEST_P(SymmetryEquivalence, UniformBatchFoldsBitIdentically)
 {
-    auto llm = tinyModel();
     DeviceConfig dev = GetParam().make();
     auto comp = uniformComposition(96, 192, dev.org.channels);
-
-    DeviceConfig slow_dev = dev;
-    slow_dev.flags.channelSymmetry = false;
-    DeviceConfig fast_dev = dev;
-    fast_dev.flags.channelSymmetry = true;
-
-    DeviceExecutor slow(slow_dev, llm, 1, llm.numLayers);
-    DeviceExecutor fast(fast_dev, llm, 1, llm.numLayers);
-    auto a = slow.runIteration(comp, 3, 1);
-    auto b = fast.runIteration(comp, 3, 1);
-
-    // The guard must have engaged: 32 channels collapse to a handful
-    // of classes (channel 0 stays a singleton by construction).
-    EXPECT_EQ(slow.lastSymmetryClasses(), dev.org.channels);
-    EXPECT_LE(fast.lastSymmetryClasses(), 5);
-
-    expectBitIdentical(a, b);
+    // 32 channels collapse to a handful of classes (channel 0 stays a
+    // singleton by construction).
+    EXPECT_LE(expectFoldExact(dev, comp, 3), 5);
 }
 
 TEST_P(SymmetryEquivalence, DistinctCompositionsFallBackExactly)
 {
-    auto llm = tinyModel();
     DeviceConfig dev = GetParam().make();
 
-    // Every channel gets a different KV length: no two compositions
-    // match, so the guard degenerates to per-channel simulation.
+    // Every channel gets a different KV length. PIM channels then run
+    // distinct kernels and stay unfolded; NPU-only channels append the
+    // same bytes and stream their share of one all-channel sweep, so
+    // they fold to channel 0 plus one class.
     BatchComposition comp;
     int channels = dev.org.channels;
     comp.full.assign(channels, {});
@@ -167,26 +229,47 @@ TEST_P(SymmetryEquivalence, DistinctCompositionsFallBackExactly)
         comp.sb2[ch] = {len + 8};
     }
 
-    DeviceConfig slow_dev = dev;
-    slow_dev.flags.channelSymmetry = false;
-    DeviceConfig fast_dev = dev;
-    fast_dev.flags.channelSymmetry = true;
+    const bool npu_only = dev.kind == SystemKind::NpuOnly;
+    EXPECT_EQ(expectFoldExact(dev, comp, 3), npu_only ? 2 : channels);
+}
 
-    DeviceExecutor slow(slow_dev, llm, 1, llm.numLayers);
-    DeviceExecutor fast(fast_dev, llm, 1, llm.numLayers);
-    auto a = slow.runIteration(comp, 3, 1);
-    auto b = fast.runIteration(comp, 3, 1);
-
-    EXPECT_EQ(fast.lastSymmetryClasses(), channels);
-    expectBitIdentical(a, b);
+/** Odd-sized swap traffic leaves a sub-burst tail on channel 0. */
+TEST_P(SymmetryEquivalence, SwapTrafficFoldsBitIdentically)
+{
+    ExtraMemTraffic extra;
+    extra.swapOutBytes = 3 * 1024 * 1024 + 4321;
+    extra.swapInBytes = 1024 * 1024 + 77;
+    expectWarmBatchFoldExact(GetParam().make(), "ShareGPT", 64, extra);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, SymmetryEquivalence,
-    ::testing::Values(ModeParam{"NpuOnly"}, ModeParam{"SerialNpuPim"},
-                      ModeParam{"NeuPimsSerial"}, ModeParam{"NeuPimsSbi"}),
+    Modes, SymmetryEquivalence, kModes,
     [](const ::testing::TestParamInfo<ModeParam> &pinfo) {
         return std::string(pinfo.param.name);
+    });
+
+/** Mode x dataset x batch size of one sampled warm batch. */
+using SampledParam = std::tuple<ModeParam, std::string, int>;
+
+class SampledBatchFold : public ::testing::TestWithParam<SampledParam>
+{};
+
+TEST_P(SampledBatchFold, FoldsBitIdentically)
+{
+    const auto &[mode, dataset, batch] = GetParam();
+    expectWarmBatchFoldExact(mode.make(), dataset, batch);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Warm, SampledBatchFold,
+    ::testing::Combine(kModes,
+                       ::testing::Values(std::string("ShareGPT"),
+                                         std::string("Alpaca")),
+                       ::testing::Values(37, 64, 256)),
+    [](const ::testing::TestParamInfo<SampledParam> &pinfo) {
+        return std::string(std::get<0>(pinfo.param).name) + "_" +
+               std::get<1>(pinfo.param) + "_b" +
+               std::to_string(std::get<2>(pinfo.param));
     });
 
 } // namespace

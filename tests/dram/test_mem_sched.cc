@@ -199,7 +199,6 @@ TEST(FrFcfs, ExecutorIterationBitIdenticalToDefault)
 {
     auto llm = model::gpt3_13b();
     auto dev = core::DeviceConfig::neuPims();
-    dev.flags.channelSymmetry = true; // uniform comp folds to 1 class
     auto comp = core::uniformComposition(256, 512, dev.org.channels);
 
     core::DeviceExecutor base(dev, llm, llm.defaultTp, 3);

@@ -26,7 +26,6 @@ TEST(ControllerLifecycle, RepeatedIterationsBitIdentical)
 {
     auto llm = model::gpt3_13b();
     auto dev = core::DeviceConfig::neuPims();
-    dev.flags.channelSymmetry = true; // uniform comps fold to 1 class
     core::DeviceExecutor exec(dev, llm, llm.defaultTp, 3);
     auto comp = core::uniformComposition(128, 512, dev.org.channels);
 
@@ -46,7 +45,6 @@ TEST(ControllerLifecycle, NoScheduleResidueAcrossCompositions)
 {
     auto llm = model::gpt3_13b();
     auto dev = core::DeviceConfig::neuPims();
-    dev.flags.channelSymmetry = true; // uniform comps fold to 1 class
     core::DeviceExecutor exec(dev, llm, llm.defaultTp, 3);
     auto big = core::uniformComposition(256, 1024, dev.org.channels);
     auto small = core::uniformComposition(32, 256, dev.org.channels);
@@ -67,7 +65,6 @@ TEST(ControllerLifecycle, ExtraTrafficDoesNotLeakIntoNextIteration)
 {
     auto llm = model::gpt3_13b();
     auto dev = core::DeviceConfig::neuPims();
-    dev.flags.channelSymmetry = true; // uniform comps fold to 1 class
     core::DeviceExecutor exec(dev, llm, llm.defaultTp, 3);
     auto comp = core::uniformComposition(128, 512, dev.org.channels);
 
@@ -125,7 +122,6 @@ TEST(ControllerLifecycle, ShrunkenCompositionPricedIndependently)
 {
     auto llm = model::gpt3_13b();
     auto dev = core::DeviceConfig::neuPims();
-    dev.flags.channelSymmetry = true; // degraded comp folds to 2 classes
     auto full = core::uniformComposition(128, 512, dev.org.channels);
     // Post-failure shape: one channel carries nothing.
     auto degraded = full;
