@@ -74,7 +74,11 @@ pick(std::vector<T> full, std::vector<T> fast)
     return bench::fastMode() ? fast : full;
 }
 
-/** Poisson ShareGPT traffic at @p rate requests/s on NeuPIMs+SBI. */
+/**
+ * Poisson ShareGPT traffic at @p rate requests/s on NeuPIMs+SBI, with
+ * recompute preemption: without preemption a run whose KV cache fills
+ * stops, and the full sweeps' busiest ShareGPT runs fill it.
+ */
 Spec
 spec(const char *name, double load, double rate)
 {
@@ -82,6 +86,7 @@ spec(const char *name, double load, double rate)
     s.run.rate = rate;
     s.run.requests = bench::fastMode() ? 128 : 448;
     s.run.seed = s.run.options.faultSeed = bench::benchSeed();
+    s.run.options.preempt = "recompute";
     return s;
 }
 
@@ -95,7 +100,7 @@ nominalRate(const std::string &dataset)
 /**
  * The over-capacity device of the pressure sweeps: KV capacity shrunk
  * 6x, lengths clamped to 320 so every request individually fits a
- * channel, recompute preemption, at @p load x 180 requests/s.
+ * channel, at @p load x 180 requests/s.
  */
 Spec
 pressured(const char *name, double load)
@@ -103,7 +108,6 @@ pressured(const char *name, double load)
     Spec s = spec(name, load, 180.0 * load);
     s.run.maxLen = 320;
     s.run.options.kvScale = 6;
-    s.run.options.preempt = "recompute";
     return s;
 }
 
@@ -137,7 +141,7 @@ configSweep()
     Sweep sw{"configs", "Serving latency under live traffic (" + kLlm.name +
                             ", " + std::to_string(base.requests) +
                             " requests, seed " + std::to_string(base.seed) +
-                            ")"};
+                            ", recompute)"};
     for (const auto &backend : core::standardServingBackends())
         for (const char *ds : {"ShareGPT", "Alpaca"})
             for (const auto &kind : runtime::standardTrafficKinds())
@@ -200,7 +204,8 @@ Sweep
 prefillSweep()
 {
     Sweep sw{"prefill_sweep",
-             "Prefill scheduling sweep (NeuPIMs+SBI, poisson, ShareGPT)"};
+             "Prefill scheduling sweep (NeuPIMs+SBI, poisson, ShareGPT, "
+             "recompute; whole without preemption)"};
     const std::pair<const char *, int> modes[] = {
         {"whole", 0}, // stall-the-world: no chunk budget, no piggyback
         {"chunked-128", 128},
@@ -214,6 +219,8 @@ prefillSweep()
             if (chunk == 0) {
                 s.run.prefill.policy = runtime::PrefillPolicy::WholePrompt;
                 s.run.prefill.piggyback = false;
+                // Preemption needs piggybacked prefill; this arm fits.
+                s.run.options.preempt = "off";
             } else {
                 s.run.prefill.chunkTokens = chunk;
             }
@@ -250,21 +257,26 @@ prefillSweep()
 
 // --- preempt_sweep: memory pressure as a priced event ---------------
 //
-// Memory-pressure policies on the over-capacity device: preemption off
-// (admission stalls while the KV cache is full) against recompute and
-// swap eviction across three offered loads. p95 TTFT/TBT, preemption
-// rate, swap traffic and drops show the cost of pressure as a priced
-// event rather than a stall.
+// Memory-pressure policies on the over-capacity device: recompute and
+// swap eviction across three offered loads, against preemption off on
+// the full KV capacity as the no-pressure reference (without
+// preemption a decode token that finds no free page stops the run, so
+// off cannot run on the shrunk cache). p95 TTFT/TBT, preemption rate,
+// swap traffic and drops show the cost of pressure as a priced event.
 
 Sweep
 preemptSweep()
 {
     Sweep sw{"preempt_sweep", "Preemption policy sweep (NeuPIMs+SBI, "
-                              "poisson, ShareGPT, KV/6, maxlen 320)"};
+                              "poisson, ShareGPT, KV/6, maxlen 320; "
+                              "off at full KV as the no-pressure "
+                              "reference)"};
     for (const char *mode : {"off", "recompute", "swap"})
         for (double load : pick<double>({1.0, 1.5, 2.0}, {1.5})) {
             Spec &s = sw.specs.emplace_back(pressured(mode, load));
             s.run.options.preempt = mode;
+            if (s.run.options.preempt == "off")
+                s.run.options.kvScale = 1;
         }
     sw.columns = [](const Spec &s, const runtime::ServingReport &r) {
         double preempt_rate =
@@ -704,7 +716,6 @@ prefixSweep()
                 run.session.systemPromptTokens = 1536;
                 run.session.meanTurns = 8.0;
                 run.session.thinkMs = 80.0;
-                run.options.preempt = "recompute";
                 run.options.prefixShare = share;
             }
     sw.columns = [](const Spec &s, const runtime::ServingReport &r) {

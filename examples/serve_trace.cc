@@ -49,7 +49,8 @@
  * first-decode accordingly.
  *
  * --preempt selects the memory-pressure policy: off stalls admission
- * while the KV cache is full (legacy), recompute frees victims' pages
+ * while the KV cache is full and stops the run if a decode token finds
+ * no free page (the run must fit), recompute frees victims' pages
  * and re-runs their sequences through chunked prefill, swap parks
  * pages in a host tier over a --swap-gbps link. --victim picks the
  * eviction order; --kv-scale shrinks device KV capacity by an integer

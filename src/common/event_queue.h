@@ -188,8 +188,8 @@ class EventQueue
     class Batcher
     {
       public:
-        /** @return whether events were consumed; none past @p limit. */
-        virtual bool runBatch(Cycle limit) = 0;
+        /** @return whether events were consumed. */
+        virtual bool runBatch() = 0;
 
       protected:
         ~Batcher() = default;
@@ -269,25 +269,21 @@ class EventQueue
     }
 
     /**
-     * Run until the queue drains or @p limit cycles is exceeded.
+     * Run until the queue drains.
      * @return the final simulated cycle.
      */
     Cycle
-    run(Cycle limit = kCycleMax)
+    run()
     {
         while (size_ > 0) {
             if (l0Count_ == 0)
                 advanceWindow();
             Cycle when = nextL0Cycle();
-            if (when > limit) {
-                now_ = std::max(now_, limit);
-                return now_;
-            }
             NEUPIMS_ASSERT(when >= now_, "time went backwards");
             now_ = when;
             std::size_t idx = l0Index(when);
-            if (batcher_ && head_ == 0 && !testBit(l0UntaggedBits_, idx) &&
-                batcher_->runBatch(limit))
+            if (batcher_ && !testBit(l0UntaggedBits_, idx) &&
+                batcher_->runBatch())
                 continue;
             // Batched same-cycle dispatch: drain the whole bucket,
             // including events the callbacks append at this cycle.
@@ -296,11 +292,11 @@ class EventQueue
             // per-event move; executed callbacks are destroyed
             // wholesale when the bucket is released.
             auto &bucket = l0_[idx];
-            std::size_t start = head_; // step() may have consumed some
+            std::size_t head = 0;
             draining_ = true;
             while (true) {
-                while (head_ < bucket.size())
-                    bucket[head_++].cb();
+                while (head < bucket.size())
+                    bucket[head++].cb();
                 if (drainAppend_.empty())
                     break;
                 for (auto &e : drainAppend_)
@@ -310,50 +306,12 @@ class EventQueue
             draining_ = false;
             // Counters are settled once per bucket; callbacks do not
             // observe size()/executedEvents() mid-drain.
-            std::size_t drained = head_ - start;
-            size_ -= drained;
-            l0Count_ -= drained;
-            executed_ += drained;
+            size_ -= head;
+            l0Count_ -= head;
+            executed_ += head;
             releaseBucket(idx);
         }
         return now_;
-    }
-
-    /**
-     * Run a single event, honoring the same monotonicity and limit
-     * semantics as run().
-     * @return false if the queue was empty or the next event lies
-     *         beyond @p limit (in which case now() advances to the
-     *         limit, as run() does).
-     */
-    bool
-    step(Cycle limit = kCycleMax)
-    {
-        if (size_ == 0)
-            return false;
-        if (l0Count_ == 0)
-            advanceWindow();
-        Cycle when = nextL0Cycle();
-        if (when > limit) {
-            now_ = std::max(now_, limit);
-            return false;
-        }
-        NEUPIMS_ASSERT(when >= now_, "time went backwards");
-        now_ = when;
-        std::size_t idx = l0Index(when);
-        auto &bucket = l0_[idx];
-        draining_ = true;
-        bucket[head_++].cb();
-        draining_ = false;
-        for (auto &e : drainAppend_)
-            bucket.push_back(std::move(e));
-        drainAppend_.clear();
-        --size_;
-        --l0Count_;
-        ++executed_;
-        if (head_ == bucket.size())
-            releaseBucket(idx);
-        return true;
     }
 
     /** Total events executed (engine statistics). Events a batcher
@@ -387,7 +345,7 @@ class EventQueue
     void
     takeTagged(Cycle end, Fn &&fn)
     {
-        NEUPIMS_ASSERT(head_ == 0 && end <= taggedEnd(end));
+        NEUPIMS_ASSERT(end <= taggedEnd(end));
         const Cycle base = l0Span_ << kL0Bits;
         const auto to = static_cast<std::size_t>(end - base);
         for (std::size_t idx = scanBits(l0Bits_, l0Index(now_), to);
@@ -449,12 +407,9 @@ class EventQueue
         NEUPIMS_ASSERT(when >= now_, "when=", when, " now=", now_);
         ++size_;
         Cycle span = when >> kL0Bits;
-        if (span < l0Span_) {
-            // Rare: run(limit) parked now_ before a window that had
-            // already advanced to the next pending event, and the
-            // caller now schedules into the gap. Rewind the windows.
-            retreatWindow(span);
-        }
+        // The window only advances to the next pending event, which
+        // run() then makes now_: no schedule lands behind it.
+        NEUPIMS_ASSERT(span >= l0Span_, "schedule behind the window");
         if (span == l0Span_) {
             // Level 0: per-cycle bucket, O(1).
             if (draining_ && when == now_) {
@@ -614,46 +569,6 @@ class EventQueue
         NEUPIMS_ASSERT(l0Count_ > 0, "window advance produced no work");
     }
 
-    /**
-     * Rewind both windows so @p target_span becomes the level-0 span.
-     * Every wheel resident is demoted to the overflow heap (which
-     * orders by (cycle, sequence) regardless) and whatever fits the
-     * rewound windows is swept straight back. Only reachable through
-     * the run(limit)-then-schedule-into-the-gap pattern, never on the
-     * simulator hot path.
-     */
-    void
-    retreatWindow(Cycle target_span)
-    {
-        for (std::size_t idx = 0; l0Count_ > 0 && idx < kL0Span; ++idx) {
-            if (!(l0Bits_[idx >> 6] & (1ULL << (idx & 63))))
-                continue;
-            Cycle when = (l0Span_ << kL0Bits) + static_cast<Cycle>(idx);
-            for (auto &e : l0_[idx]) {
-                far_.push(L1Event{when, e.seq, e.tag, std::move(e.cb)});
-                --l0Count_;
-            }
-            l0_[idx].clear();
-            l0Bits_[idx >> 6] &= ~(1ULL << (idx & 63));
-            l0UntaggedBits_[idx >> 6] &= ~(1ULL << (idx & 63));
-        }
-        for (std::size_t idx = 0; l1Count_ > 0 && idx < kL1Buckets;
-             ++idx) {
-            if (!(l1Bits_[idx >> 6] & (1ULL << (idx & 63))))
-                continue;
-            for (auto &e : l1_[idx]) {
-                far_.push(
-                    L1Event{e.when, e.seq, e.tag, std::move(e.cb)});
-                --l1Count_;
-            }
-            l1_[idx].clear();
-            l1Bits_[idx >> 6] &= ~(1ULL << (idx & 63));
-        }
-        head_ = 0;
-        l0Span_ = target_span;
-        sweepOverflow();
-    }
-
     /** Move overflow events that now fit the windows into them. */
     void
     sweepOverflow()
@@ -696,7 +611,6 @@ class EventQueue
     releaseBucket(std::size_t idx)
     {
         l0_[idx].clear();
-        head_ = 0;
         l0Bits_[idx >> 6] &= ~(1ULL << (idx & 63));
         l0UntaggedBits_[idx >> 6] &= ~(1ULL << (idx & 63));
     }
@@ -712,7 +626,6 @@ class EventQueue
         far_; ///< events beyond both windows
 
     Cycle l0Span_ = 0;      ///< level-0 window covers this span
-    std::size_t head_ = 0;  ///< drain cursor within the front bucket
     std::size_t l0Count_ = 0;
     std::size_t l1Count_ = 0;
     std::size_t size_ = 0;

@@ -31,10 +31,8 @@ DeviceConfig::neuPims()
     cfg.name = "NeuPIMs";
     cfg.kind = SystemKind::NpuPim;
     cfg.flags.dualRowBuffers = true;
-    cfg.flags.compositeGemv = true;
     cfg.flags.minLoadPacking = true;
     cfg.flags.subBatchInterleaving = true;
-    cfg.flags.pipelinedMha = true;
     cfg.flags.prefetchDuringMha = true;
     return cfg;
 }
@@ -47,8 +45,6 @@ DeviceConfig::ablation(bool drb, bool gmlbp, bool sbi)
     if (drb) {
         cfg.name += "+DRB";
         cfg.flags.dualRowBuffers = true;
-        cfg.flags.compositeGemv = true;
-        cfg.flags.pipelinedMha = true;
         cfg.flags.prefetchDuringMha = true;
     }
     if (gmlbp) {

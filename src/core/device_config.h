@@ -1,9 +1,12 @@
 /**
  * @file
  * Configuration of one accelerator device and the feature flags that
- * span the paper's design space: the three evaluated PIM systems
- * (naive NPU+PIM, NeuPIMs) differ only in these flags, which is what
- * the Figure 13 ablation sweeps.
+ * span the paper's design space: the evaluated PIM systems (naive
+ * NPU+PIM, NeuPIMs) differ only in these flags, which is what the
+ * Figure 13 ablation sweeps. Its steps are the paper's three
+ * mechanisms (DRB, GMLBP, SBI); the composite command interface and
+ * MHA pipelining are derived from DRB, because both need the second
+ * row buffer and no evaluated system has one without the others.
  */
 
 #ifndef NEUPIMS_CORE_DEVICE_CONFIG_H_
@@ -27,19 +30,23 @@ struct FeatureFlags
 {
     /** Dual row buffers -> concurrent MEM+PIM operation (§5.1). */
     bool dualRowBuffers = false;
-    /** Composite PIM_GEMV + PIM_HEADER command interface (§5.2). */
-    bool compositeGemv = false;
     /** Greedy min-load bin packing channel allocation (Alg. 2). */
     bool minLoadPacking = false;
     /** Sub-batch interleaving (§6.2, Alg. 3). */
     bool subBatchInterleaving = false;
     /**
-     * Head-granularity logit/softmax/attend pipelining (§6.1) and
-     * next-layer weight prefetch: only possible with dual row buffers
-     * (results and weights move while PIM computes).
+     * Next-layer weight prefetch during MHA: only possible with dual
+     * row buffers (weights move while PIM computes).
      */
-    bool pipelinedMha = false;
     bool prefetchDuringMha = false;
+
+    /** Composite PIM_GEMV + PIM_HEADER command interface (§5.2). */
+    bool compositeGemv() const { return dualRowBuffers; }
+    /**
+     * Head-granularity logit/softmax/attend pipelining (§6.1): results
+     * leave the PIM while it computes, so it needs dual row buffers.
+     */
+    bool pipelinedMha() const { return dualRowBuffers; }
 };
 
 struct DeviceConfig
@@ -60,10 +67,7 @@ struct DeviceConfig
      * efficiency GPU kernels achieve, and the reason attention
      * saturates neither bandwidth nor compute on NPUs/GPUs (§2.1).
      */
-    int gemvStreamBursts = 2;
-
-    /** Chunks per channel for pipelined MHA (latency hiding grain). */
-    int mhaChunks = 4;
+    static constexpr int gemvStreamBursts = 2;
 
     /**
      * Iteration-level SBI fallback: splitting a batch re-streams the
@@ -81,7 +85,7 @@ struct DeviceConfig
      * every activated row unused, unlike the packed all-heads layout
      * NeuPIMs compiles (§6.3). Multiplies the baseline's row tiles.
      */
-    double rigidLayoutFactor = 1.25;
+    static constexpr double rigidLayoutFactor = 1.25;
 
     /**
      * MEM vs PIM command arbitration (dram/mem_sched.h). FrFcfs is

@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "core/batch_builder.h"
-#include "npu/scratchpad.h"
 
 namespace neupims::core {
 
@@ -230,7 +229,7 @@ class IterationSim
         Cycle compute = npu_.gemmCycles(g.shape);
         Cycle sa_end = sa_start + compute;
         saFree_ = sa_end;
-        npu_.recordGemm(sa_start, sa_end, g.flops());
+        npu_.recordGemm(g.flops());
 
         Bytes prefetched = prefetch ? prefetch->bytes : 0;
         Bytes to_stream = g.weightBytes() > prefetched
@@ -303,8 +302,8 @@ class IterationSim
                                  cfg_.org.banksPerChannel);
         job.gwrites = w.gwrites;
         job.resultBursts = std::max(1, w.resultBursts);
-        job.composite = cfg_.flags.compositeGemv;
-        job.header = cfg_.flags.compositeGemv;
+        job.composite = cfg_.flags.compositeGemv();
+        job.header = cfg_.flags.compositeGemv();
         job.onComplete = std::move(cb);
         return job;
     }
@@ -459,7 +458,7 @@ class IterationSim
         // Folded (non-representative) channels are skipped outright:
         // their representative's kernels, completions and statistics
         // stand in for theirs (DESIGN.md §5).
-        if (cfg_.flags.pipelinedMha) {
+        if (cfg_.flags.pipelinedMha()) {
             for (std::size_t ch = 0; ch < mha.requests.size(); ++ch) {
                 if (!hbm_.isRepresentative(static_cast<ChannelId>(ch)))
                     continue;

@@ -315,7 +315,7 @@ AnalyticIterationModel::mhaCycles(const model::LayerPlan &plan) const
             est += estimator_.estimate(req.seqLen);
             softmax_elems += req.softmaxElems;
         }
-        if (cfg_.flags.pipelinedMha) {
+        if (cfg_.flags.pipelinedMha()) {
             est *= kPimPipelinedEngineFactor;
         } else {
             est *= kPimBaselineEngineFactor * cfg_.rigidLayoutFactor;
@@ -446,7 +446,7 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
 
         double attn = prefillAttnCycles(mixed);
         double hidden =
-            cfg_.flags.pipelinedMha
+            cfg_.flags.pipelinedMha()
                 ? std::min(extra + attn,
                            kPrefillHideFraction * decode_mha)
                 : 0.0;
@@ -461,7 +461,7 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
         compiler_.compileLayer(mix.decode.full, mix.prefill);
     double base = serialLayerCycles(mixed, true);
     double attn = prefillAttnCycles(mixed);
-    double hidden = cfg_.flags.pipelinedMha
+    double hidden = cfg_.flags.pipelinedMha()
                         ? std::min(attn, kPrefillHideFraction *
                                              mhaCycles(mixed))
                         : 0.0;
@@ -556,7 +556,7 @@ AnalyticIterationModel::swapOverheadCycles(const MixedComposition &mix)
         return 0;
     double transfer = static_cast<double>(mix.swapBytes) /
                       mix.swapBytesPerCycle;
-    if (cfg_.flags.pipelinedMha && mix.hasDecode()) {
+    if (cfg_.flags.pipelinedMha() && mix.hasDecode()) {
         // The PIM decode-MHA spans across all layers form the
         // NPU-idle window; swap claims the share the prefill
         // piggyback credit leaves (kSwapHideFraction), on the same

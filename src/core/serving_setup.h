@@ -84,7 +84,8 @@ void applyMemSched(DeviceConfig &dev, const std::string &name);
 struct ServingOptions
 {
     // --- memory pressure (PreemptConfig) ------------------------
-    /** "off" (legacy admission stall) | "recompute" | "swap". */
+    /** "off" (admission stall; the run must fit) | "recompute" |
+     * "swap". */
     std::string preempt = "off";
     /** Victim order under pressure: "lifo" | "fewest" | "longest". */
     std::string victim = "lifo";

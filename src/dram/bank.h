@@ -17,10 +17,8 @@
  * per timestamp class across all of a channel's banks, so the
  * controller's whole-channel scans (refresh readiness, grouped PIM
  * activation windows, candidate selection) walk contiguous memory
- * instead of striding across per-bank objects. BankRef is a
- * two-word handle giving call sites the old per-bank method API;
- * Bank keeps the standalone single-bank unit (a one-element array)
- * for unit tests and documentation.
+ * instead of striding across per-bank objects. Every method takes the
+ * bank it reads or commits; a one-bank array is a single bank.
  */
 
 #ifndef NEUPIMS_DRAM_BANK_H_
@@ -223,128 +221,6 @@ class BankArray
     std::vector<Cycle> pimNextColumn_;
     std::vector<Cycle> memNextPre_;
     std::vector<Cycle> pimNextPre_;
-};
-
-/**
- * Two-word handle onto one bank of a BankArray, preserving the old
- * per-bank method API at the controller/channel call sites. Copies
- * are cheap; a non-const ref mutates the underlying array.
- */
-class BankRef
-{
-  public:
-    BankRef(BankArray &a, BankId b) : a_(&a), b_(b) {}
-
-    bool dualRowBuffers() const { return a_->dualRowBuffers(); }
-    int openRow(BufferSide side) const { return a_->openRow(b_, side); }
-    Cycle
-    earliestActivate(BufferSide side) const
-    {
-        return a_->earliestActivate(b_, side);
-    }
-    Cycle
-    earliestColumn(BufferSide side) const
-    {
-        return a_->earliestColumn(b_, side);
-    }
-    Cycle
-    earliestPrecharge(BufferSide side) const
-    {
-        return a_->earliestPrecharge(b_, side);
-    }
-    void
-    activate(BufferSide side, int row, Cycle when)
-    {
-        a_->activate(b_, side, row, when);
-    }
-    void read(BufferSide side, Cycle when) { a_->read(b_, side, when); }
-    void write(BufferSide side, Cycle when) { a_->write(b_, side, when); }
-    void
-    precharge(BufferSide side, Cycle when)
-    {
-        a_->precharge(b_, side, when);
-    }
-    void refresh(Cycle when) { a_->refreshAll(when); }
-
-  private:
-    BankArray *a_;
-    BankId b_;
-};
-
-/** Read-only counterpart of BankRef for const channel access. */
-class ConstBankRef
-{
-  public:
-    ConstBankRef(const BankArray &a, BankId b) : a_(&a), b_(b) {}
-
-    bool dualRowBuffers() const { return a_->dualRowBuffers(); }
-    int openRow(BufferSide side) const { return a_->openRow(b_, side); }
-    Cycle
-    earliestActivate(BufferSide side) const
-    {
-        return a_->earliestActivate(b_, side);
-    }
-    Cycle
-    earliestColumn(BufferSide side) const
-    {
-        return a_->earliestColumn(b_, side);
-    }
-    Cycle
-    earliestPrecharge(BufferSide side) const
-    {
-        return a_->earliestPrecharge(b_, side);
-    }
-
-  private:
-    const BankArray *a_;
-    BankId b_;
-};
-
-/**
- * Standalone single bank: a one-element BankArray. The unit of the
- * bank-level tests and the reference for the per-bank constraint
- * algebra documented above.
- */
-class Bank
-{
-  public:
-    explicit Bank(const TimingParams &t, bool dual_row_buffers)
-        : a_(t, dual_row_buffers, 1)
-    {}
-
-    bool dualRowBuffers() const { return a_.dualRowBuffers(); }
-    int openRow(BufferSide side) const { return a_.openRow(0, side); }
-    Cycle
-    earliestActivate(BufferSide side) const
-    {
-        return a_.earliestActivate(0, side);
-    }
-    Cycle
-    earliestColumn(BufferSide side) const
-    {
-        return a_.earliestColumn(0, side);
-    }
-    Cycle
-    earliestPrecharge(BufferSide side) const
-    {
-        return a_.earliestPrecharge(0, side);
-    }
-    void
-    activate(BufferSide side, int row, Cycle when)
-    {
-        a_.activate(0, side, row, when);
-    }
-    void read(BufferSide side, Cycle when) { a_.read(0, side, when); }
-    void write(BufferSide side, Cycle when) { a_.write(0, side, when); }
-    void
-    precharge(BufferSide side, Cycle when)
-    {
-        a_.precharge(0, side, when);
-    }
-    void refresh(Cycle when) { a_.refreshAll(when); }
-
-  private:
-    BankArray a_;
 };
 
 } // namespace neupims::dram

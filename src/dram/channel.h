@@ -35,9 +35,7 @@ class Channel
     const TimingParams &timing() const { return *timing_; }
     const Organization &organization() const { return *org_; }
     int numBanks() const { return banks_.size(); }
-    BankRef bank(BankId b) { return BankRef(banks_, b); }
-    ConstBankRef bank(BankId b) const { return ConstBankRef(banks_, b); }
-    /** The channel's SoA bank state (dense whole-channel scans). */
+    /** The channel's SoA bank state. */
     BankArray &banks() { return banks_; }
     const BankArray &banks() const { return banks_; }
     bool dualRowBuffers() const { return dualRowBuffers_; }
@@ -140,16 +138,6 @@ class Channel
         counts_.record(write ? CommandType::Wr : CommandType::Rd);
         return {when, burst_start + t.tBL};
     }
-    std::pair<Cycle, Cycle>
-    issueRead(BankId bank, BufferSide side, Cycle not_before)
-    {
-        return issueColumn(bank, side, false, not_before);
-    }
-    std::pair<Cycle, Cycle>
-    issueWrite(BankId bank, BufferSide side, Cycle not_before)
-    {
-        return issueColumn(bank, side, true, not_before);
-    }
 
     /**
      * A burst train (DESIGN.md §3.4): up to @p n column commands to
@@ -209,9 +197,6 @@ class Channel
 
     /** Next cycle at which a refresh becomes due. */
     Cycle nextRefreshDue() const { return nextRefresh_; }
-
-    /** Whether a refresh is overdue at @p now and must be issued. */
-    bool refreshDue(Cycle now) const { return now >= nextRefresh_; }
 
     /**
      * Postpone the due refresh because an announced (PIM_HEADER'd) PIM

@@ -201,7 +201,7 @@ MemoryController::refillMemWindow()
 {
     // Blocked-mode PIM (baseline single-row-buffer devices) stalls all
     // regular memory traffic while a PIM kernel is queued or running.
-    if (cfg_.blockedMode && (pim_ || !pimQueue_.empty()))
+    if (cfg_.blockedMode() && (pim_ || !pimQueue_.empty()))
         return;
     // Expand the front stream's rows in order (DESIGN.md §3.5).
     while (static_cast<int>(memInFlight_.size()) < cfg_.memIssueWindow &&
@@ -236,7 +236,7 @@ MemoryController::startNextPimKernel()
         return;
     // Blocked mode drains in-flight memory accesses before switching
     // the channel into PIM operation.
-    if (cfg_.blockedMode && !memInFlight_.empty())
+    if (cfg_.blockedMode() && !memInFlight_.empty())
         return;
     memScanValid_ = false;
     pim_ = std::make_unique<PimExec>();
@@ -256,18 +256,19 @@ MemoryController::startNextPimKernel()
 void
 MemoryController::recomputeNext(MemExec &m) const
 {
-    ConstBankRef bank = channel_.bank(m.job.bank);
-    int open = bank.openRow(BufferSide::Mem);
+    const BankArray &banks = channel_.banks();
+    const BankId b = m.job.bank;
+    int open = banks.openRow(b, BufferSide::Mem);
     Cycle ready;
     if (m.phase == MemExec::Phase::Bursts || open == m.job.row) {
         m.next = MemExec::Next::Column;
-        ready = bank.earliestColumn(BufferSide::Mem);
+        ready = banks.earliestColumn(b, BufferSide::Mem);
     } else if (open != -1) {
         m.next = MemExec::Next::Precharge;
-        ready = bank.earliestPrecharge(BufferSide::Mem);
+        ready = banks.earliestPrecharge(b, BufferSide::Mem);
     } else {
         m.next = MemExec::Next::Activate;
-        ready = bank.earliestActivate(BufferSide::Mem);
+        ready = banks.earliestActivate(b, BufferSide::Mem);
     }
     m.bankReady = m.ready = std::max(ready, m.enqueued);
     if (m.next == MemExec::Next::Activate)
@@ -283,7 +284,7 @@ MemoryController::candidateMem(int &which)
         memScanValid_ = true;
         memBest_ = kCycleMax;
         memBestIdx_ = -1;
-        if (!(cfg_.blockedMode && pim_))
+        if (!(cfg_.blockedMode() && pim_))
             scanMem();
     }
     which = memBestIdx_;
@@ -372,13 +373,12 @@ bool
 MemoryController::stepMem(int which)
 {
     auto &m = memInFlight_[which];
-    BankRef bank = channel_.bank(m.job.bank);
     Cycle lb = std::max(m.enqueued, now_);
 
     // Only the issuing job's bank moves, so its ready cycle is
     // recomputed at once and no other job's is (DESIGN.md §3.5).
     if (m.phase == MemExec::Phase::PreOrAct) {
-        int open = bank.openRow(BufferSide::Mem);
+        int open = channel_.banks().openRow(m.job.bank, BufferSide::Mem);
         if (!m.classified) {
             sched_->noteRowOutcome(m.job.bank, m.job.row,
                                    open == m.job.row ? RowOutcome::Hit

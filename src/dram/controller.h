@@ -111,11 +111,6 @@ struct EpochState
 struct ControllerConfig
 {
     bool dualRowBuffers = true;  ///< NeuPIMs banks vs baseline banks
-    /**
-     * Blocked mode: serialize MEM and PIM phases (baseline PIM).
-     * Defaults to the complement of dualRowBuffers via make().
-     */
-    bool blockedMode = false;
     Cycle horizon = 256;         ///< reservation lookahead bound
     /**
      * In-flight row jobs the controller issues out of (bank overlap).
@@ -128,12 +123,17 @@ struct ControllerConfig
     /** Arbitration policy between MEM and PIM command classes. */
     MemSchedConfig sched;
 
+    /**
+     * Blocked mode: serialize MEM and PIM phases, as a baseline bank's
+     * single row buffer forces (§5.1).
+     */
+    bool blockedMode() const { return !dualRowBuffers; }
+
     static ControllerConfig
     make(bool dual_row_buffers)
     {
         ControllerConfig c;
         c.dualRowBuffers = dual_row_buffers;
-        c.blockedMode = !dual_row_buffers;
         return c;
     }
 };

@@ -36,7 +36,7 @@ HbmStack::~HbmStack()
 }
 
 bool
-HbmStack::runBatch(Cycle limit)
+HbmStack::runBatch()
 {
     if (epoch_.pimJobs > 0)
         return false;
@@ -44,8 +44,7 @@ HbmStack::runBatch(Cycle limit)
     // No run in [t, t + span) issues a command before t + span, so no
     // completion it collects is due sooner (DESIGN.md §3.4).
     const Cycle span = std::min(cfg_.ctrl.horizon, cfg_.timing.tRFC);
-    const Cycle end =
-        eq_.taggedEnd(limit < t + span ? limit + 1 : t + span);
+    const Cycle end = eq_.taggedEnd(t + span);
     if (end <= t)
         return false;
     for (auto &c : ctrls_) {
@@ -153,18 +152,6 @@ HbmStack::dataBusUtilization(Cycle window_start, Cycle window_end)
         sum += controller(ch).channel().dataBusUtil().utilization(
             window_start, window_end);
     return sum / static_cast<double>(numChannels());
-}
-
-double
-HbmStack::pimUtilization(Cycle window_start, Cycle window_end) const
-{
-    if (window_end <= window_start)
-        return 0.0;
-    double busy = static_cast<double>(totalPimBankBusyCycles());
-    double capacity =
-        static_cast<double>(window_end - window_start) *
-        pimCapacityBanks();
-    return busy / capacity;
 }
 
 ChannelActivity

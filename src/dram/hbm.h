@@ -131,15 +131,11 @@ class HbmStack : private EventQueue::Batcher
     double dataBusUtilization(Cycle window_start, Cycle window_end);
 
     /**
-     * Mean PIM compute utilization over a window: busy bank-cycles
-     * against the *sustainable* compute capacity — the power envelope
-     * allows only pimParallelBanks banks per channel to run their
-     * datapaths concurrently (TimingParams), so that is the capacity
-     * the utilization is measured against.
+     * Sustainable concurrent PIM banks across the device: the power
+     * envelope lets only pimParallelBanks banks per channel run their
+     * datapaths at once (TimingParams), so PIM utilization is busy
+     * bank-cycles against this capacity.
      */
-    double pimUtilization(Cycle window_start, Cycle window_end) const;
-
-    /** Sustainable concurrent PIM banks across the device. */
     double
     pimCapacityBanks() const
     {
@@ -153,7 +149,7 @@ class HbmStack : private EventQueue::Batcher
   private:
     /** Run an epoch from the queue's current cycle unless a PIM job is
      * pending or an untagged event is due there. */
-    bool runBatch(Cycle limit) override;
+    bool runBatch() override;
 
     EventQueue &eq_;
     MemConfig cfg_;

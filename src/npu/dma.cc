@@ -91,19 +91,6 @@ DmaEngine::streamAllChannels(Bytes total, bool write, int bursts_per_row,
 }
 
 void
-DmaEngine::streamChannel(ChannelId ch, Bytes bytes, bool write,
-                         int bursts_per_row, Callback on_done)
-{
-    // Channel-specific traffic is inherently asymmetric; it may only
-    // target channels that are actually simulated.
-    NEUPIMS_ASSERT(hbm_.isRepresentative(ch) && hbm_.classSize(ch) == 1,
-                   "streamChannel targets a folded channel ", ch);
-    std::vector<Bytes> per_channel(static_cast<std::size_t>(ch) + 1, 0);
-    per_channel[ch] = bytes;
-    launch(per_channel, write, bursts_per_row, std::move(on_done));
-}
-
-void
 DmaEngine::streamPerChannel(const std::vector<Bytes> &bytes_per_channel,
                             bool write, int bursts_per_row,
                             Callback on_done)

@@ -43,10 +43,6 @@ class DmaEngine
     void streamAllChannels(Bytes total, bool write, int bursts_per_row,
                            Callback on_done);
 
-    /** Stream @p bytes on one specific channel. */
-    void streamChannel(ChannelId ch, Bytes bytes, bool write,
-                       int bursts_per_row, Callback on_done);
-
     /**
      * Stream per-channel byte amounts (e.g. KV appends); fires
      * @p on_done after the last channel's last row completes. Entries

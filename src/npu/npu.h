@@ -1,8 +1,9 @@
 /**
  * @file
  * The NPU chip of one NeuPIMs device: 8 systolic arrays, 8 vector
- * units, a scratchpad, and busy/FLOP accounting for the utilization
- * numbers in Table 4 and Figure 6.
+ * units and a scratchpad (Table 2), plus the accounting behind the
+ * executor's utilization numbers (Table 4, Figure 6): useful FLOPs
+ * for the systolic arrays and busy cycles for the vector units.
  */
 
 #ifndef NEUPIMS_NPU_NPU_H_
@@ -52,13 +53,8 @@ class Npu
 
     // --- accounting -----------------------------------------------------
 
-    /** Record systolic-array occupancy and the useful FLOPs done. */
-    void
-    recordGemm(Cycle start, Cycle end, Flops flops)
-    {
-        saBusy_.addBusy(start, end);
-        flopsExecuted_.add(flops);
-    }
+    /** Record the useful FLOPs of a GEMM. */
+    void recordGemm(Flops flops) { flopsExecuted_.add(flops); }
 
     /** Record vector-unit occupancy. */
     void
@@ -67,18 +63,6 @@ class Npu
         vuBusy_.addBusy(start, end);
     }
 
-    /** Compute utilization: useful FLOPs over peak, in a window. */
-    double
-    computeUtilization(Cycle window_start, Cycle window_end) const
-    {
-        if (window_end <= window_start)
-            return 0.0;
-        double peak = peakFlopsPerCycle() *
-                      static_cast<double>(window_end - window_start);
-        return flopsExecuted_.value() / peak;
-    }
-
-    UtilizationTracker &saBusy() { return saBusy_; }
     UtilizationTracker &vuBusy() { return vuBusy_; }
     const Scalar &flopsExecuted() const { return flopsExecuted_; }
 
@@ -87,7 +71,6 @@ class Npu
     SystolicArrayPool saPool_;
     VectorUnitPool vuPool_;
 
-    UtilizationTracker saBusy_;
     UtilizationTracker vuBusy_;
     Scalar flopsExecuted_;
 };

@@ -775,9 +775,12 @@ BatchScheduler::completeIteration(const IterationSchedule &schedule)
                            "decode KV append raced the pressure "
                            "check on request ",
                            req->id);
-            warn("KV channel ", req->channel,
-                 " out of pages; request ", req->id,
-                 " token not cached (stall modeled as continue)");
+            // Decoding on would price a KV cache larger than the
+            // device: capacity is a hard limit.
+            fatal("KV channel ", req->channel, " out of pages for request ",
+                  req->id, "'s decode token with preemption off; run with "
+                  "--preempt recompute (or swap), or give the KV cache "
+                  "more capacity");
         }
     }
     auto retired = pool_.advanceRequests(schedule.batch);

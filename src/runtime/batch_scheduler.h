@@ -29,8 +29,9 @@
  * the chunked-prefill path; Swap parks the pages in a host tier over
  * a modeled link whose transfer time the iteration models price.
  * Preempted requests are restored, FIFO, before any new admission.
- * PreemptConfig::Off preserves the legacy admission-stall behavior
- * bit-for-bit.
+ * PreemptConfig::Off keeps the admission-stall behavior bit-for-bit
+ * for runs that fit; KV capacity is a hard limit, so a decode append
+ * that finds no free page stops the run.
  */
 
 #ifndef NEUPIMS_RUNTIME_BATCH_SCHEDULER_H_
@@ -78,8 +79,8 @@ struct PrefillConfig
 /** What happens when an iteration cannot reserve KV pages. */
 enum class PreemptMode : std::uint8_t
 {
-    /** Legacy behavior: admission stalls while the cache is full and
-     * decode appends that find no page are warned-and-continued. */
+    /** Admission stalls while the cache is full; a decode append
+     * that finds no free page is fatal (the run must fit). */
     Off,
     /** Free the victim's pages; on restore, re-run its prompt plus
      * already-generated tokens through the chunked-prefill path

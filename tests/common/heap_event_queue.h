@@ -11,7 +11,6 @@
 #ifndef NEUPIMS_TESTS_COMMON_HEAP_EVENT_QUEUE_H_
 #define NEUPIMS_TESTS_COMMON_HEAP_EVENT_QUEUE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -56,15 +55,11 @@ class HeapEventQueue
     }
 
     Cycle
-    run(Cycle limit = kCycleMax)
+    run()
     {
         while (!heap_.empty()) {
             // Copy out the entry: callbacks may schedule new events.
             Entry e = heap_.top();
-            if (e.when > limit) {
-                now_ = std::max(now_, limit);
-                return now_;
-            }
             heap_.pop();
             NEUPIMS_ASSERT(e.when >= now_, "time went backwards");
             now_ = e.when;
@@ -72,24 +67,6 @@ class HeapEventQueue
             ++executed_;
         }
         return now_;
-    }
-
-    bool
-    step(Cycle limit = kCycleMax)
-    {
-        if (heap_.empty())
-            return false;
-        Entry e = heap_.top();
-        if (e.when > limit) {
-            now_ = std::max(now_, limit);
-            return false;
-        }
-        heap_.pop();
-        NEUPIMS_ASSERT(e.when >= now_, "time went backwards");
-        now_ = e.when;
-        e.cb();
-        ++executed_;
-        return true;
     }
 
     std::uint64_t executedEvents() const { return executed_; }

@@ -62,34 +62,6 @@ TEST(EventQueue, CallbacksMayScheduleNewEvents)
     EXPECT_EQ(eq.now(), 28u);
 }
 
-TEST(EventQueue, RunHonorsLimit)
-{
-    EventQueue eq;
-    int hits = 0;
-    eq.schedule(10, [&] { ++hits; });
-    eq.schedule(100, [&] { ++hits; });
-    eq.run(50);
-    EXPECT_EQ(hits, 1);
-    EXPECT_EQ(eq.now(), 50u);
-    // The event beyond the limit is still pending.
-    EXPECT_FALSE(eq.empty());
-    eq.run();
-    EXPECT_EQ(hits, 2);
-}
-
-TEST(EventQueue, StepExecutesOneEvent)
-{
-    EventQueue eq;
-    int hits = 0;
-    eq.schedule(1, [&] { ++hits; });
-    eq.schedule(2, [&] { ++hits; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(hits, 1);
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(hits, 2);
-    EXPECT_FALSE(eq.step());
-}
-
 TEST(EventQueue, SchedulingInThePastPanics)
 {
     EventQueue eq;
@@ -114,24 +86,6 @@ TEST(EventQueue, NextEventCycleReportsEarliest)
     eq.schedule(42, [] {});
     eq.schedule(7, [] {});
     EXPECT_EQ(eq.nextEventCycle(), 7u);
-}
-
-TEST(EventQueue, StepHonorsLimitLikeRun)
-{
-    EventQueue eq;
-    int hits = 0;
-    eq.schedule(10, [&] { ++hits; });
-    eq.schedule(100, [&] { ++hits; });
-    EXPECT_TRUE(eq.step(50));
-    EXPECT_EQ(hits, 1);
-    // The next event lies beyond the limit: step advances to the
-    // limit and executes nothing, exactly as run(limit) would.
-    EXPECT_FALSE(eq.step(50));
-    EXPECT_EQ(hits, 1);
-    EXPECT_EQ(eq.now(), 50u);
-    EXPECT_FALSE(eq.empty());
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(hits, 2);
 }
 
 TEST(EventQueue, EventsBeyondTheWheelWindowStillOrder)
@@ -160,25 +114,6 @@ TEST(EventQueue, CallbackChainsAcrossWindows)
     eq.run();
     EXPECT_EQ(hops, 64);
     EXPECT_EQ(eq.now(), 63u * 10'000u);
-}
-
-TEST(EventQueue, ScheduleIntoGapAfterLimitedRun)
-{
-    // run(limit) can park now_ while the wheel window has already
-    // advanced to a far-future event; scheduling into that gap must
-    // still execute in global (cycle, sequence) order.
-    EventQueue eq;
-    std::vector<Cycle> order;
-    auto mark = [&order, &eq] { order.push_back(eq.now()); };
-    eq.schedule(1'000'000, mark);
-    eq.run(50);
-    EXPECT_EQ(eq.now(), 50u);
-    eq.schedule(60, mark);
-    eq.schedule(70'000, mark);
-    eq.schedule(1'000'000, mark);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<Cycle>{60, 70'000, 1'000'000,
-                                         1'000'000}));
 }
 
 /**
@@ -224,23 +159,27 @@ TEST(EventQueue, MatchesHeapReferenceOnRandomWorkload)
  * mid-drain appends and (cycle, sequence) tie-breaking can diverge
  * from the reference heap. Mixes direct schedules, callback-driven
  * reschedules (both same-cycle and far jumps across the wheel
- * windows) and run(limit) parking, and requires bit-identical
- * execution traces.
+ * windows) and slice-boundary events that inject work at their own
+ * cycle, behind everything already due there, and requires
+ * bit-identical execution traces.
  */
 TEST(EventQueue, MatchesHeapReferenceOnTieHeavyWorkload)
 {
     for (std::uint64_t seed = 11; seed <= 13; ++seed) {
         auto drive = [seed](auto &eq) {
+            // Each traced event is labelled in schedule order, so the
+            // trace shows the order of same-cycle events too.
             std::vector<std::pair<Cycle, int>> trace;
             Rng rng(seed);
-            int id = 0;
+            int next = 0;
             // Tie-heavy: all direct schedules land on one of a few
             // hot cycles within each coarse epoch.
             auto hot_cycle = [&rng](Cycle epoch) {
                 return epoch * 5'000 + rng.uniformInt(0, 7) * 16;
             };
-            std::function<void(int)> chain = [&](int depth) {
-                trace.emplace_back(eq.now(), id++);
+            std::function<void(int, int)> chain = [&](int label,
+                                                      int depth) {
+                trace.emplace_back(eq.now(), label);
                 if (depth > 0) {
                     // Half the reschedules collide on the current
                     // cycle; the rest hop ahead, some past the
@@ -248,26 +187,28 @@ TEST(EventQueue, MatchesHeapReferenceOnTieHeavyWorkload)
                     Cycle d = rng.uniform() < 0.5
                                   ? 0
                                   : rng.uniformInt(1, 3) * 4'096;
-                    eq.scheduleIn(d, [&chain, depth] {
-                        chain(depth - 1);
+                    eq.scheduleIn(d, [&chain, l = next++, depth] {
+                        chain(l, depth - 1);
                     });
                 }
             };
             for (int i = 0; i < 10'000; ++i) {
                 Cycle when = hot_cycle(rng.uniformInt(0, 40));
                 int depth = static_cast<int>(rng.uniformInt(0, 2));
-                eq.schedule(when, [&chain, depth] { chain(depth); });
+                eq.schedule(when, [&chain, l = next++, depth] {
+                    chain(l, depth);
+                });
             }
-            // Drain in limited slices to exercise run(limit) parking
-            // and the schedule-into-the-gap path between slices.
-            Cycle limit = 0;
-            while (!eq.empty()) {
-                limit += 17'000;
-                eq.run(limit);
-                if (!eq.empty()) {
-                    eq.schedule(eq.now(), [&chain] { chain(0); });
-                }
-            }
+            // Every 17,000 cycles, up to the last hot cycle and its
+            // longest hops, a boundary event injects a chain at its
+            // own cycle from inside the drain.
+            std::function<void()> boundary = [&] {
+                eq.scheduleIn(0, [&chain, l = next++] { chain(l, 0); });
+                if (eq.now() < 220'000)
+                    eq.scheduleIn(17'000, boundary);
+            };
+            eq.schedule(17'000, boundary);
+            eq.run();
             return trace;
         };
         EventQueue bucketed;

@@ -28,16 +28,16 @@ TEST(DeviceConfig, PresetFlagsMatchPaperSystems)
     auto naive = DeviceConfig::naiveNpuPim();
     EXPECT_EQ(naive.kind, SystemKind::NpuPim);
     EXPECT_FALSE(naive.flags.dualRowBuffers);
-    EXPECT_FALSE(naive.flags.compositeGemv);
+    EXPECT_FALSE(naive.flags.compositeGemv());
     EXPECT_FALSE(naive.flags.minLoadPacking);
     EXPECT_FALSE(naive.flags.subBatchInterleaving);
 
     auto neu = DeviceConfig::neuPims();
     EXPECT_TRUE(neu.flags.dualRowBuffers);
-    EXPECT_TRUE(neu.flags.compositeGemv);
+    EXPECT_TRUE(neu.flags.compositeGemv());
     EXPECT_TRUE(neu.flags.minLoadPacking);
     EXPECT_TRUE(neu.flags.subBatchInterleaving);
-    EXPECT_TRUE(neu.flags.pipelinedMha);
+    EXPECT_TRUE(neu.flags.pipelinedMha());
 }
 
 TEST(DeviceConfig, AblationStacksFeatures)
@@ -55,9 +55,9 @@ TEST(DeviceConfig, ControllerConfigTracksBuffers)
 {
     auto neu = DeviceConfig::neuPims();
     EXPECT_TRUE(neu.controllerConfig().dualRowBuffers);
-    EXPECT_FALSE(neu.controllerConfig().blockedMode);
+    EXPECT_FALSE(neu.controllerConfig().blockedMode());
     auto naive = DeviceConfig::naiveNpuPim();
-    EXPECT_TRUE(naive.controllerConfig().blockedMode);
+    EXPECT_TRUE(naive.controllerConfig().blockedMode());
 }
 
 TEST(DeviceConfig, Table2Defaults)

@@ -54,15 +54,15 @@ TEST_F(ChannelTest, CaBusSerializesCommands)
 TEST_F(ChannelTest, ReadDataLandsTclAfterCommand)
 {
     ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    auto [cmd, data_end] = ch.issueRead(0, BufferSide::Mem, 0);
+    auto [cmd, data_end] = ch.issueColumn(0, BufferSide::Mem, false, 0);
     EXPECT_EQ(data_end, cmd + t.tCL + t.tBL);
 }
 
 TEST_F(ChannelTest, BackToBackReadsPipelineOnDataBus)
 {
     ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    auto [c0, e0] = ch.issueRead(0, BufferSide::Mem, 0);
-    auto [c1, e1] = ch.issueRead(0, BufferSide::Mem, 0);
+    auto [c0, e0] = ch.issueColumn(0, BufferSide::Mem, false, 0);
+    auto [c1, e1] = ch.issueColumn(0, BufferSide::Mem, false, 0);
     (void)c0;
     (void)c1;
     // Data bus: consecutive bursts are contiguous, tBL apart.
@@ -72,16 +72,16 @@ TEST_F(ChannelTest, BackToBackReadsPipelineOnDataBus)
 TEST_F(ChannelTest, DataBusBytesAccumulate)
 {
     ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    ch.issueRead(0, BufferSide::Mem, 0);
-    ch.issueRead(0, BufferSide::Mem, 0);
+    ch.issueColumn(0, BufferSide::Mem, false, 0);
+    ch.issueColumn(0, BufferSide::Mem, false, 0);
     EXPECT_EQ(ch.dataBusBytes(), 2 * org.burstBytes);
 }
 
 TEST_F(ChannelTest, CommandCountsRecorded)
 {
     ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    ch.issueRead(0, BufferSide::Mem, 0);
-    ch.issueWrite(0, BufferSide::Mem, 0);
+    ch.issueColumn(0, BufferSide::Mem, false, 0);
+    ch.issueColumn(0, BufferSide::Mem, true, 0);
     ch.issuePrecharge(0, BufferSide::Mem, 0);
     const auto &c = ch.commandCounts();
     EXPECT_EQ(c.count(CommandType::Act), 1u);
@@ -97,7 +97,7 @@ TEST_F(ChannelTest, RefreshClosesAllBanksAndReschedules)
     Cycle done = ch.issueRefresh(due_before);
     EXPECT_GE(done, due_before + t.tRFC);
     EXPECT_EQ(ch.nextRefreshDue(), due_before + t.tREFI);
-    EXPECT_EQ(ch.bank(0).openRow(BufferSide::Mem), -1);
+    EXPECT_EQ(ch.banks().openRow(0, BufferSide::Mem), -1);
     // Bank is blocked for tRFC.
     EXPECT_GE(ch.earliestActivate(0, BufferSide::Mem, 0), done);
 }
@@ -118,7 +118,7 @@ TEST_F(ChannelTest, PimActivateGroupOpensFourRows)
 {
     Cycle act = ch.issuePimActivateGroup(0, 4, /*row=*/5, 0, true);
     for (int b = 0; b < 4; ++b)
-        EXPECT_EQ(ch.bank(b).openRow(BufferSide::Pim), 5);
+        EXPECT_EQ(ch.banks().openRow(b, BufferSide::Pim), 5);
     EXPECT_EQ(ch.commandCounts().count(CommandType::PimActivate), 1u);
     // Subsequent group targets another bank group: tRRD_S applies.
     Cycle act2 = ch.issuePimActivateGroup(4, 4, 5, 0, true);
@@ -160,22 +160,22 @@ TEST_F(ChannelTest, DualRowBufferAllowsMemReadDuringPimOpenRow)
     Cycle pim_act = ch.issuePimActivateGroup(0, 4, 1, 0, true);
     Cycle mem_act =
         ch.issueActivate(0, BufferSide::Mem, 2, pim_act + t.tRC());
-    EXPECT_EQ(ch.bank(0).openRow(BufferSide::Pim), 1);
-    EXPECT_EQ(ch.bank(0).openRow(BufferSide::Mem), 2);
-    auto [cmd, end] = ch.issueRead(0, BufferSide::Mem, mem_act);
+    EXPECT_EQ(ch.banks().openRow(0, BufferSide::Pim), 1);
+    EXPECT_EQ(ch.banks().openRow(0, BufferSide::Mem), 2);
+    auto [cmd, end] = ch.issueColumn(0, BufferSide::Mem, false, mem_act);
     (void)cmd;
     EXPECT_GT(end, 0u);
-    EXPECT_EQ(ch.bank(0).openRow(BufferSide::Pim), 1); // still open
+    EXPECT_EQ(ch.banks().openRow(0, BufferSide::Pim), 1); // still open
 }
 
 TEST_F(ChannelTest, SingleRowBufferEvictsMemRowOnPimActivate)
 {
     Channel blocked(t, org, false);
     blocked.issueActivate(0, BufferSide::Mem, 2, 0);
-    EXPECT_EQ(blocked.bank(0).openRow(BufferSide::Mem), 2);
+    EXPECT_EQ(blocked.banks().openRow(0, BufferSide::Mem), 2);
     blocked.issuePimActivateGroup(0, 4, 1, 10'000, true);
     // Baseline bank: PIM activation clobbered the MEM row.
-    EXPECT_EQ(blocked.bank(0).openRow(BufferSide::Mem), 1);
+    EXPECT_EQ(blocked.banks().openRow(0, BufferSide::Mem), 1);
 }
 
 } // namespace

@@ -147,9 +147,7 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
                 pim(pim_ch);
         });
     }
-    // Drain in slices, so epochs also meet run(limit).
-    while (!eq.empty())
-        eq.run(eq.now() + 4'999);
+    eq.run();
 
     tr.end = eq.now();
     tr.events = eq.executedEvents();

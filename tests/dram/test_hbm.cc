@@ -69,14 +69,10 @@ TEST_F(HbmTest, PimUtilizationUsesPowerBudgetCapacity)
     hbm.controller(0).enqueuePim(std::move(job));
     eq.run();
     ASSERT_GT(done, 0u);
+    // The executor's PIM utilization is these busy bank-cycles over
+    // the window times this capacity.
     EXPECT_EQ(hbm.totalPimBankBusyCycles(),
               64u * cfg.timing.pimComputePerRow);
-    double util = hbm.pimUtilization(0, done);
-    double expected = static_cast<double>(
-                          hbm.totalPimBankBusyCycles()) /
-                      (static_cast<double>(done) *
-                       hbm.pimCapacityBanks());
-    EXPECT_DOUBLE_EQ(util, expected);
     EXPECT_EQ(hbm.pimCapacityBanks(),
               32.0 * cfg.timing.pimParallelBanks);
 }

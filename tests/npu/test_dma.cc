@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "npu/dma.h"
 
 namespace neupims::npu {
@@ -15,6 +17,17 @@ class DmaTest : public ::testing::Test
 {
   protected:
     DmaTest() : hbm(eq, cfg), dma(eq, hbm) {}
+
+    /** Stream @p bytes on channel @p ch alone. */
+    void
+    streamOn(ChannelId ch, Bytes bytes, bool write, int bursts_per_row,
+             DmaEngine::Callback on_done = [](Cycle) {})
+    {
+        std::vector<Bytes> per_channel(hbm.numChannels(), 0);
+        per_channel[ch] = bytes;
+        dma.streamPerChannel(per_channel, write, bursts_per_row,
+                             std::move(on_done));
+    }
 
     EventQueue eq;
     dram::MemConfig cfg; // defaults: 32 channels, dual row buffers
@@ -49,7 +62,7 @@ TEST_F(DmaTest, ZeroByteStreamCompletesImmediately)
 TEST_F(DmaTest, SingleChannelStreamTouchesOnlyThatChannel)
 {
     Cycle done = 0;
-    dma.streamChannel(5, 64_KiB, false, 16, [&](Cycle c) { done = c; });
+    streamOn(5, 64_KiB, false, 16, [&](Cycle c) { done = c; });
     eq.run();
     EXPECT_GT(done, 0u);
     for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch) {
@@ -74,7 +87,7 @@ TEST_F(DmaTest, PerChannelAmountsHonored)
 
 TEST_F(DmaTest, WritesIssueWriteCommands)
 {
-    dma.streamChannel(0, 16_KiB, true, 16, [](Cycle) {});
+    streamOn(0, 16_KiB, true, 16);
     eq.run();
     const auto &counts = hbm.controller(0).channel().commandCounts();
     EXPECT_GT(counts.count(dram::CommandType::Wr), 0u);
@@ -85,8 +98,8 @@ TEST_F(DmaTest, ShortBurstsRaiseActivationShare)
 {
     // The GEMV-style short-burst stream needs ~8x the activations of
     // a full-row stream for the same bytes.
-    dma.streamChannel(1, 64_KiB, false, 16, [](Cycle) {});
-    dma.streamChannel(2, 64_KiB, false, 2, [](Cycle) {});
+    streamOn(1, 64_KiB, false, 16);
+    streamOn(2, 64_KiB, false, 2);
     eq.run();
     auto full = hbm.controller(1).channel().commandCounts().count(
         dram::CommandType::Act);
@@ -98,10 +111,8 @@ TEST_F(DmaTest, ShortBurstsRaiseActivationShare)
 TEST_F(DmaTest, ShortBurstsFinishLaterForSameBytes)
 {
     Cycle full_done = 0, strided_done = 0;
-    dma.streamChannel(1, 256_KiB, false, 16,
-                      [&](Cycle c) { full_done = c; });
-    dma.streamChannel(2, 256_KiB, false, 2,
-                      [&](Cycle c) { strided_done = c; });
+    streamOn(1, 256_KiB, false, 16, [&](Cycle c) { full_done = c; });
+    streamOn(2, 256_KiB, false, 2, [&](Cycle c) { strided_done = c; });
     eq.run();
     // Same bytes, same independent channels: the strided stream is
     // activation-bound and clearly slower (why NPU-side attention
@@ -141,8 +152,8 @@ TEST_F(DmaTest, BackToBackStreamsContinueTheRowCursor)
     // banks 3-31, then wraps to row 1 of bank 0: one conflict, no hit.
     // A cursor reset would re-hit the open rows of banks 0-2.
     const Bytes row = 2 * cfg.org.burstBytes;
-    dma.streamChannel(5, 3 * row, false, 2, [](Cycle) {});
-    dma.streamChannel(5, 30 * row, false, 2, [](Cycle) {});
+    streamOn(5, 3 * row, false, 2);
+    streamOn(5, 30 * row, false, 2);
     eq.run();
     const auto &s = hbm.controller(5).memSchedStats();
     EXPECT_EQ(s.rowHits, 0u);

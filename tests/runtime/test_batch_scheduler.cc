@@ -106,6 +106,21 @@ TEST_F(BatchSchedulerTest, KvPressureStopsAdmission)
     EXPECT_EQ(pool.waitingCount(), 12u);
 }
 
+TEST_F(BatchSchedulerTest, DecodePastKvCapacityIsFatalWithoutPreemption)
+{
+    // Without preemption, a decode token that finds no free page
+    // would be priced as cached on a device that cannot hold it.
+    RequestPool pool;
+    PagedKvCache kv(kvConfig(2));
+    BatchScheduler sched(schedConfig(true), pool, kv);
+    for (int i = 0; i < 4; ++i)
+        pool.submit(32, 5); // each prompt fills its channel's 2 pages
+    auto it = admitAndPrefill(sched);
+    ASSERT_EQ(it.batchSize(), 4);
+    EXPECT_EXIT(sched.completeIteration(it), ::testing::ExitedWithCode(1),
+                "out of pages.*--preempt recompute");
+}
+
 TEST_F(BatchSchedulerTest, SubBatchesCoverBatch)
 {
     RequestPool pool;

@@ -64,16 +64,24 @@ randomTrial(Rng &rng)
     return t;
 }
 
-/** Submit 0..max arrivals; lengths bounded so every request fits. */
+/**
+ * Submit 0..max arrivals; lengths bounded so every request fits.
+ * Without preemption KV capacity is a hard limit, so each prompt ends
+ * early enough in its last page for the output to fit there: decode
+ * never needs a page beyond those admission reserved, while prompts
+ * still fill the cache and stall admission.
+ */
 void
 submitArrivals(Rng &rng, const TrialConfig &t, RequestPool &pool)
 {
-    int max_tokens = t.pagesPerChannel * 16;
+    const auto max_pages = static_cast<std::uint64_t>(t.pagesPerChannel / 2);
     std::uint64_t n = rng.uniformInt(0, t.maxArrivalsPerIteration);
     for (std::uint64_t i = 0; i < n; ++i) {
-        int input = static_cast<int>(rng.uniformInt(
-            1, static_cast<std::uint64_t>(max_tokens / 2)));
+        int pages = static_cast<int>(rng.uniformInt(1, max_pages));
         int output = static_cast<int>(rng.uniformInt(1, 12));
+        int input = static_cast<int>(rng.uniformInt(
+            static_cast<std::uint64_t>((pages - 1) * 16 + 1),
+            static_cast<std::uint64_t>(pages * 16 - output)));
         pool.submit(input, output);
     }
 }
@@ -105,17 +113,14 @@ checkInvariants(const TrialConfig &t, RequestPool &pool,
                        schedule.subBatches.size2()),
               1);
 
-    // Every running request is placed consistently. Cached tokens can
-    // lag currentSeqLen: appendToken() fails when the channel is out
-    // of pages (the scheduler's documented stall-as-continue), but
-    // they never exceed it and never fall below the admitted prompt.
+    // Every running request is placed consistently, and every token
+    // it holds is cached: KV capacity is a hard limit.
     for (const Request *req : schedule.batch) {
         ASSERT_GE(req->channel, 0);
         ASSERT_LT(req->channel, t.channels);
         EXPECT_EQ(req->status, RequestStatus::Running);
         EXPECT_EQ(kv.channelOf(req->id), req->channel);
-        EXPECT_LE(kv.tokensOf(req->id), req->currentSeqLen());
-        EXPECT_GE(kv.tokensOf(req->id), req->inputLength);
+        EXPECT_EQ(kv.tokensOf(req->id), req->currentSeqLen());
     }
 }
 
