@@ -231,35 +231,24 @@ BM_SystolicArrayModel(benchmark::State &state)
 BENCHMARK(BM_SystolicArrayModel)->Arg(64)->Arg(512);
 
 // ---------------------------------------------------------------------------
-// Compiler: layer compilation with and without the memoization cache.
+// Compiler: one layer compilation of a 512-request batch.
 // ---------------------------------------------------------------------------
 
 void
 BM_CompileLayer(benchmark::State &state)
 {
-    const bool cached = state.range(0) != 0;
     auto llm = model::gpt3_30b();
     model::MemShape mem;
     model::Compiler compiler(llm, llm.defaultTp, mem);
     auto comp = core::uniformComposition(512, 512, mem.channels);
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        if (!cached) {
-            // A fresh compiler per iteration defeats the cache.
-            model::Compiler cold(llm, llm.defaultTp, mem);
-            sink += cold.compileLayer(comp.full).mha.totalSoftmaxElems;
-        } else {
-            sink += compiler.compileLayer(comp.full)
-                        .mha.totalSoftmaxElems;
-        }
+        sink += compiler.compileLayer(comp.full).mha.totalSoftmaxElems;
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CompileLayer)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"cached"});
+BENCHMARK(BM_CompileLayer);
 
 // ---------------------------------------------------------------------------
 // Full engine: runIteration on Fig. 12-style cells and grid sweeps.

@@ -52,12 +52,10 @@ main()
 
         dram::PowerModel power{dram::PowerParams{}, r.dev.timing};
         double total_mw = 0.0;
-        auto *hbm = exec.hbm();
-        for (ChannelId ch = 0; ch < hbm->numChannels(); ++ch) {
-            auto act = hbm->channelActivity(ch, res.windowCycles);
+        for (const auto &act : res.channelActivity)
             total_mw += power.averagePowerMw(act);
-        }
-        r.powerMw = total_mw / hbm->numChannels();
+        r.powerMw = total_mw /
+                    static_cast<double>(res.channelActivity.size());
     }
 
     core::TableWriter table({"baseline", "avg power/chan", "tokens/s"},

@@ -367,15 +367,14 @@ class EventQueue
     static constexpr std::size_t kL1Bits = 12;
     static constexpr std::size_t kL1Buckets = std::size_t{1} << kL1Bits;
 
+    /** A level-0 bucket runs in insertion order, which is sequence
+     * order, so its events need no sequence number. */
     struct L0Event
     {
         template <typename F>
-        L0Event(std::uint64_t s, void *t, F &&f)
-            : seq(s), tag(t), cb(std::forward<F>(f))
-        {}
+        L0Event(void *t, F &&f) : tag(t), cb(std::forward<F>(f)) {}
 
-        std::uint64_t seq;
-        void *tag; ///< fills the padding before the aligned callback
+        void *tag; ///< sits in the padding before the aligned callback
         Callback cb;
     };
 
@@ -416,13 +415,12 @@ class EventQueue
                 // Appending to the bucket being drained could move it
                 // under the executing callback; park same-cycle
                 // events aside — the drain loop folds them back in.
-                drainAppend_.emplace_back(seq_++, tag,
-                                          std::forward<F>(cb));
+                drainAppend_.emplace_back(tag, std::forward<F>(cb));
                 ++l0Count_;
                 return;
             }
             std::size_t idx = l0Index(when);
-            l0_[idx].emplace_back(seq_++, tag, std::forward<F>(cb));
+            l0_[idx].emplace_back(tag, std::forward<F>(cb));
             markL0(idx, tag);
             ++l0Count_;
         } else if (span - l0Span_ < kL1Buckets) {
@@ -552,7 +550,7 @@ class EventQueue
             l0Span_ = span;
             for (auto &e : l1_[idx]) {
                 std::size_t b = l0Index(e.when);
-                l0_[b].push_back(L0Event{e.seq, e.tag, std::move(e.cb)});
+                l0_[b].push_back(L0Event{e.tag, std::move(e.cb)});
                 markL0(b, e.tag);
                 ++l0Count_;
                 --l1Count_;
@@ -580,8 +578,7 @@ class EventQueue
             const L1Event &top = far_.top();
             if (span == l0Span_) {
                 std::size_t b = l0Index(top.when);
-                l0_[b].push_back(
-                    L0Event{top.seq, top.tag, std::move(top.cb)});
+                l0_[b].push_back(L0Event{top.tag, std::move(top.cb)});
                 markL0(b, top.tag);
                 ++l0Count_;
             } else {

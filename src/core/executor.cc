@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <map>
 
+#include "common/event_queue.h"
 #include "common/log.h"
 #include "core/batch_builder.h"
+#include "npu/dma.h"
 
 namespace neupims::core {
 
@@ -76,29 +78,31 @@ computeSymmetryGroups(int channels,
     return g;
 }
 
-} // namespace
-
 /**
- * All the mutable state of one simulated iteration window. The
- * executor allocates one per runIteration(); callbacks capture the
- * raw pointer, which stays valid until the event queue drains.
+ * One simulated iteration window and everything it drives: the event
+ * queue, the memory stack, the DMA engine and the NPU pools. The
+ * executor builds one per runIteration() and frees it on return;
+ * callbacks capture `this`, which stays valid until the queue drains.
  */
 class IterationSim
 {
   public:
     /** One thread per compiled plan in @p plans. */
-    IterationSim(DeviceExecutor &ex, std::vector<model::LayerPlan> plans,
-                 int window_layers, int warmup_layers,
-                 const ExtraMemTraffic &extra)
-        : cfg_(ex.cfg_), eq_(*ex.eq_), hbm_(*ex.hbm_), npu_(*ex.npu_),
-          dma_(*ex.dma_), extra_(extra), windowLayers_(window_layers),
-          warmupLayers_(warmup_layers)
+    IterationSim(const DeviceConfig &cfg, dram::SymmetryGroups groups,
+                 std::vector<model::LayerPlan> plans, int window_layers,
+                 int warmup_layers, const ExtraMemTraffic &extra)
+        : hbm_(eq_, cfg.memConfig(), std::move(groups)), dma_(eq_, hbm_),
+          sa_(cfg.npu.sa, cfg.npu.systolicArrays),
+          vu_(cfg.npu.vu, cfg.npu.vectorUnits), cfg_(cfg), extra_(extra),
+          windowLayers_(window_layers), warmupLayers_(warmup_layers)
     {
         for (auto &p : plans) {
             threads_.emplace_back(std::move(p));
             threads_.back().layerEnd.assign(windowLayers_, 0);
         }
     }
+    IterationSim(const IterationSim &) = delete;
+    IterationSim &operator=(const IterationSim &) = delete;
 
     /** Launch all threads at cycle 0 and run the queue dry. */
     void
@@ -113,6 +117,56 @@ class IterationSim
                            "thread stalled at layer ", t.layer);
     }
 
+    /** Measure the window and compose the full iteration (§6.2). */
+    IterationResult
+    result(int layers_per_device, int batch_size)
+    {
+        finalizePhases();
+        IterationResult res;
+        Cycle warm_end = warmupEnd();
+        Cycle end = windowEnd();
+        NEUPIMS_ASSERT(end > warm_end);
+        res.windowCycles = end;
+        res.perLayerCycles = perLayerCycles();
+        // §6.2 composition: measured window + steady-state periods for
+        // the layers beyond it.
+        std::int64_t extra_layers =
+            static_cast<std::int64_t>(layers_per_device) - windowLayers_;
+        NEUPIMS_ASSERT(extra_layers >= 0);
+        res.iterationCycles =
+            end + res.perLayerCycles * static_cast<Cycle>(extra_layers);
+        double iter_seconds = cyclesToSeconds(res.iterationCycles);
+        res.throughputTokensPerSec =
+            static_cast<double>(batch_size) / iter_seconds;
+
+        Cycle span = end - warm_end;
+        res.npuUtil = (flops_ - flopsAtWarmup_) /
+                      (sa_.peakFlopsPerCycle() * static_cast<double>(span));
+        double pim_busy = static_cast<double>(
+            hbm_.totalPimBankBusyCycles() - pimBusyAtWarmup_);
+        res.pimUtil = pim_busy / (static_cast<double>(span) *
+                                  hbm_.pimCapacityBanks());
+        res.bwUtil = hbm_.dataBusUtilization(warm_end, end);
+        res.totalFlops = flops_;
+        res.dataBusBytes = hbm_.totalDataBusBytes();
+        res.pimBankBusyCycles = hbm_.totalPimBankBusyCycles();
+        res.commands = hbm_.totalCommandCounts();
+        res.phases = phases_;
+        res.memSched = hbm_.totalMemSchedStats();
+        const auto &org = cfg_.org;
+        res.memBankUtil =
+            static_cast<double>(hbm_.totalMemBankBusyCycles() -
+                                memBusyAtWarmup_) /
+            (static_cast<double>(org.channels) *
+             static_cast<double>(org.banksPerChannel) *
+             static_cast<double>(span));
+        res.extraTrafficEndCycle = extraEnd_;
+        for (ChannelId ch = 0; ch < org.channels; ++ch)
+            res.channelActivity.push_back(hbm_.channelActivity(ch, end));
+        return res;
+    }
+
+  private:
     // --- measurement ----------------------------------------------------
 
     Cycle
@@ -148,13 +202,6 @@ class IterationSim
         return per;
     }
 
-    Flops flopsAtWarmup_ = 0.0;
-    Cycle pimBusyAtWarmup_ = 0;
-    Cycle memBusyAtWarmup_ = 0;
-    PhaseBreakdown phases_;
-    Cycle extraEnd_ = 0; ///< last ExtraMemTraffic row completion
-
-  private:
     /**
      * Inject the out-of-band streams at cycle 0: swap-outs are reads
      * (KV pages leave HBM for the host tier), swap-ins writes — both
@@ -210,11 +257,6 @@ class IterationSim
         Flops flopsAtMha = 0.0;
     };
 
-    // --- shared NPU resources (timeline serialization) -------------------
-
-    Cycle saFree_ = 0;
-    Cycle vuFree_ = 0;
-
     /**
      * Run one batched GEMM: occupy the systolic arrays and stream the
      * weights (minus any prefetched credit); calls @p done at
@@ -226,10 +268,10 @@ class IterationSim
             std::function<void(Cycle)> done)
     {
         Cycle sa_start = std::max(ready, saFree_);
-        Cycle compute = npu_.gemmCycles(g.shape);
+        Cycle compute = sa_.gemmCycles(g.shape);
         Cycle sa_end = sa_start + compute;
         saFree_ = sa_end;
-        npu_.recordGemm(g.flops());
+        flops_ += g.flops();
 
         Bytes prefetched = prefetch ? prefetch->bytes : 0;
         Bytes to_stream = g.weightBytes() > prefetched
@@ -266,10 +308,8 @@ class IterationSim
     Cycle
     runVector(Cycle ready, Cycle cycles)
     {
-        Cycle start = std::max(ready, vuFree_);
-        Cycle end = start + cycles;
+        Cycle end = std::max(ready, vuFree_) + cycles;
         vuFree_ = end;
-        npu_.recordVector(start, end);
         return end;
     }
 
@@ -286,9 +326,7 @@ class IterationSim
     Cycle
     channelSoftmax(Cycle ready, std::uint64_t elems)
     {
-        Cycle end = ready + npu_.vectorUnits().softmaxCycles(elems);
-        npu_.recordVector(ready, end);
-        return end;
+        return ready + vu_.softmaxCycles(elems);
     }
 
     /** Build a PIM kernel job from a GEMV kernel footprint. */
@@ -343,7 +381,7 @@ class IterationSim
     {
         Thread &t = threads_[ti];
         t.tLayerStart = ready;
-        t.flopsAtLayerStart = npu_.flopsExecuted().value();
+        t.flopsAtLayerStart = flops_;
         const auto &qkv = t.plan.gemms[0];
         auto prefetch = std::move(t.prefetch);
         t.prefetch.reset();
@@ -356,7 +394,7 @@ class IterationSim
     {
         Thread &t = threads_[ti];
         t.tQkvDone = done;
-        t.flopsAtQkv = npu_.flopsExecuted().value();
+        t.flopsAtQkv = flops_;
         t.pimBusyAtQkv = hbm_.totalPimBankBusyCycles();
         // The fresh K/V token vectors must land in the cache before
         // the GEMVs read them.
@@ -422,8 +460,7 @@ class IterationSim
             total, false, cfg_.gemvStreamBursts,
             [this, ti](Cycle stream_end) {
                 Thread &t2 = threads_[ti];
-                Cycle vu = npu_.vectorUnits().softmaxCycles(
-                    t2.plan.mha.totalSoftmaxElems);
+                Cycle vu = vu_.softmaxCycles(t2.plan.mha.totalSoftmaxElems);
                 Cycle end = runVector(stream_end, vu);
                 eq_.schedule(std::max(end, eq_.now()), [this, ti, end] {
                     onMhaDone(ti, end);
@@ -596,7 +633,7 @@ class IterationSim
     {
         Thread &t = threads_[ti];
         t.tMhaDone = done;
-        t.flopsAtMha = npu_.flopsExecuted().value();
+        t.flopsAtMha = flops_;
         recordMhaPhase(ti);
         runProjFfn(ti, done, 1);
     }
@@ -608,9 +645,8 @@ class IterationSim
         Thread &t = threads_[ti];
         if (gemm_index >= t.plan.gemms.size()) {
             // Layer norms and residual adds ride the vector units.
-            Cycle vu = npu_.vectorUnits().opCycles(
-                t.plan.vectorElems,
-                cfg_.npu.vu.layerNormOpsPerElem);
+            Cycle vu = vu_.opCycles(t.plan.vectorElems,
+                                    cfg_.npu.vu.layerNormOpsPerElem);
             Cycle end = runVector(ready, vu);
             eq_.schedule(std::max(end, eq_.now()),
                          [this, ti, end] { finishLayer(ti, end); });
@@ -642,7 +678,7 @@ class IterationSim
             if (t.layer < warmupLayers_)
                 return;
         }
-        flopsAtWarmup_ = npu_.flopsExecuted().value();
+        flopsAtWarmup_ = flops_;
         pimBusyAtWarmup_ = hbm_.totalPimBankBusyCycles();
         memBusyAtWarmup_ = hbm_.totalMemBankBusyCycles();
     }
@@ -659,7 +695,7 @@ class IterationSim
         if (span == 0)
             return;
         phases_.mhaCycles += span;
-        double peak = npu_.peakFlopsPerCycle();
+        double peak = sa_.peakFlopsPerCycle();
         phases_.npuUtilMha +=
             (t.flopsAtMha - t.flopsAtQkv) /
             (peak * static_cast<double>(span));
@@ -679,7 +715,7 @@ class IterationSim
             return;
         Cycle qkv_span = t.tQkvDone - t.tLayerStart;
         Cycle proj_span = done - t.tMhaDone;
-        double peak = npu_.peakFlopsPerCycle();
+        double peak = sa_.peakFlopsPerCycle();
         if (qkv_span > 0) {
             phases_.qkvCycles += qkv_span;
             phases_.npuUtilQkv +=
@@ -689,13 +725,12 @@ class IterationSim
         if (proj_span > 0) {
             phases_.projFfnCycles += proj_span;
             phases_.npuUtilProjFfn +=
-                (npu_.flopsExecuted().value() - t.flopsAtMha) /
+                (flops_ - t.flopsAtMha) /
                 (peak * static_cast<double>(proj_span));
         }
         ++layerSamples_;
     }
 
-  public:
     /** Average the accumulated per-layer phase numbers. */
     void
     finalizePhases()
@@ -713,26 +748,38 @@ class IterationSim
         }
     }
 
-  private:
+    // The first data member, so destroyed last: the stack and the DMA
+    // engine hold references to it.
+    EventQueue eq_;
+    dram::HbmStack hbm_;
+    npu::DmaEngine dma_;
+    npu::SystolicArrayPool sa_;
+    npu::VectorUnitPool vu_;
+    Cycle saFree_ = 0; ///< systolic arrays' timeline
+    Cycle vuFree_ = 0; ///< vector units' timeline
     const DeviceConfig &cfg_;
-    EventQueue &eq_;
-    dram::HbmStack &hbm_;
-    npu::Npu &npu_;
-    npu::DmaEngine &dma_;
     ExtraMemTraffic extra_;
 
     int windowLayers_;
     int warmupLayers_;
     std::vector<Thread> threads_;
+    Flops flops_ = 0.0; ///< useful GEMM FLOPs executed so far
     int layerSamples_ = 0;
     int mhaPhaseSamples_ = 0;
+
+    Flops flopsAtWarmup_ = 0.0;
+    Cycle pimBusyAtWarmup_ = 0;
+    Cycle memBusyAtWarmup_ = 0;
+    PhaseBreakdown phases_;
+    Cycle extraEnd_ = 0; ///< last ExtraMemTraffic row completion
 };
+
+} // namespace
 
 DeviceExecutor::DeviceExecutor(const DeviceConfig &cfg,
                                const model::LlmConfig &model, int tp,
                                int layers_per_device)
-    : cfg_(cfg), model_(model), tp_(tp),
-      layersPerDevice_(layers_per_device),
+    : cfg_(cfg), layersPerDevice_(layers_per_device),
       compiler_(model, tp,
                 model::MemShape{cfg.org.channels, cfg.org.banksPerChannel,
                                 cfg.org.pageBytes, cfg.org.burstBytes})
@@ -780,66 +827,15 @@ DeviceExecutor::run(const BatchComposition &batch,
         plans.push_back(compiler_.compileLayer(batch.full));
     }
 
-    // The stack must not outlive its queue.
-    dma_.reset();
-    hbm_.reset();
-    eq_ = std::make_unique<EventQueue>();
     auto groups =
         fold ? computeSymmetryGroups(cfg_.org.channels, plans,
                                      cfg_.kind != SystemKind::NpuOnly)
              : dram::SymmetryGroups::identity(cfg_.org.channels);
     lastSymmetryClasses_ = groups.numClasses;
-    hbm_ = std::make_unique<dram::HbmStack>(*eq_, cfg_.memConfig(),
-                                            std::move(groups));
-    npu_ = std::make_unique<npu::Npu>(cfg_.npu);
-    dma_ = std::make_unique<npu::DmaEngine>(*eq_, *hbm_);
-
-    IterationSim sim(*this, std::move(plans), window_layers, warmup_layers,
-                     extra);
+    IterationSim sim(cfg_, std::move(groups), std::move(plans),
+                     window_layers, warmup_layers, extra);
     sim.run();
-    sim.finalizePhases();
-
-    IterationResult res;
-    Cycle warm_end = sim.warmupEnd();
-    Cycle end = sim.windowEnd();
-    NEUPIMS_ASSERT(end > warm_end);
-    res.windowCycles = end;
-    res.perLayerCycles = sim.perLayerCycles();
-    // §6.2 composition: measured window + steady-state periods for
-    // the layers beyond it.
-    std::int64_t extra_layers =
-        static_cast<std::int64_t>(layersPerDevice_) - window_layers;
-    NEUPIMS_ASSERT(extra_layers >= 0);
-    res.iterationCycles =
-        end + res.perLayerCycles * static_cast<Cycle>(extra_layers);
-    double iter_seconds = cyclesToSeconds(res.iterationCycles);
-    res.throughputTokensPerSec =
-        static_cast<double>(batch.batchSize()) / iter_seconds;
-
-    Cycle span = end - warm_end;
-    res.npuUtil = (npu_->flopsExecuted().value() - sim.flopsAtWarmup_) /
-                  (npu_->peakFlopsPerCycle() *
-                   static_cast<double>(span));
-    double pim_busy = static_cast<double>(hbm_->totalPimBankBusyCycles() -
-                                          sim.pimBusyAtWarmup_);
-    res.pimUtil = pim_busy /
-                  (static_cast<double>(span) * hbm_->pimCapacityBanks());
-    res.bwUtil = hbm_->dataBusUtilization(warm_end, end);
-    res.vuUtil = npu_->vuBusy().utilization(warm_end, end);
-    res.totalFlops = npu_->flopsExecuted().value();
-    res.dataBusBytes = hbm_->totalDataBusBytes();
-    res.pimBankBusyCycles = hbm_->totalPimBankBusyCycles();
-    res.commands = hbm_->totalCommandCounts();
-    res.phases = sim.phases_;
-    res.memSched = hbm_->totalMemSchedStats();
-    res.memBankUtil =
-        static_cast<double>(hbm_->totalMemBankBusyCycles() -
-                            sim.memBusyAtWarmup_) /
-        (static_cast<double>(cfg_.org.channels) *
-         static_cast<double>(cfg_.org.banksPerChannel) *
-         static_cast<double>(span));
-    res.extraTrafficEndCycle = sim.extraEnd_;
-    return res;
+    return sim.result(layersPerDevice_, batch.batchSize());
 }
 
 } // namespace neupims::core

@@ -23,16 +23,12 @@
 #ifndef NEUPIMS_CORE_EXECUTOR_H_
 #define NEUPIMS_CORE_EXECUTOR_H_
 
-#include <memory>
 #include <vector>
 
-#include "common/event_queue.h"
 #include "core/device_config.h"
 #include "dram/hbm.h"
 #include "model/compiler.h"
 #include "model/llm_config.h"
-#include "npu/dma.h"
-#include "npu/npu.h"
 
 namespace neupims::core {
 
@@ -91,7 +87,6 @@ struct IterationResult
     double npuUtil = 0.0; ///< useful FLOPs over peak (Table 4 "NPU")
     double pimUtil = 0.0; ///< adder-tree busy over capacity ("PIM")
     double bwUtil = 0.0;  ///< data-bus busy fraction ("Bandwidth")
-    double vuUtil = 0.0;
     Flops totalFlops = 0.0;
     Bytes dataBusBytes = 0;
     Cycle pimBankBusyCycles = 0;
@@ -105,6 +100,8 @@ struct IterationResult
     double memBankUtil = 0.0; ///< mean per-bank MEM data service
     /** Completion cycle of injected ExtraMemTraffic (0 if none). */
     Cycle extraTrafficEndCycle = 0;
+    /** Per-channel activity over the whole window (Table 5 power). */
+    std::vector<dram::ChannelActivity> channelActivity;
 };
 
 class DeviceExecutor
@@ -136,13 +133,6 @@ class DeviceExecutor
                                  int warmup_layers = 1);
 
     const DeviceConfig &config() const { return cfg_; }
-    const model::LlmConfig &model() const { return model_; }
-    int tensorParallel() const { return tp_; }
-    int layersPerDevice() const { return layersPerDevice_; }
-
-    /** Post-run access to the simulated memory (power/commands). */
-    dram::HbmStack *hbm() { return hbm_.get(); }
-    npu::Npu *npu() { return npu_.get(); }
 
     /**
      * Channel equivalence classes the last runIteration simulated:
@@ -153,7 +143,6 @@ class DeviceExecutor
     int lastSymmetryClasses() const { return lastSymmetryClasses_; }
 
   private:
-    friend class IterationSim;
     /** Tests reach the unfolded reference run through this peer. */
     friend class DeviceExecutorTestPeer;
 
@@ -164,16 +153,8 @@ class DeviceExecutor
                         int warmup_layers, bool fold);
 
     DeviceConfig cfg_;
-    model::LlmConfig model_;
-    int tp_;
     int layersPerDevice_;
     model::Compiler compiler_;
-
-    // Rebuilt per runIteration; retained afterwards for inspection.
-    std::unique_ptr<EventQueue> eq_;
-    std::unique_ptr<dram::HbmStack> hbm_;
-    std::unique_ptr<npu::Npu> npu_;
-    std::unique_ptr<npu::DmaEngine> dma_;
     int lastSymmetryClasses_ = 0;
 };
 

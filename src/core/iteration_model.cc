@@ -398,7 +398,7 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
         // Dedicated prefill iteration: weight GEMMs over the prompt
         // rows, NPU attention, K/V appends; no decode MHA (and no
         // prefetch credit — there is no MHA span to prefetch under).
-        const model::LayerPlan &plan =
+        model::LayerPlan plan =
             compiler_.compileLayer(mix.decode.full, mix.prefill);
         return serialLayerCycles(plan, false) +
                prefillAttnCycles(plan);
@@ -410,13 +410,12 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
         // pay systolic compute for their extra GEMM passes, plus
         // their K/V appends, vector ops and NPU attention; on the
         // pipelined path part of that hides under the PIM MHA span.
-        // Copies: the mixed compile below may evict the sub-plans.
         model::LayerPlan sb1 = compiler_.compileLayer(mix.decode.sb1);
         model::LayerPlan sb2 = compiler_.compileLayer(mix.decode.sb2);
         double base = sbiLayerCycles(sb1, sb2);
         double decode_mha = mhaCycles(sb1) + mhaCycles(sb2);
 
-        const model::LayerPlan &mixed =
+        model::LayerPlan mixed =
             compiler_.compileLayer(mix.decode.full, mix.prefill);
         double extra = 0.0;
         for (const auto &g : mixed.gemms) {
@@ -457,7 +456,7 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
     // rows amortize into the same weight GEMM phases and KV-append
     // stream — then add the NPU attention with the piggyback hiding
     // credit against the PIM decode-MHA span.
-    const model::LayerPlan &mixed =
+    model::LayerPlan mixed =
         compiler_.compileLayer(mix.decode.full, mix.prefill);
     double base = serialLayerCycles(mixed, true);
     double attn = prefillAttnCycles(mixed);
@@ -508,7 +507,7 @@ AnalyticIterationModel::sbiComponents(const BatchComposition &comp,
                                       double &serial, double &hideable)
 {
     model::LayerPlan plan1 = compiler_.compileLayer(comp.sb1);
-    const model::LayerPlan &plan2 = compiler_.compileLayer(comp.sb2);
+    model::LayerPlan plan2 = compiler_.compileLayer(comp.sb2);
     double s1 = serialLayerCycles(plan1, false);
     double s2 = serialLayerCycles(plan2, false);
     double mha = mhaCycles(plan1) + mhaCycles(plan2);
@@ -521,10 +520,8 @@ AnalyticIterationModel::perLayerCyclesFor(const BatchComposition &comp)
 {
     double layer;
     if (usesSubBatchInterleaving(cfg_, comp)) {
-        // Copy: a second compileLayer call may evict the first plan.
-        model::LayerPlan plan1 = compiler_.compileLayer(comp.sb1);
-        const model::LayerPlan &plan2 = compiler_.compileLayer(comp.sb2);
-        layer = sbiLayerCycles(plan1, plan2);
+        layer = sbiLayerCycles(compiler_.compileLayer(comp.sb1),
+                               compiler_.compileLayer(comp.sb2));
     } else {
         layer =
             serialLayerCycles(compiler_.compileLayer(comp.full), true);

@@ -112,6 +112,7 @@ setupServingRun(const DeviceConfig &dev, const model::LlmConfig &llm,
     setup.config = servingConfigFor(dev, llm);
     setup.config.scheduler.prefill = run.prefill;
     applyServingOptions(setup.config, run.options);
+    setup.config.client.seed = run.seed;
     return setup;
 }
 

@@ -152,7 +152,8 @@ struct ServingRun
     int maxLen = 0;
     double rate = 0.0; ///< offered load (requests/s)
     int requests = 96;
-    /** Seeds the arrival stream and the class draws. */
+    /** Seeds the arrival stream, the class draws and the client
+     * retry jitter. */
     std::uint64_t seed = 42;
     /** Priority-class mix: "uniform" | "two-tier" | "three-tier". */
     std::string classes = "uniform";

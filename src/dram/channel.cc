@@ -132,9 +132,23 @@ Channel::reserveDataBus(Cycle not_before, int bursts)
     Cycle start = std::max(not_before, dataNextFree_);
     Cycle end = start + t.tBL * static_cast<Cycle>(bursts);
     dataNextFree_ = end;
-    dataBusUtil_.addBusy(start, end);
+    recordDataBusy(start, end);
     dataBusBytes_ += org_->burstBytes * static_cast<Bytes>(bursts);
     return {start, end};
+}
+
+double
+Channel::dataBusUtilization(Cycle from, Cycle to) const
+{
+    NEUPIMS_ASSERT(to > from);
+    Cycle busy = 0;
+    for (const auto &[s, e] : dataBusy_) {
+        Cycle lo = std::max(s, from);
+        Cycle hi = std::min(e, to);
+        if (hi > lo)
+            busy += hi - lo;
+    }
+    return static_cast<double>(busy) / static_cast<double>(to - from);
 }
 
 } // namespace neupims::dram

@@ -16,9 +16,9 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "dram/bank.h"
 #include "dram/command.h"
@@ -133,7 +133,7 @@ class Channel
         caNextFree_ = when + t.caMemCmd;
         caBusyCycles_ += t.caMemCmd;
         dataNextFree_ = burst_start + t.tBL;
-        dataBusUtil_.addBusy(burst_start, burst_start + t.tBL);
+        recordDataBusy(burst_start, burst_start + t.tBL);
         dataBusBytes_ += org_->burstBytes;
         counts_.record(write ? CommandType::Wr : CommandType::Rd);
         return {when, burst_start + t.tBL};
@@ -211,7 +211,8 @@ class Channel
 
     const CommandCounts &commandCounts() const { return counts_; }
     Bytes dataBusBytes() const { return dataBusBytes_; }
-    UtilizationTracker &dataBusUtil() { return dataBusUtil_; }
+    /** Busy fraction of the data bus over [from, to). */
+    double dataBusUtilization(Cycle from, Cycle to) const;
     /** C/A bus busy cycles so far. Slots never overlap and issue in
      * order, so the running sum is the exact busy time. */
     Cycle caBusyCycles() const { return caBusyCycles_; }
@@ -219,6 +220,18 @@ class Channel
   private:
     /** Commit an ACT at @p when into the tFAW ring / tRRD tracker. */
     void recordActivate(BankId bank, Cycle when);
+
+    /** Log the data bus busy over [start, end). Bursts are reserved
+     * in order and never overlap, so one that starts where the last
+     * ended extends its interval. */
+    void
+    recordDataBusy(Cycle start, Cycle end)
+    {
+        if (!dataBusy_.empty() && dataBusy_.back().second == start)
+            dataBusy_.back().second = end;
+        else
+            dataBusy_.emplace_back(start, end);
+    }
 
     const TimingParams *timing_;
     const Organization *org_;
@@ -240,7 +253,8 @@ class Channel
 
     CommandCounts counts_;
     Bytes dataBusBytes_ = 0;
-    UtilizationTracker dataBusUtil_;
+    /** Coalesced busy intervals of the data bus, in time order. */
+    std::vector<std::pair<Cycle, Cycle>> dataBusy_;
     Cycle caBusyCycles_ = 0;
 };
 

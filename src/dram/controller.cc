@@ -33,12 +33,7 @@ MemoryController::MemoryController(EventQueue &eq,
     NEUPIMS_ASSERT(channel_.numBanks() <= 64,
                    "bank occupancy mask holds at most 64 banks");
     memInFlight_.reserve(cfg_.memIssueWindow);
-    // Reserve the transaction queues up front (the upstream NewtonSim
-    // controller notes the cost of under-reservation).
-    memQueue_.reserve(64);
-    pimQueue_.reserve(256);
-    // Same for the completion buffer: one process() call can complete
-    // several jobs.
+    // One process() call can complete several jobs.
     completions_.reserve(64);
 }
 
@@ -540,9 +535,8 @@ MemoryController::stepPim()
             // Composite mode: compute is triggered internally as soon
             // as the row is ready.
             Cycle end = row_ready + t.pimComputePerRow;
-            pimBankBusyCycles_.add(
-                static_cast<double>(nbanks) *
-                static_cast<double>(t.pimComputePerRow));
+            pimBankBusyCycles_ +=
+                static_cast<Cycle>(nbanks) * t.pimComputePerRow;
             p.roundComputeEnd = std::max(p.roundComputeEnd, end);
             p.kernelComputeEnd = std::max(p.kernelComputeEnd, end);
         }
@@ -565,7 +559,7 @@ MemoryController::stepPim()
             CommandType::PimDotProduct, std::max(lb, row_ready));
         Cycle start = std::max(when + 1, row_ready);
         Cycle end = start + t.pimComputePerRow;
-        pimBankBusyCycles_.add(static_cast<double>(t.pimComputePerRow));
+        pimBankBusyCycles_ += t.pimComputePerRow;
         p.roundComputeEnd = std::max(p.roundComputeEnd, end);
         p.kernelComputeEnd = std::max(p.kernelComputeEnd, end);
         if (++p.dotProductsDone == p.banksThisRound)

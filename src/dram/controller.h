@@ -44,13 +44,12 @@
 #define NEUPIMS_DRAM_CONTROLLER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/event_queue.h"
-#include "common/ring_queue.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "dram/channel.h"
 #include "dram/mem_sched.h"
@@ -160,15 +159,14 @@ class MemoryController
     std::size_t pendingPimJobs() const;
 
     // --- statistics -----------------------------------------------------
-    Scalar &pimBankBusyCycles() { return pimBankBusyCycles_; }
-    const Scalar &pimBankBusyCycles() const { return pimBankBusyCycles_; }
+    /** Sum over banks of PIM compute cycles. */
+    Cycle pimBankBusyCycles() const { return pimBankBusyCycles_; }
     /** MEM row jobs completed; MemJob completions invoked. */
     std::uint64_t completedMemJobs() const { return completedMemJobs_; }
     std::uint64_t memCompletions() const { return memCompletions_; }
     std::uint64_t completedPimJobs() const { return completedPimJobs_; }
 
-    /** The active arbitration policy and its scheduling statistics. */
-    const MemSchedPolicy &memSched() const { return *sched_; }
+    /** The arbitration policy's scheduling statistics. */
     const MemSchedStats &memSchedStats() const { return sched_->stats(); }
 
     /** Per-bank MEM-side data-bus busy cycles (64 B beats served). */
@@ -317,11 +315,11 @@ class MemoryController
     ControllerConfig cfg_;
     Channel channel_;
 
-    RingQueue<MemStream> memQueue_;
+    std::deque<MemStream> memQueue_;
     std::size_t queuedRows_ = 0; ///< rows in memQueue_
     std::vector<StreamDone> streamDone_;
     std::vector<int> freeDone_; ///< unused streamDone_ slots
-    RingQueue<PimJob> pimQueue_;
+    std::deque<PimJob> pimQueue_;
     std::vector<MemExec> memInFlight_;
     /** Banks with an in-flight mem job (one bit per bank), replacing
      * the former linear scan of memInFlight_ per admission. */
@@ -367,7 +365,7 @@ class MemoryController
     std::unique_ptr<MemSchedPolicy> sched_;
     std::vector<Cycle> memBankBusyCycles_;
 
-    Scalar pimBankBusyCycles_;
+    Cycle pimBankBusyCycles_ = 0;
     std::uint64_t completedMemJobs_ = 0;
     std::uint64_t memCompletions_ = 0;
     std::uint64_t completedPimJobs_ = 0;

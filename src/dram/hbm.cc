@@ -118,10 +118,10 @@ HbmStack::totalCommandCounts() const
 Cycle
 HbmStack::totalPimBankBusyCycles() const
 {
-    double total = 0.0;
+    Cycle total = 0;
     for (ChannelId ch = 0; ch < numChannels(); ++ch)
-        total += controller(ch).pimBankBusyCycles().value();
-    return static_cast<Cycle>(total);
+        total += controller(ch).pimBankBusyCycles();
+    return total;
 }
 
 Cycle
@@ -145,12 +145,12 @@ HbmStack::totalMemSchedStats() const
 }
 
 double
-HbmStack::dataBusUtilization(Cycle window_start, Cycle window_end)
+HbmStack::dataBusUtilization(Cycle window_start, Cycle window_end) const
 {
     double sum = 0.0;
     for (ChannelId ch = 0; ch < numChannels(); ++ch)
-        sum += controller(ch).channel().dataBusUtil().utilization(
-            window_start, window_end);
+        sum += controller(ch).channel().dataBusUtilization(window_start,
+                                                           window_end);
     return sum / static_cast<double>(numChannels());
 }
 
@@ -161,8 +161,7 @@ HbmStack::channelActivity(ChannelId ch, Cycle window) const
     ChannelActivity a;
     a.windowCycles = window;
     a.counts = ctrl.channel().commandCounts();
-    a.pimBankBusyCycles =
-        static_cast<Cycle>(ctrl.pimBankBusyCycles().value());
+    a.pimBankBusyCycles = ctrl.pimBankBusyCycles();
     a.dualRowBuffers = ctrl.config().dualRowBuffers;
     return a;
 }

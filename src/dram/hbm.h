@@ -128,7 +128,7 @@ class HbmStack : private EventQueue::Batcher
     MemSchedStats totalMemSchedStats() const;
 
     /** Mean data-bus utilization across channels over a window. */
-    double dataBusUtilization(Cycle window_start, Cycle window_end);
+    double dataBusUtilization(Cycle window_start, Cycle window_end) const;
 
     /**
      * Sustainable concurrent PIM banks across the device: the power

@@ -42,7 +42,7 @@ struct TimingParams
     /**
      * Cycles for the per-bank datapath to consume one open row. The
      * command-paced multiplier array reads the 1 KB row buffer in
-     * 16-element chunks; 160 cycles per row reproduces Newton-class
+     * 16-element chunks; 80 cycles per row reproduces Newton-class
      * in-bank GEMV throughput once activation waves overlap compute.
      */
     Cycle pimComputePerRow = 80;

@@ -72,54 +72,6 @@ Compiler::attendRowTiles(int seq_len) const
     return logitRowTiles(seq_len);
 }
 
-const LayerPlan &
-Compiler::compileLayer(
-    const std::vector<std::vector<int>> &seq_lens_per_channel) const
-{
-    return compileLayer(seq_lens_per_channel, {});
-}
-
-const LayerPlan &
-Compiler::compileLayer(
-    const std::vector<std::vector<int>> &seq_lens_per_channel,
-    const std::vector<PrefillSliceSpec> &prefill) const
-{
-    // Decode-only compositions keep their historical cache key and
-    // probe with the caller's vector directly (the hot path — no key
-    // copy on a cache hit); prefill slices extend the key behind a
-    // sentinel row no sequence length can produce, so mixed plans
-    // never alias decode plans.
-    if (prefill.empty()) {
-        return cachedPlan(seq_lens_per_channel, seq_lens_per_channel,
-                          prefill);
-    }
-    std::vector<std::vector<int>> key = seq_lens_per_channel;
-    key.push_back({-3}); // separator: decode | prefill
-    for (const auto &s : prefill)
-        key.push_back({s.channel, s.startToken, s.newTokens});
-    return cachedPlan(key, seq_lens_per_channel, prefill);
-}
-
-const LayerPlan &
-Compiler::cachedPlan(
-    const std::vector<std::vector<int>> &key,
-    const std::vector<std::vector<int>> &seq_lens_per_channel,
-    const std::vector<PrefillSliceSpec> &prefill) const
-{
-    auto it = planCache_.find(key);
-    if (it != planCache_.end()) {
-        ++cacheHits_;
-        return it->second;
-    }
-    ++cacheMisses_;
-    if (planCache_.size() >= kMaxCachedPlans)
-        planCache_.clear();
-    auto [pos, inserted] = planCache_.emplace(
-        key, compileLayerUncached(seq_lens_per_channel, prefill));
-    NEUPIMS_ASSERT(inserted);
-    return pos->second;
-}
-
 PrefillAttnWork
 Compiler::prefillAttnWorkFor(const PrefillSliceSpec &slice) const
 {
@@ -147,7 +99,7 @@ Compiler::prefillAttnWorkFor(const PrefillSliceSpec &slice) const
 }
 
 LayerPlan
-Compiler::compileLayerUncached(
+Compiler::compileLayer(
     const std::vector<std::vector<int>> &seq_lens_per_channel,
     const std::vector<PrefillSliceSpec> &prefill) const
 {

@@ -18,7 +18,6 @@
 #define NEUPIMS_MODEL_COMPILER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -174,48 +173,24 @@ class Compiler
     const MemShape &memShape() const { return mem_; }
 
     /**
-     * Compile one generation-phase decoder layer for a batch whose
-     * requests have been assigned to channels.
-     *
-     * Results are memoized keyed on the batch composition: every
-     * decoder layer of a generation iteration executes the same
-     * kernel graph, and successive serving iterations mostly repeat
-     * compositions, so repeated calls return the cached plan. The
-     * compiler's model/tp/memory geometry are immutable after
-     * construction, which is what makes a cached plan valid forever;
-     * see DESIGN.md §4 for the invalidation rule. The returned
-     * reference stays valid until the cache evicts (bounded size,
-     * cleared wholesale on overflow) — callers that outlive the next
-     * compileLayer call must copy. Not thread-safe, like the rest of
-     * the simulator.
+     * Compile one decoder layer for a batch whose requests have been
+     * assigned to channels: decode requests as per-channel PIM GEMV
+     * kernels, plus @p prefill slices whose prompt tokens join the
+     * weight GEMMs as extra activation rows, emit NPU-side causal
+     * attention work, and append their K/V vectors to their channel.
+     * An empty decode batch with non-empty prefill is valid (a
+     * dedicated prefill iteration).
      *
      * @param seq_lens_per_channel current KV length of every request,
      *        grouped by its PIM channel (index = ChannelId).
      */
-    const LayerPlan &compileLayer(
-        const std::vector<std::vector<int>> &seq_lens_per_channel) const;
-
-    /**
-     * Compile a mixed prefill+decode layer: decode requests as in
-     * compileLayer, plus @p prefill slices whose prompt tokens join
-     * the weight GEMMs as extra activation rows, emit NPU-side causal
-     * attention work, and append their K/V vectors to their channel.
-     * Decode-only calls (empty @p prefill) share compileLayer's cache
-     * entries; an empty decode batch with non-empty prefill is valid
-     * (a dedicated prefill iteration). Same memoization and lifetime
-     * rules as compileLayer.
-     */
-    const LayerPlan &compileLayer(
+    LayerPlan compileLayer(
         const std::vector<std::vector<int>> &seq_lens_per_channel,
-        const std::vector<PrefillSliceSpec> &prefill) const;
+        const std::vector<PrefillSliceSpec> &prefill = {}) const;
 
     /** The NPU attention work of one prefill slice. */
     PrefillAttnWork prefillAttnWorkFor(
         const PrefillSliceSpec &slice) const;
-
-    /** Compilation-cache statistics (engine benchmarks and tests). */
-    std::uint64_t planCacheHits() const { return cacheHits_; }
-    std::uint64_t planCacheMisses() const { return cacheMisses_; }
 
     /** Per-request logit GEMV tiles (Algorithm 1 numerator). */
     int logitRowTiles(int seq_len) const;
@@ -223,30 +198,9 @@ class Compiler
     int attendRowTiles(int seq_len) const;
 
   private:
-    /** Probe the plan cache with @p key; compile and insert on miss. */
-    const LayerPlan &cachedPlan(
-        const std::vector<std::vector<int>> &key,
-        const std::vector<std::vector<int>> &seq_lens_per_channel,
-        const std::vector<PrefillSliceSpec> &prefill) const;
-
-    LayerPlan compileLayerUncached(
-        const std::vector<std::vector<int>> &seq_lens_per_channel,
-        const std::vector<PrefillSliceSpec> &prefill) const;
-
     LlmConfig cfg_;
     int tp_;
     MemShape mem_;
-
-    /** Plans per distinct composition a compiler instance retains
-     * before the cache is cleared wholesale. Serving sweeps see a
-     * handful of live compositions at a time, so overflow is rare. */
-    static constexpr std::size_t kMaxCachedPlans = 128;
-
-    // Deterministic ordered map: the key is the composition itself,
-    // so a hit can never alias a different batch.
-    mutable std::map<std::vector<std::vector<int>>, LayerPlan> planCache_;
-    mutable std::uint64_t cacheHits_ = 0;
-    mutable std::uint64_t cacheMisses_ = 0;
 };
 
 } // namespace neupims::model

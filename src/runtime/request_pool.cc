@@ -146,16 +146,6 @@ RequestPool::requeue(RequestId id)
 }
 
 RequestId
-RequestPool::dropWaitingHead()
-{
-    NEUPIMS_ASSERT(!waiting_.empty());
-    RequestId id = waiting_.front();
-    waiting_.pop_front();
-    markTerminal(all_[id], RequestStatus::Dropped);
-    return id;
-}
-
-RequestId
 RequestPool::waitingHead() const
 {
     NEUPIMS_ASSERT(!waiting_.empty());

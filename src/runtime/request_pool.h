@@ -89,13 +89,6 @@ class RequestPool
      */
     void requeue(RequestId id);
 
-    /**
-     * Reject the head of the waiting queue (a request no schedule can
-     * ever place, e.g. its prompt exceeds every channel's KV
-     * capacity). @return its id. @pre waitingCount() > 0
-     */
-    RequestId dropWaitingHead();
-
     /** Head of the waiting queue. @pre waitingCount() > 0 */
     RequestId waitingHead() const;
 

@@ -281,12 +281,13 @@ ServingEngine::run()
             // be placed on any channel even with the device empty —
             // it can never be served. Reject exactly the blocking
             // request (under a reordering policy it need not be the
-            // waiting-queue head) rather than livelock.
-            NEUPIMS_ASSERT(pool_.waitingCount() > 0);
-            if (schedule.admissionBlockedBy != kInvalidId)
-                pool_.dropWaiting(schedule.admissionBlockedBy);
-            else
-                pool_.dropWaitingHead();
+            // waiting-queue head) rather than livelock. Admission
+            // either admits its pick, which then gets a prefill slice,
+            // or requeues it and names it here.
+            NEUPIMS_ASSERT(pool_.waitingCount() > 0 &&
+                               schedule.admissionBlockedBy != kInvalidId,
+                           "empty schedule names no blocked request");
+            pool_.dropWaiting(schedule.admissionBlockedBy);
             ++report.requestsDropped;
             continue;
         }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for device configuration presets, the batch builder
- * bridge, the GPU/TransPIM baselines, the multi-device system and the
- * metrics helpers.
+ * bridge, the GPU/TransPIM baselines, the multi-device system, the
+ * metrics helpers and serving-run assembly.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/device_config.h"
 #include "core/gpu_model.h"
 #include "core/metrics.h"
+#include "core/serving_setup.h"
 #include "core/system.h"
 #include "core/transpim_executor.h"
 
@@ -274,6 +275,20 @@ TEST(MetricsDeathTest, GeomeanRejectsNonPositive)
 {
     EXPECT_DEATH((void)geomean({1.0, 0.0}), "assertion");
     EXPECT_DEATH((void)geomean({}), "assertion");
+}
+
+// --- serving-run assembly ---------------------------------------------
+
+TEST(ServingSetup, RunSeedSeedsTheRetryStream)
+{
+    ServingRun run;
+    run.rate = 1.0;
+    run.requests = 4;
+    run.seed = 7;
+    auto setup =
+        setupServingRun(DeviceConfig::neuPims(), model::gpt3_7b(), run);
+    EXPECT_NE(runtime::ClientRetryConfig{}.seed, run.seed);
+    EXPECT_EQ(setup.config.client.seed, run.seed);
 }
 
 } // namespace

@@ -130,7 +130,6 @@ expectBitIdentical(const IterationResult &a, const IterationResult &b)
     EXPECT_EQ(a.npuUtil, b.npuUtil);
     EXPECT_EQ(a.pimUtil, b.pimUtil);
     EXPECT_EQ(a.bwUtil, b.bwUtil);
-    EXPECT_EQ(a.vuUtil, b.vuUtil);
     EXPECT_EQ(a.totalFlops, b.totalFlops);
     EXPECT_EQ(a.dataBusBytes, b.dataBusBytes);
     EXPECT_EQ(a.pimBankBusyCycles, b.pimBankBusyCycles);
@@ -154,6 +153,18 @@ expectBitIdentical(const IterationResult &a, const IterationResult &b)
     EXPECT_EQ(a.memSched.pimWasteCycles, b.memSched.pimWasteCycles);
     EXPECT_EQ(a.memBankUtil, b.memBankUtil);
     EXPECT_EQ(a.extraTrafficEndCycle, b.extraTrafficEndCycle);
+    ASSERT_EQ(a.channelActivity.size(), b.channelActivity.size());
+    for (std::size_t ch = 0; ch < a.channelActivity.size(); ++ch) {
+        const auto &x = a.channelActivity[ch];
+        const auto &y = b.channelActivity[ch];
+        EXPECT_EQ(x.windowCycles, y.windowCycles) << "channel " << ch;
+        EXPECT_EQ(x.pimBankBusyCycles, y.pimBankBusyCycles)
+            << "channel " << ch;
+        EXPECT_EQ(x.dualRowBuffers, y.dualRowBuffers) << "channel " << ch;
+        for (int i = 0; i < dram::kNumCommandTypes; ++i)
+            EXPECT_EQ(x.counts.counts[i], y.counts.counts[i])
+                << "channel " << ch << ", command type " << i;
+    }
 }
 
 /**
@@ -172,6 +183,8 @@ expectFoldExact(const DeviceConfig &dev, const BatchComposition &comp,
                                                  window_layers, 1);
     auto b = folded.runIteration(comp, extra, window_layers, 1);
     EXPECT_EQ(unfolded.lastSymmetryClasses(), dev.org.channels);
+    EXPECT_EQ(a.channelActivity.size(),
+              static_cast<std::size_t>(dev.org.channels));
     expectBitIdentical(a, b);
     return folded.lastSymmetryClasses();
 }

@@ -153,6 +153,23 @@ TEST_F(ChannelTest, ReserveDataBusIsContiguous)
     EXPECT_EQ(e1, e0 + 2 * t.tBL);
 }
 
+TEST_F(ChannelTest, DataBusUtilizationClipsToTheWindow)
+{
+    const Cycle b = t.tBL;
+    ch.reserveDataBus(10 * b, 4); // [10b, 14b)
+    ch.reserveDataBus(0, 2);      // back to back: [14b, 16b)
+    ch.reserveDataBus(20 * b, 4); // after a gap: [20b, 24b)
+    // The back-to-back pair is one busy span, clipped on both sides.
+    EXPECT_DOUBLE_EQ(ch.dataBusUtilization(10 * b, 16 * b), 1.0);
+    EXPECT_DOUBLE_EQ(ch.dataBusUtilization(11 * b, 15 * b), 1.0);
+    // Bursts straddling the window's start and end count only their
+    // part inside it: [12b, 16b) and [20b, 22b) of [12b, 22b).
+    EXPECT_DOUBLE_EQ(ch.dataBusUtilization(12 * b, 22 * b), 0.6);
+    // Gaps are idle.
+    EXPECT_DOUBLE_EQ(ch.dataBusUtilization(16 * b, 20 * b), 0.0);
+    EXPECT_DOUBLE_EQ(ch.dataBusUtilization(0, 30 * b), 10.0 / 30.0);
+}
+
 TEST_F(ChannelTest, DualRowBufferAllowsMemReadDuringPimOpenRow)
 {
     // Open a PIM row, then a MEM row on the same bank: with dual

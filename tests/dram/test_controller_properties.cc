@@ -410,7 +410,7 @@ runDescriptorFlood(MemSchedKind kind, bool dual, bool as_rows,
     r.counts = mc.channel().commandCounts();
     r.sched = mc.memSchedStats();
     r.end = eq.now();
-    r.dataUtil = mc.channel().dataBusUtil().utilization(0, r.end + 1);
+    r.dataUtil = mc.channel().dataBusUtilization(0, r.end + 1);
     return r;
 }
 

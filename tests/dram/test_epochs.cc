@@ -157,7 +157,7 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
         tr.sched.push_back(mc->memSchedStats());
         tr.dataBytes.push_back(mc->channel().dataBusBytes());
         tr.dataUtil.push_back(
-            mc->channel().dataBusUtil().utilization(0, tr.end + 1));
+            mc->channel().dataBusUtilization(0, tr.end + 1));
         tr.caBusy.push_back(mc->channel().caBusyCycles());
         tr.bankBusy.push_back(mc->memBankBusyCycles());
     }

@@ -140,52 +140,12 @@ TEST_F(CompilerTest, VectorElemsCoverNormsAndResiduals)
     EXPECT_EQ(plan.vectorElems, 3u * 7168 * 4);
 }
 
-TEST_F(CompilerTest, CompileLayerIsMemoizedPerComposition)
-{
-    std::vector<std::vector<int>> lens(32);
-    lens[0] = {100, 200};
-    lens[7] = {350};
-    EXPECT_EQ(compiler.planCacheMisses(), 0u);
-
-    const auto &first = compiler.compileLayer(lens);
-    EXPECT_EQ(compiler.planCacheMisses(), 1u);
-    EXPECT_EQ(compiler.planCacheHits(), 0u);
-
-    // Identical composition: same cached object, no recompilation.
-    const auto &second = compiler.compileLayer(lens);
-    EXPECT_EQ(&first, &second);
-    EXPECT_EQ(compiler.planCacheMisses(), 1u);
-    EXPECT_EQ(compiler.planCacheHits(), 1u);
-
-    // A different composition must not alias the cached plan.
-    lens[7] = {351};
-    const auto &third = compiler.compileLayer(lens);
-    EXPECT_EQ(compiler.planCacheMisses(), 2u);
-    EXPECT_EQ(third.mha.requests[7][0].seqLen, 351);
-    EXPECT_EQ(second.mha.requests[7][0].seqLen, 350);
-}
-
-TEST_F(CompilerTest, CachedPlanEqualsFreshCompile)
-{
-    std::vector<std::vector<int>> lens(32);
-    for (int ch = 0; ch < 32; ++ch)
-        lens[ch] = {64 + ch, 128};
-    auto plan = compiler.compileLayer(lens); // copy of the cached plan
-    Compiler fresh(cfg, 4, mem);
-    const auto &ref = fresh.compileLayer(lens);
-    EXPECT_EQ(plan.batch, ref.batch);
-    EXPECT_EQ(plan.gemmFlops(), ref.gemmFlops());
-    EXPECT_EQ(plan.gemmWeightBytes(), ref.gemmWeightBytes());
-    EXPECT_EQ(plan.mha.kvReadBytes, ref.mha.kvReadBytes);
-    EXPECT_EQ(plan.mha.totalSoftmaxElems, ref.mha.totalSoftmaxElems);
-}
-
 TEST_F(CompilerTest, MixedPlanAddsPrefillRowsToGemms)
 {
     std::vector<std::vector<int>> lens(32);
     lens[0] = {100, 200};
     std::vector<PrefillSliceSpec> prefill = {{2, 0, 64}, {5, 128, 32}};
-    const auto &plan = compiler.compileLayer(lens, prefill);
+    auto plan = compiler.compileLayer(lens, prefill);
 
     EXPECT_EQ(plan.batch, 2);
     EXPECT_EQ(plan.prefillTokens, 96);
@@ -222,7 +182,7 @@ TEST_F(CompilerTest, PrefillAppendsKvOnSliceChannel)
     std::vector<std::vector<int>> lens(32);
     lens[0] = {100};
     std::vector<PrefillSliceSpec> prefill = {{0, 0, 48}, {9, 16, 16}};
-    const auto &plan = compiler.compileLayer(lens, prefill);
+    auto plan = compiler.compileLayer(lens, prefill);
     Bytes per_tok = cfg.kvBytesPerTokenPerLayer(4);
     // Channel 0: one decode token + 48 prefill tokens.
     EXPECT_EQ(plan.mha.kvAppendBytes[0], per_tok * (1 + 48));
@@ -234,33 +194,13 @@ TEST_F(CompilerTest, PrefillOnlyPlanHasNoDecodeWork)
 {
     std::vector<std::vector<int>> lens(32);
     std::vector<PrefillSliceSpec> prefill = {{0, 0, 256}};
-    const auto &plan = compiler.compileLayer(lens, prefill);
+    auto plan = compiler.compileLayer(lens, prefill);
     EXPECT_EQ(plan.batch, 0);
     EXPECT_EQ(plan.prefillTokens, 256);
     for (const auto &g : plan.gemms)
         EXPECT_EQ(g.shape.m, 256);
     EXPECT_EQ(plan.mha.kvReadBytes, 0u);
     EXPECT_EQ(plan.mha.totalSoftmaxElems, 0u);
-}
-
-TEST_F(CompilerTest, MixedPlansDoNotAliasDecodePlans)
-{
-    std::vector<std::vector<int>> lens(32);
-    lens[0] = {100, 200};
-    const auto &decode_only = compiler.compileLayer(lens);
-    EXPECT_EQ(compiler.planCacheMisses(), 1u);
-    std::vector<PrefillSliceSpec> prefill = {{1, 0, 8}};
-    const auto &mixed = compiler.compileLayer(lens, prefill);
-    EXPECT_EQ(compiler.planCacheMisses(), 2u);
-    EXPECT_NE(&decode_only, &mixed);
-    // Decode-only recall still hits the original entry.
-    const auto &again = compiler.compileLayer(lens);
-    EXPECT_EQ(&decode_only, &again);
-    EXPECT_EQ(compiler.planCacheHits(), 1u);
-    // The mixed plan is memoized on its own key.
-    const auto &mixed_again = compiler.compileLayer(lens, prefill);
-    EXPECT_EQ(&mixed, &mixed_again);
-    EXPECT_EQ(compiler.planCacheHits(), 2u);
 }
 
 TEST(CompilerDeathTest, EmptyBatchPanics)
