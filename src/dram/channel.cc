@@ -38,6 +38,45 @@ Channel::issueActivate(BankId bank, BufferSide side, int row,
     return when;
 }
 
+Channel::ColumnTrain
+Channel::issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
+                          Cycle until)
+{
+    const auto &t = *timing_;
+    ColumnTrain tr;
+    tr.first = earliestColumn(bank, side, 0);
+    tr.step = std::max(t.caMemCmd, t.tBL);
+    if (n <= 0 || tr.first >= until)
+        return tr;
+    // The first burst may wait for the data bus. Each later one waits
+    // only for its predecessor's C/A slot and data burst: burst i
+    // issues at when0 + i * step, its candidate caMemCmd after burst
+    // i - 1.
+    const Cycle lat = write ? t.tCWL : t.tCL;
+    const Cycle start = std::max(tr.first + lat, dataNextFree_);
+    const Cycle when0 = start - lat;
+    tr.next = when0 + t.caMemCmd;
+    // Burst i >= 1 issues while its candidate stays below until.
+    auto k = static_cast<Cycle>(n);
+    if (n > 1 && tr.next + (k - 2) * tr.step >= until)
+        k = tr.next < until ? (until - tr.next - 1) / tr.step + 2 : 1;
+    tr.issued = static_cast<int>(k);
+    // Precharge readiness only grows with the issue cycle, so the last
+    // burst sets it.
+    const Cycle last = when0 + (k - 1) * tr.step;
+    if (write)
+        banks_.write(bank, side, last);
+    else
+        banks_.read(bank, side, last);
+    caNextFree_ = last + t.caMemCmd;
+    caBusyCycles_ += k * t.caMemCmd;
+    tr.dataEnd = dataNextFree_ = last + lat + t.tBL;
+    recordDataBusy(start, k, tr.step);
+    dataBusBytes_ += org_->burstBytes * k;
+    counts_.record(write ? CommandType::Wr : CommandType::Rd, k);
+    return tr;
+}
+
 Cycle
 Channel::issuePrecharge(BankId bank, BufferSide side, Cycle not_before)
 {
@@ -129,10 +168,11 @@ std::pair<Cycle, Cycle>
 Channel::reserveDataBus(Cycle not_before, int bursts)
 {
     const auto &t = *timing_;
+    NEUPIMS_ASSERT(bursts >= 1);
     Cycle start = std::max(not_before, dataNextFree_);
     Cycle end = start + t.tBL * static_cast<Cycle>(bursts);
     dataNextFree_ = end;
-    recordDataBusy(start, end);
+    recordDataBusy(start, static_cast<Cycle>(bursts), t.tBL);
     dataBusBytes_ += org_->burstBytes * static_cast<Bytes>(bursts);
     return {start, end};
 }
@@ -141,13 +181,21 @@ double
 Channel::dataBusUtilization(Cycle from, Cycle to) const
 {
     NEUPIMS_ASSERT(to > from);
+    const Cycle burst = timing_->tBL;
+    // Busy cycles of span @p s before cycle @p x.
+    auto before = [burst](const BusySpan &s, Cycle x) -> Cycle {
+        if (x <= s.start)
+            return 0;
+        const Cycle q = std::min(x, s.end()) - s.start;
+        return q / s.period * burst + std::min(q % s.period, burst);
+    };
+    // Spans are disjoint and in time order: skip those that end by from.
+    auto it = std::partition_point(
+        dataBusy_.begin(), dataBusy_.end(),
+        [from](const BusySpan &s) { return s.end() <= from; });
     Cycle busy = 0;
-    for (const auto &[s, e] : dataBusy_) {
-        Cycle lo = std::max(s, from);
-        Cycle hi = std::min(e, to);
-        if (hi > lo)
-            busy += hi - lo;
-    }
+    for (; it != dataBusy_.end() && it->start < to; ++it)
+        busy += before(*it, to) - before(*it, from);
     return static_cast<double>(busy) / static_cast<double>(to - from);
 }
 

@@ -16,9 +16,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/log.h"
 #include "common/types.h"
 #include "dram/bank.h"
 #include "dram/command.h"
@@ -133,32 +135,36 @@ class Channel
         caNextFree_ = when + t.caMemCmd;
         caBusyCycles_ += t.caMemCmd;
         dataNextFree_ = burst_start + t.tBL;
-        recordDataBusy(burst_start, burst_start + t.tBL);
+        recordDataBusy(burst_start, 1, t.tBL);
         dataBusBytes_ += org_->burstBytes;
         counts_.record(write ? CommandType::Wr : CommandType::Rd);
         return {when, burst_start + t.tBL};
     }
 
     /**
-     * A burst train (DESIGN.md §3.4): up to @p n column commands to
-     * @p bank, each issued as issueColumn() would at its earliest legal
-     * cycle, stopping before the first whose C/A candidate reaches
-     * @p until. @p on_burst(candidate, data_end) runs after each.
-     * @return the number issued.
+     * A burst train in closed form (DESIGN.md §3.4). After the first
+     * burst, each issues step = max(caMemCmd, tBL) cycles after the one
+     * before it, with its C/A candidate caMemCmd after that one.
      */
-    template <typename F>
-    int
-    issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
-                     Cycle until, F &&on_burst)
+    struct ColumnTrain
     {
-        for (int i = 0; i < n; ++i) {
-            Cycle cand = earliestColumn(bank, side, 0);
-            if (cand >= until)
-                return i;
-            on_burst(cand, issueColumn(bank, side, write, cand).second);
-        }
-        return n;
-    }
+        int issued = 0;    ///< bursts issued
+        Cycle first = 0;   ///< the first burst's C/A candidate
+        Cycle next = 0;    ///< the second burst's, if one issued
+        Cycle step = 0;    ///< issue spacing after the first burst
+        Cycle dataEnd = 0; ///< the last burst's data end
+    };
+
+    /**
+     * Up to @p n column commands to @p bank, each issued at its
+     * earliest legal cycle, as issueColumn() would issue them one by
+     * one, stopping before the first whose C/A candidate reaches
+     * @p until. Column commands set no bank-local spacing, so the
+     * train's side effects are set once, in closed form.
+     */
+    ColumnTrain issueColumnTrain(BankId bank, BufferSide side, bool write,
+                                 int n, Cycle until);
+
     Cycle issuePrecharge(BankId bank, BufferSide side, Cycle not_before);
 
     /** Issue an all-bank refresh; returns the cycle it completes. */
@@ -221,16 +227,38 @@ class Channel
     /** Commit an ACT at @p when into the tFAW ring / tRRD tracker. */
     void recordActivate(BankId bank, Cycle when);
 
-    /** Log the data bus busy over [start, end). Bursts are reserved
-     * in order and never overlap, so one that starts where the last
-     * ended extends its interval. */
-    void
-    recordDataBusy(Cycle start, Cycle end)
+    /**
+     * Data-bus busy time: bursts of tBL cycles, one every `period`
+     * cycles from `start`. Bursts are reserved in order and never
+     * overlap, so spans are disjoint and in time order.
+     */
+    struct BusySpan
     {
-        if (!dataBusy_.empty() && dataBusy_.back().second == start)
-            dataBusy_.back().second = end;
-        else
-            dataBusy_.emplace_back(start, end);
+        Cycle start;
+        std::uint32_t length; ///< to the last burst's end
+        std::uint32_t period;
+
+        Cycle end() const { return start + length; }
+    };
+
+    /** Log @p bursts busy bursts from @p start, @p period apart; ones
+     * that continue the last span at its period extend it. */
+    void
+    recordDataBusy(Cycle start, Cycle bursts, Cycle period)
+    {
+        const Cycle end = start + (bursts - 1) * period + timing_->tBL;
+        if (!dataBusy_.empty()) {
+            BusySpan &last = dataBusy_.back();
+            if (last.period == period &&
+                last.end() - timing_->tBL + period == start &&
+                end - last.start <= UINT32_MAX) {
+                last.length = static_cast<std::uint32_t>(end - last.start);
+                return;
+            }
+        }
+        NEUPIMS_ASSERT(end - start <= UINT32_MAX);
+        dataBusy_.push_back({start, static_cast<std::uint32_t>(end - start),
+                             static_cast<std::uint32_t>(period)});
     }
 
     const TimingParams *timing_;
@@ -253,8 +281,7 @@ class Channel
 
     CommandCounts counts_;
     Bytes dataBusBytes_ = 0;
-    /** Coalesced busy intervals of the data bus, in time order. */
-    std::vector<std::pair<Cycle, Cycle>> dataBusy_;
+    std::vector<BusySpan> dataBusy_;
     Cycle caBusyCycles_ = 0;
 };
 

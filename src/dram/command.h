@@ -69,7 +69,11 @@ struct CommandCounts
 {
     std::uint64_t counts[kNumCommandTypes] = {};
 
-    void record(CommandType t) { ++counts[static_cast<int>(t)]; }
+    void
+    record(CommandType t, std::uint64_t n = 1)
+    {
+        counts[static_cast<int>(t)] += n;
+    }
 
     std::uint64_t
     count(CommandType t) const

@@ -162,7 +162,8 @@ MemoryController::advanceEpoch(Cycle end)
     // any superseded event before the resume (DESIGN.md §3.4).
     if (!kickScheduled_ || nextKickAt_ >= end)
         return;
-    chain_.push_back(nextKickAt_);
+    replayAt_ = nextKickAt_;
+    addWakes(nextKickAt_, 1, 1);
     beginRun(nextKickAt_);
     epochEnd_ = end;
     process();
@@ -174,21 +175,46 @@ MemoryController::fireEpochWake(Cycle w)
 {
     // The first event at the chain's next cycle runs it, as in wake();
     // any other event is a superseded one.
-    if (chainPos_ == chain_.size() || chain_[chainPos_] != w)
+    if (runPos_ == chain_.size() || replayAt_ != w)
         return kCycleMax;
-    ++chainPos_;
-    for (; compPos_ < completions_.size() &&
-           completions_[compPos_].wake == chainPos_;
+    for (; compPos_ < completions_.size() && completions_[compPos_].wake == w;
          ++compPos_)
         completions_[compPos_].fn(completions_[compPos_].at);
-    if (chainPos_ < chain_.size())
-        return chain_[chainPos_];
+    const WakeRun &run = chain_[runPos_];
+    if (w < run.last)
+        return replayAt_ = w + run.stride;
+    if (++runPos_ < chain_.size())
+        return replayAt_ = chain_[runPos_].first;
     if (kickScheduled_)
         scheduleResume(nextKickAt_);
     chain_.clear();
     completions_.clear();
-    chainPos_ = compPos_ = 0;
+    runPos_ = compPos_ = 0;
     return kCycleMax;
+}
+
+Cycle
+MemoryController::replayStop() const
+{
+    // Only a run of consecutive cycles fires at every cycle.
+    const WakeRun &run = chain_[runPos_];
+    Cycle stop = run.stride == 1 ? run.last : replayAt_;
+    if (compPos_ < completions_.size())
+        stop = std::min(stop, completions_[compPos_].wake);
+    return stop;
+}
+
+void
+MemoryController::addWakes(Cycle first, Cycle count, Cycle stride)
+{
+    if (count == 1)
+        stride = 1;
+    if (!chain_.empty() && stride == 1 && chain_.back().stride == 1 &&
+        chain_.back().last + 1 == first) {
+        chain_.back().last = first + count - 1;
+        return;
+    }
+    chain_.push_back({first, first + (count - 1) * stride, stride});
 }
 
 void
@@ -426,26 +452,33 @@ MemoryController::runTrain(int which)
     // The scan that picked the winner left every ready cycle current.
     for (int i = 0; i < which; ++i)
         until = std::min(until, memInFlight_[i].ready);
-    ArbView v; // a lone MEM class: recordIssue reads only cm and cp
-    const int n = channel_.issueColumnTrain(
+    const Channel::ColumnTrain tr = channel_.issueColumnTrain(
         m.job.bank, BufferSide::Mem, m.job.write,
-        m.job.bursts - m.burstsDone, until,
-        [&](Cycle cand, Cycle data_end) {
-            if (cand > now_ + cfg_.horizon) {
-                // The wake-up that would have issued this burst.
-                chain_.push_back(cand - cfg_.horizon);
-                beginRun(cand - cfg_.horizon);
-            }
-            v.cm = cand;
-            sched_->recordIssue(v, false);
-            m.lastBurstEnd = data_end;
-        });
+        m.job.bursts - m.burstsDone, until);
+    if (tr.issued == 0)
+        return;
+    const auto n = static_cast<Cycle>(tr.issued);
+    // The train follows the job's own burst, so nothing else pushes
+    // its first one: all its candidates are step apart. Each beyond
+    // the horizon had its own wake-up, horizon cycles before it.
+    NEUPIMS_ASSERT(n == 1 || tr.next == tr.first + tr.step);
+    const Cycle horizon_end = now_ + cfg_.horizon;
+    const Cycle last = tr.first + (n - 1) * tr.step;
+    if (last > horizon_end) {
+        const Cycle i = tr.first > horizon_end
+                            ? 0
+                            : (horizon_end - tr.first) / tr.step + 1;
+        addWakes(tr.first + i * tr.step - cfg_.horizon, n - i, tr.step);
+        beginRun(last - cfg_.horizon);
+    }
+    sched_->recordLoneMem(n);
+    m.lastBurstEnd = tr.dataEnd;
     memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
-        channel_.timing().tBL * static_cast<Cycle>(n);
-    m.burstsDone += n;
+        channel_.timing().tBL * n;
+    m.burstsDone += tr.issued;
     if (m.burstsDone == m.job.bursts)
         retireMem(which);
-    else if (n > 0)
+    else
         recomputeNext(m);
 }
 
@@ -475,7 +508,7 @@ MemoryController::finishMem(const MemExec &exec)
     // the horizon); the Cycle argument is the authoritative completion
     // time and callers schedule their continuations at it. wake()
     // invokes it once process() returns, in completion order.
-    completions_.push_back({std::move(d.fn), d.last, chain_.size()});
+    completions_.push_back({std::move(d.fn), d.last, now_});
     freeDone_.push_back(exec.job.done);
     ++memCompletions_;
 }
@@ -636,7 +669,7 @@ MemoryController::finishPim(Cycle done)
     pim_.reset();
     // Same deferred-callback contract as finishMem.
     if (job.onComplete)
-        completions_.push_back({std::move(job.onComplete), done, 0});
+        completions_.push_back({std::move(job.onComplete), done, now_});
 }
 
 bool
@@ -716,7 +749,7 @@ MemoryController::process()
             // Inside an epoch that wake-up runs now, virtually. Only
             // the clock moved, and it binds no candidate, so the run
             // at `resume` reaches this same decision (DESIGN.md §3.4).
-            chain_.push_back(resume);
+            addWakes(resume, 1, 1);
             beginRun(resume);
             v.now = now_;
         }

@@ -274,6 +274,12 @@ class MemoryController
      * after the last one, schedule the boundary resume.
      * @return the chain's next wake-up cycle, or kCycleMax. */
     Cycle fireEpochWake(Cycle w);
+    /** The first wake-up from the replay cursor on that invokes a
+     * completion, ends its run or is not one cycle before the next. */
+    Cycle replayStop() const;
+    /** Append @p count wake-ups, @p stride apart from @p first, to the
+     * epoch's chain; consecutive cycles extend the last run. */
+    void addWakes(Cycle first, Cycle count, Cycle stride);
     /** Keep issuing in-flight job @p which's bursts as one train while
      * it stays the winner and its wake-ups stay inside the epoch. */
     void runTrain(int which);
@@ -352,14 +358,23 @@ class MemoryController
     {
         std::function<void(Cycle)> fn;
         Cycle at;
-        std::size_t wake; ///< 1-based epoch wake-up that collected it
+        Cycle wake; ///< the wake-up that collected it
     };
     std::vector<Completion> completions_;
 
+    /** Epoch wake-ups first, first + stride, ..., last. */
+    struct WakeRun
+    {
+        Cycle first;
+        Cycle last;
+        Cycle stride;
+    };
+
     EpochState *epoch_ = nullptr; ///< set by the owning HbmStack
     Cycle epochEnd_ = 0;          ///< the running epoch's end, else 0
-    std::vector<Cycle> chain_;    ///< the epoch's wake-up cycles
-    std::size_t chainPos_ = 0;    ///< replay cursor into chain_
+    std::vector<WakeRun> chain_;  ///< the epoch's wake-ups, in runs
+    std::size_t runPos_ = 0;      ///< replay cursor: the current run
+    Cycle replayAt_ = 0;          ///< replay cursor: its next wake-up
     std::size_t compPos_ = 0;     ///< replay cursor into completions_
 
     std::unique_ptr<MemSchedPolicy> sched_;

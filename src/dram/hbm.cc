@@ -52,24 +52,46 @@ HbmStack::runBatch()
             c->advanceEpoch(end);
     }
     // Replay in the queue's (cycle, seq) order, the way its buckets
-    // would have run: the events taken from the queue first, in order,
-    // then each wake-up's successor behind the wake-up that scheduled
-    // it. Completions and boundary resumes land at or after `end`, so
-    // they go straight into the queue.
+    // would have run (DESIGN.md §3.4). A cycle's bucket holds the
+    // events taken from the queue, in order, then the wake-ups that
+    // follow a gap in their chain, behind the wake-up that scheduled
+    // each. Wake-ups that continue a run from the cycle before come
+    // last, in the order they fired there. Completions and boundary
+    // resumes land at or after `end`, so they go straight into the
+    // queue.
     if (replay_.size() < end - t)
         replay_.resize(end - t);
     eq_.takeTagged(end, [&](Cycle w, void *tag) {
         replay_[w - t].push_back(static_cast<MemoryController *>(tag));
     });
     epoch_.replaying = true;
+    // Before `stop`, each listed run fires at every cycle and invokes
+    // no completion (replayStop()).
+    Cycle stop = end;
     for (Cycle w = t; w < end; ++w) {
         auto &bucket = replay_[w - t];
-        for (MemoryController *c : bucket) {
-            Cycle next = c->fireEpochWake(w);
-            if (next != kCycleMax)
+        // Each listed wake-up would only re-queue itself, in order.
+        if (bucket.empty() && w < stop)
+            continue;
+        fired_.swap(running_);
+        running_.clear();
+        for (MemoryController *c : fired_)
+            c->replayAt_ = w;
+        auto fire = [&](MemoryController *c) {
+            const Cycle next = c->fireEpochWake(w);
+            if (next == w + 1)
+                running_.push_back(c);
+            else if (next != kCycleMax)
                 replay_[next - t].push_back(c);
-        }
+        };
+        for (MemoryController *c : bucket)
+            fire(c);
         bucket.clear();
+        for (MemoryController *c : fired_)
+            fire(c);
+        stop = end;
+        for (const MemoryController *c : running_)
+            stop = std::min(stop, c->replayStop());
     }
     epoch_.replaying = false;
     for (auto &c : ctrls_)
@@ -147,10 +169,17 @@ HbmStack::totalMemSchedStats() const
 double
 HbmStack::dataBusUtilization(Cycle window_start, Cycle window_end) const
 {
+    // One walk per simulated channel; the sum still runs over every
+    // channel in order, as the unfolded one does.
+    std::vector<double> util(numChannels());
+    for (ChannelId ch = 0; ch < numChannels(); ++ch) {
+        if (ctrls_[ch])
+            util[ch] = ctrls_[ch]->channel().dataBusUtilization(
+                window_start, window_end);
+    }
     double sum = 0.0;
     for (ChannelId ch = 0; ch < numChannels(); ++ch)
-        sum += controller(ch).channel().dataBusUtilization(window_start,
-                                                           window_end);
+        sum += util[groups_.representative[ch]];
     return sum / static_cast<double>(numChannels());
 }
 

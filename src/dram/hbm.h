@@ -158,8 +158,12 @@ class HbmStack : private EventQueue::Batcher
     std::vector<std::unique_ptr<MemoryController>> ctrls_;
 
     EpochState epoch_;
-    /** Per-cycle replay buckets of an epoch, storage kept. */
+    /** Epoch replay storage, kept across epochs: per-cycle buckets,
+     * the runs that continue at the next cycle (running_) and those
+     * that continue into the cycle being replayed (fired_). */
     std::vector<std::vector<MemoryController *>> replay_;
+    std::vector<MemoryController *> running_;
+    std::vector<MemoryController *> fired_;
 };
 
 } // namespace neupims::dram

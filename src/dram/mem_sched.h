@@ -152,6 +152,19 @@ class MemSchedPolicy
     /** Account an issued command (both arbitrated and auto-picked). */
     void recordIssue(const ArbView &v, bool picked_pim);
 
+    /**
+     * Account @p n MEM commands issued with no PIM work (a burst train,
+     * DESIGN.md §3.4): what n recordIssue calls of a lone MEM class do,
+     * since onIssue() of a MEM pick reads no candidate and is
+     * idempotent.
+     */
+    void
+    recordLoneMem(std::uint64_t n)
+    {
+        stats_.memCommands += n;
+        onIssue(ArbView{}, false);
+    }
+
     /** Account the first-issue row-buffer outcome of a MEM job. */
     void noteRowOutcome(BankId bank, int row, RowOutcome outcome);
 

@@ -8,10 +8,36 @@
 
 #include <vector>
 
+#include "common/rng.h"
 #include "dram/channel.h"
 
 namespace neupims::dram {
 namespace {
+
+/** What a train's bursts reported, one by one. */
+struct Bursts
+{
+    std::vector<Cycle> candidates;
+    std::vector<Cycle> dataEnds;
+};
+
+/** The reference for Channel::issueColumnTrain: up to @p n bursts, each
+ * through issueColumn() at its earliest candidate, stopping before the
+ * first that reaches @p until. */
+Bursts
+issueBurstByBurst(Channel &ch, BankId bank, bool write, int n, Cycle until)
+{
+    Bursts r;
+    for (int i = 0; i < n; ++i) {
+        const Cycle cand = ch.earliestColumn(bank, BufferSide::Mem, 0);
+        if (cand >= until)
+            break;
+        r.candidates.push_back(cand);
+        r.dataEnds.push_back(
+            ch.issueColumn(bank, BufferSide::Mem, write, cand).second);
+    }
+    return r;
+}
 
 class ChannelTest : public ::testing::Test
 {
@@ -75,6 +101,94 @@ TEST_F(ChannelTest, DataBusBytesAccumulate)
     ch.issueColumn(0, BufferSide::Mem, false, 0);
     ch.issueColumn(0, BufferSide::Mem, false, 0);
     EXPECT_EQ(ch.dataBusBytes(), 2 * org.burstBytes);
+}
+
+TEST_F(ChannelTest, ColumnTrainMatchesBurstByBurst)
+{
+    TimingParams slow_bus = t;
+    slow_bus.tBL = 2;
+    TimingParams slow_ca = t;
+    slow_ca.caMemCmd = 2;
+    Rng rng(23);
+    int pushed = 0;
+    for (const TimingParams *tp : {&t, &slow_bus, &slow_ca}) {
+        for (bool dual : {true, false}) {
+            for (int trial = 0; trial < 24; ++trial) {
+                Channel base(*tp, org, dual);
+                const auto bank = static_cast<BankId>(rng.uniformInt(0, 31));
+                const bool write = rng.uniform() < 0.5;
+                const auto n = static_cast<int>(rng.uniformInt(1, 16));
+                base.issueActivate(bank, BufferSide::Mem, 3,
+                                   rng.uniformInt(0, 40));
+                // A burst the other way first: a write train right
+                // after a read waits for the data bus.
+                if (rng.uniform() < 0.5)
+                    base.issueColumn(bank, BufferSide::Mem, !write, 0);
+                // So does one behind a reservation (a PIM result).
+                if (rng.uniform() < 0.25)
+                    base.reserveDataBus(
+                        base.earliestColumn(bank, BufferSide::Mem, 0) +
+                            tp->tCL,
+                        static_cast<int>(rng.uniformInt(1, 4)));
+                Channel probe = base;
+                const Bursts all =
+                    issueBurstByBurst(probe, bank, write, n, kCycleMax);
+                const Cycle lat = write ? tp->tCWL : tp->tCL;
+                if (all.dataEnds[0] - tp->tBL - lat > all.candidates[0])
+                    ++pushed;
+                // until at every candidate of the train, one past it,
+                // and nowhere.
+                std::vector<Cycle> untils = {kCycleMax};
+                for (Cycle c : all.candidates) {
+                    untils.push_back(c);
+                    untils.push_back(c + 1);
+                }
+                for (Cycle until : untils) {
+                    Channel train = base;
+                    Channel ref = base;
+                    const Channel::ColumnTrain tr = train.issueColumnTrain(
+                        bank, BufferSide::Mem, write, n, until);
+                    const Bursts bb =
+                        issueBurstByBurst(ref, bank, write, n, until);
+                    ASSERT_EQ(static_cast<std::size_t>(tr.issued),
+                              bb.candidates.size())
+                        << "until " << until;
+                    // After the first, each burst is step after the
+                    // one before.
+                    for (int i = 0; i < tr.issued; ++i) {
+                        const auto after = static_cast<Cycle>(i);
+                        const auto before =
+                            static_cast<Cycle>(tr.issued - 1 - i);
+                        EXPECT_EQ(i == 0 ? tr.first
+                                         : tr.next + (after - 1) * tr.step,
+                                  bb.candidates[i]);
+                        EXPECT_EQ(tr.dataEnd - before * tr.step,
+                                  bb.dataEnds[i]);
+                    }
+                    EXPECT_EQ(train.earliestCa(0), ref.earliestCa(0));
+                    EXPECT_EQ(train.dataBusBytes(), ref.dataBusBytes());
+                    EXPECT_EQ(train.caBusyCycles(), ref.caBusyCycles());
+                    for (int i = 0; i < kNumCommandTypes; ++i)
+                        EXPECT_EQ(train.commandCounts().counts[i],
+                                  ref.commandCounts().counts[i]);
+                    for (BufferSide side : {BufferSide::Mem, BufferSide::Pim})
+                        EXPECT_EQ(train.banks().earliestPrecharge(bank, side),
+                                  ref.banks().earliestPrecharge(bank, side));
+                    // The next burst finds the same buses.
+                    EXPECT_EQ(
+                        train.issueColumn(bank, BufferSide::Mem, !write, 0),
+                        ref.issueColumn(bank, BufferSide::Mem, !write, 0));
+                    const Cycle busy_end = ref.earliestCa(0) + tp->tCL + 8;
+                    for (Cycle from = 0; from < busy_end; from += 3)
+                        for (Cycle to = from + 1; to <= busy_end; to += 2)
+                            EXPECT_EQ(train.dataBusUtilization(from, to),
+                                      ref.dataBusUtilization(from, to))
+                                << "[" << from << ", " << to << ")";
+                }
+            }
+        }
+    }
+    EXPECT_GT(pushed, 10);
 }
 
 TEST_F(ChannelTest, CommandCountsRecorded)

@@ -38,6 +38,8 @@ struct Trace
     std::vector<std::vector<Cycle>> bankBusy;
     Cycle end = 0;
     std::uint64_t events = 0;
+    /** The channel whose prologue row on bank 4 completed first. */
+    int firstBank4 = -1;
 };
 
 void
@@ -107,6 +109,17 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
             }
         }
     };
+    auto row = [&](int ch, BankId bank, int r, int bursts) {
+        auto t = std::make_shared<Tracker>();
+        t->id = next_id++;
+        t->outstanding = 1;
+        MemJob job;
+        job.bank = bank;
+        job.row = r;
+        job.bursts = bursts;
+        job.onComplete = done_cb(t);
+        ctrls[ch]->enqueueMem(std::move(job));
+    };
     auto pim = [&](int ch) {
         static constexpr int kBanks[] = {4, 8, 32};
         auto t = std::make_shared<Tracker>();
@@ -122,6 +135,32 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
         job.onComplete = done_cb(t);
         ctrls[ch]->enqueuePim(std::move(job));
     };
+
+    // A superseded resume inside a run of wake-ups. Each channel, last
+    // to first, gets a row on bank 0 and then another row there, whose
+    // precharge lies beyond a short horizon: each registers a resume
+    // ahead. A 16-burst row on bank 4 then arrives on every channel,
+    // first to last, and its bursts wake each controller every cycle
+    // from before that resume on. The superseded resumes still fire
+    // their controllers, last to first, so the rows on bank 4 then
+    // complete in that order, in the same cycle.
+    for (int ch = kChannels - 1; ch >= 0; --ch) {
+        row(ch, 0, 0, 1);
+        row(ch, 0, 1, 1);
+    }
+    eq.schedule(5, [&] {
+        for (int ch = 0; ch < kChannels; ++ch)
+            row(ch, 4, 0, 16);
+    });
+    eq.run();
+    const Cycle t0 = eq.now();
+    // Ids 0 to 2 * kChannels - 1 went to the rows on bank 0.
+    for (const auto &[id, cycle] : tr.log) {
+        if (id >= 2 * kChannels) {
+            tr.firstBank4 = static_cast<int>(id) - 2 * kChannels;
+            break;
+        }
+    }
 
     // Lockstep: identical streams on every channel complete on the
     // same cycles everywhere. Then two identical streams on the two
@@ -141,7 +180,7 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
         bool write = rng.uniform() < 0.3;
         bool with_pim = rng.uniform() < 0.2;
         int pim_ch = static_cast<int>(rng.uniformInt(0, kChannels - 1));
-        eq.schedule(at, [=, &stream, &pim] {
+        eq.schedule(t0 + at, [=, &stream, &pim] {
             stream(first, nch, rows, bursts, write);
             if (with_pim)
                 pim(pim_ch);
@@ -202,7 +241,20 @@ TEST_P(EpochDifferential, MatchesEventByEventRun)
     cfg.ctrl.horizon = c.horizon;
     cfg.ctrl.sched.kind = c.kind;
 
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    struct Run
+    {
+        std::uint64_t seed;
+        Cycle tBL;
+        Cycle caMemCmd;
+    };
+    // Three seeds in default timing, then bursts two cycles apart: a
+    // train's wake-ups form a run of stride 2, and with caMemCmd = 2
+    // the data bus idles between its bursts.
+    for (const Run &run : {Run{1, 1, 1}, Run{2, 1, 1}, Run{3, 1, 1},
+                           Run{4, 2, 1}, Run{5, 1, 2}}) {
+        const std::uint64_t seed = run.seed;
+        cfg.timing.tBL = run.tBL;
+        cfg.timing.caMemCmd = run.caMemCmd;
         EventQueue eq_epochs;
         HbmStack hbm(eq_epochs, cfg);
         std::vector<MemoryController *> stacked;
@@ -221,6 +273,10 @@ TEST_P(EpochDifferential, MatchesEventByEventRun)
         Trace without = drive(eq_plain, plain, seed);
 
         ASSERT_GT(without.log.size(), 1000u);
+        // The workload reaches a superseded resume inside a run.
+        if (c.horizon == 16) {
+            EXPECT_EQ(without.firstBank4, kChannels - 1);
+        }
         EXPECT_EQ(with.log, without.log) << "seed " << seed;
         EXPECT_EQ(with.end, without.end) << "seed " << seed;
         for (int ch = 0; ch < kChannels; ++ch) {
