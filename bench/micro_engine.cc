@@ -1,14 +1,13 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulation engine itself:
+ * google-benchmark microbenchmarks of the simulator itself:
  * event-queue throughput (two-level calendar queue vs the seed's
  * std::function heap), DRAM command throughput of one controller and
- * of the whole device, PIM kernel execution,
- * systolic-array model evaluation, compiled-layer caching and the
- * full runIteration path. These guard the simulator's own
- * performance — the Fig. 12
- * grid replays hundreds of millions of DRAM commands — and track the
- * perf trajectory across PRs.
+ * of the whole device, PIM kernel execution, systolic-array model
+ * evaluation, layer compilation, the full runIteration path and the
+ * serving runtime's cost per iteration boundary. These guard the
+ * simulator's own performance — the Fig. 12 grid replays hundreds of
+ * millions of DRAM commands — and track the perf trajectory.
  *
  * Run with no arguments to emit BENCH_engine.json (the tracked
  * artifact); any explicit --benchmark_* flags suppress the default
@@ -19,6 +18,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
 #include <string>
 #include <vector>
 
@@ -27,11 +28,13 @@
 #include "core/batch_builder.h"
 #include "core/device_config.h"
 #include "core/executor.h"
+#include "core/serving_setup.h"
 #include "dram/controller.h"
 #include "dram/hbm.h"
 #include "model/llm_config.h"
 #include "npu/dma.h"
 #include "npu/systolic_array.h"
+#include "runtime/serving_engine.h"
 
 using namespace neupims;
 using namespace neupims::dram;
@@ -42,18 +45,25 @@ namespace {
 // Event queue: bucketed calendar queue vs the seed heap reference.
 // ---------------------------------------------------------------------------
 
+/** Schedule @p events one cycle apart on a fresh queue and run it. */
+template <typename Queue>
+void
+scheduleRun(std::int64_t events)
+{
+    Queue eq;
+    int sink = 0;
+    for (std::int64_t i = 0; i < events; ++i)
+        eq.schedule(static_cast<Cycle>(i), [&sink] { ++sink; });
+    eq.run();
+    benchmark::DoNotOptimize(sink);
+}
+
 template <typename Queue>
 void
 scheduleRunWorkload(benchmark::State &state)
 {
-    for (auto _ : state) {
-        Queue eq;
-        int sink = 0;
-        for (int i = 0; i < state.range(0); ++i)
-            eq.schedule(static_cast<Cycle>(i), [&sink] { ++sink; });
-        eq.run();
-        benchmark::DoNotOptimize(sink);
-    }
+    for (auto _ : state)
+        scheduleRun<Queue>(state.range(0));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
@@ -76,6 +86,50 @@ BENCHMARK(BM_EventQueueScheduleRunHeap)
     ->Arg(1024)
     ->Arg(65536)
     ->Arg(262144);
+
+/** This thread's CPU seconds (time descheduled does not count). */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/**
+ * Both queues on the same workload inside one benchmark run: every
+ * iteration times one schedule-and-run on each, alternating which
+ * goes first, so host drift hits both alike. heap_over_bucketed is
+ * the heap's summed thread CPU time over the bucketed queue's (CI
+ * gates it); two separate benchmark runs compared across each other
+ * can see a different host.
+ */
+void
+BM_EventQueueHeapOverBucketed(benchmark::State &state)
+{
+    const std::int64_t events = state.range(0);
+    double bucketed = 0.0;
+    double heap = 0.0;
+    bool heapFirst = false;
+    auto timed = [](auto run) {
+        double start = threadCpuSeconds();
+        run();
+        return threadCpuSeconds() - start;
+    };
+    for (auto _ : state) {
+        if (heapFirst)
+            heap += timed([events] { scheduleRun<HeapEventQueue>(events); });
+        bucketed += timed([events] { scheduleRun<EventQueue>(events); });
+        if (!heapFirst)
+            heap += timed([events] { scheduleRun<HeapEventQueue>(events); });
+        heapFirst = !heapFirst;
+    }
+    state.counters["heap_over_bucketed"] =
+        bucketed > 0.0 ? heap / bucketed : 0.0;
+    state.SetItemsProcessed(state.iterations() * 2 * events);
+}
+BENCHMARK(BM_EventQueueHeapOverBucketed)->Arg(65536);
 
 /**
  * The simulator's steady-state pattern: many concurrent short-delta
@@ -249,6 +303,52 @@ BM_CompileLayer(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CompileLayer);
+
+// ---------------------------------------------------------------------------
+// Serving runtime: scheduler, KV cache and analytic model per boundary.
+// ---------------------------------------------------------------------------
+
+/**
+ * One seeded analytic serving run per iteration — simbench's
+ * serve_session_kv shape (session traffic, prefix sharing, KV halved
+ * with recompute preemption, edf) at 1,000 requests — so the cost of
+ * an iteration boundary shows without the event engine.
+ * time_per_boundary is host time per scheduled iteration. Arrivals
+ * are generated once, outside the timed region.
+ */
+void
+BM_ServingBoundary(benchmark::State &state)
+{
+    const auto llm = model::gpt3_13b();
+    const auto &dev = core::servingBackendByName("NeuPIMs+SBI").device;
+    core::ServingRun run;
+    run.traffic = "session";
+    run.maxLen = 512;
+    run.rate = 28.0;
+    run.requests = 1000;
+    run.classes = "two-tier";
+    run.options.preempt = "recompute";
+    run.options.policy = "edf";
+    run.options.kvScale = 2;
+    run.options.prefixShare = true;
+    core::ServingSetup setup = core::setupServingRun(dev, llm, run);
+    const std::vector<runtime::ArrivalEvent> arrivals =
+        setup.traffic->drain();
+    double boundaries = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        runtime::ReplayTraffic traffic("session", arrivals);
+        auto latency = core::makeIterationModel(dev, llm);
+        runtime::ServingEngine engine(setup.config, traffic, *latency);
+        state.ResumeTiming();
+        boundaries += static_cast<double>(engine.run().iterations);
+        benchmark::DoNotOptimize(boundaries);
+    }
+    state.counters["time_per_boundary"] = benchmark::Counter(
+        boundaries,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ServingBoundary)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Full engine: runIteration on Fig. 12-style cells and grid sweeps.

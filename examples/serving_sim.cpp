@@ -57,7 +57,7 @@ main(int argc, char **argv)
             auto s = gen.sample();
             pool.submit(s.inputLength, s.outputLength);
         }
-        auto schedule = scheduler.scheduleIteration();
+        const auto &schedule = scheduler.scheduleIteration();
         double max_load = 0.0, sum_load = 0.0;
         for (double l : schedule.channelLoads) {
             max_load = std::max(max_load, l);

@@ -2,7 +2,6 @@
 
 #include "common/log.h"
 #include "runtime/bin_packing.h"
-#include "runtime/request.h"
 #include "runtime/sub_batch.h"
 
 namespace neupims::core {
@@ -64,25 +63,28 @@ buildComposition(const std::vector<runtime::SequenceSample> &samples,
         runtime::roundRobinAssign(reqs, channels, cursor);
     }
 
-    auto grouped = runtime::groupByChannel(reqs, channels);
-    auto subs = runtime::partitionSubBatches(grouped);
-
-    auto to_lens = [](const std::vector<std::vector<runtime::Request *>>
-                          &groups) {
-        std::vector<std::vector<int>> lens(groups.size());
-        for (std::size_t ch = 0; ch < groups.size(); ++ch) {
-            lens[ch].reserve(groups[ch].size());
-            for (const auto *req : groups[ch])
-                lens[ch].push_back(req->currentSeqLen());
-        }
-        return lens;
-    };
+    std::vector<std::vector<runtime::Request *>> grouped;
+    runtime::SubBatches subs;
+    runtime::groupByChannel(reqs, channels, grouped);
+    runtime::partitionSubBatches(grouped, subs);
 
     BatchComposition out;
-    out.full = to_lens(grouped);
-    out.sb1 = to_lens(subs.sb1);
-    out.sb2 = to_lens(subs.sb2);
+    fillSeqLens(grouped, out.full);
+    fillSeqLens(subs.sb1, out.sb1);
+    fillSeqLens(subs.sb2, out.sb2);
     return out;
+}
+
+void
+fillSeqLens(const std::vector<std::vector<runtime::Request *>> &groups,
+            std::vector<std::vector<int>> &lens)
+{
+    lens.resize(groups.size());
+    for (std::size_t ch = 0; ch < groups.size(); ++ch) {
+        lens[ch].clear();
+        for (const runtime::Request *req : groups[ch])
+            lens[ch].push_back(req->currentSeqLen());
+    }
 }
 
 bool

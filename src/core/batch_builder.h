@@ -13,6 +13,7 @@
 
 #include "core/executor.h"
 #include "runtime/latency_model.h"
+#include "runtime/request.h"
 #include "runtime/workload.h"
 
 namespace neupims::core {
@@ -40,6 +41,15 @@ buildComposition(const std::vector<runtime::SequenceSample> &samples,
  */
 BatchComposition uniformComposition(int batch, int seq_len,
                                     int channels);
+
+/**
+ * Current sequence lengths of channel-grouped requests into @p lens
+ * (one list per group; the lists keep their storage, so refilling
+ * the same @p lens every iteration allocates nothing once it has
+ * grown).
+ */
+void fillSeqLens(const std::vector<std::vector<runtime::Request *>> &groups,
+                 std::vector<std::vector<int>> &lens);
 
 /** Algorithm-1 parameter set matching a device/model combination. */
 runtime::MhaLatencyParams

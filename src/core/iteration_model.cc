@@ -83,39 +83,31 @@ summarizeMemSched(const char *policy, const dram::MemSchedStats &s,
     return out;
 }
 
-/** Extract the channel grouping used as the memo/analysis key. */
-std::vector<std::vector<int>>
-compositionKey(const BatchComposition &comp)
+/** The channel grouping used as the memo key, written into @p key
+ * (full | -1 | sb1 | -2 | sb2; the lists keep their storage). */
+void
+fillCompositionKey(const BatchComposition &comp,
+                   std::vector<std::vector<int>> &key)
 {
-    std::vector<std::vector<int>> key;
-    key.reserve(comp.full.size() + comp.sb1.size() + comp.sb2.size() +
-                2);
-    key.insert(key.end(), comp.full.begin(), comp.full.end());
-    key.push_back({-1}); // separator: full | sb1
-    key.insert(key.end(), comp.sb1.begin(), comp.sb1.end());
-    key.push_back({-2}); // separator: sb1 | sb2
-    key.insert(key.end(), comp.sb2.begin(), comp.sb2.end());
-    return key;
+    key.resize(comp.full.size() + comp.sb1.size() + comp.sb2.size() +
+               2);
+    auto out = std::copy(comp.full.begin(), comp.full.end(), key.begin());
+    out->assign(1, -1); // separator: full | sb1
+    out = std::copy(comp.sb1.begin(), comp.sb1.end(), out + 1);
+    out->assign(1, -2); // separator: sb1 | sb2
+    std::copy(comp.sb2.begin(), comp.sb2.end(), out + 1);
 }
 
 } // namespace
 
-BatchComposition
-compositionOf(const runtime::IterationSchedule &schedule)
+void
+fillComposition(const runtime::IterationSchedule &schedule,
+                MixedComposition &mix)
 {
-    BatchComposition comp;
-    comp.full = schedule.seqLensPerChannel();
-    comp.sb1 = schedule.seqLensOfSubBatch1();
-    comp.sb2 = schedule.seqLensOfSubBatch2();
-    return comp;
-}
-
-MixedComposition
-mixedCompositionOf(const runtime::IterationSchedule &schedule)
-{
-    MixedComposition mix;
-    mix.decode = compositionOf(schedule);
-    mix.prefill.reserve(schedule.prefill.size());
+    fillSeqLens(schedule.perChannel, mix.decode.full);
+    fillSeqLens(schedule.subBatches.sb1, mix.decode.sb1);
+    fillSeqLens(schedule.subBatches.sb2, mix.decode.sb2);
+    mix.prefill.clear();
     for (const auto &slice : schedule.prefill) {
         // Prefix-share pricing (DESIGN.md §13) needs no special case
         // here: a prefix hit starts the cursor past the cached
@@ -131,7 +123,6 @@ mixedCompositionOf(const runtime::IterationSchedule &schedule)
     }
     mix.swapBytes = schedule.swapOutBytes + schedule.swapInBytes;
     mix.swapBytesPerCycle = schedule.swapBytesPerCycle;
-    return mix;
 }
 
 // --- AnalyticIterationModel ------------------------------------------------
@@ -394,14 +385,17 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
 {
     NEUPIMS_ASSERT(mix.hasPrefill());
 
+    // The whole batch with its prompt rows, compiled once for every
+    // path below.
+    compiler_.compileLayer(mix.decode.full, mix.prefill, fullPlan_);
+    const model::LayerPlan &mixed = fullPlan_;
+
     if (!mix.hasDecode()) {
         // Dedicated prefill iteration: weight GEMMs over the prompt
         // rows, NPU attention, K/V appends; no decode MHA (and no
         // prefetch credit — there is no MHA span to prefetch under).
-        model::LayerPlan plan =
-            compiler_.compileLayer(mix.decode.full, mix.prefill);
-        return serialLayerCycles(plan, false) +
-               prefillAttnCycles(plan);
+        return serialLayerCycles(mixed, false) +
+               prefillAttnCycles(mixed);
     }
 
     if (usesSubBatchInterleaving(cfg_, mix.decode)) {
@@ -410,19 +404,17 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
         // pay systolic compute for their extra GEMM passes, plus
         // their K/V appends, vector ops and NPU attention; on the
         // pipelined path part of that hides under the PIM MHA span.
-        model::LayerPlan sb1 = compiler_.compileLayer(mix.decode.sb1);
-        model::LayerPlan sb2 = compiler_.compileLayer(mix.decode.sb2);
-        double base = sbiLayerCycles(sb1, sb2);
-        double decode_mha = mhaCycles(sb1) + mhaCycles(sb2);
+        compiler_.compileLayer(mix.decode.sb1, {}, sb1Plan_);
+        compiler_.compileLayer(mix.decode.sb2, {}, sb2Plan_);
+        double base = sbiLayerCycles(sb1Plan_, sb2Plan_);
+        double decode_mha = mhaCycles(sb1Plan_) + mhaCycles(sb2Plan_);
 
-        model::LayerPlan mixed =
-            compiler_.compileLayer(mix.decode.full, mix.prefill);
         double extra = 0.0;
         for (const auto &g : mixed.gemms) {
-            model::GemmWork pg = g;
-            pg.shape.m = mixed.prefillTokens;
+            npu::GemmShape prompt_rows = g.shape;
+            prompt_rows.m = mixed.prefillTokens;
             extra +=
-                static_cast<double>(saPool_.gemmCycles(pg.shape));
+                static_cast<double>(saPool_.gemmCycles(prompt_rows));
         }
         // Prefill K/V appends beyond the decode ones (worst channel).
         const Bytes kv_tok = model_.kvBytesPerTokenPerLayer(tp_);
@@ -456,8 +448,6 @@ AnalyticIterationModel::mixedLayerCycles(const MixedComposition &mix)
     // rows amortize into the same weight GEMM phases and KV-append
     // stream — then add the NPU attention with the piggyback hiding
     // credit against the PIM decode-MHA span.
-    model::LayerPlan mixed =
-        compiler_.compileLayer(mix.decode.full, mix.prefill);
     double base = serialLayerCycles(mixed, true);
     double attn = prefillAttnCycles(mixed);
     double hidden = cfg_.flags.pipelinedMha()
@@ -506,11 +496,11 @@ void
 AnalyticIterationModel::sbiComponents(const BatchComposition &comp,
                                       double &serial, double &hideable)
 {
-    model::LayerPlan plan1 = compiler_.compileLayer(comp.sb1);
-    model::LayerPlan plan2 = compiler_.compileLayer(comp.sb2);
-    double s1 = serialLayerCycles(plan1, false);
-    double s2 = serialLayerCycles(plan2, false);
-    double mha = mhaCycles(plan1) + mhaCycles(plan2);
+    compiler_.compileLayer(comp.sb1, {}, sb1Plan_);
+    compiler_.compileLayer(comp.sb2, {}, sb2Plan_);
+    double s1 = serialLayerCycles(sb1Plan_, false);
+    double s2 = serialLayerCycles(sb2Plan_, false);
+    double mha = mhaCycles(sb1Plan_) + mhaCycles(sb2Plan_);
     serial = s1 + s2;
     hideable = std::min(mha, serial - mha);
 }
@@ -520,11 +510,12 @@ AnalyticIterationModel::perLayerCyclesFor(const BatchComposition &comp)
 {
     double layer;
     if (usesSubBatchInterleaving(cfg_, comp)) {
-        layer = sbiLayerCycles(compiler_.compileLayer(comp.sb1),
-                               compiler_.compileLayer(comp.sb2));
+        compiler_.compileLayer(comp.sb1, {}, sb1Plan_);
+        compiler_.compileLayer(comp.sb2, {}, sb2Plan_);
+        layer = sbiLayerCycles(sb1Plan_, sb2Plan_);
     } else {
-        layer =
-            serialLayerCycles(compiler_.compileLayer(comp.full), true);
+        compiler_.compileLayer(comp.full, {}, fullPlan_);
+        layer = serialLayerCycles(fullPlan_, true);
     }
     layer *= scale_;
     return static_cast<Cycle>(std::max(1.0, layer));
@@ -558,7 +549,8 @@ AnalyticIterationModel::swapOverheadCycles(const MixedComposition &mix)
         // NPU-idle window; swap claims the share the prefill
         // piggyback credit leaves (kSwapHideFraction), on the same
         // calibrated clock as the per-layer pricing.
-        double mha = mhaCycles(compiler_.compileLayer(mix.decode.full)) *
+        compiler_.compileLayer(mix.decode.full, {}, fullPlan_);
+        double mha = mhaCycles(fullPlan_) *
                      static_cast<double>(layersPerDevice_) * scale_;
         transfer -= std::min(transfer, kSwapHideFraction * mha);
     }
@@ -566,11 +558,15 @@ AnalyticIterationModel::swapOverheadCycles(const MixedComposition &mix)
 }
 
 Cycle
+AnalyticIterationModel::computeCyclesFor(const MixedComposition &mix)
+{
+    return perLayerCyclesFor(mix) * static_cast<Cycle>(layersPerDevice_);
+}
+
+Cycle
 AnalyticIterationModel::iterationCyclesFor(const MixedComposition &mix)
 {
-    return perLayerCyclesFor(mix) *
-               static_cast<Cycle>(layersPerDevice_) +
-           swapOverheadCycles(mix);
+    return computeCyclesFor(mix) + swapOverheadCycles(mix);
 }
 
 namespace {
@@ -598,14 +594,14 @@ Cycle
 AnalyticIterationModel::iterationCycles(
     const runtime::IterationSchedule &schedule)
 {
-    MixedComposition mix = mixedCompositionOf(schedule);
-    if (!mix.hasDecode() && !mix.hasPrefill()) {
+    fillComposition(schedule, mix_);
+    if (!mix_.hasDecode() && !mix_.hasPrefill()) {
         // Restore-only iteration (swap-in with no compute scheduled):
         // the host-link transfer is the whole span.
         return priceStragglers(
-            std::max<Cycle>(1, swapOverheadCycles(mix)), schedule);
+            std::max<Cycle>(1, swapOverheadCycles(mix_)), schedule);
     }
-    return priceStragglers(iterationCyclesFor(mix), schedule);
+    return priceStragglers(iterationCyclesFor(mix_), schedule);
 }
 
 double
@@ -652,17 +648,18 @@ roundUpToQuantum(int len)
     return ((len + q - 1) / q) * q;
 }
 
-/** @p comp with every sequence length rounded up to the quantum. */
-BatchComposition
-quantized(BatchComposition comp)
+/** @p comp with every sequence length rounded up to the quantum,
+ * written into @p out (whose lists keep their storage). */
+void
+quantizeInto(const BatchComposition &comp, BatchComposition &out)
 {
-    for (auto *groups : {&comp.full, &comp.sb1, &comp.sb2}) {
+    out = comp;
+    for (auto *groups : {&out.full, &out.sb1, &out.sb2}) {
         for (auto &ch : *groups) {
             for (int &len : ch)
                 len = roundUpToQuantum(len);
         }
     }
-    return comp;
 }
 
 int
@@ -733,29 +730,28 @@ HybridIterationModel::engineCycles(const MixedComposition &mix,
     Cycle swap = analytic_.swapOverheadCycles(mix);
     if (!mix.hasDecode() && !mix.hasPrefill())
         return std::max<Cycle>(1, swap); // restore-only: the transfer
-    MixedComposition work = mix;
-    work.swapBytes = 0;
-    if (!work.hasDecode()) {
+    if (!mix.hasDecode()) {
         // No decode work for the event engine to measure: rescale
         // the analytic value onto the measured clock with the latest
         // engine run's quotient so prefill-only spans are not on a
         // different time scale than the surrounding iterations.
         double scaled =
-            static_cast<double>(analytic_.iterationCyclesFor(work)) *
+            static_cast<double>(analytic_.computeCyclesFor(mix)) *
             measuredOverAnalytic_;
         return static_cast<Cycle>(std::max(1.0, scaled)) + swap;
     }
 
-    BatchComposition q = quantized(work.decode);
-    auto key = compositionKey(q);
-    auto it = cache_.find(key);
+    quantizeInto(mix.decode, quantized_);
+    const BatchComposition &q = quantized_;
+    fillCompositionKey(q, key_);
+    auto it = cache_.find(key_);
     if (it == cache_.end()) {
         if (!run_engine)
             return std::nullopt;
         int window =
             executor_.config().flags.subBatchInterleaving ? 3 : 2;
         auto result = executor_.runIteration(q, window, 1);
-        it = cache_.emplace(std::move(key), result.iterationCycles).first;
+        it = cache_.emplace(key_, result.iterationCycles).first;
         // Cache hits replay a latency; the memory system did not
         // execute again, so only engine runs add to the stats.
         memSchedAccum_ += result.memSched;
@@ -770,12 +766,12 @@ HybridIterationModel::engineCycles(const MixedComposition &mix,
                 static_cast<double>(analytic);
         }
     }
-    if (!work.hasPrefill())
+    if (!mix.hasPrefill())
         return it->second + swap;
     // The engine executes decode only: scale its measurement by the
     // analytic mixed/decode ratio, in which the analytic scale cancels.
-    Cycle analytic_mixed = analytic_.iterationCyclesFor(work);
-    Cycle analytic_decode = analytic_.iterationCyclesFor(work.decode);
+    Cycle analytic_mixed = analytic_.computeCyclesFor(mix);
+    Cycle analytic_decode = analytic_.iterationCyclesFor(mix.decode);
     NEUPIMS_ASSERT(analytic_decode > 0);
     double scaled = static_cast<double>(it->second) *
                     (static_cast<double>(analytic_mixed) /
@@ -793,7 +789,8 @@ HybridIterationModel::iterationCycles(
     ++iter_;
     lastSig_ = sig;
     haveSig_ = true;
-    MixedComposition mix = mixedCompositionOf(schedule);
+    fillComposition(schedule, mix_);
+    const MixedComposition &mix = mix_;
 
     if (!boundary && !forced) {
         ++fastForwarded_;

@@ -89,6 +89,10 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
     /** Mixed prefill+decode entry (schedules with prefill slices). */
     Cycle iterationCyclesFor(const MixedComposition &mix);
 
+    /** iterationCyclesFor(@p mix) without its swap traffic: the
+     * compute alone, which the engine-backed model rescales. */
+    Cycle computeCyclesFor(const MixedComposition &mix);
+
     /** Steady-state per-layer cycles for @p comp. */
     Cycle perLayerCyclesFor(const BatchComposition &comp);
 
@@ -167,6 +171,16 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
     runtime::MhaLatencyEstimator estimator_;
     double scale_ = 1.0;
     runtime::MemSchedSummary memSchedSummary_;
+
+    // --- per-call scratch, refilled in place (DESIGN.md §6) ---------
+    /** The schedule's composition (iterationCycles). */
+    MixedComposition mix_;
+    /** Compiled plans: the whole batch (with any prefill slices) and
+     * the two Algorithm-3 sub-batches. Each pricing function compiles
+     * what it reads and reads nothing compiled by another call. */
+    model::LayerPlan fullPlan_;
+    model::LayerPlan sb1Plan_;
+    model::LayerPlan sb2Plan_;
 };
 
 /**
@@ -303,6 +317,12 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     int sampleEvery_;
     /** Engine cycles per quantized decode composition. */
     std::map<std::vector<std::vector<int>>, Cycle> cache_;
+    /** Per-call scratch, refilled in place: the schedule's
+     * composition, its quantized decode part and that part's cache
+     * key. */
+    MixedComposition mix_;
+    BatchComposition quantized_;
+    std::vector<std::vector<int>> key_;
     /** Measured/analytic quotient of the latest engine run: prices
      * prefill-only iterations. Unlike ratio_ it is taken per engine
      * run over decode work alone, not per sample over the iteration. */
@@ -322,13 +342,14 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     std::map<std::string, double> anchors_;
 };
 
-/** Build @p schedule's composition (full batch + Algorithm-3 subs). */
-BatchComposition
-compositionOf(const runtime::IterationSchedule &schedule);
-
-/** Build @p schedule's mixed composition (decode + prefill slices). */
-MixedComposition
-mixedCompositionOf(const runtime::IterationSchedule &schedule);
+/**
+ * Fill @p mix from @p schedule: the decode composition (full batch +
+ * Algorithm-3 sub-batches), the prefill slices and the swap traffic.
+ * @p mix's lists keep their storage, so a model refilling one member
+ * composition every iteration allocates nothing (DESIGN.md §6).
+ */
+void fillComposition(const runtime::IterationSchedule &schedule,
+                     MixedComposition &mix);
 
 } // namespace neupims::core
 

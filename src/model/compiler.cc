@@ -103,17 +103,33 @@ Compiler::compileLayer(
     const std::vector<std::vector<int>> &seq_lens_per_channel,
     const std::vector<PrefillSliceSpec> &prefill) const
 {
+    LayerPlan plan;
+    compileLayer(seq_lens_per_channel, prefill, plan);
+    return plan;
+}
+
+void
+Compiler::compileLayer(
+    const std::vector<std::vector<int>> &seq_lens_per_channel,
+    const std::vector<PrefillSliceSpec> &prefill, LayerPlan &plan) const
+{
     NEUPIMS_ASSERT(static_cast<int>(seq_lens_per_channel.size()) <=
                    mem_.channels);
 
-    LayerPlan plan;
-    int channels = mem_.channels;
+    const auto channels = static_cast<std::size_t>(mem_.channels);
+    plan.gemms.clear();
     plan.mha.requests.resize(channels);
-    plan.mha.logit.resize(channels);
-    plan.mha.attend.resize(channels);
+    for (auto &reqs : plan.mha.requests)
+        reqs.clear();
+    plan.mha.logit.assign(channels, PimChannelWork{});
+    plan.mha.attend.assign(channels, PimChannelWork{});
     plan.mha.kvAppendBytes.assign(channels, 0);
+    plan.mha.totalSoftmaxElems = 0;
+    plan.mha.kvReadBytes = 0;
     plan.mha.headsPerDevice =
         static_cast<int>(cfg_.headsPerDevice(tp_));
+    plan.prefillAttn.clear();
+    plan.prefillTokens = 0;
 
     const std::int64_t d = cfg_.dModel;
     const std::int64_t d_dev = cfg_.dModelPerDevice(tp_);
@@ -186,12 +202,11 @@ Compiler::compileLayer(
                            slice.channel < mem_.channels,
                        "prefill slice on invalid channel ",
                        slice.channel);
-        PrefillAttnWork work = prefillAttnWorkFor(slice);
         plan.prefillTokens += slice.newTokens;
         plan.mha.kvAppendBytes[slice.channel] +=
             static_cast<Bytes>(slice.newTokens) *
             cfg_.kvBytesPerTokenPerLayer(tp_);
-        plan.prefillAttn.push_back(work);
+        plan.prefillAttn.push_back(prefillAttnWorkFor(slice));
     }
 
     NEUPIMS_ASSERT(batch + plan.prefillTokens >= 1, "empty batch");
@@ -212,7 +227,6 @@ Compiler::compileLayer(
     // Two layer norms, two residual adds over [rows, d] activations.
     plan.vectorElems = static_cast<std::uint64_t>(rows) *
                        static_cast<std::uint64_t>(d) * 4;
-    return plan;
 }
 
 } // namespace neupims::model

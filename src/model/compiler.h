@@ -183,7 +183,16 @@ class Compiler
      *
      * @param seq_lens_per_channel current KV length of every request,
      *        grouped by its PIM channel (index = ChannelId).
+     * @param plan overwritten in full; its lists keep their storage,
+     *        so a caller compiling into the same plan every iteration
+     *        allocates nothing once it has grown (DESIGN.md §6).
      */
+    void compileLayer(
+        const std::vector<std::vector<int>> &seq_lens_per_channel,
+        const std::vector<PrefillSliceSpec> &prefill,
+        LayerPlan &plan) const;
+
+    /** compileLayer into a fresh plan (engine windows, benches). */
     LayerPlan compileLayer(
         const std::vector<std::vector<int>> &seq_lens_per_channel,
         const std::vector<PrefillSliceSpec> &prefill = {}) const;

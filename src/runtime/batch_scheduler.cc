@@ -8,35 +8,29 @@
 
 namespace neupims::runtime {
 
-std::vector<std::vector<int>>
-seqLensOf(const std::vector<std::vector<Request *>> &per_channel)
+namespace {
+
+/** Empty @p s for the next boundary, keeping every list's storage
+ * (perChannel, subBatches and channelLoads are refilled whole). */
+void
+clearSchedule(IterationSchedule &s)
 {
-    std::vector<std::vector<int>> lens(per_channel.size());
-    for (std::size_t ch = 0; ch < per_channel.size(); ++ch) {
-        lens[ch].reserve(per_channel[ch].size());
-        for (const Request *req : per_channel[ch])
-            lens[ch].push_back(req->currentSeqLen());
-    }
-    return lens;
+    s.batch.clear();
+    s.prefill.clear();
+    s.admitted = 0;
+    s.preemptedNow.clear();
+    s.restoredNow.clear();
+    s.droppedNeverFit.clear();
+    s.admissionBlockedBy = kInvalidId;
+    s.swapOutBytes = 0;
+    s.swapInBytes = 0;
+    s.swapBytesPerCycle = 0.0;
+    s.faultPreemptedNow.clear();
+    s.shedNow.clear();
+    s.channelSlowdowns.clear();
 }
 
-std::vector<std::vector<int>>
-IterationSchedule::seqLensPerChannel() const
-{
-    return seqLensOf(perChannel);
-}
-
-std::vector<std::vector<int>>
-IterationSchedule::seqLensOfSubBatch1() const
-{
-    return seqLensOf(subBatches.sb1);
-}
-
-std::vector<std::vector<int>>
-IterationSchedule::seqLensOfSubBatch2() const
-{
-    return seqLensOf(subBatches.sb2);
-}
+} // namespace
 
 double
 IterationSchedule::stragglerInflation() const
@@ -157,17 +151,16 @@ BatchScheduler::admissionTokens(const Request &req) const
     return std::max(1, remaining);
 }
 
-std::vector<bool>
-BatchScheduler::urgentChannels()
+void
+BatchScheduler::markUrgentChannels()
 {
-    std::vector<bool> urgent(static_cast<std::size_t>(cfg_.channels),
-                             false);
-    for (const Request *res : pool_.runningRequests()) {
-        if (res->channel >= 0 && res->channel < cfg_.channels &&
-            policy_->urgency(*res, now_) >= 0.5)
-            urgent[res->channel] = true;
+    urgent_.assign(static_cast<std::size_t>(cfg_.channels), false);
+    for (RequestId id : pool_.runningIds()) {
+        const Request &res = pool_.request(id);
+        if (res.channel >= 0 && res.channel < cfg_.channels &&
+            policy_->urgency(res, now_) >= 0.5)
+            urgent_[res.channel] = true;
     }
-    return urgent;
 }
 
 template <typename Room>
@@ -186,9 +179,8 @@ BatchScheduler::placeByUrgency(const Request &req,
         // reports urgency 1.0 for everything, leaving the historical
         // min-load packing bit-for-bit.
         const bool isolate = policy_->urgency(req, now_) < 0.5;
-        std::vector<bool> urgent;
         if (isolate)
-            urgent = urgentChannels();
+            markUrgentChannels();
         ChannelId best = kInvalidId;
         bool bestAvoids = false;
         for (ChannelId ch = 0; ch < cfg_.channels; ++ch) {
@@ -197,7 +189,7 @@ BatchScheduler::placeByUrgency(const Request &req,
             // with faults disabled.
             if (!kv_.channelOnline(ch) || !room(ch))
                 continue;
-            bool avoids = isolate && !urgent[ch];
+            bool avoids = isolate && !urgent_[ch];
             if (best == kInvalidId || (avoids && !bestAvoids) ||
                 (avoids == bestAvoids && loads[ch] < loads[best])) {
                 best = ch;
@@ -228,13 +220,12 @@ BatchScheduler::pickChannel(const Request &req,
 }
 
 ChannelId
-BatchScheduler::pickChannelWithPages(
-    const Request &req, std::int64_t pages,
-    const std::vector<double> &loads,
-    const std::vector<std::int64_t> &reserved)
+BatchScheduler::pickChannelWithPages(const Request &req,
+                                     std::int64_t pages,
+                                     const std::vector<double> &loads)
 {
     return placeByUrgency(req, loads, [&](ChannelId ch) {
-        return kv_.freePages(ch) - reserved[ch] >= pages;
+        return kv_.freePages(ch) - reserved_[ch] >= pages;
     });
 }
 
@@ -277,8 +268,7 @@ BatchScheduler::nextAdmission(IterationSchedule &out)
 
 void
 BatchScheduler::restorePreempted(IterationSchedule &out,
-                                 std::vector<double> &loads,
-                                 std::vector<std::int64_t> reserved)
+                                 std::vector<double> &loads)
 {
     // Runs after resolveMemoryPressure, so restores only consume
     // pages the scheduled work left over: a restored request joins
@@ -296,7 +286,8 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
         // policy order, anything it outranks must keep waiting behind
         // it (no overtaking, bounded starvation).
         Request *req = nullptr;
-        for (Request *cand : pool_.preemptedRequests()) {
+        for (RequestId id : pool_.preemptedIds()) {
+            Request *cand = &pool_.request(id);
             bool evicted_now = false;
             for (const Request *p : out.preemptedNow)
                 evicted_now = evicted_now || p == cand;
@@ -315,8 +306,7 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
         if (!kv_.isSwappedOut(req->id)) {
             std::int64_t pages =
                 kv_.pagesForTokens(admissionTokens(*req));
-            ChannelId ch =
-                pickChannelWithPages(*req, pages, loads, reserved);
+            ChannelId ch = pickChannelWithPages(*req, pages, loads);
             if (ch == kInvalidId)
                 break;
             req->channel = ch;
@@ -341,7 +331,7 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
             // until a later boundary.
             std::int64_t append_need =
                 kv_.pagesForAppend(req->id, admissionTokens(*req));
-            if (kv_.freePages(ch) - reserved[ch] < append_need) {
+            if (kv_.freePages(ch) - reserved_[ch] < append_need) {
                 kv_.evictSequence(req->id);
                 req->prefilledTokens = 0;
                 req->cachedPrefixTokens = 0;
@@ -351,11 +341,10 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
             // every queued restore would see the same room and pile
             // onto one channel. (The revival bill already landed in
             // freePages itself.)
-            reserved[ch] += append_need;
+            reserved_[ch] += append_need;
         } else {
             std::int64_t pages = kv_.hostPagesOf(req->id);
-            ChannelId ch =
-                pickChannelWithPages(*req, pages, loads, reserved);
+            ChannelId ch = pickChannelWithPages(*req, pages, loads);
             if (ch == kInvalidId)
                 break;
             Bytes bytes = kv_.swapIn(req->id, ch);
@@ -371,38 +360,32 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
     }
 }
 
-std::vector<std::int64_t>
+void
 BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
                                       std::vector<double> &loads)
 {
-    std::vector<std::int64_t> reservedPerChannel(
-        static_cast<std::size_t>(cfg_.channels), 0);
+    reserved_.assign(static_cast<std::size_t>(cfg_.channels), 0);
     const bool recompute = cfg_.preempt.mode == PreemptMode::Recompute;
     const bool lazy = lazyKvAlloc();
 
-    // One page-demanding unit of this schedule: a decode append (one
-    // token) or a prefill slice (chunk growth). Resolved in the
-    // policy's pressure order (Fcfs: ascending RequestId ==
-    // submission order, the age-priority rule vLLM's scheduler
-    // uses): a demander may only evict requests it strictly
-    // outranks, so the top-ranked request in the system always makes
-    // progress and preemption cannot livelock — any strict total
-    // order inherits the argument (DESIGN.md §8). A demander that
-    // cannot be satisfied even after evicting every outranked
-    // resident stalls for this iteration (its work is removed; it
-    // keeps its pages) instead of churning.
-    struct Demand
-    {
-        Request *req;
-        int tokens; ///< KV growth this iteration
-    };
-    std::vector<std::vector<Demand>> demands(
-        static_cast<std::size_t>(cfg_.channels));
+    // Page demands — decode appends and prefill slices — resolve in
+    // the policy's pressure order (Fcfs: ascending RequestId ==
+    // submission order, the age-priority rule vLLM's scheduler uses):
+    // a demander may only evict requests it strictly outranks, so the
+    // top-ranked request in the system always makes progress and
+    // preemption cannot livelock — any strict total order inherits the
+    // argument (DESIGN.md §8). A demander that cannot be satisfied
+    // even after evicting every outranked resident stalls for this
+    // iteration (its work is removed; it keeps its pages) instead of
+    // churning.
+    demands_.resize(static_cast<std::size_t>(cfg_.channels));
+    for (auto &chd : demands_)
+        chd.clear();
     for (Request *req : out.batch)
-        demands[req->channel].push_back(Demand{req, 1});
+        demands_[req->channel].push_back(Demand{req, 1});
     if (lazy) {
         for (const PrefillSlice &slice : out.prefill)
-            demands[slice.req->channel].push_back(
+            demands_[slice.req->channel].push_back(
                 Demand{slice.req, slice.tokens});
     }
 
@@ -434,25 +417,26 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
         // the very next pick and the eviction loop still terminates
         // (each pick shrinks the resident set). The policy scores
         // them; the highest score evicts first, ties toward the most
-        // recently (re)admitted (cands follows running order:
+        // recently (re)admitted (victims_ follows running order:
         // back() == youngest), which makes LifoYoungest exactly a
         // constant score.
-        std::vector<Request *> cands;
-        for (Request *req : pool_.runningRequests()) {
-            if (req->channel != ch ||
-                !policy_->outranks(demander, *req, now_))
+        victims_.clear();
+        for (RequestId id : pool_.runningIds()) {
+            Request &req = pool_.request(id);
+            if (req.channel != ch ||
+                !policy_->outranks(demander, req, now_))
                 continue;
-            if (kv_.evictablePagesOf(req->id) <= 0 &&
-                kv_.sharedPagesOf(req->id) <= 0)
+            if (kv_.evictablePagesOf(req.id) <= 0 &&
+                kv_.sharedPagesOf(req.id) <= 0)
                 continue;
-            cands.push_back(req);
+            victims_.push_back(&req);
         }
-        if (cands.empty())
+        if (victims_.empty())
             return nullptr;
-        Request *victim = cands.front();
+        Request *victim = victims_.front();
         double best = policy_->victimScore(
             *victim, kv_.evictablePagesOf(victim->id), now_);
-        for (Request *req : cands) {
+        for (Request *req : victims_) {
             double score = policy_->victimScore(
                 *req, kv_.evictablePagesOf(req->id), now_);
             if (score >= best) {
@@ -489,7 +473,7 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
     };
 
     for (ChannelId ch = 0; ch < cfg_.channels; ++ch) {
-        auto &chd = demands[ch];
+        auto &chd = demands_[ch];
         std::sort(chd.begin(), chd.end(),
                   [this](const Demand &a, const Demand &b) {
                       return policy_->outranks(*a.req, *b.req, now_);
@@ -517,14 +501,12 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
             if (need >= 0)
                 reserved += need;
         }
-        reservedPerChannel[ch] = reserved;
+        reserved_[ch] = reserved;
     }
-    return reservedPerChannel;
 }
 
 void
-BatchScheduler::schedulePrefill(
-    IterationSchedule &out, const std::vector<Request *> &running)
+BatchScheduler::schedulePrefill(IterationSchedule &out)
 {
     // The policy's pressure order (Fcfs: submission age — earlier
     // prompts finish their prefill first, bounding TTFT head-of-line
@@ -534,17 +516,22 @@ BatchScheduler::schedulePrefill(
     // it would deadlock the two orders against each other — the
     // livelock-freedom obligation a SchedulingPolicy signs up for by
     // making outranks() one strict total order owning both decisions.
-    std::vector<Request *> by_rank(running.begin(), running.end());
-    std::sort(by_rank.begin(), by_rank.end(),
+    // Being a strict total order, it ranks the prefilling requests
+    // alone exactly as it would rank them within the whole running
+    // set, so only they are sorted.
+    rank_.clear();
+    for (Request *req : running_) {
+        if (req->prefilling())
+            rank_.push_back(req);
+    }
+    std::sort(rank_.begin(), rank_.end(),
               [this](const Request *a, const Request *b) {
                   return policy_->outranks(*a, *b, now_);
               });
     int budget = cfg_.prefill.policy == PrefillPolicy::Chunked
                      ? cfg_.prefill.chunkTokens
                      : std::numeric_limits<int>::max();
-    for (Request *req : by_rank) {
-        if (!req->prefilling())
-            continue;
+    for (Request *req : rank_) {
         if (budget <= 0)
             break;
         int tokens = std::min(req->remainingPrefill(), budget);
@@ -639,11 +626,12 @@ BatchScheduler::shedOverload(IterationSchedule &out)
     }
 }
 
-IterationSchedule
+const IterationSchedule &
 BatchScheduler::scheduleIteration(Cycle now)
 {
     now_ = now;
-    IterationSchedule out;
+    IterationSchedule &out = schedule_;
+    clearSchedule(out);
     const bool preempting = cfg_.preempt.enabled();
     if (cfg_.preempt.mode == PreemptMode::Swap)
         out.swapBytesPerCycle = cfg_.preempt.swapBytesPerCycle();
@@ -655,25 +643,24 @@ BatchScheduler::scheduleIteration(Cycle now)
     applyFaults(out);
     shedOverload(out);
 
+    // This boundary's running set. Residents of browned-out channels
+    // keep their pages but sit out the iteration — no decode append,
+    // no prefill slice, no load contribution — until the window ends.
+    const bool brownout =
+        fault_ && fault_->enabled() && fault_->offlineCount() > 0;
+    running_.clear();
+    for (RequestId id : pool_.runningIds()) {
+        Request &req = pool_.request(id);
+        if (!brownout || kv_.channelOnline(req.channel))
+            running_.push_back(&req);
+    }
     // Current channel loads from the already-running batch. Requests
     // still in prefill count with their eventual prompt-length load:
     // placement happened at admission, and Algorithm 2 balances the
     // decode MHA they are about to contribute.
-    std::vector<Request *> running = pool_.runningRequests();
-    if (fault_ && fault_->enabled() && fault_->offlineCount() > 0) {
-        // Residents of browned-out channels keep their pages but sit
-        // out the iteration — no decode append, no prefill slice, no
-        // load contribution — until the window ends.
-        running.erase(
-            std::remove_if(running.begin(), running.end(),
-                           [this](const Request *req) {
-                               return !kv_.channelOnline(
-                                   req->channel);
-                           }),
-            running.end());
-    }
-    std::vector<double> loads(cfg_.channels, 0.0);
-    for (Request *req : running) {
+    std::vector<double> &loads = out.channelLoads;
+    loads.assign(static_cast<std::size_t>(cfg_.channels), 0.0);
+    for (Request *req : running_) {
         NEUPIMS_ASSERT(req->channel >= 0);
         loads[req->channel] +=
             estimator_.estimate(req->currentSeqLen());
@@ -723,34 +710,33 @@ BatchScheduler::scheduleIteration(Cycle now)
                 req.skipCachedPrefix(cached);
         }
         loads[ch] += estimator_.estimate(req.currentSeqLen());
-        running.push_back(&req);
+        running_.push_back(&req);
         ++out.admitted;
     }
 
-    schedulePrefill(out, running);
+    schedulePrefill(out);
     // Without piggybacking, a pending prompt pass owns the iteration:
     // decode stalls until the prefill queue drains.
     if (cfg_.prefill.piggyback || out.prefill.empty()) {
-        for (Request *req : running) {
+        for (Request *req : running_) {
             if (req->decoding())
                 out.batch.push_back(req);
         }
     }
 
     if (preempting) {
-        auto reserved = resolveMemoryPressure(out, loads);
-        restorePreempted(out, loads, reserved);
+        resolveMemoryPressure(out, loads);
+        restorePreempted(out, loads);
     }
 
-    out.perChannel = groupByChannel(out.batch, cfg_.channels);
-    out.subBatches = partitionSubBatches(out.perChannel);
+    groupByChannel(out.batch, cfg_.channels, out.perChannel);
+    partitionSubBatches(out.perChannel, out.subBatches);
     if (fault_ && fault_->enabled() && fault_->anySlowdown(now_)) {
         out.channelSlowdowns.assign(
             static_cast<std::size_t>(cfg_.channels), 1.0);
         for (ChannelId ch = 0; ch < cfg_.channels; ++ch)
             out.channelSlowdowns[ch] = fault_->slowdown(ch, now_);
     }
-    out.channelLoads = std::move(loads);
     return out;
 }
 

@@ -227,18 +227,7 @@ struct IterationSchedule
 
     /** No decode work and no prefill work this iteration. */
     bool empty() const { return batch.empty() && prefill.empty(); }
-
-    /** Current sequence lengths grouped by channel (compiler input). */
-    std::vector<std::vector<int>> seqLensPerChannel() const;
-
-    /** Sequence lengths of each sub-batch, grouped by channel. */
-    std::vector<std::vector<int>> seqLensOfSubBatch1() const;
-    std::vector<std::vector<int>> seqLensOfSubBatch2() const;
 };
-
-/** Current sequence lengths of channel-grouped request lists. */
-std::vector<std::vector<int>>
-seqLensOf(const std::vector<std::vector<Request *>> &per_channel);
 
 /** Cumulative memory-pressure counters across a scheduler's life. */
 struct PreemptStats
@@ -283,8 +272,12 @@ class BatchScheduler
      * simulated clock at this boundary — the scheduling policy's
      * aging/deadline input (time-free callers may pass 0, degrading
      * time-aware policies to their tie-break orders).
+     *
+     * The schedule is the scheduler's own storage, rebuilt in place
+     * at every boundary (DESIGN.md §6): the reference stays valid
+     * until the next call, which overwrites it. Copy it to keep it.
      */
-    IterationSchedule scheduleIteration(Cycle now = 0);
+    const IterationSchedule &scheduleIteration(Cycle now = 0);
 
     /**
      * Account one completed iteration of @p schedule: every prefill
@@ -306,9 +299,9 @@ class BatchScheduler
      */
     RequestId nextAdmission(IterationSchedule &out);
 
-    /** Channels currently hosting at least one urgent resident
-     * (policy urgency >= 0.5). */
-    std::vector<bool> urgentChannels();
+    /** Mark in urgent_ the channels currently hosting at least one
+     * urgent resident (policy urgency >= 0.5). */
+    void markUrgentChannels();
 
     /**
      * Shared packing core: min-load (or round-robin) among channels
@@ -328,15 +321,14 @@ class BatchScheduler
                           std::vector<double> &loads);
 
     /** Channel with >= @p pages free beyond this iteration's
-     * reservations, placed by packing policy + @p req's urgency. */
-    ChannelId
-    pickChannelWithPages(const Request &req, std::int64_t pages,
-                         const std::vector<double> &loads,
-                         const std::vector<std::int64_t> &reserved);
+     * reservations (reserved_), placed by packing policy + @p req's
+     * urgency. */
+    ChannelId pickChannelWithPages(const Request &req, std::int64_t pages,
+                                   const std::vector<double> &loads);
 
-    /** Fill @p out.prefill from the prefilling members of @p running. */
-    void schedulePrefill(IterationSchedule &out,
-                         const std::vector<Request *> &running);
+    /** Fill @p out.prefill from the prefilling members of running_,
+     * handing the token budget out in the policy's pressure order. */
+    void schedulePrefill(IterationSchedule &out);
 
     /** Whether KV pages are reserved chunk-by-chunk as prefill
      * advances (preemption on) instead of whole-prompt at admission. */
@@ -347,22 +339,20 @@ class BatchScheduler
 
     /**
      * Restore preempted requests (FIFO) into pages this iteration's
-     * demands left over (@p reserved, updated as restores commit);
+     * demands left over (reserved_, updated as restores commit);
      * restored requests join the batch at the next boundary.
      */
     void restorePreempted(IterationSchedule &out,
-                          std::vector<double> &loads,
-                          std::vector<std::int64_t> reserved);
+                          std::vector<double> &loads);
 
     /**
      * Preempt victims until every channel can reserve the pages this
-     * iteration's decode appends and prefill slices demand.
-     * @return pages reserved per channel (consumed at
+     * iteration's decode appends and prefill slices demand. Leaves
+     * the pages reserved per channel in reserved_ (consumed at
      * completeIteration; restores must not take them).
      */
-    std::vector<std::int64_t>
-    resolveMemoryPressure(IterationSchedule &out,
-                          std::vector<double> &loads);
+    void resolveMemoryPressure(IterationSchedule &out,
+                               std::vector<double> &loads);
 
     /** Apply fault transitions crossing this boundary: force-preempt
      * residents of freshly failed channels (recompute; their pages
@@ -385,6 +375,25 @@ class BatchScheduler
     /** Clock of the boundary being scheduled (policy time input). */
     Cycle now_ = 0;
     int rrCursor_ = 0;
+
+    /** One page-demanding unit of a schedule: a decode append (one
+     * token) or a prefill slice (chunk growth). */
+    struct Demand
+    {
+        Request *req;
+        int tokens; ///< KV growth this iteration
+    };
+
+    // --- boundary storage, rebuilt in place every boundary ----------
+    // Cleared, never freed: a steady-state boundary allocates nothing
+    // (DESIGN.md §6).
+    IterationSchedule schedule_; ///< what scheduleIteration returns
+    std::vector<Request *> running_; ///< this boundary's running set
+    std::vector<Request *> rank_;    ///< prefilling, pressure order
+    std::vector<std::vector<Demand>> demands_; ///< per channel
+    std::vector<std::int64_t> reserved_;       ///< pages per channel
+    std::vector<Request *> victims_; ///< eviction candidates
+    std::vector<bool> urgent_;       ///< markUrgentChannels' output
 };
 
 } // namespace neupims::runtime

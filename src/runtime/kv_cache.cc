@@ -38,6 +38,7 @@ PagedKvCache::PagedKvCache(const KvCacheConfig &cfg) : cfg_(cfg)
     rootsByChannel_.assign(static_cast<std::size_t>(cfg_.channels), {});
     nodesByChannel_.assign(static_cast<std::size_t>(cfg_.channels), {});
     cachedByChannel_.assign(static_cast<std::size_t>(cfg_.channels), 0);
+    reclaimHeaps_.assign(static_cast<std::size_t>(cfg_.channels), {});
 }
 
 bool
@@ -87,6 +88,7 @@ PagedKvCache::failChannel(ChannelId channel)
     nodesByChannel_[channel].clear();
     rootsByChannel_[channel].clear();
     cachedByChannel_[channel] = 0;
+    reclaimHeaps_[channel].clear();
     failed_[channel] = 1;
     online_[channel] = 0;
     freePages_[channel] = 0;
@@ -155,17 +157,21 @@ PagedKvCache::takePage(ChannelId channel)
     }
     // Free list dry: reclaim the least-recently-used cached
     // (refcount-0) index node without children — childless first so
-    // a chain unravels from the leaves.
+    // a chain unravels from the leaves. Stale heap entries (revived,
+    // re-parented or destroyed since they were pushed) are dropped.
+    std::vector<ReclaimEntry> &heap = reclaimHeaps_[channel];
     std::int64_t best = -1;
-    for (std::int64_t n : nodesByChannel_[channel]) {
-        const PageNode &node = nodes_[n];
-        if (node.refcount != 0 || !node.children.empty())
-            continue;
-        if (best < 0 || node.lastUse < nodes_[best].lastUse)
-            best = n;
+    while (best < 0) {
+        NEUPIMS_ASSERT(!heap.empty(), "takePage on channel ", channel,
+                       " with no free or reclaimable page");
+        std::pop_heap(heap.begin(), heap.end(), ReclaimEntry::later);
+        const ReclaimEntry top = heap.back();
+        heap.pop_back();
+        const PageNode &node = nodes_[top.node];
+        if (node.channel == channel && node.refcount == 0 &&
+            node.children.empty() && node.lastUse == top.lastUse)
+            best = top.node;
     }
-    NEUPIMS_ASSERT(best >= 0, "takePage on channel ", channel,
-                   " with no free or reclaimable page");
     destroyNode(best);
     ++prefixStats_.pagesReclaimed;
     // The reclaimed node's page is the one handed out: no free-list
@@ -232,6 +238,19 @@ PagedKvCache::destroyNode(std::int64_t node)
     --cachedByChannel_[n.channel];
     n.channel = kInvalidId;
     freeNodeSlots_.push_back(node);
+    if (n.parent >= 0)
+        noteReclaimable(n.parent); // it may have lost its last child
+}
+
+void
+PagedKvCache::noteReclaimable(std::int64_t node)
+{
+    const PageNode &n = nodes_[node];
+    if (n.refcount != 0 || !n.children.empty())
+        return;
+    std::vector<ReclaimEntry> &heap = reclaimHeaps_[n.channel];
+    heap.push_back(ReclaimEntry{n.lastUse, node});
+    std::push_heap(heap.begin(), heap.end(), ReclaimEntry::later);
 }
 
 void
@@ -249,8 +268,10 @@ PagedKvCache::decref(std::int64_t node)
 {
     PageNode &n = nodes_[node];
     NEUPIMS_ASSERT(n.refcount > 0, "double release of shared page");
-    if (--n.refcount == 0)
+    if (--n.refcount == 0) {
         ++cachedByChannel_[n.channel];
+        noteReclaimable(node);
+    }
 }
 
 void

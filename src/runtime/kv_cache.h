@@ -295,12 +295,30 @@ class PagedKvCache
         std::vector<std::int32_t> tokens; ///< tokensPerPage ids
     };
 
+    /** A reclaim-heap entry: @p node as it was when it became
+     * reclaimable (childless, refcount 0) at LRU stamp @p lastUse. */
+    struct ReclaimEntry
+    {
+        std::uint64_t lastUse;
+        std::int64_t node;
+
+        /** Heap order: the smallest lastUse on top. */
+        static bool
+        later(const ReclaimEntry &a, const ReclaimEntry &b)
+        {
+            return a.lastUse > b.lastUse;
+        }
+    };
+
     std::int64_t wholeSharedOf(const Sequence &seq) const;
     bool appendTokensImpl(Sequence &seq, int tokens);
     std::int64_t reclaimablePages(ChannelId channel) const;
     /** Take one truly-free page, reclaiming a cached LRU childless
      * node if the free list is dry. @pre a page is available. */
     void takePage(ChannelId channel);
+    /** Push @p node onto its channel's reclaim heap if it is now
+     * reclaimable (refcount 0, no children). */
+    void noteReclaimable(std::int64_t node);
     std::int64_t findChild(ChannelId channel, std::int64_t parent,
                            const std::int32_t *tokens) const;
     std::int64_t newNode(ChannelId channel, std::int64_t parent,
@@ -331,6 +349,16 @@ class PagedKvCache
     std::vector<std::vector<std::int64_t>> rootsByChannel_;
     std::vector<std::vector<std::int64_t>> nodesByChannel_;
     std::vector<std::int64_t> cachedByChannel_; ///< ref-0 node counts
+    /**
+     * Per-channel lazy min-heaps on lastUse of the nodes that became
+     * reclaimable. An entry goes stale when its node is revived,
+     * gains a child or is destroyed (its lastUse or channel no longer
+     * match, or it is no longer reclaimable); takePage drops stale
+     * entries as they surface. Every reclaimable node has a live
+     * entry, and lastUse stamps are unique, so the top live entry is
+     * the least-recently-used childless cached node.
+     */
+    std::vector<std::vector<ReclaimEntry>> reclaimHeaps_;
     std::uint64_t useTick_ = 0;
     PrefixShareStats prefixStats_;
 };

@@ -174,16 +174,6 @@ RequestPool::restore(RequestId id)
 }
 
 std::vector<Request *>
-RequestPool::preemptedRequests()
-{
-    std::vector<Request *> out;
-    out.reserve(preempted_.size());
-    for (RequestId id : preempted_)
-        out.push_back(&all_[id]);
-    return out;
-}
-
-std::vector<Request *>
 RequestPool::runningRequests()
 {
     std::vector<Request *> out;

@@ -110,10 +110,14 @@ class RequestPool
      */
     void restore(RequestId id);
 
-    /** Preempted requests, FIFO by eviction order. */
-    std::vector<Request *> preemptedRequests();
+    /** Preempted request ids, FIFO by eviction order. */
+    const std::deque<RequestId> &preemptedIds() const { return preempted_; }
 
-    /** Pointers to the running batch (stable for this iteration). */
+    /** Running request ids, in running order (admission/restore). */
+    const std::vector<RequestId> &runningIds() const { return running_; }
+
+    /** A snapshot of pointers to the running batch, in running order
+     * (stable for this iteration; safe to walk while preempting). */
     std::vector<Request *> runningRequests();
 
     /**

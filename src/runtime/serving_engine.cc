@@ -158,18 +158,15 @@ ServingEngine::run()
         int timedOutNow = 0;
         if (anyTimeouts) {
             std::vector<RequestId> expired;
-            for (RequestId id : pool_.waitingIds()) {
-                if (now >= pool_.request(id).deadlineCycle())
-                    expired.push_back(id);
-            }
-            for (Request *req : pool_.runningRequests()) {
-                if (now >= req->deadlineCycle())
-                    expired.push_back(req->id);
-            }
-            for (Request *req : pool_.preemptedRequests()) {
-                if (now >= req->deadlineCycle())
-                    expired.push_back(req->id);
-            }
+            auto collect = [&](const auto &ids) {
+                for (RequestId id : ids) {
+                    if (now >= pool_.request(id).deadlineCycle())
+                        expired.push_back(id);
+                }
+            };
+            collect(pool_.waitingIds());
+            collect(pool_.runningIds());
+            collect(pool_.preemptedIds());
             std::sort(expired.begin(), expired.end());
             for (RequestId id : expired) {
                 report.wastedTokens += static_cast<std::uint64_t>(
@@ -193,7 +190,8 @@ ServingEngine::run()
             continue;
         }
 
-        auto schedule = scheduler_.scheduleIteration(now);
+        const IterationSchedule &schedule =
+            scheduler_.scheduleIteration(now);
         report.requestsDropped +=
             static_cast<int>(schedule.droppedNeverFit.size());
         pendingDrops +=
@@ -304,9 +302,10 @@ ServingEngine::run()
         // Stamp the serving timeline. Requests admitted this iteration
         // were picked up at the iteration boundary `now` (whether or
         // not they received a prefill slice yet).
-        for (Request *req : pool_.runningRequests()) {
-            if (req->admitCycle == kCycleMax)
-                req->admitCycle = now;
+        for (RequestId id : pool_.runningIds()) {
+            Request &req = pool_.request(id);
+            if (req.admitCycle == kCycleMax)
+                req.admitCycle = now;
         }
         // A slice that consumes the last prompt tokens completes the
         // prefill phase when the iteration does. A recompute restore

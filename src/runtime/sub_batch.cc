@@ -4,10 +4,10 @@
 
 namespace neupims::runtime {
 
-SubBatches
-partitionSubBatches(const std::vector<std::vector<Request *>> &per_channel)
+void
+partitionSubBatches(const std::vector<std::vector<Request *>> &per_channel,
+                    SubBatches &out)
 {
-    SubBatches out;
     out.sb1.resize(per_channel.size());
     out.sb2.resize(per_channel.size());
 
@@ -22,27 +22,24 @@ partitionSubBatches(const std::vector<std::vector<Request *>> &per_channel)
             bsize = turn ? bsize + 1 : bsize;
             turn = !turn;
         }
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-            if (i < bsize)
-                out.sb1[ch].push_back(reqs[i]);
-            else
-                out.sb2[ch].push_back(reqs[i]);
-        }
+        out.sb1[ch].assign(reqs.begin(), reqs.begin() + bsize);
+        out.sb2[ch].assign(reqs.begin() + bsize, reqs.end());
     }
-    return out;
 }
 
-std::vector<std::vector<Request *>>
-groupByChannel(const std::vector<Request *> &requests, int channels)
+void
+groupByChannel(const std::vector<Request *> &requests, int channels,
+               std::vector<std::vector<Request *>> &grouped)
 {
     NEUPIMS_ASSERT(channels >= 1);
-    std::vector<std::vector<Request *>> grouped(channels);
+    grouped.resize(static_cast<std::size_t>(channels));
+    for (auto &list : grouped)
+        list.clear();
     for (Request *req : requests) {
         NEUPIMS_ASSERT(req->channel >= 0 && req->channel < channels,
                        "request ", req->id, " has no channel");
         grouped[req->channel].push_back(req);
     }
-    return grouped;
 }
 
 } // namespace neupims::runtime

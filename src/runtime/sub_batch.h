@@ -39,15 +39,19 @@ struct SubBatches
 
 /**
  * Partition each channel's active request list into two sub-batches
- * (Algorithm 3). Requests keep their channel assignment; only the
- * sub-batch membership is decided here.
+ * (Algorithm 3), written into @p out. Requests keep their channel
+ * assignment; only the sub-batch membership is decided here. @p out's
+ * per-channel lists are cleared, not freed, so a caller that keeps
+ * @p out across iterations reuses their storage.
  */
-SubBatches
-partitionSubBatches(const std::vector<std::vector<Request *>> &per_channel);
+void partitionSubBatches(
+    const std::vector<std::vector<Request *>> &per_channel,
+    SubBatches &out);
 
-/** Group a flat request list by its channel field. */
-std::vector<std::vector<Request *>>
-groupByChannel(const std::vector<Request *> &requests, int channels);
+/** Group a flat request list by its channel field into @p grouped
+ * (resized to @p channels; its lists keep their storage). */
+void groupByChannel(const std::vector<Request *> &requests, int channels,
+                    std::vector<std::vector<Request *>> &grouped);
 
 } // namespace neupims::runtime
 

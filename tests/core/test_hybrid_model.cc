@@ -46,6 +46,15 @@ testDevice()
     return dev;
 }
 
+/** @p schedule's composition, filled into fresh storage. */
+MixedComposition
+freshComposition(const runtime::IterationSchedule &schedule)
+{
+    MixedComposition mix;
+    fillComposition(schedule, mix);
+    return mix;
+}
+
 /**
  * Owns the Request storage behind hand-built IterationSchedules: the
  * schedule holds raw pointers, so the factory must outlive every
@@ -72,7 +81,7 @@ class ScheduleFactory
                 s.perChannel[ch].push_back(&req);
             }
         }
-        s.subBatches = runtime::partitionSubBatches(s.perChannel);
+        runtime::partitionSubBatches(s.perChannel, s.subBatches);
         return s;
     }
 
@@ -138,7 +147,7 @@ TEST(HybridModel, SampleEveryOneMatchesDirectEngineRun)
         auto s = f.uniform(dev.org.channels, 2, len);
         auto exact = f.uniform(dev.org.channels, 2, rounded);
         Cycle direct =
-            reference.runIteration(compositionOf(exact), window, 1)
+            reference.runIteration(freshComposition(exact).decode, window, 1)
                 .iterationCycles;
         EXPECT_EQ(hybrid.iterationCycles(s), direct) << "step " << step;
     }
@@ -174,8 +183,9 @@ TEST(HybridModel, MixedPricingScalesDecodeMeasurementByAnalyticRatio)
     EXPECT_LT(mixed_cycles, measured_decode * 3);
     double mixed_over_decode =
         static_cast<double>(
-            analytic.iterationCyclesFor(mixedCompositionOf(mixed))) /
-        static_cast<double>(analytic.iterationCyclesFor(compositionOf(mixed)));
+            analytic.iterationCyclesFor(freshComposition(mixed))) /
+        static_cast<double>(
+            analytic.iterationCyclesFor(freshComposition(mixed).decode));
     EXPECT_EQ(mixed_cycles,
               static_cast<Cycle>(static_cast<double>(measured_decode) *
                                  mixed_over_decode));

@@ -203,6 +203,51 @@ TEST_F(CompilerTest, PrefillOnlyPlanHasNoDecodeWork)
     EXPECT_EQ(plan.mha.totalSoftmaxElems, 0u);
 }
 
+TEST_F(CompilerTest, InPlaceRecompileMatchesFreshPlan)
+{
+    // Compiling into a plan that holds a larger mixed batch must leave
+    // exactly what a fresh plan holds: every list refilled, every sum
+    // restarted.
+    std::vector<std::vector<int>> big(32), small(32);
+    big[0] = {100, 200, 300};
+    big[7] = {50};
+    small[3] = {40};
+    LayerPlan plan;
+    compiler.compileLayer(big, {{2, 0, 64}, {5, 128, 32}}, plan);
+    compiler.compileLayer(small, {{9, 16, 16}}, plan);
+    const LayerPlan fresh = compiler.compileLayer(small, {{9, 16, 16}});
+
+    ASSERT_EQ(plan.gemms.size(), fresh.gemms.size());
+    for (std::size_t i = 0; i < plan.gemms.size(); ++i) {
+        EXPECT_EQ(plan.gemms[i].label, fresh.gemms[i].label);
+        EXPECT_EQ(plan.gemms[i].shape.m, fresh.gemms[i].shape.m);
+        EXPECT_EQ(plan.gemms[i].shape.k, fresh.gemms[i].shape.k);
+        EXPECT_EQ(plan.gemms[i].shape.n, fresh.gemms[i].shape.n);
+    }
+    for (std::size_t ch = 0; ch < 32; ++ch) {
+        ASSERT_EQ(plan.mha.requests[ch].size(),
+                  fresh.mha.requests[ch].size());
+        for (std::size_t r = 0; r < plan.mha.requests[ch].size(); ++r)
+            EXPECT_EQ(plan.mha.requests[ch][r].seqLen,
+                      fresh.mha.requests[ch][r].seqLen);
+        EXPECT_EQ(plan.mha.logit[ch].rowTiles, fresh.mha.logit[ch].rowTiles);
+        EXPECT_EQ(plan.mha.logit[ch].softmaxElems,
+                  fresh.mha.logit[ch].softmaxElems);
+        EXPECT_EQ(plan.mha.attend[ch].gwrites, fresh.mha.attend[ch].gwrites);
+    }
+    EXPECT_EQ(plan.mha.kvAppendBytes, fresh.mha.kvAppendBytes);
+    EXPECT_EQ(plan.mha.totalSoftmaxElems, fresh.mha.totalSoftmaxElems);
+    EXPECT_EQ(plan.mha.kvReadBytes, fresh.mha.kvReadBytes);
+    EXPECT_EQ(plan.mha.headsPerDevice, fresh.mha.headsPerDevice);
+    ASSERT_EQ(plan.prefillAttn.size(), 1u);
+    EXPECT_EQ(plan.prefillAttn[0].channel, 9);
+    EXPECT_EQ(plan.prefillAttn[0].kvReadBytes,
+              fresh.prefillAttn[0].kvReadBytes);
+    EXPECT_EQ(plan.vectorElems, fresh.vectorElems);
+    EXPECT_EQ(plan.batch, 1);
+    EXPECT_EQ(plan.prefillTokens, 16);
+}
+
 TEST(CompilerDeathTest, EmptyBatchPanics)
 {
     MemShape mem;

@@ -190,7 +190,8 @@ TEST(SubBatchPartitioning, EvenChannelSplitsExactly)
     std::vector<std::vector<Request *>> per_channel(2);
     per_channel[0] = {&reqs[0], &reqs[1]};
     per_channel[1] = {&reqs[2], &reqs[3]};
-    auto sb = partitionSubBatches(per_channel);
+    SubBatches sb;
+    partitionSubBatches(per_channel, sb);
     EXPECT_EQ(sb.size1(), 2);
     EXPECT_EQ(sb.size2(), 2);
     EXPECT_EQ(sb.sb1[0].size(), 1u);
@@ -206,7 +207,8 @@ TEST(SubBatchPartitioning, OddCountsAlternateViaTurn)
     per_channel[0] = {&reqs[0], &reqs[1], &reqs[2]};
     per_channel[1] = {&reqs[3], &reqs[4], &reqs[5]};
     per_channel[2] = {&reqs[6], &reqs[7], &reqs[8]};
-    auto sb = partitionSubBatches(per_channel);
+    SubBatches sb;
+    partitionSubBatches(per_channel, sb);
     EXPECT_EQ(sb.sb1[0].size(), 2u); // turn=true: ceil
     EXPECT_EQ(sb.sb1[1].size(), 1u); // turn=false: floor
     EXPECT_EQ(sb.sb1[2].size(), 2u); // turn=true again
@@ -218,7 +220,8 @@ TEST(SubBatchPartitioning, EmptyChannelsAreFine)
     std::vector<std::vector<Request *>> per_channel(4);
     auto reqs = makeRequests({10});
     per_channel[2] = {&reqs[0]};
-    auto sb = partitionSubBatches(per_channel);
+    SubBatches sb;
+    partitionSubBatches(per_channel, sb);
     EXPECT_EQ(sb.size1() + sb.size2(), 1);
 }
 
@@ -229,17 +232,46 @@ TEST(GroupByChannel, GroupsAndPreservesOrder)
     reqs[1].channel = 0;
     reqs[2].channel = 1;
     std::vector<Request *> flat = {&reqs[0], &reqs[1], &reqs[2]};
-    auto grouped = groupByChannel(flat, 2);
+    std::vector<std::vector<Request *>> grouped;
+    groupByChannel(flat, 2, grouped);
     ASSERT_EQ(grouped[1].size(), 2u);
     EXPECT_EQ(grouped[1][0]->id, 0);
     EXPECT_EQ(grouped[1][1]->id, 2);
+}
+
+TEST(GroupByChannel, RefillMatchesAFreshFill)
+{
+    // Grouping and partitioning into storage a larger batch filled
+    // before must leave exactly what a fresh fill does: no request of
+    // the earlier batch survives in any list.
+    auto reqs = makeRequests({1, 2, 3, 4, 5, 6, 7});
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        reqs[i].channel = static_cast<ChannelId>(i % 3);
+    std::vector<Request *> big, small;
+    for (auto &r : reqs)
+        big.push_back(&r);
+    small = {&reqs[5], &reqs[1], &reqs[3]};
+
+    std::vector<std::vector<Request *>> reused, fresh;
+    SubBatches reusedSubs, freshSubs;
+    groupByChannel(big, 3, reused);
+    partitionSubBatches(reused, reusedSubs);
+    groupByChannel(small, 3, reused);
+    partitionSubBatches(reused, reusedSubs);
+    groupByChannel(small, 3, fresh);
+    partitionSubBatches(fresh, freshSubs);
+    EXPECT_EQ(reused, fresh);
+    EXPECT_EQ(reusedSubs.sb1, freshSubs.sb1);
+    EXPECT_EQ(reusedSubs.sb2, freshSubs.sb2);
+    EXPECT_EQ(reusedSubs.size1() + reusedSubs.size2(), 3);
 }
 
 TEST(GroupByChannelDeathTest, UnassignedRequestPanics)
 {
     auto reqs = makeRequests({1});
     std::vector<Request *> flat = {&reqs[0]};
-    EXPECT_DEATH((void)groupByChannel(flat, 2), "no channel");
+    std::vector<std::vector<Request *>> grouped;
+    EXPECT_DEATH(groupByChannel(flat, 2, grouped), "no channel");
 }
 
 /** Property: partition preserves every request exactly once and
@@ -265,7 +297,8 @@ TEST_P(SubBatchProperty, PartitionIsExact)
     }
     for (auto &r : reqs)
         per_channel[r.channel].push_back(&r);
-    auto sb = partitionSubBatches(per_channel);
+    SubBatches sb;
+    partitionSubBatches(per_channel, sb);
     EXPECT_EQ(sb.size1() + sb.size2(), n);
     EXPECT_LE(std::abs(sb.size1() - sb.size2()), 1);
     // Per channel: the two halves differ by at most one.

@@ -209,10 +209,10 @@ TEST_F(BatchSchedulerTest, SeqLensMatchRequests)
     pool.submit(25, 5);
     pool.submit(35, 5);
     auto it = admitAndPrefill(sched);
-    auto lens = it.seqLensPerChannel();
     int total = 0;
-    for (const auto &ch : lens)
-        for (int l : ch) {
+    for (const auto &ch : it.perChannel)
+        for (const Request *r : ch) {
+            int l = r->currentSeqLen();
             EXPECT_TRUE(l == 25 || l == 35);
             ++total;
         }

@@ -131,6 +131,61 @@ TEST(KvPrefix, RetiredPrefixStillHitsUntilReclaimed)
     EXPECT_EQ(kv.indexPages(0), 10); // the new prompt published
 }
 
+TEST(KvPrefix, ReclaimTakesLeastRecentlyUsedLeafFirst)
+{
+    // Index on channel 0, node ids in creation order, LRU stamps:
+    //   #0 A's first page (root, parent of #1)   stamp 1
+    //   #1 A's second page (leaf)                stamp 2
+    //   #2 B's page, still referenced by B       stamp 3
+    //   #3 C's page, revived by a later C hit    stamp 4 -> 6
+    //   #4 D's page                              stamp 5
+    // The free list runs dry after 4 pages; each further page
+    // reclaims the least-recently-used cached leaf: #1, then #0 (a
+    // leaf once #1 is gone), #4, #3. The referenced #2 never goes.
+    // Taking nodes by id would take #3 before #4, by most recent use
+    // #3 first, and ignoring children #0 first.
+    const auto a = tokens(1, 33);
+    const auto b = tokens(2, 17);
+    const auto c = tokens(3, 17);
+    const auto d = tokens(4, 17);
+    struct Survivors
+    {
+        int a, b, c, d; ///< cached prompt tokens a later bind finds
+    };
+    const Survivors expected[] = {
+        {16, 16, 16, 16}, {0, 16, 16, 16}, {0, 16, 16, 0}, {0, 16, 0, 0}};
+
+    for (int reclaims = 1; reclaims <= 4; ++reclaims) {
+        SCOPED_TRACE(reclaims);
+        PagedKvCache kv(sharingConfig());
+        int cached = -1;
+        ASSERT_TRUE(kv.allocateSequence(1, 0, 33, a, cached));
+        kv.freeSequence(1);
+        ASSERT_TRUE(kv.allocateSequence(2, 0, 17, b, cached));
+        ASSERT_TRUE(kv.allocateSequence(3, 0, 17, c, cached));
+        kv.freeSequence(3);
+        ASSERT_TRUE(kv.allocateSequence(4, 0, 17, d, cached));
+        kv.freeSequence(4);
+        ASSERT_TRUE(kv.allocateSequence(5, 0, 17, c, cached));
+        ASSERT_EQ(cached, 16);
+        kv.freeSequence(5);
+        ASSERT_EQ(kv.cachedPages(0), 4);
+        const std::int64_t dry = kv.freePages(0) - kv.cachedPages(0);
+        ASSERT_EQ(dry, 4);
+
+        ASSERT_TRUE(kv.allocateSequence(
+            6, 0, static_cast<int>(dry + reclaims) * 16));
+        EXPECT_EQ(kv.prefixStats().pagesReclaimed,
+                  static_cast<std::uint64_t>(reclaims));
+        EXPECT_EQ(kv.cachedPages(0), 4 - reclaims);
+        const Survivors &want = expected[reclaims - 1];
+        EXPECT_EQ(kv.bindSequence(10, 0, a), want.a);
+        EXPECT_EQ(kv.bindSequence(11, 0, b), want.b);
+        EXPECT_EQ(kv.bindSequence(12, 0, c), want.c);
+        EXPECT_EQ(kv.bindSequence(13, 0, d), want.d);
+    }
+}
+
 TEST(KvPrefix, PartialViewBindTriggersCopyOnWrite)
 {
     PagedKvCache kv(sharingConfig());
