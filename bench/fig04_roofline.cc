@@ -43,7 +43,7 @@ main()
             for (const auto &p : points) {
                 table.printRow(
                     {p.model, std::to_string(batch),
-                     p.phase == model::Phase::Summarization
+                     p.phase == analysis::Phase::Summarization
                          ? "summarize"
                          : "generate",
                      p.operatorGroup,

@@ -26,7 +26,7 @@ main()
     if (bench::fastMode())
         batches = {64, 256, 512};
 
-    core::TransPimExecutor transpim{core::TransPimConfig{}};
+    core::TransPimExecutor transpim{core::DeviceConfig::neuPims()};
     std::vector<double> speedups;
 
     for (const auto &ds_name : {"Alpaca", "ShareGPT"}) {

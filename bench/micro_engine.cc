@@ -208,6 +208,24 @@ BM_MemStream(benchmark::State &state)
 }
 BENCHMARK(BM_MemStream)->Arg(1024)->Arg(16384);
 
+/** One all-channel read stream of @p bursts-burst rows on a fresh
+ * device; adds its DRAM commands and row jobs to @p commands and
+ * @p rows. */
+void
+deviceStream(int bursts, double &commands, double &rows)
+{
+    EventQueue eq;
+    MemConfig cfg;
+    HbmStack hbm(eq, cfg);
+    npu::DmaEngine dma(eq, hbm);
+    dma.streamAllChannels(8_MiB, false, bursts, [](Cycle) {});
+    eq.run();
+    for (std::uint64_t n : hbm.totalCommandCounts().counts)
+        commands += static_cast<double>(n);
+    for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch)
+        rows += static_cast<double>(hbm.controller(ch).completedMemJobs());
+}
+
 /**
  * The device path BM_MemStream misses: an HbmStack of 32 unfolded
  * channels fed by the DMA engine, so MEM-only stretches run as epochs
@@ -222,18 +240,8 @@ BM_DeviceStream(benchmark::State &state)
     const int bursts = static_cast<int>(state.range(0));
     double commands = 0.0;
     double rows = 0.0;
-    for (auto _ : state) {
-        EventQueue eq;
-        MemConfig cfg;
-        HbmStack hbm(eq, cfg);
-        npu::DmaEngine dma(eq, hbm);
-        dma.streamAllChannels(8_MiB, false, bursts, [](Cycle) {});
-        eq.run();
-        for (std::uint64_t n : hbm.totalCommandCounts().counts)
-            commands += static_cast<double>(n);
-        for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch)
-            rows += static_cast<double>(hbm.controller(ch).completedMemJobs());
-    }
+    for (auto _ : state)
+        deviceStream(bursts, commands, rows);
     // Seconds per command and per row: printed with an SI prefix
     // (e.g. "53ns").
     const auto per = benchmark::Counter::kIsRate | benchmark::Counter::kInvert;
@@ -241,6 +249,39 @@ BM_DeviceStream(benchmark::State &state)
     state.counters["time_per_row"] = benchmark::Counter(rows, per);
 }
 BENCHMARK(BM_DeviceStream)->Arg(16)->Arg(2)->ArgNames({"bursts"});
+
+/**
+ * Both BM_DeviceStream row types inside one benchmark run, timed as
+ * BM_EventQueueHeapOverBucketed times its queues: every iteration
+ * streams 16-burst and 2-burst rows, alternating which goes first.
+ * burst16_over_burst2 is the 16-burst rows' thread CPU time per row
+ * over the 2-burst rows' (CI gates it): a burst train costs one step
+ * whatever its length, so it stays near 1.
+ */
+void
+BM_DeviceStreamBurst16OverBurst2(benchmark::State &state)
+{
+    double commands = 0.0;
+    double rows16 = 0.0, rows2 = 0.0;
+    double time16 = 0.0, time2 = 0.0;
+    bool shortFirst = false;
+    auto timed = [&commands](int bursts, double &rows) {
+        double start = threadCpuSeconds();
+        deviceStream(bursts, commands, rows);
+        return threadCpuSeconds() - start;
+    };
+    for (auto _ : state) {
+        if (shortFirst)
+            time2 += timed(2, rows2);
+        time16 += timed(16, rows16);
+        if (!shortFirst)
+            time2 += timed(2, rows2);
+        shortFirst = !shortFirst;
+    }
+    state.counters["burst16_over_burst2"] =
+        time2 > 0.0 ? (time16 / rows16) / (time2 / rows2) : 0.0;
+}
+BENCHMARK(BM_DeviceStreamBurst16OverBurst2);
 
 void
 BM_PimKernel(benchmark::State &state)

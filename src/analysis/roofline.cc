@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "model/compiler.h"
 
 namespace neupims::analysis {
 
@@ -16,21 +17,19 @@ attainable(const MachineSpec &machine, double intensity)
 
 namespace {
 
-/** Accumulate flops and streamed bytes of a set of operators. */
-void
-accumulate(const std::vector<model::OpDesc> &ops, bool gemv_group,
-           int batch, double &flops, double &bytes)
+RooflinePoint
+pointOf(const model::LlmConfig &cfg, const MachineSpec &machine,
+        Phase phase, const char *group, double flops, double bytes)
 {
-    for (const auto &op : ops) {
-        bool in_group = model::isGemvOp(op.kind);
-        if (in_group != gemv_group)
-            continue;
-        if (model::isVectorOp(op.kind))
-            continue;
-        double scale = op.perRequest ? static_cast<double>(batch) : 1.0;
-        flops += op.flops() * scale;
-        bytes += static_cast<double>(op.streamBytes()) * scale;
-    }
+    NEUPIMS_ASSERT(bytes > 0.0);
+    RooflinePoint p;
+    p.model = cfg.name;
+    p.operatorGroup = group;
+    p.phase = phase;
+    p.intensity = flops / bytes;
+    p.attainableTflops = attainable(machine, p.intensity);
+    p.memoryBound = p.intensity < machine.balance();
+    return p;
 }
 
 } // namespace
@@ -39,25 +38,44 @@ std::vector<RooflinePoint>
 rooflinePoints(const model::LlmConfig &cfg, const MachineSpec &machine,
                int batch, int seq_len)
 {
-    std::vector<RooflinePoint> points;
+    NEUPIMS_ASSERT(batch >= 1 && seq_len >= 1);
     const int tp = 1; // intensity is tp-invariant; use the full model
-    for (model::Phase phase :
-         {model::Phase::Summarization, model::Phase::Generation}) {
-        auto ops = model::buildDecoderOps(cfg, tp, batch, phase, seq_len);
-        for (bool gemv_group : {true, false}) {
-            double flops = 0.0, bytes = 0.0;
-            accumulate(ops, gemv_group, batch, flops, bytes);
-            NEUPIMS_ASSERT(bytes > 0.0);
-            RooflinePoint p;
-            p.model = cfg.name;
-            p.operatorGroup =
-                gemv_group ? "Logit/Attend" : "QKV/Proj/FFN";
-            p.phase = phase;
-            p.intensity = flops / bytes;
-            p.attainableTflops = attainable(machine, p.intensity);
-            p.memoryBound = p.intensity < machine.balance();
-            points.push_back(p);
+    const model::Compiler compiler(cfg, tp, model::MemShape{});
+    const std::int64_t d = cfg.dModel;
+    const std::int64_t heads = cfg.numHeads;
+    const std::int64_t head_dim = cfg.headDim();
+    const std::int64_t seq = seq_len;
+
+    std::vector<RooflinePoint> points;
+    for (Phase phase : {Phase::Summarization, Phase::Generation}) {
+        const bool prompt = phase == Phase::Summarization;
+        // One request's logit and attend. A prompt batches them into
+        // [seq x seq] GEMMs per head against the fresh K/V; a decode
+        // step is two GEMVs against the cached K/V (no batching
+        // opportunity, §2.1). Each streams its [m x k] operand.
+        const npu::GemmShape attention[] = {
+            prompt ? npu::GemmShape{seq * heads, head_dim, seq}
+                   : npu::GemmShape{seq, d, 1},
+            prompt ? npu::GemmShape{seq * heads, seq, head_dim}
+                   : npu::GemmShape{d, seq, 1}};
+        double flops = 0.0, bytes = 0.0;
+        for (const auto &shape : attention) {
+            flops += shape.flops() * static_cast<double>(batch);
+            bytes += static_cast<double>(shape.m * shape.k * 2) *
+                     static_cast<double>(batch);
         }
+        points.push_back(
+            pointOf(cfg, machine, phase, "Logit/Attend", flops, bytes));
+
+        const model::LayerPlan plan =
+            prompt ? compiler.compileLayer(
+                         {}, {model::PrefillSliceSpec{0, 0, batch * seq_len}})
+                   : compiler.compileLayer(
+                         {std::vector<int>(static_cast<std::size_t>(batch),
+                                           seq_len)});
+        points.push_back(pointOf(
+            cfg, machine, phase, "QKV/Proj/FFN", plan.gemmFlops(),
+            static_cast<double>(plan.gemmWeightBytes())));
     }
     return points;
 }

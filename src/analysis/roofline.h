@@ -13,10 +13,15 @@
 #include <string>
 #include <vector>
 
-#include "model/decoder_block.h"
 #include "model/llm_config.h"
 
 namespace neupims::analysis {
+
+enum class Phase
+{
+    Summarization, ///< prompt encoding: everything batches into GEMMs
+    Generation,    ///< autoregressive decode: MHA degrades to GEMVs
+};
 
 struct MachineSpec
 {
@@ -36,7 +41,7 @@ struct RooflinePoint
 {
     std::string model;
     std::string operatorGroup; ///< "Logit/Attend" or "QKV/Proj/FFN"
-    model::Phase phase;
+    Phase phase;
     double intensity = 0.0;     ///< FLOPs per byte
     double attainableTflops = 0.0;
     bool memoryBound = false;
@@ -44,7 +49,10 @@ struct RooflinePoint
 
 /**
  * Arithmetic intensity of the two operator groups of a decoder block
- * for both phases (Fig. 4's four point clusters per model).
+ * for both phases (Fig. 4's four point clusters per model). The weight
+ * GEMMs are model::Compiler's: a decode batch of @p batch rows for
+ * generation, one prefill slice of batch x seq_len prompt tokens for
+ * summarization.
  *
  * @param batch batched requests (generation) / prompts (summarization)
  * @param seq_len context length

@@ -2,7 +2,6 @@
 
 #include "common/log.h"
 #include "runtime/bin_packing.h"
-#include "runtime/sub_batch.h"
 
 namespace neupims::core {
 
@@ -63,27 +62,37 @@ buildComposition(const std::vector<runtime::SequenceSample> &samples,
         runtime::roundRobinAssign(reqs, channels, cursor);
     }
 
-    std::vector<std::vector<runtime::Request *>> grouped;
-    runtime::SubBatches subs;
-    runtime::groupByChannel(reqs, channels, grouped);
-    runtime::partitionSubBatches(grouped, subs);
-
     BatchComposition out;
-    fillSeqLens(grouped, out.full);
-    fillSeqLens(subs.sb1, out.sb1);
-    fillSeqLens(subs.sb2, out.sb2);
+    composeBatch(reqs, channels, out);
     return out;
 }
 
 void
-fillSeqLens(const std::vector<std::vector<runtime::Request *>> &groups,
-            std::vector<std::vector<int>> &lens)
+composeBatch(const std::vector<runtime::Request *> &requests, int channels,
+             BatchComposition &comp)
 {
-    lens.resize(groups.size());
-    for (std::size_t ch = 0; ch < groups.size(); ++ch) {
-        lens[ch].clear();
-        for (const runtime::Request *req : groups[ch])
-            lens[ch].push_back(req->currentSeqLen());
+    NEUPIMS_ASSERT(channels >= 1);
+    const auto n = static_cast<std::size_t>(channels);
+    comp.full.resize(n);
+    comp.sb1.resize(n);
+    comp.sb2.resize(n);
+    for (auto &lens : comp.full)
+        lens.clear();
+    for (const runtime::Request *req : requests) {
+        NEUPIMS_ASSERT(req->channel >= 0 && req->channel < channels,
+                       "request ", req->id, " has no channel");
+        comp.full[req->channel].push_back(req->currentSeqLen());
+    }
+    bool turn = true;
+    for (std::size_t ch = 0; ch < n; ++ch) {
+        const auto &lens = comp.full[ch];
+        std::size_t first = lens.size() / 2;
+        if (lens.size() % 2 != 0) {
+            first += turn ? 1 : 0;
+            turn = !turn;
+        }
+        comp.sb1[ch].assign(lens.begin(), lens.begin() + first);
+        comp.sb2[ch].assign(lens.begin() + first, lens.end());
     }
 }
 
@@ -93,13 +102,7 @@ usesSubBatchInterleaving(const DeviceConfig &cfg,
 {
     if (!cfg.flags.subBatchInterleaving)
         return false;
-    auto count = [](const std::vector<std::vector<int>> &b) {
-        int n = 0;
-        for (const auto &ch : b)
-            n += static_cast<int>(ch.size());
-        return n;
-    };
-    return count(batch.sb1) > 0 && count(batch.sb2) > 0 &&
+    return requestCount(batch.sb1) > 0 && requestCount(batch.sb2) > 0 &&
            batch.batchSize() >= cfg.sbiMinBatch;
 }
 
@@ -107,26 +110,11 @@ BatchComposition
 uniformComposition(int batch, int seq_len, int channels)
 {
     NEUPIMS_ASSERT(batch >= 1 && seq_len >= 1 && channels >= 1);
-    BatchComposition comp;
-    comp.full.assign(channels, {});
-    comp.sb1.assign(channels, {});
-    comp.sb2.assign(channels, {});
-    // Round-robin assignment of identical requests == splitEven of
-    // the count; sub-batches follow Algorithm 3's alternating split.
-    bool turn = true;
-    for (ChannelId ch = 0; ch < channels; ++ch) {
-        int count = batch / channels + (ch < batch % channels ? 1 : 0);
-        comp.full[ch].assign(count, seq_len);
-        std::size_t first = static_cast<std::size_t>(count) / 2;
-        if (count % 2 != 0) {
-            first += turn ? 1 : 0;
-            turn = !turn;
-        }
-        comp.sb1[ch].assign(first, seq_len);
-        comp.sb2[ch].assign(static_cast<std::size_t>(count) - first,
-                            seq_len);
-    }
-    return comp;
+    return buildComposition(
+        std::vector<runtime::SequenceSample>(
+            static_cast<std::size_t>(batch),
+            runtime::SequenceSample{seq_len, 1, 0}),
+        channels, /*min_load_packing=*/false, {});
 }
 
 } // namespace neupims::core

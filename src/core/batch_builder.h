@@ -4,6 +4,9 @@
  * workload samples, assigns them to PIM channels (Algorithm 2 or
  * round-robin per the system under test), partitions sub-batches
  * (Algorithm 3) and emits the BatchComposition the executor consumes.
+ * composeBatch is the one place a batch's channel lists and its
+ * Algorithm-3 split are built: the warm-batch builders below and the
+ * serving iteration models all call it.
  */
 
 #ifndef NEUPIMS_CORE_BATCH_BUILDER_H_
@@ -32,8 +35,23 @@ buildComposition(const std::vector<runtime::SequenceSample> &samples,
                  const runtime::MhaLatencyParams &est);
 
 /**
+ * Algorithm 3 over a channel-assigned batch, written into @p comp:
+ * each request's current KV length joins its channel's list of
+ * comp.full in @p requests order, and each channel's list is halved
+ * into comp.sb1 (front) and comp.sb2 (back); when a channel's count is
+ * odd, the paper's `turn` flag alternates which sub-batch receives the
+ * extra request, so both the totals and every channel's halves stay
+ * within one of each other. sb1 ++ sb2 == full on every channel.
+ * @p comp's lists are resized to @p channels and keep their storage,
+ * so refilling one composition every iteration allocates nothing once
+ * it has grown (DESIGN.md §6).
+ */
+void composeBatch(const std::vector<runtime::Request *> &requests,
+                  int channels, BatchComposition &comp);
+
+/**
  * Uniform composition: @p batch requests of identical KV length
- * @p seq_len split evenly across @p channels, with Algorithm-3
+ * @p seq_len assigned round-robin across @p channels, with Algorithm-3
  * sub-batches. The per-channel request counts differ by at most one,
  * so at most a handful of distinct per-channel compositions exist.
  * Used by the engine benchmarks, the calibration anchors and the
@@ -41,15 +59,6 @@ buildComposition(const std::vector<runtime::SequenceSample> &samples,
  */
 BatchComposition uniformComposition(int batch, int seq_len,
                                     int channels);
-
-/**
- * Current sequence lengths of channel-grouped requests into @p lens
- * (one list per group; the lists keep their storage, so refilling
- * the same @p lens every iteration allocates nothing once it has
- * grown).
- */
-void fillSeqLens(const std::vector<std::vector<runtime::Request *>> &groups,
-                 std::vector<std::vector<int>> &lens);
 
 /** Algorithm-1 parameter set matching a device/model combination. */
 runtime::MhaLatencyParams

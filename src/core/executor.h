@@ -32,6 +32,16 @@
 
 namespace neupims::core {
 
+/** Requests in a channel-grouped list of KV lengths. */
+inline int
+requestCount(const std::vector<std::vector<int>> &groups)
+{
+    int n = 0;
+    for (const auto &ch : groups)
+        n += static_cast<int>(ch.size());
+    return n;
+}
+
 /** The batch composition one iteration executes. */
 struct BatchComposition
 {
@@ -41,14 +51,7 @@ struct BatchComposition
     std::vector<std::vector<int>> sb1;
     std::vector<std::vector<int>> sb2;
 
-    int
-    batchSize() const
-    {
-        int n = 0;
-        for (const auto &ch : full)
-            n += static_cast<int>(ch.size());
-        return n;
-    }
+    int batchSize() const { return requestCount(full); }
 };
 
 /**

@@ -83,30 +83,13 @@ summarizeMemSched(const char *policy, const dram::MemSchedStats &s,
     return out;
 }
 
-/** The channel grouping used as the memo key, written into @p key
- * (full | -1 | sb1 | -2 | sb2; the lists keep their storage). */
-void
-fillCompositionKey(const BatchComposition &comp,
-                   std::vector<std::vector<int>> &key)
-{
-    key.resize(comp.full.size() + comp.sb1.size() + comp.sb2.size() +
-               2);
-    auto out = std::copy(comp.full.begin(), comp.full.end(), key.begin());
-    out->assign(1, -1); // separator: full | sb1
-    out = std::copy(comp.sb1.begin(), comp.sb1.end(), out + 1);
-    out->assign(1, -2); // separator: sb1 | sb2
-    std::copy(comp.sb2.begin(), comp.sb2.end(), out + 1);
-}
-
 } // namespace
 
 void
-fillComposition(const runtime::IterationSchedule &schedule,
+fillComposition(const runtime::IterationSchedule &schedule, int channels,
                 MixedComposition &mix)
 {
-    fillSeqLens(schedule.perChannel, mix.decode.full);
-    fillSeqLens(schedule.subBatches.sb1, mix.decode.sb1);
-    fillSeqLens(schedule.subBatches.sb2, mix.decode.sb2);
+    composeBatch(schedule.batch, channels, mix.decode);
     mix.prefill.clear();
     for (const auto &slice : schedule.prefill) {
         // Prefix-share pricing (DESIGN.md §13) needs no special case
@@ -209,12 +192,12 @@ gridCell(const double (&axis)[N], double v, std::size_t &lo, double &t)
 
 double
 calibratedSbiHideFraction(const DeviceConfig &cfg,
-                          double per_channel_sub_batch, double kv_len)
+                          double per_channel_sb, double kv_len)
 {
     const double(*surface)[3] = sbiHideSurface(cfg.memSched.kind);
     std::size_t i, j;
     double tx, ty;
-    gridCell(kSbiGridSubBatch, per_channel_sub_batch, i, tx);
+    gridCell(kSbiGridSubBatch, per_channel_sb, i, tx);
     gridCell(kSbiGridKvLen, kv_len, j, ty);
     double lo = surface[i][j] * (1.0 - ty) + surface[i][j + 1] * ty;
     double hi =
@@ -594,7 +577,7 @@ Cycle
 AnalyticIterationModel::iterationCycles(
     const runtime::IterationSchedule &schedule)
 {
-    fillComposition(schedule, mix_);
+    fillComposition(schedule, cfg_.org.channels, mix_);
     if (!mix_.hasDecode() && !mix_.hasPrefill()) {
         // Restore-only iteration (swap-in with no compute scheduled):
         // the host-link transfer is the whole span.
@@ -743,15 +726,14 @@ HybridIterationModel::engineCycles(const MixedComposition &mix,
 
     quantizeInto(mix.decode, quantized_);
     const BatchComposition &q = quantized_;
-    fillCompositionKey(q, key_);
-    auto it = cache_.find(key_);
+    auto it = cache_.find(q.full);
     if (it == cache_.end()) {
         if (!run_engine)
             return std::nullopt;
         int window =
             executor_.config().flags.subBatchInterleaving ? 3 : 2;
         auto result = executor_.runIteration(q, window, 1);
-        it = cache_.emplace(key_, result.iterationCycles).first;
+        it = cache_.emplace(q.full, result.iterationCycles).first;
         // Cache hits replay a latency; the memory system did not
         // execute again, so only engine runs add to the stats.
         memSchedAccum_ += result.memSched;
@@ -789,7 +771,7 @@ HybridIterationModel::iterationCycles(
     ++iter_;
     lastSig_ = sig;
     haveSig_ = true;
-    fillComposition(schedule, mix_);
+    fillComposition(schedule, executor_.config().org.channels, mix_);
     const MixedComposition &mix = mix_;
 
     if (!boundary && !forced) {

@@ -196,14 +196,13 @@ class AnalyticIterationModel : public runtime::IterationLatencyModel
  * is why the historical constant 0.25 left a ±9% gap no constant can
  * close.
  *
- * @param per_channel_sub_batch decode requests per channel in ONE
+ * @param per_channel_sb decode requests per channel in ONE
  *        Algorithm-3 sub-batch (batch / (2 x channels) for a uniform
  *        split)
  * @param kv_len mean KV context length of the batch
  */
 double calibratedSbiHideFraction(const DeviceConfig &cfg,
-                                 double per_channel_sub_batch,
-                                 double kv_len);
+                                 double per_channel_sb, double kv_len);
 
 /**
  * The engine-backed iteration model (hybrid fidelity): runs the
@@ -315,14 +314,14 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     DeviceExecutor executor_;
     AnalyticIterationModel analytic_;
     int sampleEvery_;
-    /** Engine cycles per quantized decode composition. */
+    /** Engine cycles per quantized decode composition, keyed on its
+     * per-channel lengths alone: the Algorithm-3 sub-batches are a
+     * function of them (composeBatch). */
     std::map<std::vector<std::vector<int>>, Cycle> cache_;
     /** Per-call scratch, refilled in place: the schedule's
-     * composition, its quantized decode part and that part's cache
-     * key. */
+     * composition and its quantized decode part. */
     MixedComposition mix_;
     BatchComposition quantized_;
-    std::vector<std::vector<int>> key_;
     /** Measured/analytic quotient of the latest engine run: prices
      * prefill-only iterations. Unlike ratio_ it is taken per engine
      * run over decode work alone, not per sample over the iteration. */
@@ -343,13 +342,14 @@ class HybridIterationModel : public runtime::IterationLatencyModel
 };
 
 /**
- * Fill @p mix from @p schedule: the decode composition (full batch +
- * Algorithm-3 sub-batches), the prefill slices and the swap traffic.
- * @p mix's lists keep their storage, so a model refilling one member
- * composition every iteration allocates nothing (DESIGN.md §6).
+ * Fill @p mix from @p schedule on a device of @p channels channels:
+ * the decode composition (composeBatch over the schedule's batch), the
+ * prefill slices and the swap traffic. @p mix's lists keep their
+ * storage, so a model refilling one member composition every
+ * iteration allocates nothing (DESIGN.md §6).
  */
 void fillComposition(const runtime::IterationSchedule &schedule,
-                     MixedComposition &mix);
+                     int channels, MixedComposition &mix);
 
 } // namespace neupims::core
 

@@ -12,8 +12,9 @@ TransPimExecutor::roundCycles() const
     // One round opens one row in each bank: ceil(banks/4) grouped
     // activations paced by tRRD_L (with the tFAW window folded into
     // the 4-bank grouping), then the last group's tRCD + compute.
-    Cycle groups = static_cast<Cycle>((cfg_.parallelRows + 3) / 4);
-    return groups * cfg_.groupPace + cfg_.tRCD + cfg_.computePerRow;
+    const auto &t = dev_.timing;
+    Cycle groups = static_cast<Cycle>((t.pimParallelBanks + 3) / 4);
+    return groups * t.tRRD_L + t.tRCD + t.pimComputePerRow;
 }
 
 Cycle
@@ -23,11 +24,13 @@ TransPimExecutor::layerCycles(const model::LlmConfig &model, int tp,
     NEUPIMS_ASSERT(batch >= 1 && avg_seq_len >= 1.0);
     const Bytes weight_bytes = model.weightBytesPerLayer(tp);
     const Bytes bytes_per_round =
-        cfg_.pageBytes * static_cast<Bytes>(cfg_.parallelRows);
+        dev_.org.pageBytes *
+        static_cast<Bytes>(dev_.timing.pimParallelBanks);
+    const int channels = dev_.org.channels;
 
     // Weights are sharded across channels; one token's pass sweeps
     // this channel's shard once.
-    Bytes shard = weight_bytes / static_cast<Bytes>(cfg_.channels);
+    Bytes shard = weight_bytes / static_cast<Bytes>(channels);
     Cycle rounds_per_token =
         static_cast<Cycle>((shard + bytes_per_round - 1) /
                            bytes_per_round);
@@ -38,7 +41,7 @@ TransPimExecutor::layerCycles(const model::LlmConfig &model, int tp,
     // broadcast is not amortized — the core inefficiency the paper
     // calls out.
     Cycle per_token =
-        rounds_per_token * (roundCycles() + cfg_.ringBroadcastPerPage);
+        rounds_per_token * (roundCycles() + kRingBroadcastPerPage);
 
     // No batching: every request's token repeats the sweep.
     Cycle gemm_cycles = per_token * static_cast<Cycle>(batch);
@@ -50,11 +53,11 @@ TransPimExecutor::layerCycles(const model::LlmConfig &model, int tp,
                                   model.dModelPerDevice(tp)) *
                               2.0;
     double kv_rounds = kv_bytes_per_req * batch /
-                       static_cast<double>(cfg_.channels) /
+                       static_cast<double>(channels) /
                        static_cast<double>(bytes_per_round);
     Cycle mha_cycles = static_cast<Cycle>(
         kv_rounds * static_cast<double>(roundCycles() +
-                                        cfg_.ringBroadcastPerPage));
+                                        kRingBroadcastPerPage));
 
     return gemm_cycles + mha_cycles;
 }

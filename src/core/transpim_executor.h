@@ -26,33 +26,22 @@
 
 namespace neupims::core {
 
-struct TransPimConfig
+/**
+ * TransPIM on the NeuPIMs device's memory (Table 2): its banks keep
+ * the same in-bank power envelope (TimingParams::pimParallelBanks
+ * rows per round), activation pacing (tRRD_L), tRCD and per-row
+ * compute, and its weights shard over the same channels and pages.
+ */
+class TransPimExecutor
 {
+  public:
     /**
      * Cycles to ring-broadcast one operand page across the banks'
      * token ring (one hop per bank on the daisy chain).
      */
-    Cycle ringBroadcastPerPage = 128;
-    /**
-     * Rows processed in parallel per round — the same in-bank power
-     * envelope that limits the NeuPIMs PIM (TimingParams::
-     * pimParallelBanks) applies to TransPIM's banks.
-     */
-    int parallelRows = 8;
-    /** Activation-wave pacing of one 4-bank group (tRRD_L). */
-    Cycle groupPace = 6;
-    Cycle tRCD = 14;
-    Cycle computePerRow = 80;
-    int channels = 32;
-    Bytes pageBytes = 1024;
-};
+    static constexpr Cycle kRingBroadcastPerPage = 128;
 
-class TransPimExecutor
-{
-  public:
-    explicit TransPimExecutor(const TransPimConfig &cfg) : cfg_(cfg) {}
-
-    const TransPimConfig &config() const { return cfg_; }
+    explicit TransPimExecutor(const DeviceConfig &dev) : dev_(dev) {}
 
     /** Cycles for one full round of all banks (activation wave). */
     Cycle roundCycles() const;
@@ -70,7 +59,7 @@ class TransPimExecutor
                       int batch, double avg_seq_len) const;
 
   private:
-    TransPimConfig cfg_;
+    DeviceConfig dev_;
 };
 
 } // namespace neupims::core

@@ -76,16 +76,6 @@ class PowerModel
     /** Average power over the window, milliwatts (incl. background). */
     double averagePowerMw(const ChannelActivity &a) const;
 
-    /**
-     * Energy per token-equivalent work unit: callers divide energy by
-     * their own work metric; provided here for symmetry in benches.
-     */
-    double
-    energyNj(const ChannelActivity &a) const
-    {
-        return energyPj(a) * 1e-3;
-    }
-
     const PowerParams &params() const { return params_; }
 
   private:

@@ -32,15 +32,6 @@ LayerPlan::gemmWeightBytes() const
     return total;
 }
 
-Flops
-LayerPlan::prefillAttnFlops() const
-{
-    Flops total = 0.0;
-    for (const auto &p : prefillAttn)
-        total += p.flops;
-    return total;
-}
-
 Compiler::Compiler(const LlmConfig &cfg, int tp, const MemShape &mem)
     : cfg_(cfg), tp_(tp), mem_(mem)
 {

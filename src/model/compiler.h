@@ -23,7 +23,6 @@
 
 #include "common/types.h"
 #include "model/llm_config.h"
-#include "model/operators.h"
 #include "npu/systolic_array.h"
 
 namespace neupims::model {
@@ -132,13 +131,6 @@ struct MhaWork
     std::uint64_t totalSoftmaxElems = 0;
     Bytes kvReadBytes = 0; ///< total K+V bytes the GEMVs consume
     int headsPerDevice = 1; ///< per-head kernel split for the baseline
-
-    Flops
-    flops() const
-    {
-        // Logit and attend each do one MAC per cached KV element.
-        return 2.0 * static_cast<double>(kvReadBytes);
-    }
 };
 
 /**
@@ -159,8 +151,6 @@ struct LayerPlan
 
     Flops gemmFlops() const;
     Bytes gemmWeightBytes() const;
-    /** Total NPU-side prefill-attention FLOPs (logit + attend). */
-    Flops prefillAttnFlops() const;
 };
 
 class Compiler

@@ -11,7 +11,7 @@ namespace neupims::runtime {
 namespace {
 
 /** Empty @p s for the next boundary, keeping every list's storage
- * (perChannel, subBatches and channelLoads are refilled whole). */
+ * (channelLoads is refilled whole). */
 void
 clearSchedule(IterationSchedule &s)
 {
@@ -729,8 +729,6 @@ BatchScheduler::scheduleIteration(Cycle now)
         restorePreempted(out, loads);
     }
 
-    groupByChannel(out.batch, cfg_.channels, out.perChannel);
-    partitionSubBatches(out.perChannel, out.subBatches);
     if (fault_ && fault_->enabled() && fault_->anySlowdown(now_)) {
         out.channelSlowdowns.assign(
             static_cast<std::size_t>(cfg_.channels), 1.0);

@@ -12,8 +12,9 @@
  * schedules prefill slices against the per-iteration token budget —
  * either piggybacked onto the decode iteration (the prompt GEMM rows
  * ride the NPU while the PIM side runs decode MHA) or as dedicated
- * prefill-only iterations — and partitions the active decode batch
- * into two sub-batches for interleaving.
+ * prefill-only iterations. The schedule says which requests run on
+ * which channel; the iteration models split the decode batch into
+ * Algorithm-3 sub-batches where they price it.
  *
  * Every *ordering* decision the scheduler makes — admission order,
  * prefill-token-budget sharing, victim scoring under memory pressure,
@@ -47,7 +48,6 @@
 #include "runtime/latency_model.h"
 #include "runtime/request_pool.h"
 #include "runtime/sched_policy.h"
-#include "runtime/sub_batch.h"
 
 namespace neupims::runtime {
 
@@ -163,10 +163,10 @@ struct PrefillSlice
 /** The work the scheduler hands the executor for one iteration. */
 struct IterationSchedule
 {
-    /** Decode-phase participants: each emits one token this iteration. */
+    /** Decode-phase participants: each emits one token this
+     * iteration, on its request's channel. How they execute (the
+     * Algorithm-3 split) is the iteration model's to decide. */
     std::vector<Request *> batch;
-    std::vector<std::vector<Request *>> perChannel;
-    SubBatches subBatches;
     /** Prefill slices scheduled this iteration (FIFO by admission). */
     std::vector<PrefillSlice> prefill;
     std::vector<double> channelLoads; ///< Algorithm-1 estimates

@@ -8,20 +8,6 @@
 
 namespace neupims::runtime {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::ChannelFail:
-        return "fail";
-    case FaultKind::Brownout:
-        return "brownout";
-    case FaultKind::Straggler:
-        return "straggler";
-    }
-    return "?";
-}
-
 namespace {
 
 FaultKind

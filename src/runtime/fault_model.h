@@ -42,8 +42,6 @@ enum class FaultKind : std::uint8_t
     Straggler,   ///< iteration contribution inflated for a window
 };
 
-const char *faultKindName(FaultKind kind);
-
 /** One scheduled fault event. */
 struct FaultEvent
 {
@@ -115,7 +113,6 @@ class FaultModel
     bool failed(ChannelId channel) const;
 
     int offlineCount() const;
-    int onlineCount() const { return channels_ - offlineCount(); }
 
     /** Straggler inflation factor for @p channel at @p now (1.0 when
      * no window covers it; windows never deflate). */

@@ -329,35 +329,31 @@ ServingEngine::run()
         int prefill_tokens = schedule.prefillTokens();
         int retired = scheduler_.completeIteration(schedule);
 
-        if (cfg_.recordTrace) {
-            IterationTraceRow row;
-            row.iteration = iteration;
-            row.startCycle = now;
-            row.iterationCycles = iter_cycles;
-            row.batch = schedule.batchSize();
-            row.prefilling = static_cast<int>(schedule.prefill.size());
-            row.prefillTokens = prefill_tokens;
-            row.admitted = schedule.admitted;
-            row.retired = retired;
-            row.dropped = pendingDrops;
-            row.waiting = static_cast<int>(pool_.waitingCount());
-            row.maxChannelLoad = max_load;
-            row.kvUtilization = kv_.utilization();
-            row.preempted =
-                static_cast<int>(schedule.preemptedNow.size());
-            row.restored =
-                static_cast<int>(schedule.restoredNow.size());
-            row.preemptedPool =
-                static_cast<int>(pool_.preemptedCount());
-            row.swapOutBytes = schedule.swapOutBytes;
-            row.swapInBytes = schedule.swapInBytes;
-            row.timedOut = pendingTimedOut;
-            row.shed = pendingShed;
-            row.retriesScheduled = pendingRetries;
-            row.faultPreempted = pendingFaultPreempted;
-            row.offlineChannels = fault_.offlineCount();
-            trace_.push_back(row);
-        }
+        IterationTraceRow row;
+        row.iteration = iteration;
+        row.startCycle = now;
+        row.iterationCycles = iter_cycles;
+        row.batch = schedule.batchSize();
+        row.prefilling = static_cast<int>(schedule.prefill.size());
+        row.prefillTokens = prefill_tokens;
+        row.admitted = schedule.admitted;
+        row.retired = retired;
+        row.dropped = pendingDrops;
+        row.waiting = static_cast<int>(pool_.waitingCount());
+        row.maxChannelLoad = max_load;
+        row.kvUtilization = kv_.utilization();
+        row.preempted = static_cast<int>(schedule.preemptedNow.size());
+        row.restored = static_cast<int>(schedule.restoredNow.size());
+        row.preemptedPool = static_cast<int>(pool_.preemptedCount());
+        row.swapOutBytes = schedule.swapOutBytes;
+        row.swapInBytes = schedule.swapInBytes;
+        row.timedOut = pendingTimedOut;
+        row.shed = pendingShed;
+        row.retriesScheduled = pendingRetries;
+        row.faultPreempted = pendingFaultPreempted;
+        row.offlineChannels = fault_.offlineCount();
+        trace_.push_back(row);
+
         pendingDrops = 0;
         pendingTimedOut = 0;
         pendingShed = 0;

@@ -116,8 +116,6 @@ struct ServingConfig
     Cycle maxCycles = kCycleMax;
     /** Safety iteration cap (0 = unbounded). */
     int maxIterations = 0;
-    /** Keep the per-iteration trace rows (golden tests, debugging). */
-    bool recordTrace = true;
 };
 
 /** One row of the per-iteration serving trace. */
@@ -305,7 +303,7 @@ class ServingEngine
      */
     ServingReport run();
 
-    /** Per-iteration rows (filled when cfg.recordTrace). */
+    /** Per-iteration rows, one per executed iteration. */
     const std::vector<IterationTraceRow> &trace() const { return trace_; }
 
     const RequestPool &pool() const { return pool_; }

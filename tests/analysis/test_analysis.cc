@@ -37,7 +37,7 @@ TEST(Roofline, GenerationGemvIsMemoryBoundAtAnyBatch)
         auto pts = rooflinePoints(model::gpt3_13b(), machine, batch,
                                   376);
         for (const auto &p : pts) {
-            if (p.phase == model::Phase::Generation &&
+            if (p.phase == Phase::Generation &&
                 p.operatorGroup == "Logit/Attend") {
                 EXPECT_TRUE(p.memoryBound) << "batch " << batch;
                 EXPECT_NEAR(p.intensity, 1.0, 0.2);
@@ -51,7 +51,7 @@ TEST(Roofline, SummarizationIsComputeBound)
     MachineSpec machine;
     auto pts = rooflinePoints(model::gpt3_175b(), machine, 8, 376);
     for (const auto &p : pts) {
-        if (p.phase == model::Phase::Summarization) {
+        if (p.phase == Phase::Summarization) {
             EXPECT_FALSE(p.memoryBound) << p.operatorGroup;
         }
     }
@@ -65,7 +65,7 @@ TEST(Roofline, BatchingRescuesWeightGemmsOnly)
     auto find = [](const std::vector<RooflinePoint> &pts,
                    const char *group) {
         for (const auto &p : pts) {
-            if (p.phase == model::Phase::Generation &&
+            if (p.phase == Phase::Generation &&
                 p.operatorGroup == group)
                 return p;
         }

@@ -86,12 +86,7 @@ TEST(BatchBuilder, CompositionCoversAllSamples)
     auto comp = buildComposition(samples, dev.org.channels, true,
                                  latencyParamsFor(dev, llm, 4));
     EXPECT_EQ(comp.batchSize(), 37);
-    int sb = 0;
-    for (const auto &ch : comp.sb1)
-        sb += static_cast<int>(ch.size());
-    for (const auto &ch : comp.sb2)
-        sb += static_cast<int>(ch.size());
-    EXPECT_EQ(sb, 37);
+    EXPECT_EQ(requestCount(comp.sb1) + requestCount(comp.sb2), 37);
 }
 
 TEST(BatchBuilder, SeqLensIncludeProgress)
@@ -191,16 +186,17 @@ TEST(GpuModel, ThroughputGrowsSubLinearlyWithBatch)
 
 TEST(TransPim, RoundCyclesMatchFormula)
 {
-    TransPimConfig cfg;
-    TransPimExecutor tp(cfg);
-    Cycle groups = (cfg.parallelRows + 3) / 4;
+    const auto dev = DeviceConfig::neuPims();
+    TransPimExecutor tp(dev);
+    const auto &t = dev.timing;
+    Cycle groups = (t.pimParallelBanks + 3) / 4;
     EXPECT_EQ(tp.roundCycles(),
-              groups * cfg.groupPace + cfg.tRCD + cfg.computePerRow);
+              groups * t.tRRD_L + t.tRCD + t.pimComputePerRow);
 }
 
 TEST(TransPim, NoBatchAmortization)
 {
-    TransPimExecutor tp{TransPimConfig{}};
+    TransPimExecutor tp{DeviceConfig::neuPims()};
     auto llm = model::gpt3_7b();
     Cycle one = tp.layerCycles(llm, 4, 1, 300);
     Cycle many = tp.layerCycles(llm, 4, 64, 300);
@@ -210,7 +206,7 @@ TEST(TransPim, NoBatchAmortization)
 
 TEST(TransPim, ThroughputFlatAcrossBatch)
 {
-    TransPimExecutor tp{TransPimConfig{}};
+    TransPimExecutor tp{DeviceConfig::neuPims()};
     auto llm = model::gpt3_7b();
     double t64 = tp.throughput(llm, 4, 1, 64, 300);
     double t512 = tp.throughput(llm, 4, 1, 512, 300);

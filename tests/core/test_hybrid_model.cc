@@ -19,7 +19,6 @@
 #include "core/iteration_model.h"
 #include "core/serving_setup.h"
 #include "runtime/batch_scheduler.h"
-#include "runtime/sub_batch.h"
 
 namespace neupims::core {
 namespace {
@@ -46,12 +45,13 @@ testDevice()
     return dev;
 }
 
-/** @p schedule's composition, filled into fresh storage. */
+/** @p schedule's composition on the 32-channel test devices, filled
+ * into fresh storage. */
 MixedComposition
 freshComposition(const runtime::IterationSchedule &schedule)
 {
     MixedComposition mix;
-    fillComposition(schedule, mix);
+    fillComposition(schedule, DeviceConfig::neuPims().org.channels, mix);
     return mix;
 }
 
@@ -68,7 +68,6 @@ class ScheduleFactory
     make(const std::vector<std::vector<int>> &per_channel)
     {
         runtime::IterationSchedule s;
-        s.perChannel.resize(per_channel.size());
         for (std::size_t ch = 0; ch < per_channel.size(); ++ch) {
             for (int len : per_channel[ch]) {
                 requests_.emplace_back();
@@ -78,10 +77,8 @@ class ScheduleFactory
                 req.inputLength = len;
                 req.phase = runtime::RequestPhase::Decode;
                 s.batch.push_back(&req);
-                s.perChannel[ch].push_back(&req);
             }
         }
-        runtime::partitionSubBatches(s.perChannel, s.subBatches);
         return s;
     }
 

@@ -10,9 +10,9 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "core/batch_builder.h"
 #include "runtime/bin_packing.h"
 #include "runtime/latency_model.h"
-#include "runtime/sub_batch.h"
 
 namespace neupims::runtime {
 namespace {
@@ -184,18 +184,29 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PackingProperty,
 
 // --- Algorithm 3 ------------------------------------------------------
 
+using core::BatchComposition;
+using core::composeBatch;
+using core::requestCount;
+
+/** Assign @p reqs[i] to @p channels[i]. */
+void
+assignChannels(std::vector<Request> &reqs,
+               const std::vector<ChannelId> &channels)
+{
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        reqs[i].channel = channels[i];
+}
+
 TEST(SubBatchPartitioning, EvenChannelSplitsExactly)
 {
     auto reqs = makeRequests({1, 2, 3, 4});
-    std::vector<std::vector<Request *>> per_channel(2);
-    per_channel[0] = {&reqs[0], &reqs[1]};
-    per_channel[1] = {&reqs[2], &reqs[3]};
-    SubBatches sb;
-    partitionSubBatches(per_channel, sb);
-    EXPECT_EQ(sb.size1(), 2);
-    EXPECT_EQ(sb.size2(), 2);
-    EXPECT_EQ(sb.sb1[0].size(), 1u);
-    EXPECT_EQ(sb.sb2[0].size(), 1u);
+    assignChannels(reqs, {0, 0, 1, 1});
+    BatchComposition comp;
+    composeBatch(pointers(reqs), 2, comp);
+    EXPECT_EQ(requestCount(comp.sb1), 2);
+    EXPECT_EQ(requestCount(comp.sb2), 2);
+    EXPECT_EQ(comp.sb1[0].size(), 1u);
+    EXPECT_EQ(comp.sb2[0].size(), 1u);
 }
 
 TEST(SubBatchPartitioning, OddCountsAlternateViaTurn)
@@ -203,79 +214,66 @@ TEST(SubBatchPartitioning, OddCountsAlternateViaTurn)
     // Three channels with odd counts: the extra request alternates
     // between sub-batches (Algorithm 3's `turn`).
     auto reqs = makeRequests(std::vector<int>(9, 10));
-    std::vector<std::vector<Request *>> per_channel(3);
-    per_channel[0] = {&reqs[0], &reqs[1], &reqs[2]};
-    per_channel[1] = {&reqs[3], &reqs[4], &reqs[5]};
-    per_channel[2] = {&reqs[6], &reqs[7], &reqs[8]};
-    SubBatches sb;
-    partitionSubBatches(per_channel, sb);
-    EXPECT_EQ(sb.sb1[0].size(), 2u); // turn=true: ceil
-    EXPECT_EQ(sb.sb1[1].size(), 1u); // turn=false: floor
-    EXPECT_EQ(sb.sb1[2].size(), 2u); // turn=true again
-    EXPECT_LE(std::abs(sb.size1() - sb.size2()), 1);
+    assignChannels(reqs, {0, 0, 0, 1, 1, 1, 2, 2, 2});
+    BatchComposition comp;
+    composeBatch(pointers(reqs), 3, comp);
+    EXPECT_EQ(comp.sb1[0].size(), 2u); // turn=true: ceil
+    EXPECT_EQ(comp.sb1[1].size(), 1u); // turn=false: floor
+    EXPECT_EQ(comp.sb1[2].size(), 2u); // turn=true again
+    EXPECT_LE(std::abs(requestCount(comp.sb1) - requestCount(comp.sb2)),
+              1);
 }
 
 TEST(SubBatchPartitioning, EmptyChannelsAreFine)
 {
-    std::vector<std::vector<Request *>> per_channel(4);
     auto reqs = makeRequests({10});
-    per_channel[2] = {&reqs[0]};
-    SubBatches sb;
-    partitionSubBatches(per_channel, sb);
-    EXPECT_EQ(sb.size1() + sb.size2(), 1);
+    assignChannels(reqs, {2});
+    BatchComposition comp;
+    composeBatch(pointers(reqs), 4, comp);
+    EXPECT_EQ(requestCount(comp.sb1) + requestCount(comp.sb2), 1);
 }
 
-TEST(GroupByChannel, GroupsAndPreservesOrder)
+TEST(ComposeBatch, GroupsAndPreservesOrder)
 {
     auto reqs = makeRequests({1, 2, 3});
-    reqs[0].channel = 1;
-    reqs[1].channel = 0;
-    reqs[2].channel = 1;
-    std::vector<Request *> flat = {&reqs[0], &reqs[1], &reqs[2]};
-    std::vector<std::vector<Request *>> grouped;
-    groupByChannel(flat, 2, grouped);
-    ASSERT_EQ(grouped[1].size(), 2u);
-    EXPECT_EQ(grouped[1][0]->id, 0);
-    EXPECT_EQ(grouped[1][1]->id, 2);
+    assignChannels(reqs, {1, 0, 1});
+    BatchComposition comp;
+    composeBatch(pointers(reqs), 2, comp);
+    EXPECT_EQ(comp.full[1], (std::vector<int>{1, 3}));
+    EXPECT_EQ(comp.full[0], (std::vector<int>{2}));
 }
 
-TEST(GroupByChannel, RefillMatchesAFreshFill)
+TEST(ComposeBatch, RefillMatchesAFreshFill)
 {
-    // Grouping and partitioning into storage a larger batch filled
-    // before must leave exactly what a fresh fill does: no request of
-    // the earlier batch survives in any list.
+    // Composing into storage a larger batch filled before must leave
+    // exactly what a fresh fill does: no request of the earlier batch
+    // survives in any list.
     auto reqs = makeRequests({1, 2, 3, 4, 5, 6, 7});
     for (std::size_t i = 0; i < reqs.size(); ++i)
         reqs[i].channel = static_cast<ChannelId>(i % 3);
-    std::vector<Request *> big, small;
-    for (auto &r : reqs)
-        big.push_back(&r);
-    small = {&reqs[5], &reqs[1], &reqs[3]};
+    std::vector<Request *> big = pointers(reqs);
+    std::vector<Request *> small = {&reqs[5], &reqs[1], &reqs[3]};
 
-    std::vector<std::vector<Request *>> reused, fresh;
-    SubBatches reusedSubs, freshSubs;
-    groupByChannel(big, 3, reused);
-    partitionSubBatches(reused, reusedSubs);
-    groupByChannel(small, 3, reused);
-    partitionSubBatches(reused, reusedSubs);
-    groupByChannel(small, 3, fresh);
-    partitionSubBatches(fresh, freshSubs);
-    EXPECT_EQ(reused, fresh);
-    EXPECT_EQ(reusedSubs.sb1, freshSubs.sb1);
-    EXPECT_EQ(reusedSubs.sb2, freshSubs.sb2);
-    EXPECT_EQ(reusedSubs.size1() + reusedSubs.size2(), 3);
+    BatchComposition reused, fresh;
+    composeBatch(big, 3, reused);
+    composeBatch(small, 3, reused);
+    composeBatch(small, 3, fresh);
+    EXPECT_EQ(reused.full, fresh.full);
+    EXPECT_EQ(reused.sb1, fresh.sb1);
+    EXPECT_EQ(reused.sb2, fresh.sb2);
+    EXPECT_EQ(requestCount(reused.sb1) + requestCount(reused.sb2), 3);
 }
 
-TEST(GroupByChannelDeathTest, UnassignedRequestPanics)
+TEST(ComposeBatchDeathTest, UnassignedRequestPanics)
 {
     auto reqs = makeRequests({1});
-    std::vector<Request *> flat = {&reqs[0]};
-    std::vector<std::vector<Request *>> grouped;
-    EXPECT_DEATH(groupByChannel(flat, 2, grouped), "no channel");
+    BatchComposition comp;
+    EXPECT_DEATH(composeBatch(pointers(reqs), 2, comp), "no channel");
 }
 
-/** Property: partition preserves every request exactly once and
- * keeps totals within one. */
+/** Property: partition preserves every request exactly once, keeps
+ * totals within one and splits each channel's list into a front and
+ * a back half (sb1 ++ sb2 == full). */
 class SubBatchProperty : public ::testing::TestWithParam<std::uint64_t>
 {};
 
@@ -284,8 +282,6 @@ TEST_P(SubBatchProperty, PartitionIsExact)
     Rng rng(GetParam());
     const int channels = 8;
     std::vector<Request> reqs;
-    reqs.reserve(256);
-    std::vector<std::vector<Request *>> per_channel(channels);
     int n = static_cast<int>(rng.uniformInt(1, 200));
     for (int i = 0; i < n; ++i) {
         Request r;
@@ -295,17 +291,22 @@ TEST_P(SubBatchProperty, PartitionIsExact)
             rng.uniformInt(0, channels - 1));
         reqs.push_back(r);
     }
-    for (auto &r : reqs)
-        per_channel[r.channel].push_back(&r);
-    SubBatches sb;
-    partitionSubBatches(per_channel, sb);
-    EXPECT_EQ(sb.size1() + sb.size2(), n);
-    EXPECT_LE(std::abs(sb.size1() - sb.size2()), 1);
-    // Per channel: the two halves differ by at most one.
+    BatchComposition comp;
+    composeBatch(pointers(reqs), channels, comp);
+    EXPECT_EQ(requestCount(comp.sb1) + requestCount(comp.sb2), n);
+    EXPECT_LE(std::abs(requestCount(comp.sb1) - requestCount(comp.sb2)),
+              1);
     for (int ch = 0; ch < channels; ++ch) {
-        int d = static_cast<int>(sb.sb1[ch].size()) -
-                static_cast<int>(sb.sb2[ch].size());
+        // Per channel: the two halves differ by at most one ...
+        int d = static_cast<int>(comp.sb1[ch].size()) -
+                static_cast<int>(comp.sb2[ch].size());
         EXPECT_LE(std::abs(d), 1);
+        // ... and concatenate to the channel's list, which is what
+        // lets the engine-run cache key on the full lists alone.
+        std::vector<int> joined = comp.sb1[ch];
+        joined.insert(joined.end(), comp.sb2[ch].begin(),
+                      comp.sb2[ch].end());
+        EXPECT_EQ(joined, comp.full[ch]) << "channel " << ch;
     }
 }
 

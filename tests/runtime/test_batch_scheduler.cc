@@ -1,19 +1,23 @@
 /**
  * @file
  * Integration tests of the Orca-style iteration-level scheduler:
- * admission under KV pressure, channel assignment policies, sub-batch
- * production and retirement. Admission enters the prefill phase, so a
- * request placed at one boundary joins the decode batch only after
- * its prompt pass (the default 256-token chunk covers every prompt
- * here in one iteration).
+ * admission under KV pressure, channel assignment policies, the
+ * Algorithm-3 split of the batches it schedules and retirement.
+ * Admission enters the prefill phase, so a request placed at one
+ * boundary joins the decode batch only after its prompt pass (the
+ * default 256-token chunk covers every prompt here in one
+ * iteration).
  */
 
 #include <gtest/gtest.h>
 
+#include "core/batch_builder.h"
 #include "runtime/batch_scheduler.h"
 
 namespace neupims::runtime {
 namespace {
+
+using core::requestCount;
 
 class BatchSchedulerTest : public ::testing::Test
 {
@@ -130,9 +134,11 @@ TEST_F(BatchSchedulerTest, SubBatchesCoverBatch)
         pool.submit(10, 5);
     auto it = admitAndPrefill(sched);
     ASSERT_EQ(it.batchSize(), 11);
-    EXPECT_EQ(it.subBatches.size1() + it.subBatches.size2(),
+    core::BatchComposition comp;
+    core::composeBatch(it.batch, 4, comp);
+    EXPECT_EQ(requestCount(comp.sb1) + requestCount(comp.sb2),
               it.batchSize());
-    EXPECT_LE(std::abs(it.subBatches.size1() - it.subBatches.size2()),
+    EXPECT_LE(std::abs(requestCount(comp.sb1) - requestCount(comp.sb2)),
               1);
 }
 
@@ -209,10 +215,11 @@ TEST_F(BatchSchedulerTest, SeqLensMatchRequests)
     pool.submit(25, 5);
     pool.submit(35, 5);
     auto it = admitAndPrefill(sched);
+    core::BatchComposition comp;
+    core::composeBatch(it.batch, 4, comp);
     int total = 0;
-    for (const auto &ch : it.perChannel)
-        for (const Request *r : ch) {
-            int l = r->currentSeqLen();
+    for (const auto &ch : comp.full)
+        for (int l : ch) {
             EXPECT_TRUE(l == 25 || l == 35);
             ++total;
         }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/batch_builder.h"
 #include "runtime/batch_scheduler.h"
 
 namespace neupims::runtime {
@@ -107,10 +108,12 @@ checkInvariants(const TrialConfig &t, RequestPool &pool,
     // The schedule respects the admission bound and the sub-batch
     // partition covers the batch with balanced halves.
     EXPECT_LE(schedule.batchSize(), t.maxBatch);
-    EXPECT_EQ(schedule.subBatches.size1() + schedule.subBatches.size2(),
+    core::BatchComposition comp;
+    core::composeBatch(schedule.batch, t.channels, comp);
+    EXPECT_EQ(core::requestCount(comp.sb1) + core::requestCount(comp.sb2),
               schedule.batchSize());
-    EXPECT_LE(std::abs(schedule.subBatches.size1() -
-                       schedule.subBatches.size2()),
+    EXPECT_LE(std::abs(core::requestCount(comp.sb1) -
+                       core::requestCount(comp.sb2)),
               1);
 
     // Every running request is placed consistently, and every token
