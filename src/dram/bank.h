@@ -25,6 +25,7 @@
 #define NEUPIMS_DRAM_BANK_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -197,6 +198,76 @@ class BankArray
         for (Cycle c : pimNextPre_)
             when = std::max(when, c);
         return when;
+    }
+
+    /**
+     * Append what a MEM-only stretch reads or writes, bank by bank from
+     * @p origin on (DESIGN.md §3.6): each timestamp relative to @p now,
+     * 0 once it no longer binds, and each open MEM row as its linear
+     * index row * banks + bank relative to @p lin. A single-buffer bank
+     * adds its PIM activate readiness, which a MEM precharge moves; its
+     * other PIM-side state equals the MEM side's.
+     */
+    void
+    normalize(std::vector<Cycle> &out, Cycle now, BankId origin,
+              std::int64_t lin) const
+    {
+        const int n = size();
+        auto rel = [now](Cycle c) { return c > now ? c - now : 0; };
+        for (int k = 0; k < n; ++k) {
+            const std::size_t i = idx((origin + k) % n);
+            const int row = memOpenRow_[i];
+            // A closed row maps where no linear index difference can.
+            out.push_back(row < 0 ? Cycle{1} << 63
+                                  : static_cast<Cycle>(
+                                        std::int64_t{row} * n +
+                                        static_cast<std::int64_t>(i) - lin));
+            out.push_back(rel(nextActAny_[i]));
+            out.push_back(rel(memNextAct_[i]));
+            out.push_back(rel(memNextColumn_[i]));
+            out.push_back(rel(memNextPre_[i]));
+            if (!dualRowBuffers_)
+                out.push_back(rel(pimNextAct_[i]));
+        }
+    }
+
+    /**
+     * Move the state @p periods of a MEM-only stretch ahead: each
+     * timestamp @p dt later, each bank's state @p rows banks up and
+     * each open row @p rows linear indices on (DESIGN.md §3.6). Dual
+     * buffers keep their PIM side, which MEM commands never touch.
+     */
+    void
+    advance(Cycle dt, std::int64_t rows)
+    {
+        const int n = size();
+        const auto r = static_cast<std::ptrdiff_t>(rows % n);
+        auto move = [&](auto &v, bool timestamps) {
+            std::rotate(v.begin(), v.end() - r, v.end());
+            if (timestamps)
+                for (auto &c : v)
+                    c += dt;
+        };
+        // Bank k now holds bank k - r's row, rows linear indices on: a
+        // bank that wrapped past the last one sits one row further.
+        auto moveRows = [&](std::vector<int> &v) {
+            move(v, false);
+            for (int k = 0; k < n; ++k) {
+                if (v[idx(k)] >= 0)
+                    v[idx(k)] += static_cast<int>(rows / n) + (k < r);
+            }
+        };
+        moveRows(memOpenRow_);
+        move(nextActAny_, true);
+        move(memNextAct_, true);
+        move(memNextColumn_, true);
+        move(memNextPre_, true);
+        if (!dualRowBuffers_) {
+            moveRows(pimOpenRow_);
+            move(pimNextAct_, true);
+            move(pimNextColumn_, true);
+            move(pimNextPre_, true);
+        }
     }
 
   private:

@@ -33,8 +33,11 @@ Channel::issueActivate(BankId bank, BufferSide side, int row,
     recordActivate(bank, when);
     caNextFree_ = when + t.caMemCmd;
     caBusyCycles_ += t.caMemCmd;
-    counts_.record(side == BufferSide::Pim ? CommandType::PimActivate
-                                           : CommandType::Act);
+    const CommandType type =
+        side == BufferSide::Pim ? CommandType::PimActivate : CommandType::Act;
+    counts_.record(type);
+    if (sink_)
+        sink_->push_back({when, type, bank, row});
     return when;
 }
 
@@ -73,7 +76,12 @@ Channel::issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
     tr.dataEnd = dataNextFree_ = last + lat + t.tBL;
     recordDataBusy(start, k, tr.step);
     dataBusBytes_ += org_->burstBytes * k;
-    counts_.record(write ? CommandType::Wr : CommandType::Rd, k);
+    const CommandType type = write ? CommandType::Wr : CommandType::Rd;
+    counts_.record(type, k);
+    if (sink_)
+        for (Cycle i = 0; i < k; ++i)
+            sink_->push_back({when0 + i * tr.step, type, bank,
+                              banks_.openRow(bank, side)});
     return tr;
 }
 
@@ -84,11 +92,16 @@ Channel::issuePrecharge(BankId bank, BufferSide side, Cycle not_before)
     Cycle when = std::max(not_before,
                           banks_.earliestPrecharge(bank, side));
     when = std::max(when, caNextFree_);
+    const int row = banks_.openRow(bank, side);
     banks_.precharge(bank, side, when);
     caNextFree_ = when + t.caMemCmd;
     caBusyCycles_ += t.caMemCmd;
-    counts_.record(side == BufferSide::Pim ? CommandType::PimPrecharge
-                                           : CommandType::Pre);
+    const CommandType type = side == BufferSide::Pim
+                                 ? CommandType::PimPrecharge
+                                 : CommandType::Pre;
+    counts_.record(type);
+    if (sink_)
+        sink_->push_back({when, type, bank, row});
     return when;
 }
 
@@ -104,6 +117,8 @@ Channel::issueRefresh(Cycle not_before)
     caNextFree_ = when + t.caMemCmd;
     caBusyCycles_ += t.caMemCmd;
     counts_.record(CommandType::Ref);
+    if (sink_)
+        sink_->push_back({when, CommandType::Ref, -1, -1});
     nextRefresh_ += t.tREFI * (1 + postponedRefreshes_);
     postponedRefreshes_ = 0;
     return when + t.tRFC;
@@ -139,6 +154,9 @@ Channel::issuePimActivateGroup(BankId first, int nbanks, int row,
         caBusyCycles_ += t.caPimCmd;
         counts_.record(CommandType::PimActivate);
     }
+    // Logged by its first bank, with or without a C/A slot.
+    if (sink_)
+        sink_->push_back({when, CommandType::PimActivate, first, row});
     return when;
 }
 
@@ -161,6 +179,8 @@ Channel::issuePimCaCommand(CommandType type, Cycle not_before)
     caNextFree_ = when + t.caPimCmd;
     caBusyCycles_ += t.caPimCmd;
     counts_.record(type);
+    if (sink_)
+        sink_->push_back({when, type, -1, -1});
     return when;
 }
 
@@ -175,6 +195,113 @@ Channel::reserveDataBus(Cycle not_before, int bursts)
     recordDataBusy(start, static_cast<Cycle>(bursts), t.tBL);
     dataBusBytes_ += org_->burstBytes * static_cast<Bytes>(bursts);
     return {start, end};
+}
+
+Channel::PeriodMark
+Channel::periodMark() const
+{
+    PeriodMark m;
+    m.spans = dataBusy_.size();
+    m.spanEnd = dataBusy_.empty() ? 0 : dataBusy_.back().end();
+    m.counts = counts_;
+    m.dataBytes = dataBusBytes_;
+    m.caBusy = caBusyCycles_;
+    m.logged = sink_ ? sink_->size() : 0;
+    return m;
+}
+
+void
+Channel::normalize(std::vector<Cycle> &out, Cycle now, BankId origin,
+                   std::int64_t lin) const
+{
+    const auto &t = *timing_;
+    // An ACT tracker binds while its cycle (stored + 1, 0 for none)
+    // plus its spacing lies ahead of now.
+    auto act = [now](Cycle stored, Cycle gap) -> Cycle {
+        return stored != 0 && stored - 1 + gap > now ? stored - 1 + gap - now
+                                                     : 0;
+    };
+    out.push_back(caNextFree_ > now ? caNextFree_ - now : 0);
+    out.push_back(dataNextFree_ - now);
+    out.push_back(dataBusy_.empty() ? 0 : dataBusy_.back().period);
+    const auto ring = static_cast<int>(actRing_.size());
+    for (int i = 0; i < ring; ++i)
+        out.push_back(act(actRing_[(actRingHead_ + i) % ring], t.tFAW));
+    out.push_back(act(lastActAny_, t.tRRD_S));
+    const auto groups = static_cast<int>(lastActPerGroup_.size());
+    for (int g = 0; g < groups; ++g)
+        out.push_back(act(lastActPerGroup_[static_cast<std::size_t>(
+                              (bankGroup(origin) + g) % groups)],
+                          t.tRRD_L));
+    out.push_back(static_cast<Cycle>(postponedRefreshes_));
+    banks_.normalize(out, now, origin, lin);
+}
+
+void
+Channel::advancePeriods(const PeriodMark &m, Cycle dt, std::int64_t rows,
+                        std::uint64_t k)
+{
+    const auto &t = *timing_;
+    const auto n = static_cast<std::int64_t>(numBanks());
+    // Busy spans: each period grows the span before it as the mark's
+    // period grew its last span, then appends copies of the spans it
+    // logged; copy those first, since growing the last span may grow
+    // one of them.
+    const Cycle grown_end = m.spans ? dataBusy_[m.spans - 1].end() : 0;
+    const Cycle period = m.spans ? dataBusy_[m.spans - 1].period : 1;
+    spanCopy_.assign(dataBusy_.begin() + static_cast<std::ptrdiff_t>(m.spans),
+                     dataBusy_.end());
+    for (Cycle j = 1; j <= k; ++j) {
+        if (grown_end > m.spanEnd)
+            recordDataBusy(m.spanEnd - t.tBL + period + j * dt,
+                           (grown_end - m.spanEnd) / period, period);
+        for (const BusySpan &s : spanCopy_)
+            recordDataBusy(s.start + j * dt, (s.length - t.tBL) / s.period + 1,
+                           s.period);
+    }
+    if (sink_) {
+        const std::size_t end = sink_->size();
+        for (std::int64_t j = 1; j <= static_cast<std::int64_t>(k); ++j) {
+            for (std::size_t q = m.logged; q < end; ++q) {
+                CommandRecord r = (*sink_)[q];
+                const std::int64_t lin = std::int64_t{r.row} * n + r.bank +
+                                         j * rows;
+                r.cycle += static_cast<Cycle>(j) * dt;
+                r.bank = static_cast<BankId>(lin % n);
+                r.row = static_cast<int>(lin / n);
+                sink_->push_back(r);
+            }
+        }
+    }
+    // Counters repeat.
+    for (int i = 0; i < kNumCommandTypes; ++i)
+        counts_.counts[i] += k * (counts_.counts[i] - m.counts.counts[i]);
+    dataBusBytes_ += k * (dataBusBytes_ - m.dataBytes);
+    caBusyCycles_ += k * (caBusyCycles_ - m.caBusy);
+
+    // The timing state, k periods on.
+    const Cycle shift = k * dt;
+    const std::int64_t moved = static_cast<std::int64_t>(k) * rows;
+    caNextFree_ += shift;
+    dataNextFree_ += shift;
+    auto later = [shift](Cycle &stored) {
+        if (stored != 0)
+            stored += shift;
+    };
+    // The ACT window holds no bank: only its order from the head is
+    // read, so it moves in place. The per-group trackers turn with the
+    // banks, whole groups at a time.
+    for (Cycle &c : actRing_)
+        later(c);
+    later(lastActAny_);
+    const auto groups = static_cast<std::int64_t>(lastActPerGroup_.size());
+    std::rotate(lastActPerGroup_.begin(),
+                lastActPerGroup_.end() -
+                    (moved / org_->banksPerGroup) % groups,
+                lastActPerGroup_.end());
+    for (Cycle &c : lastActPerGroup_)
+        later(c);
+    banks_.advance(shift, moved);
 }
 
 double

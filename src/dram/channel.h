@@ -137,7 +137,10 @@ class Channel
         dataNextFree_ = burst_start + t.tBL;
         recordDataBusy(burst_start, 1, t.tBL);
         dataBusBytes_ += org_->burstBytes;
-        counts_.record(write ? CommandType::Wr : CommandType::Rd);
+        const CommandType type = write ? CommandType::Wr : CommandType::Rd;
+        counts_.record(type);
+        if (sink_)
+            sink_->push_back({when, type, bank, banks_.openRow(bank, side)});
         return {when, burst_start + t.tBL};
     }
 
@@ -223,6 +226,58 @@ class Channel
      * order, so the running sum is the exact busy time. */
     Cycle caBusyCycles() const { return caBusyCycles_; }
 
+    // ------------------------------------------------------------------
+    // A test hook, and periods in closed form (DESIGN.md §3.6).
+    // ------------------------------------------------------------------
+
+    /**
+     * Log every command the channel issues into @p sink, or nothing
+     * when it is null: a hook for tests, costing one branch per issue
+     * primitive. A column train logs each burst; an advance over whole
+     * periods logs each command of every period it skips.
+     */
+    void setCommandSink(std::vector<CommandRecord> *sink) { sink_ = sink; }
+
+    /** The channel's logs and counters at one row admission: what an
+     * advance over whole periods repeats. */
+    struct PeriodMark
+    {
+        std::size_t spans = 0; ///< data-bus busy spans logged
+        Cycle spanEnd = 0;     ///< the last one's end
+        CommandCounts counts;
+        Bytes dataBytes = 0;
+        Cycle caBusy = 0;
+        std::size_t logged = 0; ///< command sink records
+    };
+    PeriodMark periodMark() const;
+
+    /**
+     * Append the timing state that MEM-only decisions read: the buses,
+     * the ACT window and tRRD trackers (bank groups from @p origin's on)
+     * and the banks (BankArray::normalize), each timestamp relative to
+     * @p now. The data bus's cursor stays exact: whether the next busy
+     * span continues the last one depends on it.
+     */
+    void normalize(std::vector<Cycle> &out, Cycle now, BankId origin,
+                   std::int64_t lin) const;
+
+    /** Whether the last busy span can grow @p cycles more. */
+    bool
+    spanRoom(Cycle cycles) const
+    {
+        return dataBusy_.empty() ||
+               UINT32_MAX - dataBusy_.back().length > cycles;
+    }
+
+    /**
+     * Repeat what the channel did since @p m @p k more times, the j-th
+     * copy j * @p dt later and j * @p rows banks and linear row indices
+     * on: its busy spans, counters and sink records. Then move its
+     * timing state to the end of the last copy.
+     */
+    void advancePeriods(const PeriodMark &m, Cycle dt, std::int64_t rows,
+                        std::uint64_t k);
+
   private:
     /** Commit an ACT at @p when into the tFAW ring / tRRD tracker. */
     void recordActivate(BankId bank, Cycle when);
@@ -282,7 +337,9 @@ class Channel
     CommandCounts counts_;
     Bytes dataBusBytes_ = 0;
     std::vector<BusySpan> dataBusy_;
+    std::vector<BusySpan> spanCopy_; ///< a period's spans, to repeat
     Cycle caBusyCycles_ = 0;
+    std::vector<CommandRecord> *sink_ = nullptr; ///< test hook
 };
 
 } // namespace neupims::dram

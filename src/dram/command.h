@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/types.h"
+
 namespace neupims::dram {
 
 enum class CommandType : std::uint8_t
@@ -101,6 +103,26 @@ struct CommandCounts
                 n += counts[i];
         }
         return n;
+    }
+};
+
+/**
+ * One issued command, as a channel's command sink logs it (a test
+ * hook, Channel::setCommandSink): each burst of a train and each
+ * command of a period an epoch advances in closed form gets its own.
+ */
+struct CommandRecord
+{
+    Cycle cycle = 0;
+    CommandType type = CommandType::Act;
+    BankId bank = -1; ///< the (first) bank; -1 for a channel-wide command
+    int row = -1;     ///< the row it opens, reads, writes or closes
+
+    bool
+    operator==(const CommandRecord &o) const
+    {
+        return cycle == o.cycle && type == o.type && bank == o.bank &&
+               row == o.row;
     }
 };
 

@@ -35,6 +35,9 @@ MemoryController::MemoryController(EventQueue &eq,
     memInFlight_.reserve(cfg_.memIssueWindow);
     // One process() call can complete several jobs.
     completions_.reserve(64);
+    // Periods of one and two bank groups' rows (DESIGN.md §3.6).
+    admitTimes_.assign(
+        static_cast<std::size_t>(4 * org.banksPerGroup + 1), 0);
 }
 
 void
@@ -57,7 +60,11 @@ MemoryController::enqueueMem(MemJob job)
         }
         s.done = freeDone_.back();
         freeDone_.pop_back();
-        streamDone_[s.done] = {std::move(job.onComplete), job.rows, 0};
+        streamDone_[s.done] = {
+            std::move(job.onComplete), job.rows, 0,
+            static_cast<std::uint64_t>(job.rows - 1) *
+                    static_cast<std::uint64_t>(s.bursts) +
+                static_cast<std::uint64_t>(s.tailBursts)};
     }
     queuedRows_ += static_cast<std::size_t>(job.rows);
     memQueue_.push_back(s);
@@ -168,6 +175,297 @@ MemoryController::advanceEpoch(Cycle end)
     epochEnd_ = end;
     process();
     epochEnd_ = 0;
+    // A mark's logs live in this epoch's chain; the admission ring only
+    // filters where to mark, so it carries on.
+    mark_.valid = false;
+}
+
+Cycle
+MemoryController::completionBound(Cycle now) const
+{
+    // Each remaining burst of a stream takes its own C/A slot, in
+    // order, so its last one issues no sooner than (bursts - 1) slots
+    // after the bus frees, and its data ends tCL (tCWL) + tBL later.
+    std::uint64_t fewest = UINT64_MAX;
+    for (const StreamDone &d : streamDone_) {
+        if (d.rowsLeft > 0)
+            fewest = std::min(fewest, d.burstsLeft);
+    }
+    if (fewest == UINT64_MAX)
+        return kCycleMax;
+    const auto &t = channel_.timing();
+    return channel_.earliestCa(now) + (fewest - 1) * t.caMemCmd +
+           std::min(t.tCL, t.tCWL) + t.tBL;
+}
+
+bool
+MemoryController::notePeriod()
+{
+    const std::size_t ring = admitTimes_.size();
+    admitTimes_[admissions_++ % ring] = now_;
+    const int group = channel_.organization().banksPerGroup;
+    if (mark_.valid && admissions_ - mark_.admission ==
+                           static_cast<std::uint64_t>(mark_.rows)) {
+        mark_.valid = false;
+        if (const std::uint64_t k = periodsToAdvance()) {
+            advancePeriods(k);
+            admissions_ = 1;
+            admitTimes_[0] = now_;
+            return true;
+        }
+        // The state may repeat only every other group of rows (each
+        // row's spacing can still repeat every group): try the other.
+        longPeriod_ = !longPeriod_;
+    }
+    // Mark only where the admissions already repeat: comparing whole
+    // states costs a few hundred values.
+    const int p = longPeriod_ ? 2 * group : group;
+    if (!mark_.valid && admissionsRepeat(p))
+        takeMark(p);
+    return false;
+}
+
+bool
+MemoryController::admissionsRepeat(int p) const
+{
+    const auto n = static_cast<std::uint64_t>(p);
+    if (admissions_ < 2 * n + 1)
+        return false;
+    const std::size_t ring = admitTimes_.size();
+    auto at = [&](std::uint64_t back) {
+        return admitTimes_[(admissions_ - 1 - back) % ring];
+    };
+    const Cycle gap = at(0) - at(n);
+    if (gap == 0)
+        return false;
+    for (std::uint64_t i = 1; i <= n; ++i) {
+        if (at(i) - at(i + n) != gap)
+            return false;
+    }
+    return true;
+}
+
+void
+MemoryController::normalize(std::vector<Cycle> &out) const
+{
+    // Everything a MEM-only decision reads (DESIGN.md §3.6): banks from
+    // the front stream's cursor on, rows as linear indices relative to
+    // it, timestamps relative to now_ and 0 once they no longer bind.
+    // The controller's own part comes first; the channel's follows.
+    const MemStream &s = memQueue_.front();
+    const int banks = channel_.numBanks();
+    const std::int64_t lin = std::int64_t{s.row} * banks + s.bank;
+    auto rel = [this](Cycle c) { return c > now_ ? c - now_ : 0; };
+    auto rotate = [&](std::uint64_t mask) {
+        return s.bank == 0 ? mask
+                           : ((mask >> s.bank) | (mask << (banks - s.bank))) &
+                                 bankSpan(0, banks);
+    };
+    out.clear();
+    out.push_back(memQueue_.size());
+    out.push_back(static_cast<Cycle>(s.bursts));
+    out.push_back(static_cast<Cycle>(s.tailBursts));
+    out.push_back(s.write);
+    out.push_back(static_cast<Cycle>(s.done));
+    out.push_back(memInFlight_.size());
+    for (const MemExec &m : memInFlight_) {
+        out.push_back(
+            static_cast<Cycle>((m.job.bank - s.bank + banks) % banks));
+        out.push_back(static_cast<Cycle>(std::int64_t{m.job.row} * banks +
+                                         m.job.bank - lin));
+        out.push_back(static_cast<Cycle>(m.job.bursts));
+        out.push_back(m.job.write);
+        out.push_back(static_cast<Cycle>(m.job.done));
+        out.push_back(static_cast<Cycle>(m.phase));
+        out.push_back(static_cast<Cycle>(m.burstsDone));
+        out.push_back(m.classified);
+        out.push_back(static_cast<Cycle>(m.next));
+        out.push_back(rel(m.bankReady));
+        out.push_back(rel(m.ready));
+    }
+    out.push_back(rotate(banksBusyMask_));
+    out.push_back(rotate(staleBanks_));
+    out.push_back(actIssued_);
+    out.push_back(memScanValid_);
+    out.push_back(memScanValid_ ? rel(memBest_) : 0);
+    out.push_back(memScanValid_ ? static_cast<Cycle>(memBestIdx_) : 0);
+    out.push_back(completions_.size());
+    out.push_back(chain_.back().stride);
+    out.push_back(s.done >= 0 ? rel(streamDone_[s.done].last) : 0);
+}
+
+void
+MemoryController::takeMark(int p)
+{
+    const MemStream &s = memQueue_.front();
+    // Periods stay inside one stream's rows, with no completion due,
+    // and move banks by whole groups.
+    const int group = channel_.organization().banksPerGroup;
+    if (s.rows < 2 * p + 1 || channel_.numBanks() % group != 0)
+        return;
+    for (const MemExec &m : memInFlight_) {
+        if (m.job.done != s.done)
+            return;
+    }
+    // Banks left closed outside the window (by a refresh, or a fresh
+    // channel) change the state at every row until the stream has
+    // swept them: a mark there would only miss.
+    int closed = 0;
+    for (BankId b = 0; b < channel_.numBanks(); ++b)
+        closed += channel_.banks().openRow(b, BufferSide::Mem) < 0;
+    if (closed > cfg_.memIssueWindow)
+        return;
+    mark_.valid = true;
+    mark_.rows = p;
+    mark_.admission = admissions_;
+    mark_.now = now_;
+    mark_.refreshDue = channel_.nextRefreshDue();
+    normalize(mark_.state);
+    mark_.own = mark_.state.size();
+    channel_.normalize(mark_.state, now_, s.bank,
+                       std::int64_t{s.row} * channel_.numBanks() + s.bank);
+    mark_.channel = channel_.periodMark();
+    mark_.runs = chain_.size();
+    mark_.runLast = chain_.back().last;
+    mark_.bankBusy = memBankBusyCycles_;
+    mark_.completed = completedMemJobs_;
+    mark_.memCommands = sched_->stats().memCommands;
+    mark_.burstsLeft = s.done >= 0 ? streamDone_[s.done].burstsLeft : 0;
+    reach_ = 0;
+    rowNotes_.clear();
+}
+
+std::uint64_t
+MemoryController::periodsToAdvance()
+{
+    // The state repeats the mark's, p rows on by whole bank groups and
+    // dt cycles later, with no refresh or completion between: every
+    // decision from here repeats the mark's, p rows on and dt later,
+    // while no candidate reaches a refresh or the epoch's end, since
+    // neither moves with the state (DESIGN.md §3.6).
+    const MemStream &s = memQueue_.front();
+    const auto p = static_cast<std::uint64_t>(mark_.rows);
+    const Cycle dt = now_ - mark_.now;
+    if (dt == 0 || channel_.nextRefreshDue() != mark_.refreshDue ||
+        p % static_cast<std::uint64_t>(
+                channel_.organization().banksPerGroup) != 0)
+        return 0;
+    for (const MemExec &m : memInFlight_) {
+        if (m.job.done != s.done)
+            return 0;
+    }
+    // Most mismatches show in the window, before the banks.
+    normalize(scratch_);
+    if (scratch_.size() != mark_.own ||
+        !std::equal(scratch_.begin(), scratch_.end(), mark_.state.begin()))
+        return 0;
+    channel_.normalize(scratch_, now_, s.bank,
+                       std::int64_t{s.row} * channel_.numBanks() + s.bank);
+    if (scratch_ != mark_.state)
+        return 0;
+    // Stop before the stream's last row, and before any candidate, or
+    // the wake-up horizon cycles ahead of it, reaches a refresh or the
+    // epoch's end.
+    std::uint64_t k = (static_cast<std::uint64_t>(s.rows) - 1) / p;
+    const Cycle limit =
+        std::min(channel_.nextRefreshDue(), epochEnd_ + cfg_.horizon);
+    if (reach_ >= limit)
+        return 0;
+    k = std::min(k, (limit - 1 - reach_) / dt);
+    return channel_.spanRoom((k + 1) * dt) ? k : 0;
+}
+
+void
+MemoryController::advancePeriods(std::uint64_t k)
+{
+    MemStream &s = memQueue_.front();
+    const auto banks = static_cast<std::int64_t>(channel_.numBanks());
+    const std::int64_t p = mark_.rows;
+    const Cycle dt = now_ - mark_.now;
+    const Cycle shift = k * dt;
+    const std::int64_t moved = static_cast<std::int64_t>(k) * p;
+    auto bankOf = [banks](std::int64_t lin) {
+        return static_cast<BankId>(lin % banks);
+    };
+    auto rowOf = [banks](std::int64_t lin) {
+        return static_cast<int>(lin / banks);
+    };
+
+    // Repeat the loop's work since the mark k times: wake-ups and
+    // per-row outcomes in order, counters in closed form. Each period
+    // grows the run before it as the mark's grew its last run, then
+    // appends copies of the runs it logged; copy those first, since
+    // growing the last run may grow one of them.
+    const Cycle grown = chain_[mark_.runs - 1].last - mark_.runLast;
+    runCopy_.assign(chain_.begin() + static_cast<std::ptrdiff_t>(mark_.runs),
+                    chain_.end());
+    for (Cycle j = 1; j <= k; ++j) {
+        if (grown > 0)
+            addWakes(mark_.runLast + 1 + j * dt, grown, 1);
+        for (const WakeRun &r : runCopy_)
+            addWakes(r.first + j * dt, (r.last - r.first) / r.stride + 1,
+                     r.stride);
+    }
+    for (std::int64_t j = 1; j <= static_cast<std::int64_t>(k); ++j) {
+        for (const RowNote &n : rowNotes_) {
+            const std::int64_t lin =
+                std::int64_t{n.row} * banks + n.bank + j * p;
+            sched_->noteRowOutcome(bankOf(lin), rowOf(lin), n.outcome);
+        }
+    }
+    // Each bank's busy cycles since the mark recur j * p banks on.
+    std::vector<Cycle> &busy = mark_.bankBusy;
+    for (std::size_t b = 0; b < busy.size(); ++b)
+        busy[b] = memBankBusyCycles_[b] - busy[b];
+    for (std::int64_t b = 0; b < banks; ++b) {
+        const Cycle add = busy[static_cast<std::size_t>(b)];
+        for (std::int64_t j = 1; add != 0 && j * p <= moved; ++j)
+            memBankBusyCycles_[static_cast<std::size_t>((b + j * p) % banks)] +=
+                add;
+    }
+    const std::uint64_t retired = completedMemJobs_ - mark_.completed;
+    completedMemJobs_ += k * retired;
+    sched_->recordLoneMem(k *
+                          (sched_->stats().memCommands - mark_.memCommands));
+    sched_->noteMemJobsCompleted(k * retired);
+    if (s.done >= 0) {
+        StreamDone &d = streamDone_[s.done];
+        d.rowsLeft -= static_cast<int>(k * retired);
+        d.burstsLeft -= k * (mark_.burstsLeft - d.burstsLeft);
+        d.last += shift;
+    }
+
+    // Then the state, k periods on: the cursor and every in-flight row
+    // move by k * p rows, their banks with them, and time by k * dt.
+    const std::int64_t lin = std::int64_t{s.row} * banks + s.bank + moved;
+    s.bank = bankOf(lin);
+    s.row = rowOf(lin);
+    s.rows -= static_cast<int>(moved);
+    queuedRows_ -= static_cast<std::size_t>(moved);
+    for (MemExec &m : memInFlight_) {
+        const std::int64_t l =
+            std::int64_t{m.job.row} * banks + m.job.bank + moved;
+        m.job.bank = bankOf(l);
+        m.job.row = rowOf(l);
+        m.enqueued += shift;
+        m.lastBurstEnd += shift;
+        m.bankReady += shift;
+        m.ready += shift;
+    }
+    const int r = static_cast<int>(moved % banks);
+    auto rotate = [&](std::uint64_t mask) {
+        const std::uint64_t all = bankSpan(0, static_cast<int>(banks));
+        return r == 0 ? mask
+                      : ((mask << r) | (mask >> (banks - r))) & all;
+    };
+    banksBusyMask_ = rotate(banksBusyMask_);
+    staleBanks_ = rotate(staleBanks_);
+    if (memScanValid_ && memBest_ != kCycleMax)
+        memBest_ += shift;
+    now_ += shift;
+    lastRunAt_ += shift;
+    channel_.advancePeriods(mark_.channel, dt, p, k);
+    rowsAdvanced_ += static_cast<std::uint64_t>(moved);
 }
 
 Cycle
@@ -232,6 +530,11 @@ MemoryController::refillMemWindow()
         MemStream &s = memQueue_.front();
         if (banksBusyMask_ & (1ULL << s.bank))
             break;
+        // An advance leaves the state just before a later row of the
+        // same stream enters, on a free bank (DESIGN.md §3.6).
+        if (epochEnd_ != 0 && notePeriod())
+            NEUPIMS_ASSERT(!(banksBusyMask_ & (1ULL << s.bank)) &&
+                           s.rows >= 1);
         MemExec exec;
         exec.job = s;
         exec.job.bursts = s.rows == 1 ? s.tailBursts : s.bursts;
@@ -401,10 +704,12 @@ MemoryController::stepMem(int which)
     if (m.phase == MemExec::Phase::PreOrAct) {
         int open = channel_.banks().openRow(m.job.bank, BufferSide::Mem);
         if (!m.classified) {
-            sched_->noteRowOutcome(m.job.bank, m.job.row,
-                                   open == m.job.row ? RowOutcome::Hit
-                                   : open != -1      ? RowOutcome::Conflict
-                                                     : RowOutcome::Miss);
+            const RowOutcome outcome = open == m.job.row ? RowOutcome::Hit
+                                       : open != -1      ? RowOutcome::Conflict
+                                                         : RowOutcome::Miss;
+            sched_->noteRowOutcome(m.job.bank, m.job.row, outcome);
+            if (mark_.valid)
+                rowNotes_.push_back({m.job.bank, m.job.row, outcome});
             m.classified = true;
         }
         if (open == m.job.row) {
@@ -428,6 +733,8 @@ MemoryController::stepMem(int which)
             .second;
     memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
         channel_.timing().tBL;
+    if (m.job.done >= 0)
+        --streamDone_[m.job.done].burstsLeft;
     if (++m.burstsDone < m.job.bursts) {
         recomputeNext(m);
         return true;
@@ -462,6 +769,9 @@ MemoryController::runTrain(int which)
     // its first one: all its candidates are step apart. Each beyond
     // the horizon had its own wake-up, horizon cycles before it.
     NEUPIMS_ASSERT(n == 1 || tr.next == tr.first + tr.step);
+    reach_ = std::max(reach_, n == 1 ? tr.first : tr.next + (n - 2) * tr.step);
+    if (m.job.done >= 0)
+        streamDone_[m.job.done].burstsLeft -= n;
     const Cycle horizon_end = now_ + cfg_.horizon;
     const Cycle last = tr.first + (n - 1) * tr.step;
     if (last > horizon_end) {
@@ -496,7 +806,7 @@ void
 MemoryController::finishMem(const MemExec &exec)
 {
     ++completedMemJobs_;
-    sched_->noteMemJobCompleted();
+    sched_->noteMemJobsCompleted();
     if (exec.job.done < 0)
         return;
     StreamDone &d = streamDone_[exec.job.done];
@@ -733,6 +1043,7 @@ MemoryController::process()
             memScanValid_ = false;
             continue; // constraints changed; recompute candidates
         }
+        reach_ = std::max(reach_, cand);
 
         if (cand > now_ + cfg_.horizon) {
             // Do not reserve bus slots far beyond simulated time: a
@@ -756,6 +1067,7 @@ MemoryController::process()
 
         memScanValid_ = false;
         sched_->recordIssue(v, pick_pim);
+        ++decisions_;
         if (pick_pim)
             stepPim();
         else if (stepMem(mem_idx) && epochEnd_ != 0)

@@ -165,6 +165,11 @@ class MemoryController
     std::uint64_t completedMemJobs() const { return completedMemJobs_; }
     std::uint64_t memCompletions() const { return memCompletions_; }
     std::uint64_t completedPimJobs() const { return completedPimJobs_; }
+    /** Commands the arbitration loop issued (a train counts once). */
+    std::uint64_t decisions() const { return decisions_; }
+    /** MEM rows an epoch admitted by advancing whole periods in closed
+     * form (DESIGN.md §3.6), with no loop decision. */
+    std::uint64_t rowsAdvanced() const { return rowsAdvanced_; }
 
     /** The arbitration policy's scheduling statistics. */
     const MemSchedStats &memSchedStats() const { return sched_->stats(); }
@@ -198,6 +203,7 @@ class MemoryController
         std::function<void(Cycle)> fn;
         int rowsLeft = 0; ///< rows not yet retired
         Cycle last = 0;   ///< latest row completion so far
+        std::uint64_t burstsLeft = 0; ///< bursts not yet issued
     };
 
     /** In-flight state machine for one row job of a MemJob. */
@@ -283,6 +289,28 @@ class MemoryController
     /** Keep issuing in-flight job @p which's bursts as one train while
      * it stays the winner and its wake-ups stay inside the epoch. */
     void runTrain(int which);
+    /** No completion this controller collects from @p now on lands
+     * before the returned cycle (DESIGN.md §3.4). */
+    Cycle completionBound(Cycle now) const;
+
+    // --- periods in closed form (DESIGN.md §3.6) ---
+    /** A row of the front stream is about to enter the window inside an
+     * epoch: compare the state with a mark, and on a match advance
+     * whole periods. @return whether it advanced. */
+    bool notePeriod();
+    /** Whether the last 2p admissions came at one repeated spacing. */
+    bool admissionsRepeat(int p) const;
+    /** The controller's part of the normalized state, relative to now_
+     * and the front stream; Channel::normalize appends the rest. */
+    void normalize(std::vector<Cycle> &out) const;
+    /** Record the state and counters at this admission, to compare
+     * with @p p admissions later. */
+    void takeMark(int p);
+    /** The state matches the mark's: the periods that fit. */
+    std::uint64_t periodsToAdvance();
+    /** Repeat the loop's work since the mark @p k times, then move the
+     * state k periods on. */
+    void advancePeriods(std::uint64_t k);
 
     /** Earliest cycle the front-most mem work could issue; kCycleMax
      * if none. Also selects which in-flight job that is. */
@@ -377,6 +405,41 @@ class MemoryController
     Cycle replayAt_ = 0;          ///< replay cursor: its next wake-up
     std::size_t compPos_ = 0;     ///< replay cursor into completions_
 
+    /** A row admission inside an epoch, normalized, with the logs'
+     * and counters' positions there (DESIGN.md §3.6). */
+    struct Mark
+    {
+        bool valid = false;
+        int rows = 0;             ///< admissions until the comparison
+        std::uint64_t admission = 0;
+        Cycle now = 0;
+        Cycle refreshDue = 0;
+        std::vector<Cycle> state;
+        std::size_t own = 0;      ///< the controller's part of state
+        Channel::PeriodMark channel;
+        std::size_t runs = 0;     ///< chain_ runs
+        Cycle runLast = 0;        ///< the last one's end
+        std::vector<Cycle> bankBusy;
+        std::uint64_t completed = 0;
+        std::uint64_t memCommands = 0;
+        std::uint64_t burstsLeft = 0; ///< the front stream's
+    };
+    /** A row outcome logged since the mark, to replay per period. */
+    struct RowNote
+    {
+        BankId bank;
+        int row;
+        RowOutcome outcome;
+    };
+    Mark mark_;
+    std::vector<Cycle> scratch_;      ///< the state being compared
+    std::vector<Cycle> admitTimes_;   ///< ring of admission cycles
+    std::uint64_t admissions_ = 0;    ///< in epochs, since an advance
+    bool longPeriod_ = false;         ///< compare two groups' rows, not one
+    Cycle reach_ = 0;                 ///< latest candidate since the mark
+    std::vector<RowNote> rowNotes_;
+    std::vector<WakeRun> runCopy_;    ///< the mark's period's new runs
+
     std::unique_ptr<MemSchedPolicy> sched_;
     std::vector<Cycle> memBankBusyCycles_;
 
@@ -384,6 +447,8 @@ class MemoryController
     std::uint64_t completedMemJobs_ = 0;
     std::uint64_t memCompletions_ = 0;
     std::uint64_t completedPimJobs_ = 0;
+    std::uint64_t decisions_ = 0;
+    std::uint64_t rowsAdvanced_ = 0;
 };
 
 } // namespace neupims::dram

@@ -42,11 +42,18 @@ HbmStack::runBatch()
         return false;
     const Cycle t = eq_.now();
     // No run in [t, t + span) issues a command before t + span, so no
-    // completion it collects is due sooner (DESIGN.md §3.4).
+    // completion it collects is due sooner; and no completion at all is
+    // due before a controller's completion bound (DESIGN.md §3.4).
     const Cycle span = std::min(cfg_.ctrl.horizon, cfg_.timing.tRFC);
-    const Cycle end = eq_.taggedEnd(t + span);
+    Cycle bound = kCycleMax;
+    for (const auto &c : ctrls_) {
+        if (c)
+            bound = std::min(bound, c->completionBound(t));
+    }
+    const Cycle end = eq_.taggedEnd(std::max(t + span, bound));
     if (end <= t)
         return false;
+    ++epochs_;
     for (auto &c : ctrls_) {
         if (c)
             c->advanceEpoch(end);
@@ -55,24 +62,32 @@ HbmStack::runBatch()
     // would have run (DESIGN.md §3.4). A cycle's bucket holds the
     // events taken from the queue, in order, then the wake-ups that
     // follow a gap in their chain, behind the wake-up that scheduled
-    // each. Wake-ups that continue a run from the cycle before come
-    // last, in the order they fired there. Completions and boundary
-    // resumes land at or after `end`, so they go straight into the
-    // queue.
-    if (replay_.size() < end - t)
-        replay_.resize(end - t);
+    // each: one heap ordered by cycle and arrival. Wake-ups that
+    // continue a run from the cycle before come last, in the order
+    // they fired there. Completions and boundary resumes land at or
+    // after `end`, so they go straight into the queue.
+    auto later = [](const Pending &a, const Pending &b) {
+        return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    };
+    std::uint64_t seq = 0;
+    auto queue = [&](Cycle at, MemoryController *c) {
+        pending_.push_back({at, seq++, c});
+        std::push_heap(pending_.begin(), pending_.end(), later);
+    };
     eq_.takeTagged(end, [&](Cycle w, void *tag) {
-        replay_[w - t].push_back(static_cast<MemoryController *>(tag));
+        queue(w, static_cast<MemoryController *>(tag));
     });
     epoch_.replaying = true;
+    running_.clear();
     // Before `stop`, each listed run fires at every cycle and invokes
-    // no completion (replayStop()).
+    // no completion (replayStop()): each such cycle with an empty
+    // bucket would only re-queue the list, in order.
     Cycle stop = end;
-    for (Cycle w = t; w < end; ++w) {
-        auto &bucket = replay_[w - t];
-        // Each listed wake-up would only re-queue itself, in order.
-        if (bucket.empty() && w < stop)
-            continue;
+    while (true) {
+        const Cycle w =
+            std::min(pending_.empty() ? end : pending_.front().at, stop);
+        if (w >= end)
+            break;
         fired_.swap(running_);
         running_.clear();
         for (MemoryController *c : fired_)
@@ -82,11 +97,14 @@ HbmStack::runBatch()
             if (next == w + 1)
                 running_.push_back(c);
             else if (next != kCycleMax)
-                replay_[next - t].push_back(c);
+                queue(next, c);
         };
-        for (MemoryController *c : bucket)
+        while (!pending_.empty() && pending_.front().at == w) {
+            std::pop_heap(pending_.begin(), pending_.end(), later);
+            MemoryController *c = pending_.back().ctrl;
+            pending_.pop_back();
             fire(c);
-        bucket.clear();
+        }
         for (MemoryController *c : fired_)
             fire(c);
         stop = end;

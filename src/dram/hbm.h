@@ -143,6 +143,9 @@ class HbmStack : private EventQueue::Batcher
                static_cast<double>(cfg_.timing.pimParallelBanks);
     }
 
+    /** Epochs run so far (DESIGN.md §3.4). */
+    std::uint64_t epochs() const { return epochs_; }
+
     /** Build the power-model activity summary for channel @p ch. */
     ChannelActivity channelActivity(ChannelId ch, Cycle window) const;
 
@@ -158,10 +161,18 @@ class HbmStack : private EventQueue::Batcher
     std::vector<std::unique_ptr<MemoryController>> ctrls_;
 
     EpochState epoch_;
-    /** Epoch replay storage, kept across epochs: per-cycle buckets,
-     * the runs that continue at the next cycle (running_) and those
-     * that continue into the cycle being replayed (fired_). */
-    std::vector<std::vector<MemoryController *>> replay_;
+    std::uint64_t epochs_ = 0;
+    /** A queued or gap-successor wake-up of the replay. */
+    struct Pending
+    {
+        Cycle at;
+        std::uint64_t seq; ///< arrival order within the epoch
+        MemoryController *ctrl;
+    };
+    /** Epoch replay storage, kept across epochs: the pending wake-ups
+     * (a heap), the runs that continue at the next cycle (running_) and
+     * those that continue into the cycle being replayed (fired_). */
+    std::vector<Pending> pending_;
     std::vector<MemoryController *> running_;
     std::vector<MemoryController *> fired_;
 };

@@ -173,9 +173,9 @@ class PawsPolicy final : public MemSchedPolicy
     }
 
     void
-    onMemJobCompleted() override
+    onMemJobsCompleted(std::uint64_t n) override
     {
-        ++memJobsThisStint_;
+        memJobsThisStint_ += n;
     }
 
   private:

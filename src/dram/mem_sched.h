@@ -168,11 +168,11 @@ class MemSchedPolicy
     /** Account the first-issue row-buffer outcome of a MEM job. */
     void noteRowOutcome(BankId bank, int row, RowOutcome outcome);
 
-    /** Account a MEM job's completion (Paws stint budgets). */
+    /** Account @p n MEM job completions (Paws stint budgets). */
     void
-    noteMemJobCompleted()
+    noteMemJobsCompleted(std::uint64_t n = 1)
     {
-        onMemJobCompleted();
+        onMemJobsCompleted(n);
     }
 
     const MemSchedStats &stats() const { return stats_; }
@@ -192,7 +192,7 @@ class MemSchedPolicy
         (void)v;
         (void)picked_pim;
     }
-    virtual void onMemJobCompleted() {}
+    virtual void onMemJobsCompleted(std::uint64_t n) { (void)n; }
 
     void decayBins();
 

@@ -314,8 +314,12 @@ PagedKvCache::matchWholePages(ChannelId channel,
                               const std::vector<std::int32_t> &prompt,
                               int maxTokens) const
 {
+    // The result becomes the sequence's sharedNodes, which publishing
+    // grows to at most the prompt's whole pages plus a partial tail:
+    // reserving that once spares the growth a page at a time.
     std::vector<std::int64_t> matched;
     const int P = cfg_.tokensPerPage;
+    matched.reserve(prompt.size() / static_cast<std::size_t>(P) + 1);
     std::int64_t parent = -1;
     for (int pos = 0; pos + P <= maxTokens; pos += P) {
         std::int64_t c = findChild(channel, parent, prompt.data() + pos);

@@ -1,15 +1,18 @@
 /**
  * @file
- * Epochs against the event-by-event path (DESIGN.md §3.4). One seeded
- * multi-channel workload runs twice: on an HbmStack, which simulates
- * its MEM-only stretches as epochs, and on bare MemoryControllers
- * sharing one EventQueue, which have no epochs. Completions, the
- * events they schedule, command counts, scheduling statistics and
- * data-bus utilization must all match exactly.
+ * Epochs against the event-by-event path (DESIGN.md §3.4, §3.6). Each
+ * seeded multi-channel workload runs twice: on an HbmStack, which
+ * simulates its MEM-only stretches as epochs and advances whole
+ * periods of them in closed form, and on bare MemoryControllers
+ * sharing one EventQueue, which have neither. Every channel's command
+ * log, completions, the events they schedule, command counts,
+ * scheduling statistics and data-bus utilization must all match
+ * exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -36,6 +39,10 @@ struct Trace
     std::vector<double> dataUtil;
     std::vector<Cycle> caBusy;
     std::vector<std::vector<Cycle>> bankBusy;
+    /** Every command each channel issued, in issue order. */
+    std::vector<std::vector<CommandRecord>> commands;
+    /** Rows the controllers advanced over in closed form. */
+    std::uint64_t rowsAdvanced = 0;
     Cycle end = 0;
     std::uint64_t events = 0;
     /** The channel whose prologue row on bank 4 completed first. */
@@ -55,6 +62,37 @@ expectSame(const MemSchedStats &a, const MemSchedStats &b, int ch)
     EXPECT_EQ(a.pimWasteCycles, b.pimWasteCycles) << "channel " << ch;
 }
 
+/** Log each channel's commands into @p tr until finish() reads the
+ * end state. */
+void
+attachSinks(Trace &tr, const std::vector<MemoryController *> &ctrls)
+{
+    tr.commands.resize(ctrls.size());
+    for (std::size_t ch = 0; ch < ctrls.size(); ++ch)
+        ctrls[ch]->channel().setCommandSink(&tr.commands[ch]);
+}
+
+/** Read every controller's end state into @p tr. */
+void
+finish(Trace &tr, EventQueue &eq,
+       const std::vector<MemoryController *> &ctrls)
+{
+    tr.end = eq.now();
+    tr.events = eq.executedEvents();
+    for (MemoryController *mc : ctrls) {
+        EXPECT_TRUE(mc->idle());
+        mc->channel().setCommandSink(nullptr);
+        tr.counts.push_back(mc->channel().commandCounts());
+        tr.sched.push_back(mc->memSchedStats());
+        tr.dataBytes.push_back(mc->channel().dataBusBytes());
+        tr.dataUtil.push_back(
+            mc->channel().dataBusUtilization(0, tr.end + 1));
+        tr.caBusy.push_back(mc->channel().caBusyCycles());
+        tr.bankBusy.push_back(mc->memBankBusyCycles());
+        tr.rowsAdvanced += mc->rowsAdvanced();
+    }
+}
+
 /**
  * The workload, DMA-shaped: streams of row jobs rotate banks per
  * channel, and each stream's last completion schedules a done event at
@@ -66,6 +104,7 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
       std::uint64_t seed)
 {
     Trace tr;
+    attachSinks(tr, ctrls);
     Rng rng(seed);
     std::uint64_t next_id = 0;
     std::vector<int> next_bank(kChannels, 0);
@@ -187,20 +226,106 @@ drive(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
         });
     }
     eq.run();
-
-    tr.end = eq.now();
-    tr.events = eq.executedEvents();
-    for (MemoryController *mc : ctrls) {
-        EXPECT_TRUE(mc->idle());
-        tr.counts.push_back(mc->channel().commandCounts());
-        tr.sched.push_back(mc->memSchedStats());
-        tr.dataBytes.push_back(mc->channel().dataBusBytes());
-        tr.dataUtil.push_back(
-            mc->channel().dataBusUtilization(0, tr.end + 1));
-        tr.caBusy.push_back(mc->channel().caBusyCycles());
-        tr.bankBusy.push_back(mc->memBankBusyCycles());
-    }
+    finish(tr, eq, ctrls);
     return tr;
+}
+
+/**
+ * Long stream descriptors, which MEM-only epochs advance whole periods
+ * of (DESIGN.md §3.6). Every channel starts on its own bank, row and
+ * cycle; streams run through refreshes, some write, some end in a
+ * shorter tail row; channel 3's first stream is short and completes
+ * while the others keep streaming; and each stream's done event, a
+ * DMA tracker's, starts its channel's next one.
+ */
+Trace
+driveLong(EventQueue &eq, const std::vector<MemoryController *> &ctrls,
+          std::uint64_t seed)
+{
+    Trace tr;
+    attachSinks(tr, ctrls);
+    const int banks = ctrls[0]->channel().numBanks();
+    std::vector<Rng> rng;
+    std::vector<int> bank(kChannels), row(kChannels), left(kChannels, 3);
+    for (int ch = 0; ch < kChannels; ++ch) {
+        rng.emplace_back(seed * 100 + static_cast<std::uint64_t>(ch));
+        bank[ch] = (5 * ch) % banks;
+        row[ch] = ch;
+    }
+    std::uint64_t next_id = 0;
+    std::function<void(int)> start = [&](int ch) {
+        // Each shape on some channel first: 2-burst rows stream at the
+        // ACT window's pace, where tRRD_L binds within a bank group.
+        static constexpr int kBursts[] = {16, 2, 8, 2};
+        Rng &r = rng[static_cast<std::size_t>(ch)];
+        const bool first = left[ch] == 3;
+        MemJob job;
+        job.bank = bank[ch];
+        job.row = row[ch];
+        job.rows = ch == 3 && first
+                       ? 24
+                       : static_cast<int>(r.uniformInt(200, 600));
+        job.bursts = kBursts[first ? ch % 4 : r.uniformInt(0, 3)];
+        if (r.uniform() < 0.5)
+            job.tailBursts = static_cast<int>(
+                r.uniformInt(1, static_cast<std::uint64_t>(job.bursts)));
+        job.write = r.uniform() < 0.25;
+        const std::int64_t lin =
+            std::int64_t{row[ch]} * banks + bank[ch] + job.rows;
+        bank[ch] = static_cast<int>(lin % banks);
+        row[ch] = static_cast<int>(lin / banks);
+        const std::uint64_t id = next_id++;
+        job.onComplete = [&tr, &eq, &start, &left, id, ch](Cycle c) {
+            tr.log.emplace_back(id, c);
+            eq.schedule(std::max(c, eq.now()),
+                        [&tr, &eq, &start, &left, id, ch] {
+                            tr.log.emplace_back(id, eq.now());
+                            if (--left[ch] > 0)
+                                start(ch);
+                        });
+        };
+        ctrls[ch]->enqueueMem(std::move(job));
+    };
+    for (int ch = 0; ch < kChannels; ++ch)
+        eq.schedule(static_cast<Cycle>(37 * ch), [&start, ch] { start(ch); });
+    eq.run();
+    finish(tr, eq, ctrls);
+    return tr;
+}
+
+/** Everything two runs of one workload must share. */
+void
+expectSameRun(const Trace &with, const Trace &without, std::uint64_t seed)
+{
+    EXPECT_EQ(with.log, without.log) << "seed " << seed;
+    EXPECT_EQ(with.end, without.end) << "seed " << seed;
+    for (int ch = 0; ch < kChannels; ++ch) {
+        for (int i = 0; i < kNumCommandTypes; ++i)
+            EXPECT_EQ(with.counts[ch].counts[i],
+                      without.counts[ch].counts[i])
+                << "channel " << ch << " command " << i;
+        expectSame(with.sched[ch], without.sched[ch], ch);
+        // The full command log: each burst of a train and each command
+        // of an advanced period, at its cycle, bank and row.
+        const auto &a = with.commands[ch];
+        const auto &b = without.commands[ch];
+        EXPECT_EQ(a.size(), b.size()) << "channel " << ch;
+        std::size_t i = 0;
+        while (i < a.size() && i < b.size() && a[i] == b[i])
+            ++i;
+        if (i < a.size() && i < b.size())
+            ADD_FAILURE() << "seed " << seed << " channel " << ch
+                          << " command " << i << ": "
+                          << commandName(a[i].type) << " at " << a[i].cycle
+                          << " bank " << a[i].bank << " row " << a[i].row
+                          << ", event by event "
+                          << commandName(b[i].type) << " at " << b[i].cycle
+                          << " bank " << b[i].bank << " row " << b[i].row;
+    }
+    EXPECT_EQ(with.dataBytes, without.dataBytes);
+    EXPECT_EQ(with.dataUtil, without.dataUtil);
+    EXPECT_EQ(with.caBusy, without.caBusy);
+    EXPECT_EQ(with.bankBusy, without.bankBusy);
 }
 
 struct EpochCase
@@ -232,67 +357,89 @@ PrintTo(const EpochCase &c, std::ostream *os)
 class EpochDifferential : public ::testing::TestWithParam<EpochCase>
 {};
 
-TEST_P(EpochDifferential, MatchesEventByEventRun)
+MemConfig
+configFor(const EpochCase &c)
 {
-    const EpochCase c = GetParam();
     MemConfig cfg;
     cfg.org.channels = kChannels;
     cfg.ctrl = ControllerConfig::make(c.dual);
     cfg.ctrl.horizon = c.horizon;
     cfg.ctrl.sched.kind = c.kind;
+    return cfg;
+}
 
-    struct Run
-    {
-        std::uint64_t seed;
-        Cycle tBL;
-        Cycle caMemCmd;
-    };
+struct TimingRun
+{
+    std::uint64_t seed;
+    Cycle tBL;
+    Cycle caMemCmd;
+    Cycle tRRD_L = TimingParams{}.tRRD_L;
+};
+
+/** @p workload on an HbmStack, then on bare controllers. */
+template <typename Workload>
+std::pair<Trace, Trace>
+bothWays(MemConfig cfg, const TimingRun &run, Workload workload)
+{
+    cfg.timing.tBL = run.tBL;
+    cfg.timing.caMemCmd = run.caMemCmd;
+    cfg.timing.tRRD_L = run.tRRD_L;
+    EventQueue eq_epochs;
+    HbmStack hbm(eq_epochs, cfg);
+    std::vector<MemoryController *> stacked;
+    for (ChannelId ch = 0; ch < kChannels; ++ch)
+        stacked.push_back(&hbm.controller(ch));
+    Trace with = workload(eq_epochs, stacked, run.seed);
+
+    EventQueue eq_plain;
+    std::vector<std::unique_ptr<MemoryController>> bare;
+    std::vector<MemoryController *> plain;
+    for (int ch = 0; ch < kChannels; ++ch) {
+        bare.push_back(std::make_unique<MemoryController>(
+            eq_plain, cfg.timing, cfg.org, cfg.ctrl));
+        plain.push_back(bare.back().get());
+    }
+    Trace without = workload(eq_plain, plain, run.seed);
+    return {std::move(with), std::move(without)};
+}
+
+TEST_P(EpochDifferential, MatchesEventByEventRun)
+{
+    const EpochCase c = GetParam();
     // Three seeds in default timing, then bursts two cycles apart: a
     // train's wake-ups form a run of stride 2, and with caMemCmd = 2
     // the data bus idles between its bursts.
-    for (const Run &run : {Run{1, 1, 1}, Run{2, 1, 1}, Run{3, 1, 1},
-                           Run{4, 2, 1}, Run{5, 1, 2}}) {
-        const std::uint64_t seed = run.seed;
-        cfg.timing.tBL = run.tBL;
-        cfg.timing.caMemCmd = run.caMemCmd;
-        EventQueue eq_epochs;
-        HbmStack hbm(eq_epochs, cfg);
-        std::vector<MemoryController *> stacked;
-        for (ChannelId ch = 0; ch < kChannels; ++ch)
-            stacked.push_back(&hbm.controller(ch));
-        Trace with = drive(eq_epochs, stacked, seed);
-
-        EventQueue eq_plain;
-        std::vector<std::unique_ptr<MemoryController>> bare;
-        std::vector<MemoryController *> plain;
-        for (int ch = 0; ch < kChannels; ++ch) {
-            bare.push_back(std::make_unique<MemoryController>(
-                eq_plain, cfg.timing, cfg.org, cfg.ctrl));
-            plain.push_back(bare.back().get());
-        }
-        Trace without = drive(eq_plain, plain, seed);
-
+    for (const TimingRun &run :
+         {TimingRun{1, 1, 1}, TimingRun{2, 1, 1}, TimingRun{3, 1, 1},
+          TimingRun{4, 2, 1}, TimingRun{5, 1, 2}}) {
+        auto [with, without] = bothWays(configFor(c), run, drive);
         ASSERT_GT(without.log.size(), 1000u);
         // The workload reaches a superseded resume inside a run.
         if (c.horizon == 16) {
             EXPECT_EQ(without.firstBank4, kChannels - 1);
         }
-        EXPECT_EQ(with.log, without.log) << "seed " << seed;
-        EXPECT_EQ(with.end, without.end) << "seed " << seed;
-        for (int ch = 0; ch < kChannels; ++ch) {
-            for (int i = 0; i < kNumCommandTypes; ++i)
-                EXPECT_EQ(with.counts[ch].counts[i],
-                          without.counts[ch].counts[i])
-                    << "channel " << ch << " command " << i;
-            expectSame(with.sched[ch], without.sched[ch], ch);
-        }
-        EXPECT_EQ(with.dataBytes, without.dataBytes);
-        EXPECT_EQ(with.dataUtil, without.dataUtil);
-        EXPECT_EQ(with.caBusy, without.caBusy);
-        EXPECT_EQ(with.bankBusy, without.bankBusy);
+        expectSameRun(with, without, run.seed);
         // The stack really ran epochs: they replace most wake-up
         // events.
-        EXPECT_LT(2 * with.events, without.events) << "seed " << seed;
+        EXPECT_LT(2 * with.events, without.events) << "seed " << run.seed;
+    }
+}
+
+TEST_P(EpochDifferential, LongStreamsMatchEventByEventRun)
+{
+    const EpochCase c = GetParam();
+    // Default timing, then tBL = 2, caMemCmd = 2, and a tRRD_L long
+    // enough to bind where a period starts, so each bank group's ACT
+    // tracker must turn with the banks.
+    for (const TimingRun &run :
+         {TimingRun{11, 1, 1}, TimingRun{12, 2, 1}, TimingRun{13, 1, 2},
+          TimingRun{14, 1, 1, 16}}) {
+        auto [with, without] = bothWays(configFor(c), run, driveLong);
+        ASSERT_EQ(without.log.size(), 2u * 3 * kChannels);
+        expectSameRun(with, without, run.seed);
+        // Whole periods really were advanced in closed form.
+        EXPECT_GT(with.rowsAdvanced, 0u) << "seed " << run.seed;
+        EXPECT_EQ(without.rowsAdvanced, 0u);
     }
 }
 

@@ -203,15 +203,39 @@ TEST_F(DmaTest, OneControllerCompletionPerChannelPerStream)
 TEST_F(DmaTest, MemOnlyStreamRunsAsEpochs)
 {
     // With no PIM work anywhere, the stack simulates the stream's
-    // wake-ups in epochs instead of one event per DRAM command
-    // (DESIGN.md §3.4).
+    // wake-ups in epochs instead of one event per DRAM command, and an
+    // epoch runs to the first possible stream completion (DESIGN.md
+    // §3.4): the 32 channels' kicks and the done event are all that
+    // execute (33 events for 72,704 commands), and the stream's 2,512
+    // cycles take 2 epochs, where epochs of at most a horizon took 9.
     dma.streamAllChannels(4_MiB, false, 16, [](Cycle) {});
     eq.run();
     std::uint64_t commands = 0;
     for (std::uint64_t n : hbm.totalCommandCounts().counts)
         commands += n;
     EXPECT_GT(commands, 60'000u);
-    EXPECT_LT(8 * eq.executedEvents(), commands);
+    EXPECT_LT(1000 * eq.executedEvents(), commands);
+    EXPECT_LE(hbm.epochs(), 4u);
+}
+
+TEST_F(DmaTest, MemOnlyStreamAdvancesWholePeriods)
+{
+    // A steady MEM-only stream repeats its controller state every group
+    // of rows, so epochs advance whole periods in closed form (DESIGN.md
+    // §3.6) instead of running the arbitration loop about three times
+    // a row: 1.02 decisions a row on this stream, 73% of its rows
+    // advanced. The counts are exact, so every build checks them.
+    dma.streamAllChannels(16_MiB, false, 16, [](Cycle) {});
+    eq.run();
+    std::uint64_t rows = 0, decisions = 0, advanced = 0;
+    for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch) {
+        rows += hbm.controller(ch).completedMemJobs();
+        decisions += hbm.controller(ch).decisions();
+        advanced += hbm.controller(ch).rowsAdvanced();
+    }
+    EXPECT_EQ(rows, 16_MiB / 1_KiB);
+    EXPECT_GT(advanced, rows / 2);
+    EXPECT_LE(decisions, rows * 6 / 5);
 }
 
 } // namespace
