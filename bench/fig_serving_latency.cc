@@ -475,7 +475,7 @@ faultSweep()
 // calibrated surface in calibratedSbiHideFraction hardcodes, evaluated
 // through the shipping model (surface + anchor calibration at the
 // first grid point). Per-point residuals and the controller's
-// scheduling statistics (row-hit rate, stall/waste integrals, mode
+// scheduling statistics (bank utilization, stall/waste integrals, mode
 // switches) are the calibration evidence (DESIGN.md §11).
 
 Output
@@ -555,10 +555,8 @@ memSchedRun(const Spec &s)
              r_const * 100.0},
             {"r-surf", "%+6.2f%%", "surface_residual_pct", "%.3f",
              r_surf * 100.0},
-            tab("|row-hit", "%6.1f%%", st.rowHitRate() * 100.0),
-            json("row_hit_rate", st.rowHitRate(), "%.4f"),
             json("mem_bank_util", p.res.memBankUtil, "%.4f"),
-            {"pim-stall", "%9.0f", "pim_stall_cycles", "%.0f",
+            {"|pim-stall", "%9.0f", "pim_stall_cycles", "%.0f",
              st.pimStallCycles},
             {"pim-waste", "%9.0f", "pim_waste_cycles", "%.0f",
              st.pimWasteCycles},

@@ -63,8 +63,9 @@
  * PAWS-style cap-and-switch MEM<->PIM modes. The choice also selects
  * the analytic model's calibrated SBI overlap surface. Runs whose
  * latency model executed the cycle-accurate engine (--hybrid, or
- * --calibrate's anchor) print a mem-sched summary line (row-hit rate,
- * stall/waste cycles, mode switches) under the config row.
+ * --calibrate's anchor) print a mem-sched summary line (row hits,
+ * misses and conflicts, stall/waste cycles, mode switches) under the
+ * config row.
  *
  * --policy selects the scheduling policy that owns admission order,
  * prefill-budget sharing, victim scoring and restore order (fcfs
@@ -494,12 +495,11 @@ main(int argc, char **argv)
                 // --calibrate carries its anchor run's stats).
                 if (report.memSched.valid) {
                     std::printf(
-                        "    mem-sched %s: row-hit %.1f%% "
-                        "(h/m/c %llu/%llu/%llu) | cmds mem %llu "
+                        "    mem-sched %s: rows h/m/c "
+                        "%llu/%llu/%llu | cmds mem %llu "
                         "pim %llu | stall %llu waste %llu | "
                         "switches %llu | bank-util %.1f%%\n",
                         report.memSched.policy.c_str(),
-                        report.memSched.rowHitRate * 100.0,
                         static_cast<unsigned long long>(
                             report.memSched.rowHits),
                         static_cast<unsigned long long>(

@@ -117,6 +117,8 @@ class IterationSim
                            "thread stalled at layer ", t.layer);
     }
 
+    const dram::HbmStack &hbm() const { return hbm_; }
+
     /** Measure the window and compose the full iteration (§6.2). */
     IterationResult
     result(int layers_per_device, int batch_size)
@@ -806,7 +808,8 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
 IterationResult
 DeviceExecutor::run(const BatchComposition &batch,
                     const ExtraMemTraffic &extra, int window_layers,
-                    int warmup_layers, bool fold)
+                    int warmup_layers, bool fold,
+                    const std::function<void(const dram::HbmStack &)> &inspect)
 {
     NEUPIMS_ASSERT(window_layers > warmup_layers && warmup_layers >= 1);
     // Never simulate more layers than the device actually holds.
@@ -835,6 +838,8 @@ DeviceExecutor::run(const BatchComposition &batch,
     IterationSim sim(cfg_, std::move(groups), std::move(plans),
                      window_layers, warmup_layers, extra);
     sim.run();
+    if (inspect)
+        inspect(sim.hbm());
     return sim.result(layersPerDevice_, batch.batchSize());
 }
 

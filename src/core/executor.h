@@ -23,6 +23,7 @@
 #ifndef NEUPIMS_CORE_EXECUTOR_H_
 #define NEUPIMS_CORE_EXECUTOR_H_
 
+#include <functional>
 #include <vector>
 
 #include "core/device_config.h"
@@ -96,9 +97,7 @@ struct IterationResult
     dram::CommandCounts commands;
     PhaseBreakdown phases; ///< serial modes only (phases overlap in SBI)
 
-    /** Summed controller scheduling stats (dram/mem_sched.h);
-     * rowHitRate() is the share of MEM jobs that found their row
-     * open. */
+    /** Summed controller scheduling stats (dram/mem_sched.h). */
     dram::MemSchedStats memSched;
     double memBankUtil = 0.0; ///< mean per-bank MEM data service
     /** Completion cycle of injected ExtraMemTraffic (0 if none). */
@@ -150,10 +149,12 @@ class DeviceExecutor
     friend class DeviceExecutorTestPeer;
 
     /** runIteration; with @p fold false every channel gets its own
-     * controller, the reference the fold is tested against. */
-    IterationResult run(const BatchComposition &batch,
-                        const ExtraMemTraffic &extra, int window_layers,
-                        int warmup_layers, bool fold);
+     * controller, the reference the fold is tested against. @p inspect,
+     * if set, sees the memory stack once the window has run. */
+    IterationResult
+    run(const BatchComposition &batch, const ExtraMemTraffic &extra,
+        int window_layers, int warmup_layers, bool fold,
+        const std::function<void(const dram::HbmStack &)> &inspect = {});
 
     DeviceConfig cfg_;
     int layersPerDevice_;

@@ -65,7 +65,7 @@ constexpr double kSwapHideFraction = 0.25;
 
 runtime::MemSchedSummary
 summarizeMemSched(const char *policy, const dram::MemSchedStats &s,
-                  double row_hit, double bank_util)
+                  double bank_util)
 {
     runtime::MemSchedSummary out;
     out.valid = true;
@@ -78,7 +78,6 @@ summarizeMemSched(const char *policy, const dram::MemSchedStats &s,
     out.modeSwitches = s.modeSwitches;
     out.pimStallCycles = s.pimStallCycles;
     out.pimWasteCycles = s.pimWasteCycles;
-    out.rowHitRate = row_hit;
     out.memBankUtil = bank_util;
     return out;
 }
@@ -600,7 +599,7 @@ AnalyticIterationModel::calibrate(int batch, int seq_len,
     // MemSchedSummary.
     memSchedSummary_ = summarizeMemSched(
         dram::memSchedKindName(cfg_.memSched.kind), measured.memSched,
-        measured.memSched.rowHitRate(), measured.memBankUtil);
+        measured.memBankUtil);
 
     scale_ = 1.0;
     Cycle analytic = iterationCyclesFor(comp);
@@ -821,8 +820,7 @@ HybridIterationModel::memSchedSummary() const
         return {};
     return summarizeMemSched(
         dram::memSchedKindName(executor_.config().memSched.kind),
-        memSchedAccum_, memSchedAccum_.rowHitRate(),
-        bankUtilSum_ / static_cast<double>(cache_.size()));
+        memSchedAccum_, bankUtilSum_ / static_cast<double>(cache_.size()));
 }
 
 } // namespace neupims::core

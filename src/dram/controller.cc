@@ -85,6 +85,21 @@ MemoryController::enqueuePim(PimJob job)
     kick();
 }
 
+MemSchedStats
+MemoryController::memSchedStats() const
+{
+    // Only stepMem issues MEM-side ACT and PRE: a conflict precharges
+    // once, and every row but a hit activates once (DESIGN.md §11).
+    const CommandCounts &c = channel_.commandCounts();
+    MemSchedStats s = sched_->stats();
+    s.rowHits = rowHits_;
+    s.rowConflicts = c.count(CommandType::Pre);
+    s.rowMisses = c.count(CommandType::Act) - s.rowConflicts;
+    s.memCommands = c.count(CommandType::Act) + s.rowConflicts +
+                    c.count(CommandType::Rd) + c.count(CommandType::Wr);
+    return s;
+}
+
 bool
 MemoryController::idle() const
 {
@@ -278,7 +293,6 @@ MemoryController::normalize(std::vector<Cycle> &out) const
         out.push_back(static_cast<Cycle>(m.job.done));
         out.push_back(static_cast<Cycle>(m.phase));
         out.push_back(static_cast<Cycle>(m.burstsDone));
-        out.push_back(m.classified);
         out.push_back(static_cast<Cycle>(m.next));
         out.push_back(rel(m.bankReady));
         out.push_back(rel(m.ready));
@@ -329,10 +343,9 @@ MemoryController::takeMark(int p)
     mark_.runLast = chain_.back().last;
     mark_.bankBusy = memBankBusyCycles_;
     mark_.completed = completedMemJobs_;
-    mark_.memCommands = sched_->stats().memCommands;
+    mark_.rowHits = rowHits_;
     mark_.burstsLeft = s.done >= 0 ? streamDone_[s.done].burstsLeft : 0;
     reach_ = 0;
-    rowNotes_.clear();
 }
 
 std::uint64_t
@@ -391,11 +404,11 @@ MemoryController::advancePeriods(std::uint64_t k)
         return static_cast<int>(lin / banks);
     };
 
-    // Repeat the loop's work since the mark k times: wake-ups and
-    // per-row outcomes in order, counters in closed form. Each period
-    // grows the run before it as the mark's grew its last run, then
-    // appends copies of the runs it logged; copy those first, since
-    // growing the last run may grow one of them.
+    // Repeat the loop's work since the mark k times: wake-ups in order,
+    // counters in closed form. Each period grows the run before it as
+    // the mark's grew its last run, then appends copies of the runs it
+    // logged; copy those first, since growing the last run may grow
+    // one of them.
     const Cycle grown = chain_[mark_.runs - 1].last - mark_.runLast;
     runCopy_.assign(chain_.begin() + static_cast<std::ptrdiff_t>(mark_.runs),
                     chain_.end());
@@ -406,13 +419,11 @@ MemoryController::advancePeriods(std::uint64_t k)
             addWakes(r.first + j * dt, (r.last - r.first) / r.stride + 1,
                      r.stride);
     }
-    for (std::int64_t j = 1; j <= static_cast<std::int64_t>(k); ++j) {
-        for (const RowNote &n : rowNotes_) {
-            const std::int64_t lin =
-                std::int64_t{n.row} * banks + n.bank + j * p;
-            sched_->noteRowOutcome(bankOf(lin), rowOf(lin), n.outcome);
-        }
-    }
+    // A row hits only if its row is open at the cursor when it enters,
+    // and a repeated state leaves no row open there: window jobs open
+    // rows only behind the cursor (DESIGN.md §3.6). So the periods add
+    // no hit.
+    NEUPIMS_ASSERT(rowHits_ == mark_.rowHits, "a row hit inside a period");
     // Each bank's busy cycles since the mark recur j * p banks on.
     std::vector<Cycle> &busy = mark_.bankBusy;
     for (std::size_t b = 0; b < busy.size(); ++b)
@@ -425,8 +436,6 @@ MemoryController::advancePeriods(std::uint64_t k)
     }
     const std::uint64_t retired = completedMemJobs_ - mark_.completed;
     completedMemJobs_ += k * retired;
-    sched_->recordLoneMem(k *
-                          (sched_->stats().memCommands - mark_.memCommands));
     sched_->noteMemJobsCompleted(k * retired);
     if (s.done >= 0) {
         StreamDone &d = streamDone_[s.done];
@@ -703,16 +712,8 @@ MemoryController::stepMem(int which)
     // recomputed at once and no other job's is (DESIGN.md §3.5).
     if (m.phase == MemExec::Phase::PreOrAct) {
         int open = channel_.banks().openRow(m.job.bank, BufferSide::Mem);
-        if (!m.classified) {
-            const RowOutcome outcome = open == m.job.row ? RowOutcome::Hit
-                                       : open != -1      ? RowOutcome::Conflict
-                                                         : RowOutcome::Miss;
-            sched_->noteRowOutcome(m.job.bank, m.job.row, outcome);
-            if (mark_.valid)
-                rowNotes_.push_back({m.job.bank, m.job.row, outcome});
-            m.classified = true;
-        }
         if (open == m.job.row) {
+            ++rowHits_;
             m.phase = MemExec::Phase::Bursts; // row hit, fall through
         } else {
             if (open != -1) {
@@ -781,7 +782,6 @@ MemoryController::runTrain(int which)
         addWakes(tr.first + i * tr.step - cfg_.horizon, n - i, tr.step);
         beginRun(last - cfg_.horizon);
     }
-    sched_->recordLoneMem(n);
     m.lastBurstEnd = tr.dataEnd;
     memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
         channel_.timing().tBL * n;
@@ -1015,15 +1015,10 @@ MemoryController::process()
         ArbView v;
         v.cm = cm;
         v.cp = cp;
-        v.now = now_;
         v.memPending = pendingMemJobs();
-        v.pimPending = pendingPimJobs();
-        if (mem_idx >= 0) {
-            const auto &m = memInFlight_[mem_idx];
-            v.memBank = m.job.bank;
-            v.memRow = m.job.row;
-            v.memIsRowHit = m.next == MemExec::Next::Column;
-        }
+        if (mem_idx >= 0)
+            v.memIsRowHit =
+                memInFlight_[mem_idx].next == MemExec::Next::Column;
 
         // The policy arbitrates only when both classes hold a legal
         // command; a lone class always issues (no policy can idle the
@@ -1062,7 +1057,6 @@ MemoryController::process()
             // at `resume` reaches this same decision (DESIGN.md §3.4).
             addWakes(resume, 1, 1);
             beginRun(resume);
-            v.now = now_;
         }
 
         memScanValid_ = false;

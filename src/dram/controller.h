@@ -171,8 +171,9 @@ class MemoryController
      * form (DESIGN.md §3.6), with no loop decision. */
     std::uint64_t rowsAdvanced() const { return rowsAdvanced_; }
 
-    /** The arbitration policy's scheduling statistics. */
-    const MemSchedStats &memSchedStats() const { return sched_->stats(); }
+    /** The policy's arbitration counters, with the row outcomes and
+     * the MEM command count read off the channel's commands. */
+    MemSchedStats memSchedStats() const;
 
     /** Per-bank MEM-side data-bus busy cycles (64 B beats served). */
     const std::vector<Cycle> &
@@ -214,8 +215,6 @@ class MemoryController
         int burstsDone = 0;
         Cycle lastBurstEnd = 0;
         Cycle enqueued = 0;
-        /** Row-buffer outcome recorded (first stepMem only). */
-        bool classified = false;
         /** Next command, its bank-local ready cycle (enqueued folded
          * in), and that with tFAW and tRRD applied to an ACT: the
          * candidate is max(ready, C/A bus) (DESIGN.md §3.5). */
@@ -421,15 +420,8 @@ class MemoryController
         Cycle runLast = 0;        ///< the last one's end
         std::vector<Cycle> bankBusy;
         std::uint64_t completed = 0;
-        std::uint64_t memCommands = 0;
+        std::uint64_t rowHits = 0;
         std::uint64_t burstsLeft = 0; ///< the front stream's
-    };
-    /** A row outcome logged since the mark, to replay per period. */
-    struct RowNote
-    {
-        BankId bank;
-        int row;
-        RowOutcome outcome;
     };
     Mark mark_;
     std::vector<Cycle> scratch_;      ///< the state being compared
@@ -437,7 +429,6 @@ class MemoryController
     std::uint64_t admissions_ = 0;    ///< in epochs, since an advance
     bool longPeriod_ = false;         ///< compare two groups' rows, not one
     Cycle reach_ = 0;                 ///< latest candidate since the mark
-    std::vector<RowNote> rowNotes_;
     std::vector<WakeRun> runCopy_;    ///< the mark's period's new runs
 
     std::unique_ptr<MemSchedPolicy> sched_;
@@ -445,6 +436,7 @@ class MemoryController
 
     Cycle pimBankBusyCycles_ = 0;
     std::uint64_t completedMemJobs_ = 0;
+    std::uint64_t rowHits_ = 0; ///< MEM rows that found their row open
     std::uint64_t memCompletions_ = 0;
     std::uint64_t completedPimJobs_ = 0;
     std::uint64_t decisions_ = 0;

@@ -121,8 +121,8 @@ class HbmStack : private EventQueue::Batcher
      * beats served). */
     Cycle totalMemBankBusyCycles() const;
 
-    /** Sum of per-channel scheduling statistics (row hit/miss/conflict
-     * classification, per-class command counts, mode switches, PIM
+    /** Sum of per-channel scheduling statistics (row hits, misses and
+     * conflicts, per-class command counts, mode switches, PIM
      * stall/waste integrals); folded channels contribute their
      * representative's bit-identical values. */
     MemSchedStats totalMemSchedStats() const;

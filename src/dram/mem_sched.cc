@@ -45,40 +45,10 @@ MemSchedPolicy::recordIssue(const ArbView &v, bool picked_pim)
         ++stats_.pimCommands;
         if (v.cm < v.cp)
             stats_.pimWasteCycles += v.cp - v.cm;
-    } else {
-        ++stats_.memCommands;
-        if (v.cp < v.cm)
-            stats_.pimStallCycles += v.cm - v.cp;
+    } else if (v.cp < v.cm) {
+        stats_.pimStallCycles += v.cm - v.cp;
     }
     onIssue(v, picked_pim);
-}
-
-void
-MemSchedPolicy::noteRowOutcome(BankId bank, int row, RowOutcome outcome)
-{
-    switch (outcome) {
-      case RowOutcome::Hit:
-        ++stats_.rowHits;
-        break;
-      case RowOutcome::Miss:
-        ++stats_.rowMisses;
-        break;
-      case RowOutcome::Conflict:
-        ++stats_.rowConflicts;
-        break;
-    }
-    auto &bin = bins_[static_cast<std::size_t>(bank) % kMaxBanks]
-                     [static_cast<std::size_t>(row) % kBinsPerBank];
-    if (bin < UINT32_MAX)
-        ++bin;
-}
-
-void
-MemSchedPolicy::decayBins()
-{
-    for (auto &bank : bins_)
-        for (auto &bin : bank)
-            bin >>= 1;
 }
 
 namespace {
@@ -145,9 +115,10 @@ class PimFrFcfsPolicy final : public MemSchedPolicy
  * channel runs in an explicit mode. A PIM stint is capped at
  * `pawsPimCap` commands once MEM work waits; the MEM stint budget is
  * the job backlog captured at switch time — drain what accumulated,
- * no more — extensible while the head MEM job hits a hot row bin but
- * hard-capped at 2x the budget. Both caps bound every stint, so
- * neither class can be starved.
+ * no more. Both caps bound every stint, so neither class can be
+ * starved. PAWS bins pending requests per row to serve row hits
+ * first; an NPU stream opens each row once, so there are no bins here
+ * (DESIGN.md §11).
  */
 class PawsPolicy final : public MemSchedPolicy
 {
@@ -190,15 +161,8 @@ class PawsPolicy final : public MemSchedPolicy
             if (cfg_.pawsPimCap > 0 &&
                 pimCmdsThisStint_ >= cfg_.pawsPimCap)
                 switchTo(Mode::Mem, v);
-        } else {
-            bool exhausted = memJobsThisStint_ >= memStintBudget_;
-            bool hot_extension =
-                v.memIsRowHit &&
-                binCount(v.memBank, v.memRow) >=
-                    static_cast<std::uint32_t>(cfg_.pawsBinHot) &&
-                memJobsThisStint_ < 2 * memStintBudget_;
-            if (exhausted && !hot_extension)
-                switchTo(Mode::Pim, v);
+        } else if (memJobsThisStint_ >= memStintBudget_) {
+            switchTo(Mode::Pim, v);
         }
     }
 
@@ -212,7 +176,6 @@ class PawsPolicy final : public MemSchedPolicy
         if (mode == Mode::Mem)
             memStintBudget_ =
                 std::max<std::size_t>(1, v.memPending);
-        decayBins();
     }
 
     MemSchedConfig cfg_;

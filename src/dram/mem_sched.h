@@ -18,24 +18,22 @@
  *    number of consecutively deferred MEM decisions.
  *  - Paws: PAWS-style cap-and-switch — the channel alternates between
  *    an explicit PIM mode and MEM mode. A PIM stint ends after
- *    `pawsPimCap` PIM commands (with MEM work waiting); the MEM stint
- *    budget is the backlog captured at switch time, extensible while
- *    the head MEM job is a hot-bin row hit but hard-capped at twice
- *    the budget so neither class can starve.
+ *    `pawsPimCap` PIM commands (with MEM work waiting); a MEM stint
+ *    ends once it has completed the MEM backlog captured at switch
+ *    time, so neither class can starve.
  *
- * Every policy also carries the channel's scheduling statistics: row
- * hit/miss/conflict classification of MEM jobs, per-class command
- * counts, MEM<->PIM mode switches, and the two contention integrals —
- * pimStallCycles (PIM command ready but a later MEM command was chosen)
- * and pimWasteCycles (bus held for a later PIM command while MEM work
- * was ready). Under FrFcfs both integrals are identically zero, which
- * the property tests pin.
+ * A policy counts what only arbitration sees: PIM commands, MEM<->PIM
+ * mode switches, and the two contention integrals — pimStallCycles
+ * (PIM command ready but a later MEM command was chosen) and
+ * pimWasteCycles (bus held for a later PIM command while MEM work was
+ * ready). Under FrFcfs both integrals are identically zero, which the
+ * property tests pin. The row outcomes and MEM command count come from
+ * the channel's commands (MemoryController::memSchedStats).
  */
 
 #ifndef NEUPIMS_DRAM_MEM_SCHED_H_
 #define NEUPIMS_DRAM_MEM_SCHED_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -67,20 +65,15 @@ struct MemSchedConfig
      * switches to MEM mode (when MEM work is waiting).
      */
     int pawsPimCap = 48;
-    /** Paws: bin access count at which a row counts as "hot". */
-    int pawsBinHot = 2;
 };
 
-/** How a MEM job found its bank's MEM-side row buffer on first issue. */
-enum class RowOutcome { Hit, Miss, Conflict };
-
-/** Scheduling statistics, owned by the policy instance. */
+/** A channel's scheduling statistics. */
 struct MemSchedStats
 {
-    std::uint64_t rowHits = 0;      ///< MEM job found its row open
+    std::uint64_t rowHits = 0;      ///< MEM rows that found their row open
     std::uint64_t rowMisses = 0;    ///< bank closed: ACT needed
     std::uint64_t rowConflicts = 0; ///< other row open: PRE + ACT
-    std::uint64_t memCommands = 0;  ///< MEM sub-commands issued
+    std::uint64_t memCommands = 0;  ///< MEM ACT, PRE, RD and WR issued
     std::uint64_t pimCommands = 0;  ///< PIM sub-commands issued
     std::uint64_t modeSwitches = 0; ///< Paws MEM<->PIM transitions
     /** Sum over decisions of (mem issue - pim candidate) when a ready
@@ -103,19 +96,6 @@ struct MemSchedStats
         pimWasteCycles += o.pimWasteCycles;
         return *this;
     }
-
-    std::uint64_t
-    classifiedMemJobs() const
-    {
-        return rowHits + rowMisses + rowConflicts;
-    }
-    double
-    rowHitRate() const
-    {
-        std::uint64_t n = classifiedMemJobs();
-        return n ? static_cast<double>(rowHits) / static_cast<double>(n)
-                 : 0.0;
-    }
 };
 
 /** Snapshot of one arbitration decision (both classes have a legal
@@ -124,12 +104,8 @@ struct ArbView
 {
     Cycle cm = kCycleMax;  ///< earliest MEM candidate
     Cycle cp = kCycleMax;  ///< earliest PIM candidate
-    Cycle now = 0;
     bool memIsRowHit = false; ///< chosen MEM candidate hits its open row
-    BankId memBank = 0;       ///< bank of the chosen MEM candidate
-    int memRow = 0;           ///< row of the chosen MEM candidate
     std::size_t memPending = 0; ///< queued + in-flight MEM jobs
-    std::size_t pimPending = 0; ///< queued + active PIM kernels
 };
 
 class MemSchedPolicy
@@ -149,24 +125,12 @@ class MemSchedPolicy
      */
     virtual bool choosePim(const ArbView &v) = 0;
 
-    /** Account an issued command (both arbitrated and auto-picked). */
-    void recordIssue(const ArbView &v, bool picked_pim);
-
     /**
-     * Account @p n MEM commands issued with no PIM work (a burst train,
-     * DESIGN.md §3.4): what n recordIssue calls of a lone MEM class do,
-     * since onIssue() of a MEM pick reads no candidate and is
-     * idempotent.
+     * Account an issued command (both arbitrated and auto-picked). A
+     * MEM pick's onIssue() reads no candidate and is idempotent, so the
+     * rest of a burst train (DESIGN.md §3.4) needs no further call.
      */
-    void
-    recordLoneMem(std::uint64_t n)
-    {
-        stats_.memCommands += n;
-        onIssue(ArbView{}, false);
-    }
-
-    /** Account the first-issue row-buffer outcome of a MEM job. */
-    void noteRowOutcome(BankId bank, int row, RowOutcome outcome);
+    void recordIssue(const ArbView &v, bool picked_pim);
 
     /** Account @p n MEM job completions (Paws stint budgets). */
     void
@@ -175,16 +139,9 @@ class MemSchedPolicy
         onMemJobsCompleted(n);
     }
 
+    /** The arbitration counters; the row and MEM command fields stay
+     * 0 here. */
     const MemSchedStats &stats() const { return stats_; }
-
-    /** Recent access count of @p row's bin on @p bank (row-locality
-     * estimate; bins halve on every Paws mode switch). */
-    std::uint32_t
-    binCount(BankId bank, int row) const
-    {
-        return bins_[static_cast<std::size_t>(bank) % kMaxBanks]
-                    [static_cast<std::size_t>(row) % kBinsPerBank];
-    }
 
   protected:
     virtual void onIssue(const ArbView &v, bool picked_pim)
@@ -194,15 +151,7 @@ class MemSchedPolicy
     }
     virtual void onMemJobsCompleted(std::uint64_t n) { (void)n; }
 
-    void decayBins();
-
     MemSchedStats stats_;
-
-  private:
-    static constexpr std::size_t kMaxBanks = 64;
-    static constexpr std::size_t kBinsPerBank = 16;
-    std::array<std::array<std::uint32_t, kBinsPerBank>, kMaxBanks>
-        bins_ = {};
 };
 
 std::unique_ptr<MemSchedPolicy> makeMemSchedPolicy(const MemSchedConfig &cfg);

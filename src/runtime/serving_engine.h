@@ -56,7 +56,6 @@ struct MemSchedSummary
     std::uint64_t modeSwitches = 0;
     Cycle pimStallCycles = 0; ///< ready PIM deferred behind later MEM
     Cycle pimWasteCycles = 0; ///< bus waited for later PIM over MEM
-    double rowHitRate = 0.0;
     double memBankUtil = 0.0; ///< mean per-bank MEM data service
 };
 

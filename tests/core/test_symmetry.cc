@@ -8,11 +8,13 @@
  * utilizations, traffic, command counts and scheduling statistics —
  * against the unfolded reference run, while actually simulating far
  * fewer controllers. DESIGN.md §5 gives the argument; these tests are
- * the proof obligation.
+ * the proof obligation. Through the same test peer, ExecutorRows
+ * checks that the executor's streams open every row once.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -34,6 +36,15 @@ class DeviceExecutorTestPeer
                 int warmup_layers)
     {
         return ex.run(batch, extra, window_layers, warmup_layers, false);
+    }
+
+    /** The folded run, handing its memory stack to @p inspect. */
+    static IterationResult
+    runInspected(DeviceExecutor &ex, const BatchComposition &batch,
+                 const ExtraMemTraffic &extra, int window_layers,
+                 const std::function<void(const dram::HbmStack &)> &inspect)
+    {
+        return ex.run(batch, extra, window_layers, 1, true, inspect);
     }
 };
 
@@ -284,6 +295,57 @@ INSTANTIATE_TEST_SUITE_P(
                std::get<1>(pinfo.param) + "_b" +
                std::to_string(std::get<2>(pinfo.param));
     });
+
+/**
+ * The premise of reading row outcomes off the channel's commands, and
+ * of paws keeping no row bins (DESIGN.md §11): the DMA engine's
+ * forward-only cursor opens every (bank, row) once. On every backend
+ * and policy, with swap traffic beside the layer's streams, no MEM row
+ * finds its row open, and every completed row activates exactly once
+ * on each controller the fold simulates.
+ */
+TEST(ExecutorRows, EveryRowActivatesOnceOnEveryBackendAndPolicy)
+{
+    const auto llm = tinyModel();
+    ExtraMemTraffic extra;
+    extra.swapOutBytes = 3 * 1024 * 1024 + 4321;
+    extra.swapInBytes = 1024 * 1024 + 77;
+    for (const ModeParam &mode :
+         {ModeParam{"NpuOnly"}, ModeParam{"SerialNpuPim"},
+          ModeParam{"NeuPimsSerial"}, ModeParam{"NeuPimsSbi"}}) {
+        for (dram::MemSchedKind kind :
+             {dram::MemSchedKind::FrFcfs, dram::MemSchedKind::PimFrFcfs,
+              dram::MemSchedKind::Paws}) {
+            SCOPED_TRACE(::testing::Message()
+                         << mode.name << " " << dram::memSchedKindName(kind));
+            DeviceConfig dev = mode.make();
+            dev.memSched.kind = kind;
+            runtime::WorkloadGenerator gen(runtime::datasetByName("ShareGPT"),
+                                           42);
+            auto comp = buildComposition(gen.warmBatch(64), dev.org.channels,
+                                         dev.flags.minLoadPacking,
+                                         latencyParamsFor(dev, llm, 1));
+            DeviceExecutor ex(dev, llm, 1, llm.numLayers);
+            std::uint64_t rows = 0;
+            DeviceExecutorTestPeer::runInspected(
+                ex, comp, extra, dev.flags.subBatchInterleaving ? 3 : 2,
+                [&rows](const dram::HbmStack &hbm) {
+                    for (ChannelId ch = 0; ch < hbm.numChannels(); ++ch) {
+                        if (!hbm.isRepresentative(ch))
+                            continue;
+                        const dram::MemoryController &mc = hbm.controller(ch);
+                        const dram::MemSchedStats s = mc.memSchedStats();
+                        EXPECT_EQ(s.rowHits, 0u) << "channel " << ch;
+                        EXPECT_EQ(s.rowMisses + s.rowConflicts,
+                                  mc.completedMemJobs())
+                            << "channel " << ch;
+                        rows += mc.completedMemJobs();
+                    }
+                });
+            EXPECT_GT(rows, 0u);
+        }
+    }
+}
 
 } // namespace
 } // namespace neupims::core

@@ -158,9 +158,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedOnly,
 // case floods one controller with a seeded mix of reads and writes,
 // same-bank row hits and conflicts, and MEM/PIM arrivals injected
 // mid-stream while a horizon resume is pending, then folds every
-// completion, the channel's CommandCounts and the policy's statistics
-// into one FNV-1a hash. A mismatch means a schedule moved; re-pin only
-// for an intended behaviour change.
+// completion, the channel's CommandCounts and the controller's
+// statistics into one FNV-1a hash. A mismatch means a schedule moved;
+// re-pin only for an intended behaviour change.
 // ---------------------------------------------------------------------------
 
 void
@@ -285,10 +285,10 @@ TEST(ControllerSchedulePin, FloodsReproducePinnedSchedules)
         0x61e01d4bf629433dULL, 0xa6521036786c1884ULL,
         0x275667759bc35c8fULL, 0x5c22c6310b99d66bULL,
         // paws, dual
-        0xd90197d5ef94d24eULL, 0x41acb72534222202ULL,
-        0xf40b9f67f1725b1aULL, 0x26183ada195d9c5aULL,
-        0xb1ad063b52553fcfULL, 0xd39a289858e25babULL,
-        0x8d1f8469d44d786cULL, 0xd025e399f0f52e2dULL,
+        0x216af166292d889dULL, 0xf82207c1ce75927eULL,
+        0x7f609b080bc3688aULL, 0x7602c6c7a346559cULL,
+        0xcd63588e72154d71ULL, 0xd595e2326908465eULL,
+        0xe5becbc4bb6d0e5eULL, 0xd025e399f0f52e2dULL,
         // paws, blocked
         0x48ec93dd0e7ddcf0ULL, 0x7149a7918529d7a4ULL,
         0x0c8746252f44d7acULL, 0xf249fd5a8c583623ULL,

@@ -130,8 +130,8 @@ TEST_P(PolicyFlood, AllJobsCompleteUnderEveryPolicyAndCap)
     }
 }
 
-/** Row-outcome conservation: every completed MEM job was classified
- * exactly once (hits + misses + conflicts == completions), and both
+/** Row-outcome conservation: every completed MEM row is one hit, miss
+ * or conflict (hits + misses + conflicts == completions), and both
  * command counters moved. */
 TEST_P(PolicyFlood, RowCountersConservedAgainstCompletedJobs)
 {
@@ -142,11 +142,10 @@ TEST_P(PolicyFlood, RowCountersConservedAgainstCompletedJobs)
     MemSchedConfig sched;
     sched.kind = kinds[kind_idx];
     auto r = runFlood(seed, sched);
-    EXPECT_EQ(r.stats.classifiedMemJobs(), r.completedMemJobs);
+    EXPECT_EQ(r.stats.rowHits + r.stats.rowMisses + r.stats.rowConflicts,
+              r.completedMemJobs);
     EXPECT_GT(r.stats.memCommands, 0u);
     EXPECT_GT(r.stats.pimCommands, 0u);
-    EXPECT_GE(r.stats.rowHitRate(), 0.0);
-    EXPECT_LE(r.stats.rowHitRate(), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
