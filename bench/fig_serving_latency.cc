@@ -216,21 +216,18 @@ prefillSweep()
         for (double load : pick<double>({0.7, 1.4, 2.8}, {1.4})) {
             Spec &s = sw.specs.emplace_back(
                 spec(name, load, nominalRate("ShareGPT") * load));
+            s.run.prefill.chunkTokens = chunk;
             if (chunk == 0) {
-                s.run.prefill.policy = runtime::PrefillPolicy::WholePrompt;
                 s.run.prefill.piggyback = false;
                 // Preemption needs piggybacked prefill; this arm fits.
                 s.run.options.preempt = "off";
-            } else {
-                s.run.prefill.chunkTokens = chunk;
             }
         }
     sw.columns = [](const Spec &s, const runtime::ServingReport &r) {
         const auto &pf = s.run.prefill;
-        bool whole = pf.policy == runtime::PrefillPolicy::WholePrompt;
         return Cols{
             {"prefill", "%-12s", "prefill", "", s.name},
-            json("chunk", whole ? 0 : pf.chunkTokens),
+            json("chunk", pf.chunkTokens),
             json("piggyback", Value(pf.piggyback ? "true" : "false", true)),
             {"load", "%4.1fx", "load", "%.2f", s.load},
             json("completed", r.requestsCompleted),

@@ -45,8 +45,9 @@
  * the analytic model to one measured point per backend first.
  * --prefill selects the prompt-pass policy (default chunked with a
  * --chunk token budget, piggybacked onto decode iterations unless
- * --no-piggyback); the report's TTFT splits into queueing + prefill +
- * first-decode accordingly.
+ * --no-piggyback; whole drops the budget whatever --chunk says); the
+ * report's TTFT splits into queueing + prefill + first-decode
+ * accordingly.
  *
  * --preempt selects the memory-pressure policy: off stalls admission
  * while the KV cache is full and stops the run if a decode token finds
@@ -206,12 +207,23 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Parse a --prefill name: true for whole, false for chunked. */
+bool
+isWholePrefill(const std::string &name)
+{
+    if (name != "whole" && name != "chunked")
+        fatal("unknown prefill policy '", name,
+              "' (expected whole|chunked)");
+    return name == "whole";
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opt;
+    bool whole_prefill = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -238,7 +250,7 @@ main(int argc, char **argv)
         else if (arg == "--trace")
             opt.run.traceCsv = value();
         else if (arg == "--prefill")
-            opt.run.prefill.policy = runtime::prefillPolicyByName(value());
+            whole_prefill = isWholePrefill(value());
         else if (arg == "--chunk")
             opt.run.prefill.chunkTokens = parseFlag(arg, value(), 1);
         else if (arg == "--no-piggyback")
@@ -300,6 +312,9 @@ main(int argc, char **argv)
         }
     }
 
+    // After every flag, so a later --chunk cannot re-enable chunking.
+    if (whole_prefill)
+        opt.run.prefill.chunkTokens = 0;
     opt.run.options.faultSeed = opt.run.seed;
     auto llm = model::modelByName(opt.model);
 
@@ -343,7 +358,7 @@ main(int argc, char **argv)
                 llm.name.c_str(), opt.run.requests,
                 static_cast<unsigned long long>(opt.run.seed),
                 opt.hybrid > 0 ? "hybrid" : "analytic",
-                runtime::prefillPolicyName(opt.run.prefill.policy),
+                whole_prefill ? "whole" : "chunked",
                 opt.run.prefill.chunkTokens,
                 opt.run.prefill.piggyback ? ", piggyback" : "",
                 serving.preempt.c_str(), serving.victim.c_str(),

@@ -77,35 +77,11 @@ preemptModeName(PreemptMode mode)
     return "?";
 }
 
-PrefillPolicy
-prefillPolicyByName(const std::string &name)
-{
-    if (name == "whole")
-        return PrefillPolicy::WholePrompt;
-    if (name == "chunked")
-        return PrefillPolicy::Chunked;
-    fatal("unknown prefill policy '", name,
-          "' (expected whole|chunked)");
-}
-
-const char *
-prefillPolicyName(PrefillPolicy policy)
-{
-    switch (policy) {
-    case PrefillPolicy::WholePrompt:
-        return "whole";
-    case PrefillPolicy::Chunked:
-        return "chunked";
-    }
-    return "?";
-}
-
 BatchScheduler::BatchScheduler(const SchedulerConfig &cfg,
                                RequestPool &pool, PagedKvCache &kv,
                                FaultModel *fault)
     : cfg_(cfg), pool_(pool), kv_(kv), fault_(fault),
-      estimator_(cfg.estimator),
-      policy_(makeSchedulingPolicy(cfg.policy, cfg.preempt.victim))
+      estimator_(cfg.estimator)
 {
     NEUPIMS_ASSERT(!fault_ || !fault_->enabled() ||
                        cfg_.preempt.enabled(),
@@ -114,9 +90,8 @@ BatchScheduler::BatchScheduler(const SchedulerConfig &cfg,
                    "mode and re-dispatches them through the "
                    "restore/prefill path");
     NEUPIMS_ASSERT(cfg_.channels >= 1 && cfg_.maxBatch >= 1);
-    NEUPIMS_ASSERT(cfg_.prefill.policy != PrefillPolicy::Chunked ||
-                       cfg_.prefill.chunkTokens >= 1,
-                   "chunked prefill needs a positive token budget");
+    NEUPIMS_ASSERT(cfg_.prefill.chunkTokens >= 0,
+                   "the prefill token budget cannot be negative");
     NEUPIMS_ASSERT(!cfg_.preempt.enabled() || cfg_.prefill.piggyback,
                    "preemption requires piggybacked prefill: "
                    "stall-the-world prefill-only iterations exclude "
@@ -146,7 +121,7 @@ BatchScheduler::admissionTokens(const Request &req) const
     // Admission only secures the first prefill chunk's pages; later
     // chunks reserve as their slices land (or preempt a victim).
     int remaining = req.remainingPrefill();
-    if (cfg_.prefill.policy == PrefillPolicy::Chunked)
+    if (cfg_.prefill.chunkTokens > 0)
         remaining = std::min(remaining, cfg_.prefill.chunkTokens);
     return std::max(1, remaining);
 }
@@ -158,7 +133,7 @@ BatchScheduler::markUrgentChannels()
     for (RequestId id : pool_.runningIds()) {
         const Request &res = pool_.request(id);
         if (res.channel >= 0 && res.channel < cfg_.channels &&
-            policy_->urgency(res, now_) >= 0.5)
+            urgent(cfg_.policy, res, now_))
             urgent_[res.channel] = true;
     }
 }
@@ -171,14 +146,13 @@ BatchScheduler::placeByUrgency(const Request &req,
 {
     if (cfg_.minLoadPacking) {
         // Min-load channel among those with KV room (Algorithm 2).
-        // The packer consults the policy's urgency: a low-urgency
-        // request prefers channels hosting no urgent resident
-        // (min-load within that subset, falling back to all), so
-        // urgent requests keep KV headroom and see less co-located
-        // pressure churn without distorting the load balance. Fcfs
-        // reports urgency 1.0 for everything, leaving the historical
-        // min-load packing bit-for-bit.
-        const bool isolate = policy_->urgency(req, now_) < 0.5;
+        // A non-urgent request prefers channels hosting no urgent
+        // resident (min-load within that subset, falling back to
+        // all), so urgent requests keep KV headroom and see less
+        // co-located pressure churn without distorting the load
+        // balance. Under Fcfs every request is urgent, leaving the
+        // historical min-load packing bit-for-bit.
+        const bool isolate = !urgent(cfg_.policy, req, now_);
         if (isolate)
             markUrgentChannels();
         ChannelId best = kInvalidId;
@@ -234,17 +208,14 @@ BatchScheduler::nextAdmission(IterationSchedule &out)
 {
     const bool preempting = cfg_.preempt.enabled();
     while (pool_.waitingCount() > 0) {
-        // Stable minimum under the policy's admission order: ties
-        // keep waiting-queue (arrival) order. Fcfs never prefers, so
-        // it declares reordersAdmission() false and keeps the O(1)
-        // head pop instead of scanning the queue.
-        const auto &waiting = pool_.waitingIds();
-        RequestId pick = waiting.front();
-        if (policy_->reordersAdmission()) {
-            for (RequestId id : waiting) {
-                if (policy_->admitBefore(pool_.request(id),
-                                         pool_.request(pick), now_))
-                    pick = id;
+        // First lowest rank: ties keep waiting-queue (arrival) order.
+        RequestId pick = kInvalidId;
+        double best = 0.0;
+        for (RequestId id : pool_.waitingIds()) {
+            double r = rank(cfg_.policy, pool_.request(id), now_);
+            if (pick == kInvalidId || r < best) {
+                pick = id;
+                best = r;
             }
         }
         if (!preempting)
@@ -261,7 +232,6 @@ BatchScheduler::nextAdmission(IterationSchedule &out)
             return pick;
         pool_.dropWaiting(pick);
         out.droppedNeverFit.push_back(pick);
-        ++preemptStats_.neverFitDrops;
     }
     return kInvalidId;
 }
@@ -278,14 +248,14 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
     while (pool_.preemptedCount() > 0 &&
            pool_.runningCount() <
                static_cast<std::size_t>(cfg_.maxBatch)) {
-        // Policy restore order (stable minimum: ties keep eviction
-        // FIFO order, which is exactly what Fcfs degrades to), never
-        // bouncing a victim of this very boundary straight back in
-        // (it would ride its own freed pages out and back, pure
-        // transfer churn). A blocked pick blocks the queue: with a
-        // policy order, anything it outranks must keep waiting behind
-        // it (no overtaking, bounded starvation).
+        // First lowest rank (ties keep eviction FIFO order, which is
+        // exactly what Fcfs degrades to), never bouncing a victim of
+        // this very boundary straight back in (it would ride its own
+        // freed pages out and back, pure transfer churn). A blocked
+        // pick blocks the queue: anything it outranks must keep
+        // waiting behind it (no overtaking, bounded starvation).
         Request *req = nullptr;
+        double best = 0.0;
         for (RequestId id : pool_.preemptedIds()) {
             Request *cand = &pool_.request(id);
             bool evicted_now = false;
@@ -293,8 +263,11 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
                 evicted_now = evicted_now || p == cand;
             if (evicted_now)
                 continue;
-            if (!req || policy_->restoreBefore(*cand, *req, now_))
+            double r = rank(cfg_.policy, *cand, now_);
+            if (!req || r < best) {
                 req = cand;
+                best = r;
+            }
         }
         if (!req)
             break;
@@ -369,15 +342,14 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
     const bool lazy = lazyKvAlloc();
 
     // Page demands — decode appends and prefill slices — resolve in
-    // the policy's pressure order (Fcfs: ascending RequestId ==
+    // the pressure order (rank, then id; Fcfs: ascending RequestId ==
     // submission order, the age-priority rule vLLM's scheduler uses):
     // a demander may only evict requests it strictly outranks, so the
     // top-ranked request in the system always makes progress and
-    // preemption cannot livelock — any strict total order inherits the
-    // argument (DESIGN.md §8). A demander that cannot be satisfied
-    // even after evicting every outranked resident stalls for this
-    // iteration (its work is removed; it keeps its pages) instead of
-    // churning.
+    // preemption cannot livelock (DESIGN.md §8.1). A demander that
+    // cannot be satisfied even after evicting every outranked
+    // resident stalls for this iteration (its work is removed; it
+    // keeps its pages) instead of churning.
     demands_.resize(static_cast<std::size_t>(cfg_.channels));
     for (auto &chd : demands_)
         chd.clear();
@@ -408,40 +380,36 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
         // frees nothing; its own demands are resolved on its own
         // turn). Eviction frees only the unshared suffix — pages the
         // victim holds by reference alongside another live sequence
-        // stay resident for the other holder — so victimScore sees
-        // the *evictable* count, not the raw footprint (the
+        // stay resident for the other holder — so the victim score
+        // sees the *evictable* count, not the raw footprint (the
         // refcount-aware obligation stated with §8.1's livelock rule;
         // DESIGN.md §13). A victim whose every page is shared frees
         // nothing immediately but stays eligible: evicting it drops
         // the refcounts, so its co-holders' pages become evictable on
         // the very next pick and the eviction loop still terminates
-        // (each pick shrinks the resident set). The policy scores
-        // them; the highest score evicts first, ties toward the most
-        // recently (re)admitted (victims_ follows running order:
-        // back() == youngest), which makes LifoYoungest exactly a
-        // constant score.
-        victims_.clear();
+        // (each pick shrinks the resident set). The highest rank
+        // evicts first, the VictimPolicy score breaking rank ties and
+        // the most recently (re)admitted breaking score ties (running
+        // order ends with the youngest), which makes LifoYoungest
+        // exactly a constant score.
+        Request *victim = nullptr;
+        double victim_rank = 0.0, victim_score = 0.0;
         for (RequestId id : pool_.runningIds()) {
             Request &req = pool_.request(id);
             if (req.channel != ch ||
-                !policy_->outranks(demander, req, now_))
+                !outranks(cfg_.policy, demander, req, now_))
                 continue;
-            if (kv_.evictablePagesOf(req.id) <= 0 &&
-                kv_.sharedPagesOf(req.id) <= 0)
+            std::int64_t evictable = kv_.evictablePagesOf(req.id);
+            if (evictable <= 0 && kv_.sharedPagesOf(req.id) <= 0)
                 continue;
-            victims_.push_back(&req);
-        }
-        if (victims_.empty())
-            return nullptr;
-        Request *victim = victims_.front();
-        double best = policy_->victimScore(
-            *victim, kv_.evictablePagesOf(victim->id), now_);
-        for (Request *req : victims_) {
-            double score = policy_->victimScore(
-                *req, kv_.evictablePagesOf(req->id), now_);
-            if (score >= best) {
-                victim = req;
-                best = score;
+            double r = rank(cfg_.policy, req, now_);
+            double score =
+                victimScoreFor(cfg_.preempt.victim, req, evictable);
+            if (!victim || r > victim_rank ||
+                (r == victim_rank && score >= victim_score)) {
+                victim = &req;
+                victim_rank = r;
+                victim_score = score;
             }
         }
         return victim;
@@ -476,7 +444,8 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
         auto &chd = demands_[ch];
         std::sort(chd.begin(), chd.end(),
                   [this](const Demand &a, const Demand &b) {
-                      return policy_->outranks(*a.req, *b.req, now_);
+                      return outranks(cfg_.policy, *a.req, *b.req,
+                                      now_);
                   });
         std::int64_t reserved = 0; // pages granted to earlier ranks
         for (std::size_t i = 0; i < chd.size(); ++i) {
@@ -508,30 +477,28 @@ BatchScheduler::resolveMemoryPressure(IterationSchedule &out,
 void
 BatchScheduler::schedulePrefill(IterationSchedule &out)
 {
-    // The policy's pressure order (Fcfs: submission age — earlier
-    // prompts finish their prefill first, bounding TTFT head-of-line
-    // effects). The token budget MUST follow the same order the
-    // pressure resolver uses for eviction priority: handing budget to
-    // a request that cannot take pages from the residents outranking
-    // it would deadlock the two orders against each other — the
-    // livelock-freedom obligation a SchedulingPolicy signs up for by
-    // making outranks() one strict total order owning both decisions.
-    // Being a strict total order, it ranks the prefilling requests
-    // alone exactly as it would rank them within the whole running
-    // set, so only they are sorted.
-    rank_.clear();
+    // The pressure order (Fcfs: submission age — earlier prompts
+    // finish their prefill first, bounding TTFT head-of-line
+    // effects). The token budget follows the same order the pressure
+    // resolver uses for eviction priority: handing budget to a
+    // request that cannot take pages from the residents outranking it
+    // would deadlock the two orders against each other (DESIGN.md
+    // §8.1). Being a strict total order, it ranks the prefilling
+    // requests alone exactly as it would rank them within the whole
+    // running set, so only they are sorted.
+    prefilling_.clear();
     for (Request *req : running_) {
         if (req->prefilling())
-            rank_.push_back(req);
+            prefilling_.push_back(req);
     }
-    std::sort(rank_.begin(), rank_.end(),
+    std::sort(prefilling_.begin(), prefilling_.end(),
               [this](const Request *a, const Request *b) {
-                  return policy_->outranks(*a, *b, now_);
+                  return outranks(cfg_.policy, *a, *b, now_);
               });
-    int budget = cfg_.prefill.policy == PrefillPolicy::Chunked
+    int budget = cfg_.prefill.chunkTokens > 0
                      ? cfg_.prefill.chunkTokens
                      : std::numeric_limits<int>::max();
-    for (Request *req : rank_) {
+    for (Request *req : prefilling_) {
         if (budget <= 0)
             break;
         int tokens = std::min(req->remainingPrefill(), budget);
@@ -558,7 +525,7 @@ BatchScheduler::applyFaults(IterationSchedule &out)
         // Force-preempt every resident of the failed channel in
         // recompute mode — its KV pages are gone, so the restore
         // rebuilds the sequence through chunked prefill on a
-        // surviving channel under the active SchedulingPolicy.
+        // surviving channel in the policy's restore order.
         for (Request *req : pool_.runningRequests()) {
             if (req->channel != ch)
                 continue;
@@ -609,20 +576,20 @@ BatchScheduler::shedOverload(IterationSchedule &out)
     int cap = static_cast<int>(
         std::max<std::size_t>(1, pool_.waitingCount() / 4));
     while (cap-- > 0 && tripped()) {
-        // Shed the request the policy would admit LAST — the stable
-        // maximum under admitBefore, ties toward the youngest
-        // arrival. Fcfs never prefers, so this is exact drop-tail;
-        // class-aware policies shed their lowest effective class.
-        const auto &waiting = pool_.waitingIds();
-        RequestId victim = waiting.front();
-        for (RequestId id : waiting) {
-            if (!policy_->admitBefore(pool_.request(id),
-                                      pool_.request(victim), now_))
+        // Shed the last highest rank: ties toward the youngest
+        // arrival, so Fcfs is exact drop-tail and class-aware
+        // policies shed their lowest effective class.
+        RequestId victim = kInvalidId;
+        double worst = 0.0;
+        for (RequestId id : pool_.waitingIds()) {
+            double r = rank(cfg_.policy, pool_.request(id), now_);
+            if (victim == kInvalidId || r >= worst) {
                 victim = id;
+                worst = r;
+            }
         }
         pool_.abandon(victim, RequestStatus::Shed);
         out.shedNow.push_back(victim);
-        ++preemptStats_.shedRequests;
     }
 }
 
@@ -667,7 +634,7 @@ BatchScheduler::scheduleIteration(Cycle now)
     }
 
     // Iteration-level admission: fill the batch while KV room lasts,
-    // in the policy's admission order (never-fitting picks are
+    // in rank order (never-fitting picks are
     // rejected as they surface, not just once per boundary — a
     // fitting pick may hide one). Unrestored evictees hold admission
     // priority — fresh admissions would only churn straight back out

@@ -17,10 +17,11 @@
  * Algorithm-3 sub-batches where they price it.
  *
  * Every *ordering* decision the scheduler makes — admission order,
- * prefill-token-budget sharing, victim scoring under memory pressure,
- * restore order — is delegated to a pluggable SchedulingPolicy
- * (runtime/sched_policy.h); the built-in Fcfs policy reproduces the
- * historical FIFO/age-order behavior bit-for-bit.
+ * prefill-token-budget sharing, victim choice under memory pressure,
+ * restore order, packing urgency — derives from the scheduling
+ * policy's one rank per request (runtime/sched_policy.h); Fcfs ranks
+ * every request alike and reproduces the historical FIFO/age-order
+ * behavior bit-for-bit.
  *
  * KV memory pressure is a first-class, priced event rather than a
  * stall: with PreemptConfig enabled, an iteration that cannot reserve
@@ -29,7 +30,8 @@
  * Recompute frees the victim's pages and re-runs its sequence through
  * the chunked-prefill path; Swap parks the pages in a host tier over
  * a modeled link whose transfer time the iteration models price.
- * Preempted requests are restored, FIFO, before any new admission.
+ * Preempted requests are restored, in rank order (ties FIFO), before
+ * any new admission.
  * PreemptConfig::Off keeps the admission-stall behavior bit-for-bit
  * for runs that fit; KV capacity is a hard limit, so a decode append
  * that finds no free page stops the run.
@@ -39,7 +41,6 @@
 #define NEUPIMS_RUNTIME_BATCH_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,20 +53,12 @@
 namespace neupims::runtime {
 
 /** How admitted prompts are routed through the prefill phase. */
-enum class PrefillPolicy : std::uint8_t
-{
-    /** Each prefilling request processes its whole remaining prompt in
-     * a single iteration (no token budget). */
-    WholePrompt,
-    /** At most chunkTokens prompt tokens are prefilled per iteration
-     * across all prefilling requests (FIFO by admission). */
-    Chunked,
-};
-
 struct PrefillConfig
 {
-    PrefillPolicy policy = PrefillPolicy::Chunked;
-    /** Per-iteration prompt-token budget (Chunked policy only). */
+    /** Per-iteration prompt-token budget shared by all prefilling
+     * requests in pressure order (chunked prefill); 0 = no budget,
+     * each prefilling request processes its whole remaining prompt
+     * in a single iteration. */
     int chunkTokens = 256;
     /**
      * Mix prefill slices into decode iterations (the NPU prefill work
@@ -103,18 +96,16 @@ struct PreemptConfig
     double swapBytesPerCycle() const { return swapGBps; }
 };
 
-/** Parse "off|recompute|swap" / "whole|chunked"; fatal() on
- * unknown names. The *Name inverses round-trip exactly (victim and
- * scheduling-policy helpers live in runtime/sched_policy.h). */
+/** Parse "off|recompute|swap"; fatal() on unknown names. The
+ * *Name inverse round-trips exactly (victim and scheduling-policy
+ * helpers live in runtime/sched_policy.h). */
 PreemptMode preemptModeByName(const std::string &name);
 const char *preemptModeName(PreemptMode mode);
-PrefillPolicy prefillPolicyByName(const std::string &name);
-const char *prefillPolicyName(PrefillPolicy policy);
 
 /**
  * Load-shedding admission gate (graceful degradation, DESIGN.md §10):
  * when a watermark trips at a boundary, the scheduler sheds the
- * waiting requests the policy would admit LAST (Fcfs: drop-tail),
+ * waiting requests the policy ranks LAST (Fcfs: drop-tail),
  * capped at max(1, waiting/4) per boundary so overload degrades
  * smoothly instead of collapsing the queue in one burst. Both
  * watermarks disabled (the default) leaves admission byte-identical.
@@ -143,8 +134,8 @@ struct SchedulerConfig
     MhaLatencyParams estimator;
     PrefillConfig prefill;
     PreemptConfig preempt;
-    /** Which SchedulingPolicy owns the four orderings (admission,
-     * prefill budget, victim scoring, restore) — see
+    /** The scheduling policy whose rank orders admission, the
+     * prefill budget, victims, restores and packing urgency — see
      * runtime/sched_policy.h. Fcfs reproduces the pre-policy
      * scheduler bit-for-bit. */
     SchedPolicyConfig policy;
@@ -167,7 +158,7 @@ struct IterationSchedule
      * iteration, on its request's channel. How they execute (the
      * Algorithm-3 split) is the iteration model's to decide. */
     std::vector<Request *> batch;
-    /** Prefill slices scheduled this iteration (FIFO by admission). */
+    /** Prefill slices scheduled this iteration, in pressure order. */
     std::vector<PrefillSlice> prefill;
     std::vector<double> channelLoads; ///< Algorithm-1 estimates
     int admitted = 0;
@@ -237,14 +228,12 @@ struct PreemptStats
     std::uint64_t pagesFreed = 0;  ///< device pages released by evicts
     Bytes swapOutBytes = 0;
     Bytes swapInBytes = 0;
-    std::uint64_t neverFitDrops = 0; ///< sequence exceeds a channel
 
     // --- fault & degradation counters (0 with faults/shedding off) --
     std::uint64_t faultPreemptions = 0; ///< evicted by channel loss
     std::uint64_t kvPagesLost = 0; ///< capacity pages lost to failures
     int channelsFailed = 0;        ///< permanent channel failures
     int brownouts = 0;             ///< transient offline windows begun
-    std::uint64_t shedRequests = 0; ///< shed by the admission gate
 };
 
 class FaultModel;
@@ -263,9 +252,6 @@ class BatchScheduler
                    PagedKvCache &kv, FaultModel *fault = nullptr);
 
     const SchedulerConfig &config() const { return cfg_; }
-
-    /** The live policy object built from config().policy. */
-    const SchedulingPolicy &policy() const { return *policy_; }
 
     /**
      * Build the schedule for the next iteration. @p now is the
@@ -294,21 +280,20 @@ class BatchScheduler
     /**
      * Policy's next admission pick from the waiting queue, dropping
      * never-fitting picks as they surface (preemption only);
-     * kInvalidId when the queue drains. The pick is the stable
-     * minimum under admitBefore, so ties keep arrival order.
+     * kInvalidId when the queue drains. The pick is the first lowest
+     * rank, so ties keep arrival order.
      */
     RequestId nextAdmission(IterationSchedule &out);
 
     /** Mark in urgent_ the channels currently hosting at least one
-     * urgent resident (policy urgency >= 0.5). */
+     * urgent resident. */
     void markUrgentChannels();
 
     /**
      * Shared packing core: min-load (or round-robin) among channels
-     * satisfying @p room. The packer consults the policy's urgency —
-     * low-urgency requests prefer channels hosting no urgent
-     * resident, keeping urgent KV headroom without distorting the
-     * load balance.
+     * satisfying @p room. Non-urgent requests prefer channels
+     * hosting no urgent resident, keeping urgent KV headroom without
+     * distorting the load balance.
      */
     template <typename Room>
     ChannelId placeByUrgency(const Request &req,
@@ -338,9 +323,10 @@ class BatchScheduler
     int admissionTokens(const Request &req) const;
 
     /**
-     * Restore preempted requests (FIFO) into pages this iteration's
-     * demands left over (reserved_, updated as restores commit);
-     * restored requests join the batch at the next boundary.
+     * Restore preempted requests (first lowest rank, ties FIFO) into
+     * pages this iteration's demands left over (reserved_, updated
+     * as restores commit); restored requests join the batch at the
+     * next boundary.
      */
     void restorePreempted(IterationSchedule &out,
                           std::vector<double> &loads);
@@ -361,8 +347,8 @@ class BatchScheduler
      * toward this boundary's packing. */
     void applyFaults(IterationSchedule &out);
 
-    /** Shed policy-last waiting requests while a watermark trips,
-     * capped per boundary (graceful degradation). */
+    /** Shed the last highest-ranked waiting requests while a
+     * watermark trips, capped per boundary (graceful degradation). */
     void shedOverload(IterationSchedule &out);
 
     SchedulerConfig cfg_;
@@ -370,9 +356,8 @@ class BatchScheduler
     PagedKvCache &kv_;
     FaultModel *fault_ = nullptr;
     MhaLatencyEstimator estimator_;
-    std::unique_ptr<SchedulingPolicy> policy_;
     PreemptStats preemptStats_;
-    /** Clock of the boundary being scheduled (policy time input). */
+    /** Clock of the boundary being scheduled (the ranks' time). */
     Cycle now_ = 0;
     int rrCursor_ = 0;
 
@@ -389,11 +374,10 @@ class BatchScheduler
     // (DESIGN.md §6).
     IterationSchedule schedule_; ///< what scheduleIteration returns
     std::vector<Request *> running_; ///< this boundary's running set
-    std::vector<Request *> rank_;    ///< prefilling, pressure order
+    std::vector<Request *> prefilling_; ///< in pressure order
     std::vector<std::vector<Demand>> demands_; ///< per channel
     std::vector<std::int64_t> reserved_;       ///< pages per channel
-    std::vector<Request *> victims_; ///< eviction candidates
-    std::vector<bool> urgent_;       ///< markUrgentChannels' output
+    std::vector<bool> urgent_; ///< markUrgentChannels' output
 };
 
 } // namespace neupims::runtime

@@ -1,7 +1,5 @@
 #include "runtime/sched_policy.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace neupims::runtime {
@@ -88,245 +86,73 @@ waitedCycles(const Request &req, Cycle now)
     return now > req.arrivalCycle ? now - req.arrivalCycle : 0;
 }
 
-// --- Fcfs ------------------------------------------------------------------
+} // namespace
 
-/**
- * Submission order everywhere: admission takes the waiting-queue
- * head, budget and pressure resolve by ascending id (== submission
- * age), restores run FIFO by eviction order, urgency is flat. This
- * reproduces the pre-policy scheduler bit-for-bit; the golden
- * identity test locks it.
- */
-class FcfsPolicy final : public SchedulingPolicy
+double
+rank(const SchedPolicyConfig &cfg, const Request &req, Cycle now)
 {
-  public:
-    explicit FcfsPolicy(VictimPolicy victim)
-        : name_("fcfs"), victim_(victim)
-    {}
-
-    const std::string &name() const override { return name_; }
-
-    bool
-    admitBefore(const Request &, const Request &, Cycle) const override
-    {
-        return false; // no preference: waiting-queue order stands
-    }
-
-    bool reordersAdmission() const override { return false; }
-
-    bool
-    outranks(const Request &a, const Request &b, Cycle) const override
-    {
-        return a.id < b.id;
-    }
-
-    double
-    victimScore(const Request &req, std::int64_t pages_held,
-                Cycle) const override
-    {
-        return victimScoreFor(victim_, req, pages_held);
-    }
-
-    bool
-    restoreBefore(const Request &, const Request &,
-                  Cycle) const override
-    {
-        return false; // eviction FIFO stands
-    }
-
-    double urgency(const Request &, Cycle) const override { return 1.0; }
-
-  private:
-    std::string name_;
-    VictimPolicy victim_;
-};
-
-// --- PriorityClass ---------------------------------------------------------
-
-/**
- * Strict classes, higher first, with anti-starvation aging: the
- * effective class is priorityClass + waited/agingCycles, so a request
- * stuck behind higher classes is promoted one class per aging period
- * and eventually outranks every later arrival. Within an effective
- * class every ordering falls back to submission age (admission keeps
- * queue order), so the policy degrades to Fcfs when all requests
- * share one class.
- */
-class PriorityClassPolicy final : public SchedulingPolicy
-{
-  public:
-    PriorityClassPolicy(const SchedPolicyConfig &cfg,
-                        VictimPolicy victim)
-        : name_("priority"), cfg_(cfg), victim_(victim)
-    {}
-
-    const std::string &name() const override { return name_; }
-
-    bool
-    admitBefore(const Request &a, const Request &b,
-                Cycle now) const override
-    {
-        return effectiveClass(a, now) > effectiveClass(b, now);
-    }
-
-    bool
-    outranks(const Request &a, const Request &b,
-             Cycle now) const override
-    {
-        std::int64_t ca = effectiveClass(a, now);
-        std::int64_t cb = effectiveClass(b, now);
-        if (ca != cb)
-            return ca > cb;
-        return a.id < b.id;
-    }
-
-    double
-    victimScore(const Request &req, std::int64_t pages_held,
-                Cycle now) const override
-    {
-        // Class-major (evict the lowest effective class first), the
-        // configured victim order as tie-break within a class. The
-        // enum scores are bounded by pages/tokens per channel, far
-        // below the class stride.
-        return -static_cast<double>(effectiveClass(req, now)) * 1e9 +
-               victimScoreFor(victim_, req, pages_held);
-    }
-
-    bool
-    restoreBefore(const Request &a, const Request &b,
-                  Cycle now) const override
-    {
-        return effectiveClass(a, now) > effectiveClass(b, now);
-    }
-
-    double
-    urgency(const Request &req, Cycle now) const override
-    {
-        return effectiveClass(req, now) >= 1 ? 1.0 : 0.0;
-    }
-
-  private:
-    std::int64_t
-    effectiveClass(const Request &req, Cycle now) const
-    {
+    switch (cfg.kind) {
+    case SchedPolicyKind::Fcfs:
+        return 0.0;
+    case SchedPolicyKind::PriorityClass: {
+        // Minus the effective class: waiting promotes a request one
+        // class per aging period, so a request stuck behind higher
+        // classes eventually outranks every later arrival.
         std::int64_t cls = req.priorityClass;
-        if (cfg_.agingCycles > 0)
+        if (cfg.agingCycles > 0)
             cls += static_cast<std::int64_t>(waitedCycles(req, now) /
-                                             cfg_.agingCycles);
-        return cls;
+                                             cfg.agingCycles);
+        return -static_cast<double>(cls);
     }
-
-    std::string name_;
-    SchedPolicyConfig cfg_;
-    VictimPolicy victim_;
-};
-
-// --- SloEdf ----------------------------------------------------------------
-
-/**
- * Deadline scheduling on the per-request SLO targets: while a request
- * has not produced its first token its deadline is arrival + TTFT
- * target (earliest deadline first); once decoding, the deadline of
- * its *next* token is firstToken + generated * per-token target, so
- * ordering by deadline - now is least-slack-first. Requests without
- * their own targets use the config defaults. Slack ages naturally —
- * a waiting request's slack only shrinks — so EDF needs no explicit
- * aging to avoid starvation.
- */
-class SloEdfPolicy final : public SchedulingPolicy
-{
-  public:
-    SloEdfPolicy(const SchedPolicyConfig &cfg, VictimPolicy victim)
-        : name_("edf"), cfg_(cfg), victim_(victim)
-    {}
-
-    const std::string &name() const override { return name_; }
-
-    bool
-    admitBefore(const Request &a, const Request &b,
-                Cycle now) const override
-    {
-        return slack(a, now) < slack(b, now);
-    }
-
-    bool
-    outranks(const Request &a, const Request &b,
-             Cycle now) const override
-    {
-        double sa = slack(a, now);
-        double sb = slack(b, now);
-        if (sa != sb)
-            return sa < sb;
-        return a.id < b.id;
-    }
-
-    double
-    victimScore(const Request &req, std::int64_t pages_held,
-                Cycle now) const override
-    {
-        // Evict the most slack first; the enum order breaks exact
-        // slack ties (slacks are cycle-scaled, so the epsilon-scaled
-        // enum score never outweighs a 1-cycle slack difference).
-        return slack(req, now) +
-               1e-6 * victimScoreFor(victim_, req, pages_held);
-    }
-
-    bool
-    restoreBefore(const Request &a, const Request &b,
-                  Cycle now) const override
-    {
-        return slack(a, now) < slack(b, now);
-    }
-
-    double
-    urgency(const Request &req, Cycle now) const override
-    {
-        double s = slack(req, now);
-        if (s <= 0.0)
-            return 1.0;
-        // Falls through 0.5 when the remaining slack exceeds the
-        // default TTFT budget — comfortable requests consolidate.
-        return static_cast<double>(cfg_.defaultTtftSlo) /
-               (static_cast<double>(cfg_.defaultTtftSlo) + s);
-    }
-
-  private:
-    /** Cycles until the request's next deadline (negative = late). */
-    double
-    slack(const Request &req, Cycle now) const
-    {
+    case SchedPolicyKind::SloEdf: {
+        // Slack to the next deadline: arrival + TTFT target before
+        // the first token (earliest deadline first), then the next
+        // token's firstToken + generated * per-token target (least
+        // slack first). Slack only shrinks while a request waits, so
+        // EDF needs no explicit aging.
         Cycle deadline;
         if (req.firstTokenCycle == kCycleMax) {
-            Cycle ttft = req.ttftSlo ? req.ttftSlo
-                                     : cfg_.defaultTtftSlo;
+            Cycle ttft = req.ttftSlo ? req.ttftSlo : cfg.defaultTtftSlo;
             deadline = req.arrivalCycle + ttft;
         } else {
-            Cycle tpt = req.tptSlo ? req.tptSlo : cfg_.defaultTptSlo;
+            Cycle tpt = req.tptSlo ? req.tptSlo : cfg.defaultTptSlo;
             deadline = req.firstTokenCycle +
                        static_cast<Cycle>(req.generatedTokens) * tpt;
         }
         return static_cast<double>(deadline) - static_cast<double>(now);
     }
+    }
+    return 0.0;
+}
 
-    std::string name_;
-    SchedPolicyConfig cfg_;
-    VictimPolicy victim_;
-};
-
-} // namespace
-
-std::unique_ptr<SchedulingPolicy>
-makeSchedulingPolicy(const SchedPolicyConfig &cfg, VictimPolicy victim)
+bool
+outranks(const SchedPolicyConfig &cfg, const Request &a,
+         const Request &b, Cycle now)
 {
+    double ra = rank(cfg, a, now);
+    double rb = rank(cfg, b, now);
+    if (ra != rb)
+        return ra < rb;
+    return a.id < b.id;
+}
+
+bool
+urgent(const SchedPolicyConfig &cfg, const Request &req, Cycle now)
+{
+    double urgent_rank = 0.0; // Fcfs: every request
     switch (cfg.kind) {
     case SchedPolicyKind::Fcfs:
-        return std::make_unique<FcfsPolicy>(victim);
+        break;
     case SchedPolicyKind::PriorityClass:
-        return std::make_unique<PriorityClassPolicy>(cfg, victim);
+        urgent_rank = -1.0; // effective class >= 1
+        break;
     case SchedPolicyKind::SloEdf:
-        return std::make_unique<SloEdfPolicy>(cfg, victim);
+        // Requests with more slack than the default TTFT budget are
+        // comfortable and consolidate away from urgent ones.
+        urgent_rank = static_cast<double>(cfg.defaultTtftSlo);
+        break;
     }
-    fatal("unhandled scheduling policy kind");
+    return rank(cfg, req, now) <= urgent_rank;
 }
 
 } // namespace neupims::runtime

@@ -1,50 +1,41 @@
 /**
  * @file
- * Pluggable scheduling-policy API for the Orca-style batch scheduler.
+ * Scheduling policies for the Orca-style batch scheduler, each stated
+ * as one rank per request.
  *
- * The scheduler makes four ordering decisions every iteration
- * boundary; this interface owns all of them, so a policy swaps in as
- * one object instead of one config knob per scenario:
+ * A policy makes one decision, which request is served first, and
+ * gives it as rank(cfg, req, now): lower is served first. The
+ * scheduler derives every ordering from that rank (DESIGN.md §8):
  *
- *  1. *Admission order* over the waiting queue — which waiting
- *     request is admitted next while KV room lasts.
- *  2. *Pressure order* (`outranks`) — one strict total order shared by
- *     the per-iteration prefill-token-budget sharing AND the
- *     memory-pressure resolution: demands resolve in this order, and a
- *     demander may only evict victims it strictly outranks. Sharing
- *     one order is what keeps preemption livelock-free (see DESIGN.md
- *     §8): the top-ranked request on a channel can evict every other
- *     resident, so every boundary makes progress.
- *  3. *Victim scoring* — which of the eligible (strictly outranked)
- *     residents is evicted first. The legacy VictimPolicy enum
- *     survives as a thin adapter over this hook (victimScoreFor).
- *  4. *Restore order* over the preempted queue.
+ *  - admission and restore take the first lowest rank, so ties keep
+ *    arrival (waiting queue) or eviction (preempted queue) order;
+ *  - the *pressure order* is (rank, id) (outranks): one strict total
+ *    order shared by the per-iteration prefill-token budget and the
+ *    memory-pressure resolution, where a demander may only evict
+ *    residents it strictly outranks. Sharing one order keeps
+ *    preemption livelock-free by construction (DESIGN.md §8.1);
+ *  - a victim is the highest rank among the residents the demander
+ *    outranks, the configured VictimPolicy breaking rank ties;
+ *  - a request is *urgent* for the channel packer when its rank is
+ *    at or below the policy's urgent rank; the packer keeps
+ *    non-urgent requests off channels hosting urgent residents.
  *
- * plus a per-request *urgency* score in [0, 1] the channel packer
- * consults: requests below 0.5 min-load-pack among channels hosting
- * no urgent resident (falling back to all channels), keeping urgent
- * requests' channels free of co-located pressure without distorting
- * the load balance; requests at or above 0.5 take the plain min-load
- * channel (Algorithm 2).
+ * The three built-in ranks:
  *
- * Three built-in policies ship behind schedulingPolicyByName:
- *
- *  - Fcfs: reproduces the pre-policy scheduler bit-for-bit (admission
- *    FIFO, budget/pressure by submission age, restore FIFO, urgency
- *    1.0 everywhere). Locked by an explicit golden identity test.
- *  - PriorityClass: strict classes (higher = more important) with
- *    configurable aging — waiting promotes a request one effective
- *    class per agingCycles, so low classes cannot starve.
- *  - SloEdf: earliest-deadline-first on per-request TTFT targets
- *    while a request has not produced its first token, falling back
- *    to least-slack on the per-token target during decode.
+ *  - Fcfs: 0 for every request, so every order is submission order
+ *    and every request is urgent (the pre-policy scheduler).
+ *  - PriorityClass: minus the effective class, priorityClass plus
+ *    one per agingCycles waited, so low classes cannot starve.
+ *    Urgent from effective class 1.
+ *  - SloEdf: the slack to the request's next deadline, its TTFT
+ *    target before the first token and its per-token target after.
+ *    Urgent when the slack is at most the default TTFT target.
  */
 
 #ifndef NEUPIMS_RUNTIME_SCHED_POLICY_H_
 #define NEUPIMS_RUNTIME_SCHED_POLICY_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/types.h"
@@ -52,7 +43,8 @@
 
 namespace neupims::runtime {
 
-/** How a victim is chosen among a channel's eligible residents. */
+/** How a victim is chosen among a channel's eligible residents of
+ * equal rank. */
 enum class VictimPolicy : std::uint8_t
 {
     LifoYoungest,     ///< most recently (re)admitted first (vLLM-style)
@@ -86,85 +78,37 @@ struct SchedPolicyConfig
      */
     Cycle agingCycles = 50'000'000; // 50 ms
     /** Fallback SLO targets for requests that carry none of their
-     * own (SloEdf deadlines, per-class attainment reporting). */
+     * own (SloEdf deadlines and urgent rank, per-class attainment
+     * reporting). */
     Cycle defaultTtftSlo = 250'000'000; // 250 ms to first token
     Cycle defaultTptSlo = 25'000'000;   // 25 ms per generated token
 };
 
 /**
- * The victim ordering the legacy VictimPolicy enum encodes, as a
- * score: among eligible candidates the scheduler evicts the highest
- * score, resolving ties toward the most recently (re)admitted — which
- * makes LifoYoungest exactly a constant score.
+ * The victim order the VictimPolicy enum encodes, as a score: among
+ * eligible candidates of equal rank the scheduler evicts the highest
+ * score, resolving ties toward the most recently (re)admitted, which
+ * makes LifoYoungest exactly a constant score. @p pages_held is the
+ * candidate's evictable device page count.
  */
 double victimScoreFor(VictimPolicy policy, const Request &req,
                       std::int64_t pages_held);
 
-class SchedulingPolicy
-{
-  public:
-    virtual ~SchedulingPolicy() = default;
+/** @p req's rank at boundary clock @p now under @p cfg: lower is
+ * served first. Fixed within a boundary; it may move between them
+ * (aging, slack). */
+double rank(const SchedPolicyConfig &cfg, const Request &req,
+            Cycle now);
 
-    virtual const std::string &name() const = 0;
+/** Whether @p a strictly outranks @p b: lower rank, ties by id. A
+ * strict total order over live requests. */
+bool outranks(const SchedPolicyConfig &cfg, const Request &a,
+              const Request &b, Cycle now);
 
-    /**
-     * Admission order: true if @p a should be admitted strictly
-     * before @p b. A strict weak ordering; ties keep waiting-queue
-     * (arrival) order.
-     */
-    virtual bool admitBefore(const Request &a, const Request &b,
-                             Cycle now) const = 0;
-
-    /**
-     * Whether admitBefore can ever prefer a non-head request. A
-     * policy that admits in plain arrival order returns false and the
-     * scheduler pops the waiting-queue head without scanning it.
-     */
-    virtual bool reordersAdmission() const { return true; }
-
-    /**
-     * Pressure order: true if @p a strictly outranks @p b. MUST be a
-     * strict total order over live requests (break ties by id). The
-     * scheduler hands the prefill token budget out in this order,
-     * resolves page demands in this order, and lets a demander evict
-     * only requests it strictly outranks — the livelock-freedom
-     * obligation (DESIGN.md §8).
-     */
-    virtual bool outranks(const Request &a, const Request &b,
-                          Cycle now) const = 0;
-
-    /**
-     * Victim preference among eligible candidates: the highest score
-     * is evicted first (ties toward the most recently (re)admitted).
-     * @p pages_held is the candidate's device page count.
-     */
-    virtual double victimScore(const Request &req,
-                               std::int64_t pages_held,
-                               Cycle now) const = 0;
-
-    /**
-     * Restore order over the preempted queue: true if @p a should be
-     * restored strictly before @p b. Ties keep eviction (FIFO) order.
-     */
-    virtual bool restoreBefore(const Request &a, const Request &b,
-                               Cycle now) const = 0;
-
-    /**
-     * Packing urgency in [0, 1]. Below 0.5 the packer min-load-packs
-     * the request among channels hosting no urgent (>= 0.5) resident,
-     * falling back to all channels with KV room; at or above it takes
-     * the plain min-load channel.
-     */
-    virtual double urgency(const Request &req, Cycle now) const = 0;
-};
-
-/**
- * Factory for the built-in policies. @p victim parameterizes Fcfs
- * victim scoring (and tie-breaks PriorityClass's class-major score),
- * preserving the --victim surface.
- */
-std::unique_ptr<SchedulingPolicy>
-makeSchedulingPolicy(const SchedPolicyConfig &cfg, VictimPolicy victim);
+/** Whether the packer treats @p req as urgent: its rank is at or
+ * below the policy's urgent rank. */
+bool urgent(const SchedPolicyConfig &cfg, const Request &req,
+            Cycle now);
 
 } // namespace neupims::runtime
 

@@ -192,8 +192,6 @@ ServingEngine::run()
 
         const IterationSchedule &schedule =
             scheduler_.scheduleIteration(now);
-        report.requestsDropped +=
-            static_cast<int>(schedule.droppedNeverFit.size());
         pendingDrops +=
             static_cast<int>(schedule.droppedNeverFit.size());
 
@@ -286,7 +284,6 @@ ServingEngine::run()
                                schedule.admissionBlockedBy != kInvalidId,
                            "empty schedule names no blocked request");
             pool_.dropWaiting(schedule.admissionBlockedBy);
-            ++report.requestsDropped;
             continue;
         }
 
@@ -386,6 +383,7 @@ ServingEngine::run()
                             static_cast<double>(iteration)
                       : 0.0;
 
+    report.requestsDropped = static_cast<int>(pool_.droppedCount());
     report.requestsTimedOut =
         static_cast<int>(pool_.timedOutCount());
     report.requestsShed = static_cast<int>(pool_.shedCount());

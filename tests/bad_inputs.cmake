@@ -43,6 +43,13 @@ set(cases
     "SERVE_TRACE||${st} --turns 0.5|--turns"
     "SERVE_TRACE||${st} --swap-gbps 0|--swap-gbps"
     "SERVE_TRACE||${st} --prefill legacy|prefill policy 'legacy'"
+    "SERVE_TRACE||${st} --policy lottery|unknown scheduling policy 'lottery'"
+    "SERVE_TRACE||${st} --victim random|unknown victim policy 'random'"
+    "SERVE_TRACE||${st} --preempt sometimes|unknown preemption mode 'sometimes'"
+    "SERVE_TRACE||${st} --classes four-tier|unknown class mix 'four-tier'"
+    "SERVE_TRACE||${st} --mem-sched fifo|unknown memory scheduler 'fifo'"
+    "SERVE_TRACE||${st} --traffic diurnal|unknown traffic model 'diurnal'"
+    "SERVE_TRACE||${st} --dataset wiki|unknown dataset 'wiki'"
     "SERVE_TRACE||${st} --hybrid-anchors FILE|usage:"
     "BENCH|${fast} NEUPIMS_BENCH_SEED=abc||NEUPIMS_BENCH_SEED"
     "BENCH|${fast} NEUPIMS_BENCH_SEED=-1||NEUPIMS_BENCH_SEED"

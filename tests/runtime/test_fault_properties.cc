@@ -133,7 +133,6 @@ configFor(const FaultTrial &t)
     cfg.scheduler.channels = t.channels;
     cfg.scheduler.maxBatch = 32;
     cfg.scheduler.minLoadPacking = true;
-    cfg.scheduler.prefill.policy = PrefillPolicy::Chunked;
     cfg.scheduler.prefill.chunkTokens = 64;
     cfg.scheduler.prefill.piggyback = true;
     cfg.scheduler.preempt.mode = t.mode;

@@ -1,15 +1,15 @@
 /**
  * @file
- * Property tests of the pluggable scheduling-policy layer
- * (runtime/sched_policy.h) and its integration with the serving
+ * Property tests of the scheduling policies' ranks
+ * (runtime/sched_policy.h) and their integration with the serving
  * stack:
  *
  *  - round-trip parse/name tests for every mode/policy/name helper
- *    (preempt mode, victim policy, prefill policy, scheduling
- *    policy), including the schedulingPolicyByName factory input;
- *  - unit properties of the built-in policies (strict-total pressure
+ *    (preempt mode, victim policy, scheduling policy);
+ *  - unit properties of the built-in ranks (strict-total pressure
  *    order, PriorityClass aging promotion, SloEdf deadline/slack
- *    ordering, victim-score adapter semantics);
+ *    ordering, packing urgency, victim-score adapter semantics) and
+ *    the scheduler's victim choice among equal ranks;
  *  - starvation-freedom under PriorityClass aging: in a sustained
  *    over-capacity two-class run every admitted request eventually
  *    prefills, decodes and completes;
@@ -31,6 +31,7 @@
 #include <map>
 
 #include "core/serving_setup.h"
+#include "runtime/batch_scheduler.h"
 #include "runtime/sched_policy.h"
 #include "runtime/serving_engine.h"
 #include "runtime/traffic.h"
@@ -39,7 +40,6 @@ namespace neupims {
 namespace {
 
 using runtime::PreemptMode;
-using runtime::PrefillPolicy;
 using runtime::Request;
 using runtime::SchedPolicyConfig;
 using runtime::SchedPolicyKind;
@@ -79,21 +79,6 @@ TEST(PolicyNames, VictimPolicyRoundTrips)
         "longest");
 }
 
-TEST(PolicyNames, PrefillPolicyRoundTrips)
-{
-    for (auto policy :
-         {PrefillPolicy::WholePrompt, PrefillPolicy::Chunked}) {
-        EXPECT_EQ(runtime::prefillPolicyByName(
-                      runtime::prefillPolicyName(policy)),
-                  policy);
-    }
-    EXPECT_STREQ(
-        runtime::prefillPolicyName(PrefillPolicy::WholePrompt),
-        "whole");
-    EXPECT_STREQ(runtime::prefillPolicyName(PrefillPolicy::Chunked),
-                 "chunked");
-}
-
 TEST(PolicyNames, SchedulingPolicyRoundTrips)
 {
     for (auto kind :
@@ -110,17 +95,9 @@ TEST(PolicyNames, SchedulingPolicyRoundTrips)
         "priority");
     EXPECT_STREQ(
         runtime::schedulingPolicyName(SchedPolicyKind::SloEdf), "edf");
-    // The factory accepts every named kind.
-    for (const char *name : {"fcfs", "priority", "edf"}) {
-        SchedPolicyConfig cfg;
-        cfg.kind = runtime::schedulingPolicyByName(name);
-        auto policy = runtime::makeSchedulingPolicy(
-            cfg, VictimPolicy::LifoYoungest);
-        EXPECT_EQ(policy->name(), name);
-    }
 }
 
-// --- built-in policy unit properties ---------------------------------------
+// --- built-in rank unit properties -----------------------------------------
 
 Request
 makeRequest(RequestId id, Cycle arrival, int cls,
@@ -139,15 +116,14 @@ makeRequest(RequestId id, Cycle arrival, int cls,
 TEST(PolicyUnits, FcfsOutranksBySubmissionAge)
 {
     SchedPolicyConfig cfg;
-    auto policy = runtime::makeSchedulingPolicy(
-        cfg, VictimPolicy::LifoYoungest);
     Request a = makeRequest(1, 0, 5);
     Request b = makeRequest(2, 0, 0);
     // Classes are ignored entirely; only the id matters.
-    EXPECT_TRUE(policy->outranks(a, b, 0));
-    EXPECT_FALSE(policy->outranks(b, a, 0));
-    EXPECT_FALSE(policy->admitBefore(b, a, 0));
-    EXPECT_EQ(policy->urgency(a, 0), 1.0);
+    EXPECT_TRUE(runtime::outranks(cfg, a, b, 0));
+    EXPECT_FALSE(runtime::outranks(cfg, b, a, 0));
+    // Equal ranks: admission keeps queue order.
+    EXPECT_EQ(runtime::rank(cfg, a, 0), runtime::rank(cfg, b, 0));
+    EXPECT_TRUE(runtime::urgent(cfg, a, 0));
 }
 
 TEST(PolicyUnits, PriorityClassAgingPromotesWaitingRequests)
@@ -155,44 +131,42 @@ TEST(PolicyUnits, PriorityClassAgingPromotesWaitingRequests)
     SchedPolicyConfig cfg;
     cfg.kind = SchedPolicyKind::PriorityClass;
     cfg.agingCycles = 1000;
-    auto policy = runtime::makeSchedulingPolicy(
-        cfg, VictimPolicy::LifoYoungest);
+    auto rank = [&cfg](const Request &req, Cycle now) {
+        return runtime::rank(cfg, req, now);
+    };
     Request low = makeRequest(1, 0, 0);    // older, low class
     Request high = makeRequest(2, 500, 1); // arrives later, high
     // Fresh: the high class outranks.
-    EXPECT_TRUE(policy->outranks(high, low, 500));
-    EXPECT_TRUE(policy->admitBefore(high, low, 500));
+    EXPECT_TRUE(runtime::outranks(cfg, high, low, 500));
+    EXPECT_LT(rank(high, 500), rank(low, 500));
     // Once the low request's head start in waiting spans an aging
     // period boundary, its effective class catches up and the id
     // tie-break favors the older request.
-    EXPECT_TRUE(policy->outranks(low, high, 2000));
-    EXPECT_FALSE(policy->admitBefore(high, low, 2000));
+    EXPECT_TRUE(runtime::outranks(cfg, low, high, 2000));
+    EXPECT_FALSE(rank(high, 2000) < rank(low, 2000));
     // The real starvation guard: a long-waiting low-class request
     // strictly outranks every fresh high-class arrival.
     Request fresh = makeRequest(3, 10'000, 1);
-    EXPECT_TRUE(policy->outranks(low, fresh, 10'000));
-    EXPECT_TRUE(policy->admitBefore(low, fresh, 10'000));
+    EXPECT_TRUE(runtime::outranks(cfg, low, fresh, 10'000));
+    EXPECT_LT(rank(low, 10'000), rank(fresh, 10'000));
     // Aging disabled: strict classes forever.
-    cfg.agingCycles = 0;
-    auto strict = runtime::makeSchedulingPolicy(
-        cfg, VictimPolicy::LifoYoungest);
-    EXPECT_TRUE(strict->outranks(high, low, 1u << 30));
+    SchedPolicyConfig strict = cfg;
+    strict.agingCycles = 0;
+    EXPECT_TRUE(runtime::outranks(strict, high, low, 1u << 30));
     // Urgency separates the classes for the packer.
-    EXPECT_LT(policy->urgency(low, 0), 0.5);
-    EXPECT_GE(policy->urgency(high, 0), 0.5);
+    EXPECT_FALSE(runtime::urgent(cfg, low, 0));
+    EXPECT_TRUE(runtime::urgent(cfg, high, 0));
 }
 
 TEST(PolicyUnits, SloEdfOrdersByDeadlineThenSlack)
 {
     SchedPolicyConfig cfg;
     cfg.kind = SchedPolicyKind::SloEdf;
-    auto policy = runtime::makeSchedulingPolicy(
-        cfg, VictimPolicy::LifoYoungest);
     // Earlier TTFT deadline outranks: same arrival, tighter target.
     Request tight = makeRequest(2, 0, 0, 1'000'000);
     Request loose = makeRequest(1, 0, 0, 100'000'000);
-    EXPECT_TRUE(policy->outranks(tight, loose, 0));
-    EXPECT_TRUE(policy->admitBefore(tight, loose, 0));
+    EXPECT_TRUE(runtime::outranks(cfg, tight, loose, 0));
+    EXPECT_LT(runtime::rank(cfg, tight, 0), runtime::rank(cfg, loose, 0));
     // A decoding request falls back to least slack on the per-token
     // target: one far behind its next-token deadline outranks one
     // comfortably ahead.
@@ -208,9 +182,14 @@ TEST(PolicyUnits, SloEdfOrdersByDeadlineThenSlack)
     early.firstTokenCycle = 1000;
     early.generatedTokens = 1;
     early.tptSlo = 100'000'000;
-    EXPECT_TRUE(policy->outranks(late, early, 2'000'000));
-    // Exhausted slack saturates urgency.
-    EXPECT_EQ(policy->urgency(late, 2'000'000), 1.0);
+    EXPECT_TRUE(runtime::outranks(cfg, late, early, 2'000'000));
+    // Exhausted slack is urgent, and so is any slack up to the
+    // default TTFT target.
+    EXPECT_TRUE(runtime::urgent(cfg, late, 2'000'000));
+    Request at_target = makeRequest(5, 0, 0); // slack == default TTFT
+    Request past_target = makeRequest(6, 1, 0);
+    EXPECT_TRUE(runtime::urgent(cfg, at_target, 0));
+    EXPECT_FALSE(runtime::urgent(cfg, past_target, 0));
 }
 
 TEST(PolicyUnits, VictimScoreAdapterMatchesEnumSemantics)
@@ -233,6 +212,60 @@ TEST(PolicyUnits, VictimScoreAdapterMatchesEnumSemantics)
                                       big, 2),
               runtime::victimScoreFor(VictimPolicy::LongestRemaining,
                                       small, 2));
+}
+
+/**
+ * The configured victim order breaks ties between equal EDF ranks at
+ * any slack. One channel: resident C is late for its next token and
+ * its decode append needs the last page; the older A holds 1 page and
+ * the younger B 2 or 3, both with the same per-token slack. Under
+ * --victim fewest A goes. The slacks span 2.5e9 to 1e11 cycles: a
+ * score folded into the slack as a small scaled term would vanish in
+ * rounding at the top of that range and leave the youngest, B.
+ */
+TEST(PolicyVictims, EdfEqualSlackEvictsByVictimPolicy)
+{
+    using namespace runtime;
+    for (Cycle tpt : {Cycle{2'500'000'000}, Cycle{25'000'000'000},
+                      Cycle{100'000'000'000}}) {
+        for (int b_tokens : {20, 40}) {
+            SCOPED_TRACE(testing::Message() << "tpt " << tpt << ", B "
+                                            << b_tokens << " tokens");
+            KvCacheConfig kv_cfg;
+            kv_cfg.channels = 1;
+            kv_cfg.tokensPerPage = 16;
+            kv_cfg.bytesPerTokenPerLayer = 1024;
+            kv_cfg.layers = 1;
+            // A's 1 page + B's pages + C's 3: no page to spare.
+            int pages = 1 + (b_tokens + 15) / 16 + 3;
+            kv_cfg.bytesPerChannel =
+                kv_cfg.pageBytes() * static_cast<Bytes>(pages);
+            SchedulerConfig cfg;
+            cfg.channels = 1;
+            cfg.maxBatch = 16;
+            cfg.preempt.mode = PreemptMode::Recompute;
+            cfg.preempt.victim = VictimPolicy::FewestPages;
+            cfg.policy.kind = SchedPolicyKind::SloEdf;
+            RequestPool pool;
+            PagedKvCache kv(kv_cfg);
+            BatchScheduler sched(cfg, pool, kv);
+            RequestId a = pool.submit(10, 8, 0, 0, tpt);
+            RequestId b = pool.submit(b_tokens, 8, 0, 0, tpt);
+            RequestId c = pool.submit(47, 8, 0, 0, 1); // 1 slot left
+            // One prompt pass and one decode fill C's third page.
+            sched.completeIteration(sched.scheduleIteration(0));
+            const IterationSchedule &decode = sched.scheduleIteration(10);
+            ASSERT_EQ(decode.batchSize(), 3);
+            sched.completeIteration(decode);
+            for (RequestId id : {a, b, c})
+                pool.request(id).firstTokenCycle = 20;
+            // C (slack 21 - 1000) outranks A and B (equal slack
+            // 20 + tpt - 1000) and must evict one for its page.
+            const IterationSchedule &s = sched.scheduleIteration(1000);
+            ASSERT_EQ(s.preemptedNow.size(), 1u);
+            EXPECT_EQ(s.preemptedNow[0]->id, a);
+        }
+    }
 }
 
 // --- serving-stack properties ----------------------------------------------

@@ -63,7 +63,6 @@ schedConfigFor(const TrialConfig &t)
     cfg.channels = t.channels;
     cfg.maxBatch = t.maxBatch;
     cfg.minLoadPacking = true;
-    cfg.prefill.policy = PrefillPolicy::Chunked;
     cfg.prefill.chunkTokens = t.chunkTokens;
     cfg.prefill.piggyback = true;
     cfg.preempt.mode = t.mode;

@@ -51,7 +51,6 @@ schedConfigFor(const TrialConfig &t)
     cfg.channels = t.channels;
     cfg.maxBatch = t.maxBatch;
     cfg.minLoadPacking = true;
-    cfg.prefill.policy = PrefillPolicy::Chunked;
     cfg.prefill.chunkTokens = t.chunkTokens;
     cfg.prefill.piggyback = t.piggyback;
     return cfg;
@@ -198,10 +197,9 @@ TEST(PrefillProperties, ChunkedPrefillInvariantsHold)
  */
 TEST(PrefillProperties, WholePromptPrefillsInOneSlice)
 {
-    TrialConfig t{4, 64, 16, 40, 3, /*chunk (unused)*/ 1,
+    TrialConfig t{4, 64, 16, 40, 3, /*chunk: whole prompts*/ 0,
                   /*piggyback=*/true};
     SchedulerConfig cfg = schedConfigFor(t);
-    cfg.prefill.policy = PrefillPolicy::WholePrompt;
 
     Rng rng(99);
     RequestPool pool;

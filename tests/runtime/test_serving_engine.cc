@@ -217,7 +217,6 @@ chunkedConfig(int chunk_tokens, bool piggyback,
               int pages_per_channel = 1000, int max_batch = 32)
 {
     ServingConfig cfg = smallConfig(pages_per_channel, max_batch);
-    cfg.scheduler.prefill.policy = PrefillPolicy::Chunked;
     cfg.scheduler.prefill.chunkTokens = chunk_tokens;
     cfg.scheduler.prefill.piggyback = piggyback;
     return cfg;
@@ -270,7 +269,7 @@ TEST(ServingEngine, WholePromptPrefillIsASingleIteration)
         "replay", {arrival(0, 100, 2), arrival(0, 37, 2)});
     FakeLatencyModel latency;
     ServingConfig cfg = smallConfig();
-    cfg.scheduler.prefill.policy = PrefillPolicy::WholePrompt;
+    cfg.scheduler.prefill.chunkTokens = 0; // whole prompts
     ServingEngine engine(cfg, traffic, latency);
     auto report = engine.run();
 
