@@ -208,7 +208,7 @@ class IterationSim
      * Inject the out-of-band streams at cycle 0: swap-outs are reads
      * (KV pages leave HBM for the host tier), swap-ins writes — both
      * page-granular so they compete with PIM GEMV at full row-buffer
-     * locality, exactly the contention the MemSchedPolicy arbitrates.
+     * locality, exactly the contention the MemArbiter arbitrates.
      */
     void
     launchExtraTraffic()

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/log.h"
 
@@ -660,16 +659,13 @@ meanKvLen(const BatchComposition &comp)
 
 /** Anchor-table key: batch bucket (shared with the forced-sample
  * signature), quantized mean KV length, prefill present. */
-std::string
+std::tuple<int, int, bool>
 anchorKeyOf(const MixedComposition &mix,
             const runtime::IterationSchedule &schedule)
 {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "b%d/kv%d/p%d",
-                  schedule.batchSize() / kBatchBucket,
-                  roundUpToQuantum(meanKvLen(mix.decode)),
-                  schedule.prefillTokens() > 0 ? 1 : 0);
-    return buf;
+    return {schedule.batchSize() / kBatchBucket,
+            roundUpToQuantum(meanKvLen(mix.decode)),
+            schedule.prefillTokens() > 0};
 }
 
 } // namespace

@@ -42,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/batch_builder.h"
@@ -337,8 +338,9 @@ class HybridIterationModel : public runtime::IterationLatencyModel
     double ratio_ = 1.0;
     Signature lastSig_;
     bool haveSig_ = false;
-    /** Latest measured/analytic ratio per anchor key. */
-    std::map<std::string, double> anchors_;
+    /** Latest measured/analytic ratio per anchor key: batch bucket,
+     * quantized mean KV length, prefill present. */
+    std::map<std::tuple<int, int, bool>, double> anchors_;
 };
 
 /**

@@ -8,7 +8,7 @@ namespace neupims::dram {
 
 Channel::Channel(const TimingParams &timing, const Organization &org,
                  bool dual_row_buffers)
-    : timing_(&timing), org_(&org), dualRowBuffers_(dual_row_buffers),
+    : timing_(&timing), org_(&org),
       banks_(timing, dual_row_buffers, org.banksPerChannel),
       lastActPerGroup_(org.bankGroups(), 0), nextRefresh_(timing.tREFI)
 {}
@@ -24,30 +24,24 @@ Channel::recordActivate(BankId bank, Cycle when)
 }
 
 Cycle
-Channel::issueActivate(BankId bank, BufferSide side, int row,
-                       Cycle not_before)
+Channel::issueActivate(BankId bank, int row, Cycle not_before)
 {
-    const auto &t = *timing_;
-    Cycle when = earliestActivate(bank, side, not_before);
-    banks_.activate(bank, side, row, when);
+    Cycle when = earliestActivate(bank, not_before);
+    banks_.activate(bank, BufferSide::Mem, row, when);
     recordActivate(bank, when);
-    caNextFree_ = when + t.caMemCmd;
-    caBusyCycles_ += t.caMemCmd;
-    const CommandType type =
-        side == BufferSide::Pim ? CommandType::PimActivate : CommandType::Act;
-    counts_.record(type);
+    caNextFree_ = when + timing_->caMemCmd;
+    counts_.record(CommandType::Act);
     if (sink_)
-        sink_->push_back({when, type, bank, row});
+        sink_->push_back({when, CommandType::Act, bank, row});
     return when;
 }
 
 Channel::ColumnTrain
-Channel::issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
-                          Cycle until)
+Channel::issueColumnTrain(BankId bank, bool write, int n, Cycle until)
 {
     const auto &t = *timing_;
     ColumnTrain tr;
-    tr.first = earliestColumn(bank, side, 0);
+    tr.first = earliestColumn(bank, 0);
     tr.step = std::max(t.caMemCmd, t.tBL);
     if (n <= 0 || tr.first >= until)
         return tr;
@@ -68,11 +62,10 @@ Channel::issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
     // burst sets it.
     const Cycle last = when0 + (k - 1) * tr.step;
     if (write)
-        banks_.write(bank, side, last);
+        banks_.write(bank, BufferSide::Mem, last);
     else
-        banks_.read(bank, side, last);
+        banks_.read(bank, BufferSide::Mem, last);
     caNextFree_ = last + t.caMemCmd;
-    caBusyCycles_ += k * t.caMemCmd;
     tr.dataEnd = dataNextFree_ = last + lat + t.tBL;
     recordDataBusy(start, k, tr.step);
     dataBusBytes_ += org_->burstBytes * k;
@@ -81,27 +74,22 @@ Channel::issueColumnTrain(BankId bank, BufferSide side, bool write, int n,
     if (sink_)
         for (Cycle i = 0; i < k; ++i)
             sink_->push_back({when0 + i * tr.step, type, bank,
-                              banks_.openRow(bank, side)});
+                              banks_.openRow(bank, BufferSide::Mem)});
     return tr;
 }
 
 Cycle
-Channel::issuePrecharge(BankId bank, BufferSide side, Cycle not_before)
+Channel::issuePrecharge(BankId bank, Cycle not_before)
 {
-    const auto &t = *timing_;
     Cycle when = std::max(not_before,
-                          banks_.earliestPrecharge(bank, side));
+                          banks_.earliestPrecharge(bank, BufferSide::Mem));
     when = std::max(when, caNextFree_);
-    const int row = banks_.openRow(bank, side);
-    banks_.precharge(bank, side, when);
-    caNextFree_ = when + t.caMemCmd;
-    caBusyCycles_ += t.caMemCmd;
-    const CommandType type = side == BufferSide::Pim
-                                 ? CommandType::PimPrecharge
-                                 : CommandType::Pre;
-    counts_.record(type);
+    const int row = banks_.openRow(bank, BufferSide::Mem);
+    banks_.precharge(bank, BufferSide::Mem, when);
+    caNextFree_ = when + timing_->caMemCmd;
+    counts_.record(CommandType::Pre);
     if (sink_)
-        sink_->push_back({when, type, bank, row});
+        sink_->push_back({when, CommandType::Pre, bank, row});
     return when;
 }
 
@@ -115,7 +103,6 @@ Channel::issueRefresh(Cycle not_before)
     when = std::max(when, banks_.maxEarliestPrecharge());
     banks_.refreshAll(when);
     caNextFree_ = when + t.caMemCmd;
-    caBusyCycles_ += t.caMemCmd;
     counts_.record(CommandType::Ref);
     if (sink_)
         sink_->push_back({when, CommandType::Ref, -1, -1});
@@ -151,7 +138,6 @@ Channel::issuePimActivateGroup(BankId first, int nbanks, int row,
     recordActivate(first, when);
     if (charge_ca) {
         caNextFree_ = when + t.caPimCmd;
-        caBusyCycles_ += t.caPimCmd;
         counts_.record(CommandType::PimActivate);
     }
     // Logged by its first bank, with or without a C/A slot.
@@ -174,10 +160,8 @@ Channel::postponeRefresh()
 Cycle
 Channel::issuePimCaCommand(CommandType type, Cycle not_before)
 {
-    const auto &t = *timing_;
     Cycle when = std::max(not_before, caNextFree_);
-    caNextFree_ = when + t.caPimCmd;
-    caBusyCycles_ += t.caPimCmd;
+    caNextFree_ = when + timing_->caPimCmd;
     counts_.record(type);
     if (sink_)
         sink_->push_back({when, type, -1, -1});
@@ -205,7 +189,6 @@ Channel::periodMark() const
     m.spanEnd = dataBusy_.empty() ? 0 : dataBusy_.back().end();
     m.counts = counts_;
     m.dataBytes = dataBusBytes_;
-    m.caBusy = caBusyCycles_;
     m.logged = sink_ ? sink_->size() : 0;
     return m;
 }
@@ -277,7 +260,6 @@ Channel::advancePeriods(const PeriodMark &m, Cycle dt, std::int64_t rows,
     for (int i = 0; i < kNumCommandTypes; ++i)
         counts_.counts[i] += k * (counts_.counts[i] - m.counts.counts[i]);
     dataBusBytes_ += k * (dataBusBytes_ - m.dataBytes);
-    caBusyCycles_ += k * (caBusyCycles_ - m.caBusy);
 
     // The timing state, k periods on.
     const Cycle shift = k * dt;

@@ -40,7 +40,6 @@ class Channel
     /** The channel's SoA bank state. */
     BankArray &banks() { return banks_; }
     const BankArray &banks() const { return banks_; }
-    bool dualRowBuffers() const { return dualRowBuffers_; }
 
     /** Bank group of a bank id (4 banks per group, Table 2). */
     int bankGroup(BankId b) const { return b / org_->banksPerGroup; }
@@ -84,34 +83,34 @@ class Channel
     }
 
     /**
-     * Earliest legal ACTIVATE to @p bank on @p side at or after
-     * @p not_before, honoring bank state, tRRD, tFAW, C/A bus and any
-     * pending refresh window.
+     * Earliest legal MEM ACTIVATE to @p bank at or after @p not_before,
+     * honoring bank state, tRRD, tFAW, C/A bus and any pending refresh
+     * window.
      */
     Cycle
-    earliestActivate(BankId bank, BufferSide side, Cycle not_before) const
+    earliestActivate(BankId bank, Cycle not_before) const
     {
-        Cycle when = std::max(banks_.earliestActivate(bank, side),
+        Cycle when = std::max(banks_.earliestActivate(bank, BufferSide::Mem),
                               not_before);
         return earliestCa(actWindowConstraint(bank, when));
     }
 
-    /** Earliest legal column command (RD/WR) to @p bank on @p side. */
+    /** Earliest legal MEM column command (RD/WR) to @p bank. */
     Cycle
-    earliestColumn(BankId bank, BufferSide side, Cycle not_before) const
+    earliestColumn(BankId bank, Cycle not_before) const
     {
-        return earliestCa(
-            std::max(banks_.earliestColumn(bank, side), not_before));
+        return earliestCa(std::max(
+            banks_.earliestColumn(bank, BufferSide::Mem), not_before));
     }
 
     // ------------------------------------------------------------------
     // Issue primitives: compute earliest legal cycle >= not_before,
     // commit all side effects (bank state, buses, tFAW ring, counters)
-    // and return the issue cycle.
+    // and return the issue cycle. ACT, PRE, RD and WR act on the MEM
+    // row buffer; PIM commands have primitives of their own.
     // ------------------------------------------------------------------
 
-    Cycle issueActivate(BankId bank, BufferSide side, int row,
-                        Cycle not_before);
+    Cycle issueActivate(BankId bank, int row, Cycle not_before);
 
     /**
      * Issue a column command (RD, or WR if @p write) whose data burst
@@ -119,28 +118,28 @@ class Channel
      * @return pair{issue cycle, cycle the data burst completes}.
      */
     std::pair<Cycle, Cycle>
-    issueColumn(BankId bank, BufferSide side, bool write, Cycle not_before)
+    issueColumn(BankId bank, bool write, Cycle not_before)
     {
         const auto &t = *timing_;
         const Cycle lat = write ? t.tCWL : t.tCL;
-        Cycle when = earliestColumn(bank, side, not_before);
+        Cycle when = earliestColumn(bank, not_before);
         // The burst must find the data bus free; push the issue cycle
         // until it does.
         Cycle burst_start = std::max(when + lat, dataNextFree_);
         when = burst_start - lat;
         if (write)
-            banks_.write(bank, side, when);
+            banks_.write(bank, BufferSide::Mem, when);
         else
-            banks_.read(bank, side, when);
+            banks_.read(bank, BufferSide::Mem, when);
         caNextFree_ = when + t.caMemCmd;
-        caBusyCycles_ += t.caMemCmd;
         dataNextFree_ = burst_start + t.tBL;
         recordDataBusy(burst_start, 1, t.tBL);
         dataBusBytes_ += org_->burstBytes;
         const CommandType type = write ? CommandType::Wr : CommandType::Rd;
         counts_.record(type);
         if (sink_)
-            sink_->push_back({when, type, bank, banks_.openRow(bank, side)});
+            sink_->push_back(
+                {when, type, bank, banks_.openRow(bank, BufferSide::Mem)});
         return {when, burst_start + t.tBL};
     }
 
@@ -165,10 +164,10 @@ class Channel
      * @p until. Column commands set no bank-local spacing, so the
      * train's side effects are set once, in closed form.
      */
-    ColumnTrain issueColumnTrain(BankId bank, BufferSide side, bool write,
-                                 int n, Cycle until);
+    ColumnTrain issueColumnTrain(BankId bank, bool write, int n,
+                                 Cycle until);
 
-    Cycle issuePrecharge(BankId bank, BufferSide side, Cycle not_before);
+    Cycle issuePrecharge(BankId bank, Cycle not_before);
 
     /** Issue an all-bank refresh; returns the cycle it completes. */
     Cycle issueRefresh(Cycle not_before);
@@ -222,9 +221,15 @@ class Channel
     Bytes dataBusBytes() const { return dataBusBytes_; }
     /** Busy fraction of the data bus over [from, to). */
     double dataBusUtilization(Cycle from, Cycle to) const;
-    /** C/A bus busy cycles so far. Slots never overlap and issue in
-     * order, so the running sum is the exact busy time. */
-    Cycle caBusyCycles() const { return caBusyCycles_; }
+    /** C/A bus busy cycles so far: every counted command holds its
+     * class's slot, and slots never overlap. A composite group
+     * activation is neither counted nor charged. */
+    Cycle
+    caBusyCycles() const
+    {
+        return timing_->caMemCmd * counts_.totalMem() +
+               timing_->caPimCmd * counts_.totalPim();
+    }
 
     // ------------------------------------------------------------------
     // A test hook, and periods in closed form (DESIGN.md §3.6).
@@ -246,7 +251,6 @@ class Channel
         Cycle spanEnd = 0;     ///< the last one's end
         CommandCounts counts;
         Bytes dataBytes = 0;
-        Cycle caBusy = 0;
         std::size_t logged = 0; ///< command sink records
     };
     PeriodMark periodMark() const;
@@ -318,7 +322,6 @@ class Channel
 
     const TimingParams *timing_;
     const Organization *org_;
-    bool dualRowBuffers_;
 
     BankArray banks_; ///< SoA per-bank state for the whole channel
 
@@ -338,7 +341,6 @@ class Channel
     Bytes dataBusBytes_ = 0;
     std::vector<BusySpan> dataBusy_;
     std::vector<BusySpan> spanCopy_; ///< a period's spans, to repeat
-    Cycle caBusyCycles_ = 0;
     std::vector<CommandRecord> *sink_ = nullptr; ///< test hook
 };
 

@@ -27,8 +27,7 @@ MemoryController::MemoryController(EventQueue &eq,
                                    const Organization &org,
                                    ControllerConfig cfg)
     : eq_(eq), cfg_(cfg), channel_(timing, org, cfg.dualRowBuffers),
-      sched_(makeMemSchedPolicy(cfg.sched)),
-      memBankBusyCycles_(static_cast<std::size_t>(channel_.numBanks()), 0)
+      arbiter_(cfg.sched)
 {
     NEUPIMS_ASSERT(channel_.numBanks() <= 64,
                    "bank occupancy mask holds at most 64 banks");
@@ -91,7 +90,7 @@ MemoryController::memSchedStats() const
     // Only stepMem issues MEM-side ACT and PRE: a conflict precharges
     // once, and every row but a hit activates once (DESIGN.md §11).
     const CommandCounts &c = channel_.commandCounts();
-    MemSchedStats s = sched_->stats();
+    MemSchedStats s = arbiter_.stats();
     s.rowHits = rowHits_;
     s.rowConflicts = c.count(CommandType::Pre);
     s.rowMisses = c.count(CommandType::Act) - s.rowConflicts;
@@ -113,12 +112,6 @@ std::size_t
 MemoryController::pendingMemJobs() const
 {
     return queuedRows_ + memInFlight_.size();
-}
-
-std::size_t
-MemoryController::pendingPimJobs() const
-{
-    return pimQueue_.size() + (pim_ ? 1 : 0);
 }
 
 void
@@ -341,7 +334,6 @@ MemoryController::takeMark(int p)
     mark_.channel = channel_.periodMark();
     mark_.runs = chain_.size();
     mark_.runLast = chain_.back().last;
-    mark_.bankBusy = memBankBusyCycles_;
     mark_.completed = completedMemJobs_;
     mark_.rowHits = rowHits_;
     mark_.burstsLeft = s.done >= 0 ? streamDone_[s.done].burstsLeft : 0;
@@ -424,19 +416,9 @@ MemoryController::advancePeriods(std::uint64_t k)
     // rows only behind the cursor (DESIGN.md §3.6). So the periods add
     // no hit.
     NEUPIMS_ASSERT(rowHits_ == mark_.rowHits, "a row hit inside a period");
-    // Each bank's busy cycles since the mark recur j * p banks on.
-    std::vector<Cycle> &busy = mark_.bankBusy;
-    for (std::size_t b = 0; b < busy.size(); ++b)
-        busy[b] = memBankBusyCycles_[b] - busy[b];
-    for (std::int64_t b = 0; b < banks; ++b) {
-        const Cycle add = busy[static_cast<std::size_t>(b)];
-        for (std::int64_t j = 1; add != 0 && j * p <= moved; ++j)
-            memBankBusyCycles_[static_cast<std::size_t>((b + j * p) % banks)] +=
-                add;
-    }
     const std::uint64_t retired = completedMemJobs_ - mark_.completed;
     completedMemJobs_ += k * retired;
-    sched_->noteMemJobsCompleted(k * retired);
+    arbiter_.noteMemJobsCompleted(k * retired);
     if (s.done >= 0) {
         StreamDone &d = streamDone_[s.done];
         d.rowsLeft -= static_cast<int>(k * retired);
@@ -717,10 +699,9 @@ MemoryController::stepMem(int which)
             m.phase = MemExec::Phase::Bursts; // row hit, fall through
         } else {
             if (open != -1) {
-                channel_.issuePrecharge(m.job.bank, BufferSide::Mem, lb);
+                channel_.issuePrecharge(m.job.bank, lb);
             } else {
-                channel_.issueActivate(m.job.bank, BufferSide::Mem,
-                                       m.job.row, lb);
+                channel_.issueActivate(m.job.bank, m.job.row, lb);
                 actIssued_ = true;
                 m.phase = MemExec::Phase::Bursts;
             }
@@ -729,11 +710,7 @@ MemoryController::stepMem(int which)
         }
     }
 
-    m.lastBurstEnd =
-        channel_.issueColumn(m.job.bank, BufferSide::Mem, m.job.write, lb)
-            .second;
-    memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
-        channel_.timing().tBL;
+    m.lastBurstEnd = channel_.issueColumn(m.job.bank, m.job.write, lb).second;
     if (m.job.done >= 0)
         --streamDone_[m.job.done].burstsLeft;
     if (++m.burstsDone < m.job.bursts) {
@@ -761,8 +738,7 @@ MemoryController::runTrain(int which)
     for (int i = 0; i < which; ++i)
         until = std::min(until, memInFlight_[i].ready);
     const Channel::ColumnTrain tr = channel_.issueColumnTrain(
-        m.job.bank, BufferSide::Mem, m.job.write,
-        m.job.bursts - m.burstsDone, until);
+        m.job.bank, m.job.write, m.job.bursts - m.burstsDone, until);
     if (tr.issued == 0)
         return;
     const auto n = static_cast<Cycle>(tr.issued);
@@ -783,8 +759,6 @@ MemoryController::runTrain(int which)
         beginRun(last - cfg_.horizon);
     }
     m.lastBurstEnd = tr.dataEnd;
-    memBankBusyCycles_[static_cast<std::size_t>(m.job.bank)] +=
-        channel_.timing().tBL * n;
     m.burstsDone += tr.issued;
     if (m.burstsDone == m.job.bursts)
         retireMem(which);
@@ -806,7 +780,7 @@ void
 MemoryController::finishMem(const MemExec &exec)
 {
     ++completedMemJobs_;
-    sched_->noteMemJobsCompleted();
+    arbiter_.noteMemJobsCompleted();
     if (exec.job.done < 0)
         return;
     StreamDone &d = streamDone_[exec.job.done];
@@ -1031,7 +1005,7 @@ MemoryController::process()
         else if (cm == kCycleMax)
             pick_pim = true;
         else
-            pick_pim = sched_->choosePim(v);
+            pick_pim = arbiter_.choosePim(v);
 
         Cycle cand = pick_pim ? cp : cm;
         if (maybeRefresh(cand)) {
@@ -1060,7 +1034,7 @@ MemoryController::process()
         }
 
         memScanValid_ = false;
-        sched_->recordIssue(v, pick_pim);
+        arbiter_.recordIssue(v, pick_pim);
         ++decisions_;
         if (pick_pim)
             stepPim();

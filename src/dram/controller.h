@@ -34,10 +34,10 @@
  * onto a failed channel. tests/runtime/test_controller_lifecycle.cc
  * locks this invariant.
  *
- * Arbitration between the two classes is pluggable (MemSchedPolicy,
- * dram/mem_sched.h): FR-FCFS reproduces the historical choice rule
- * bit-for-bit; PIM-FRFCFS and PAWS bias toward PIM with explicit
- * starvation caps and mode switching.
+ * Arbitration between the two classes is the controller's MemArbiter
+ * (dram/mem_sched.h), a value configured by kind: FR-FCFS reproduces
+ * the historical choice rule bit-for-bit; PIM-FRFCFS and PAWS bias
+ * toward PIM with explicit starvation caps and mode switching.
  */
 
 #ifndef NEUPIMS_DRAM_CONTROLLER_H_
@@ -153,10 +153,8 @@ class MemoryController
     /** True when no job is queued or in flight. */
     bool idle() const;
 
-    /** Queued + in-flight counts (for tests and back-pressure); MEM
-     * counts rows, expanded or not. */
+    /** Queued + in-flight MEM rows, expanded or not. */
     std::size_t pendingMemJobs() const;
-    std::size_t pendingPimJobs() const;
 
     // --- statistics -----------------------------------------------------
     /** Sum over banks of PIM compute cycles. */
@@ -171,16 +169,9 @@ class MemoryController
      * form (DESIGN.md §3.6), with no loop decision. */
     std::uint64_t rowsAdvanced() const { return rowsAdvanced_; }
 
-    /** The policy's arbitration counters, with the row outcomes and
-     * the MEM command count read off the channel's commands. */
+    /** The arbiter's counters, with the row outcomes and the MEM
+     * command count read off the channel's commands. */
     MemSchedStats memSchedStats() const;
-
-    /** Per-bank MEM-side data-bus busy cycles (64 B beats served). */
-    const std::vector<Cycle> &
-    memBankBusyCycles() const
-    {
-        return memBankBusyCycles_;
-    }
 
   private:
     friend class HbmStack; // drives epochs through the hooks below
@@ -418,7 +409,6 @@ class MemoryController
         Channel::PeriodMark channel;
         std::size_t runs = 0;     ///< chain_ runs
         Cycle runLast = 0;        ///< the last one's end
-        std::vector<Cycle> bankBusy;
         std::uint64_t completed = 0;
         std::uint64_t rowHits = 0;
         std::uint64_t burstsLeft = 0; ///< the front stream's
@@ -431,8 +421,7 @@ class MemoryController
     Cycle reach_ = 0;                 ///< latest candidate since the mark
     std::vector<WakeRun> runCopy_;    ///< the mark's period's new runs
 
-    std::unique_ptr<MemSchedPolicy> sched_;
-    std::vector<Cycle> memBankBusyCycles_;
+    MemArbiter arbiter_;
 
     Cycle pimBankBusyCycles_ = 0;
     std::uint64_t completedMemJobs_ = 0;

@@ -167,12 +167,10 @@ HbmStack::totalPimBankBusyCycles() const
 Cycle
 HbmStack::totalMemBankBusyCycles() const
 {
-    Cycle total = 0;
-    for (ChannelId ch = 0; ch < numChannels(); ++ch) {
-        for (Cycle c : controller(ch).memBankBusyCycles())
-            total += c;
-    }
-    return total;
+    // Only RD and WR move MEM data, one tBL burst each (DESIGN.md §11).
+    const CommandCounts c = totalCommandCounts();
+    return cfg_.timing.tBL *
+           (c.count(CommandType::Rd) + c.count(CommandType::Wr));
 }
 
 MemSchedStats

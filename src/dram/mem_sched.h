@@ -1,11 +1,11 @@
 /**
  * @file
- * Pluggable DRAM arbitration policies for the per-channel controller.
+ * Arbitration between a DRAM channel's MEM and PIM commands.
  *
  * The MemoryController owns the command state machines (what a MEM row
- * job or PIM kernel *can* issue next and when); a MemSchedPolicy owns
+ * job or PIM kernel *can* issue next and when); its MemArbiter makes
  * the *choice* between the two classes when both have a legal command.
- * Three built-ins reproduce the policy space of the PIM-scheduling
+ * Three kinds reproduce the policy space of the PIM-scheduling
  * literature (see DESIGN.md §11):
  *
  *  - FrFcfs: the original arbitration, bit-identical to the historical
@@ -22,20 +22,21 @@
  *    ends once it has completed the MEM backlog captured at switch
  *    time, so neither class can starve.
  *
- * A policy counts what only arbitration sees: PIM commands, MEM<->PIM
- * mode switches, and the two contention integrals — pimStallCycles
- * (PIM command ready but a later MEM command was chosen) and
- * pimWasteCycles (bus held for a later PIM command while MEM work was
- * ready). Under FrFcfs both integrals are identically zero, which the
- * property tests pin. The row outcomes and MEM command count come from
- * the channel's commands (MemoryController::memSchedStats).
+ * The arbiter counts what only arbitration sees: PIM commands,
+ * MEM<->PIM mode switches, and the two contention integrals —
+ * pimStallCycles (PIM command ready but a later MEM command was
+ * chosen) and pimWasteCycles (bus held for a later PIM command while
+ * MEM work was ready). Under FrFcfs both integrals are identically
+ * zero, which the property tests pin. The row outcomes and MEM command
+ * count come from the channel's commands
+ * (MemoryController::memSchedStats).
  */
 
 #ifndef NEUPIMS_DRAM_MEM_SCHED_H_
 #define NEUPIMS_DRAM_MEM_SCHED_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/types.h"
@@ -108,27 +109,30 @@ struct ArbView
     std::size_t memPending = 0; ///< queued + in-flight MEM jobs
 };
 
-class MemSchedPolicy
+/**
+ * The choice between MEM and PIM commands, and its counters: one value
+ * per controller that switches on its kind. The schedulers it follows
+ * are classes because they own request queues; the controller owns
+ * these.
+ */
+class MemArbiter
 {
   public:
-    virtual ~MemSchedPolicy() = default;
-
-    virtual MemSchedKind kind() const = 0;
-    const char *name() const { return memSchedKindName(kind()); }
+    explicit MemArbiter(const MemSchedConfig &cfg) : cfg_(cfg) {}
 
     /**
      * Decide the class of the next issued command. Called only when
      * both classes have a candidate; the controller auto-picks the
-     * only live class otherwise (so a policy can bias, but never block
-     * the channel's only available work — starvation-freedom by
+     * only live class otherwise (so an arbiter can bias, but never
+     * block the channel's only available work — starvation-freedom by
      * construction at the "one class left" boundary).
      */
-    virtual bool choosePim(const ArbView &v) = 0;
+    bool choosePim(const ArbView &v);
 
     /**
      * Account an issued command (both arbitrated and auto-picked). A
-     * MEM pick's onIssue() reads no candidate and is idempotent, so the
-     * rest of a burst train (DESIGN.md §3.4) needs no further call.
+     * MEM pick reads no candidate and its account is idempotent, so
+     * the rest of a burst train (DESIGN.md §3.4) needs no further call.
      */
     void recordIssue(const ArbView &v, bool picked_pim);
 
@@ -136,25 +140,26 @@ class MemSchedPolicy
     void
     noteMemJobsCompleted(std::uint64_t n = 1)
     {
-        onMemJobsCompleted(n);
+        if (cfg_.kind == MemSchedKind::Paws)
+            memJobsThisStint_ += n;
     }
 
     /** The arbitration counters; the row and MEM command fields stay
      * 0 here. */
     const MemSchedStats &stats() const { return stats_; }
 
-  protected:
-    virtual void onIssue(const ArbView &v, bool picked_pim)
-    {
-        (void)v;
-        (void)picked_pim;
-    }
-    virtual void onMemJobsCompleted(std::uint64_t n) { (void)n; }
-
+  private:
+    MemSchedConfig cfg_;
     MemSchedStats stats_;
+    /** PimFrFcfs: consecutive decisions a ready MEM command waited. */
+    int deferred_ = 0;
+    /** Paws: the mode (a queued kernel claims the channel first), the
+     * stint's PIM commands and MEM jobs, and its MEM job budget. */
+    bool pimMode_ = true;
+    int pimCmdsThisStint_ = 0;
+    std::size_t memJobsThisStint_ = 0;
+    std::size_t memStintBudget_ = 1;
 };
-
-std::unique_ptr<MemSchedPolicy> makeMemSchedPolicy(const MemSchedConfig &cfg);
 
 } // namespace neupims::dram
 

@@ -207,8 +207,10 @@ RequestId
 BatchScheduler::nextAdmission(IterationSchedule &out)
 {
     const bool preempting = cfg_.preempt.enabled();
+    const double lowest = lowestRank(cfg_.policy);
     while (pool_.waitingCount() > 0) {
-        // First lowest rank: ties keep waiting-queue (arrival) order.
+        // First lowest rank: ties keep waiting-queue (arrival) order,
+        // so under fcfs the head is the pick.
         RequestId pick = kInvalidId;
         double best = 0.0;
         for (RequestId id : pool_.waitingIds()) {
@@ -216,6 +218,8 @@ BatchScheduler::nextAdmission(IterationSchedule &out)
             if (pick == kInvalidId || r < best) {
                 pick = id;
                 best = r;
+                if (best <= lowest)
+                    break;
             }
         }
         if (!preempting)
@@ -245,6 +249,7 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
     // the batch at the NEXT boundary (its transfer occupies this
     // iteration) and cannot be churned right back out by this
     // iteration's own demands.
+    const double lowest = lowestRank(cfg_.policy);
     while (pool_.preemptedCount() > 0 &&
            pool_.runningCount() <
                static_cast<std::size_t>(cfg_.maxBatch)) {
@@ -267,6 +272,8 @@ BatchScheduler::restorePreempted(IterationSchedule &out,
             if (!req || r < best) {
                 req = cand;
                 best = r;
+                if (best <= lowest)
+                    break;
             }
         }
         if (!req)

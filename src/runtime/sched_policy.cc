@@ -1,5 +1,7 @@
 #include "runtime/sched_policy.h"
 
+#include <limits>
+
 #include "common/log.h"
 
 namespace neupims::runtime {
@@ -123,6 +125,14 @@ rank(const SchedPolicyConfig &cfg, const Request &req, Cycle now)
     }
     }
     return 0.0;
+}
+
+double
+lowestRank(const SchedPolicyConfig &cfg)
+{
+    return cfg.kind == SchedPolicyKind::Fcfs
+               ? 0.0
+               : -std::numeric_limits<double>::infinity();
 }
 
 bool

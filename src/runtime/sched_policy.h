@@ -100,6 +100,11 @@ double victimScoreFor(VictimPolicy policy, const Request &req,
 double rank(const SchedPolicyConfig &cfg, const Request &req,
             Cycle now);
 
+/** A bound no rank under @p cfg goes below: 0 for fcfs, whose every
+ * rank is 0, and -infinity otherwise. A first-lowest-rank scan can
+ * stop at the first request that reaches it. */
+double lowestRank(const SchedPolicyConfig &cfg);
+
 /** Whether @p a strictly outranks @p b: lower rank, ties by id. A
  * strict total order over live requests. */
 bool outranks(const SchedPolicyConfig &cfg, const Request &a,

@@ -469,6 +469,27 @@ ReplayTraffic::next()
 
 // --- Session (conversational) ----------------------------------------------
 
+namespace {
+
+/** Conversation turns per session, at most. */
+constexpr int kMaxSessionTurns = 8;
+static_assert(kMaxSessionTurns >= 1, "max turns must be >= 1");
+
+/**
+ * Open-loop proxy for the previous turn's service time: the client
+ * sends turn t only after reading turn t-1's response, so the
+ * inter-turn gap adds prevOutput * kServiceMsPerToken on top of the
+ * think time. Without it, at load a follow-up turn arrives while its
+ * predecessor is still queued — before the predecessor published any
+ * prefix pages — and the session's nested-prefix hits never
+ * materialize. ~12 ms/token tracks the decode TBT the serving sweeps
+ * measure.
+ */
+constexpr double kServiceMsPerToken = 12.0;
+static_assert(kServiceMsPerToken >= 0.0, "service proxy must be >= 0");
+
+} // namespace
+
 std::unique_ptr<TrafficModel>
 makeSessionTraffic(const DatasetConfig &dataset,
                    double requests_per_second, int num_requests,
@@ -480,10 +501,7 @@ makeSessionTraffic(const DatasetConfig &dataset,
                    "system prompt length must be >= 0");
     NEUPIMS_ASSERT(cfg.meanTurns >= 1.0,
                    "mean turns must be >= 1");
-    NEUPIMS_ASSERT(cfg.maxTurns >= 1, "max turns must be >= 1");
     NEUPIMS_ASSERT(cfg.thinkMs >= 0.0, "think time must be >= 0");
-    NEUPIMS_ASSERT(cfg.serviceMsPerToken >= 0.0,
-                   "service proxy must be >= 0");
     WorkloadGenerator gen(dataset, seed);
     Rng rng(seed ^ 0x5e5510f7ULL);
     // Sessions (not requests) arrive Poisson; the per-request
@@ -493,7 +511,7 @@ makeSessionTraffic(const DatasetConfig &dataset,
     const double cyclesPerSession =
         ratePeriodCycles(requests_per_second) * cfg.meanTurns;
     // 1 + Geometric(p) with continue probability 1 - 1/meanTurns has
-    // mean meanTurns before the maxTurns cap.
+    // mean meanTurns before the kMaxSessionTurns cap.
     const double continueProb = 1.0 - 1.0 / cfg.meanTurns;
     const double thinkCycles = cfg.thinkMs * 1e6; // ms at 1 GHz
     std::vector<ArrivalEvent> events;
@@ -510,7 +528,7 @@ makeSessionTraffic(const DatasetConfig &dataset,
         double t = sessionClock;
         int promptLen = 0;
         int prevOutput = 0;
-        for (int turn = 0; turn < cfg.maxTurns; ++turn) {
+        for (int turn = 0; turn < kMaxSessionTurns; ++turn) {
             auto s = gen.sample();
             // Turn t's prompt is turn t-1's prompt plus its response
             // plus the fresh user message; the opening turn prepends
@@ -529,17 +547,16 @@ makeSessionTraffic(const DatasetConfig &dataset,
                 synthesizePrompt(session_id, group, shared, promptLen);
             events.push_back(std::move(ev));
             prevOutput = s.outputLength;
-            if (turn + 1 >= cfg.maxTurns ||
+            if (turn + 1 >= kMaxSessionTurns ||
                 rng.uniform() >= continueProb)
                 break;
             // The next turn follows the previous turn's response (the
-            // serviceMsPerToken open-loop proxy for its decode time)
+            // kServiceMsPerToken open-loop proxy for its decode time)
             // plus the client's think time.
             double g = rng.uniform();
             if (g <= 0.0)
                 g = 0x1.0p-53;
-            t += static_cast<double>(prevOutput) *
-                     cfg.serviceMsPerToken * 1e6 -
+            t += static_cast<double>(prevOutput) * kServiceMsPerToken * 1e6 -
                  std::log(g) * thinkCycles;
         }
         ++session_id;

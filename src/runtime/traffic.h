@@ -277,27 +277,17 @@ struct SessionTrafficConfig
     double hotFraction = 0.75;
     /** Length of the shared system prompt in tokens. */
     int systemPromptTokens = 192;
-    /** Mean conversation turns per session (geometric, capped). */
+    /** Mean conversation turns per session (geometric, capped at 8). */
     double meanTurns = 3.0;
-    int maxTurns = 8;
     /** Mean client think time between turns (exponential gaps). */
     double thinkMs = 150.0;
-    /** Open-loop proxy for the previous turn's service time: the
-     * client sends turn t only after reading turn t-1's response, so
-     * the inter-turn gap adds prevOutput * serviceMsPerToken on top
-     * of the think time. Without it, at load a follow-up turn arrives
-     * while its predecessor is still queued — before the predecessor
-     * published any prefix pages — and the session's nested-prefix
-     * hits never materialize. ~12 ms/token tracks the decode TBT the
-     * serving sweeps measure. 0 disables the proxy. */
-    double serviceMsPerToken = 12.0;
 };
 
 /**
  * Conversational session traffic: sessions arrive Poisson at
  * @p requests_per_second / meanTurns (so the long-run *request* rate
  * matches the other models at the same nominal rate), each runs
- * 1 + Geometric turns capped at maxTurns with exponential think-time
+ * 1 + Geometric turns capped at 8 with exponential think-time
  * gaps, and turn t's prompt is turn t-1's prompt plus its output plus
  * fresh user tokens (capped at the dataset max length). A hotFraction
  * of sessions prepend the shared system prompt. Exactly

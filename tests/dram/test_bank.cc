@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests for the dual-row-buffer bank state machine, on a
- * one-bank BankArray.
+ * one-bank BankArray, and a property test of the single-buffer bank.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "dram/bank.h"
 
 namespace neupims::dram {
@@ -126,6 +127,68 @@ TEST_F(BankTest, PrechargeAfterActivateWaitsForRas)
     // the previous activate.
     EXPECT_GE(b.earliestActivate(0, BufferSide::Mem),
               1000 + t.tRAS + t.tRP);
+}
+
+TEST_F(BankTest, SingleBufferSidesAgreeUnderRandomLegalOps)
+{
+    // A single-buffer bank has one buffer, which both sides name: after
+    // any legal sequence of MEM and PIM ACT, RD, WR, PRE and REF, every
+    // query answers the same for both sides.
+    constexpr int kBanks = 4;
+    const BufferSide sides[] = {BufferSide::Mem, BufferSide::Pim};
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        BankArray b(t, false, kBanks);
+        Cycle now = 0;
+        for (int op = 0; op < 2000; ++op) {
+            now += rng.uniformInt(0, 16);
+            const auto bank =
+                static_cast<BankId>(rng.uniformInt(0, kBanks - 1));
+            const BufferSide s = sides[rng.uniformInt(0, 1)];
+            const bool open = b.openRow(bank, s) >= 0;
+            switch (rng.uniformInt(0, 9)) {
+              case 0:
+                // REF waits until every bank may precharge.
+                now = std::max(now, b.maxEarliestPrecharge());
+                b.refreshAll(now);
+                break;
+              case 1:
+              case 2:
+                // PRE, to an open or a closed row (a PIM precharge
+                // closes each of its kernel's banks).
+                now = std::max(now, b.earliestPrecharge(bank, s));
+                b.precharge(bank, s, now);
+                break;
+              default:
+                if (!open) {
+                    now = std::max(now, b.earliestActivate(bank, s));
+                    b.activate(bank, s, static_cast<int>(rng.uniformInt(0, 7)),
+                               now);
+                } else {
+                    now = std::max(now, b.earliestColumn(bank, s));
+                    if (rng.uniform() < 0.5)
+                        b.read(bank, s, now);
+                    else
+                        b.write(bank, s, now);
+                }
+                break;
+            }
+            for (BankId k = 0; k < kBanks; ++k) {
+                ASSERT_EQ(b.openRow(k, BufferSide::Mem),
+                          b.openRow(k, BufferSide::Pim))
+                    << "seed " << seed << " op " << op << " bank " << k;
+                ASSERT_EQ(b.earliestActivate(k, BufferSide::Mem),
+                          b.earliestActivate(k, BufferSide::Pim))
+                    << "seed " << seed << " op " << op << " bank " << k;
+                ASSERT_EQ(b.earliestColumn(k, BufferSide::Mem),
+                          b.earliestColumn(k, BufferSide::Pim))
+                    << "seed " << seed << " op " << op << " bank " << k;
+                ASSERT_EQ(b.earliestPrecharge(k, BufferSide::Mem),
+                          b.earliestPrecharge(k, BufferSide::Pim))
+                    << "seed " << seed << " op " << op << " bank " << k;
+            }
+        }
+    }
 }
 
 } // namespace

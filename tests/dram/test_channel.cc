@@ -29,12 +29,11 @@ issueBurstByBurst(Channel &ch, BankId bank, bool write, int n, Cycle until)
 {
     Bursts r;
     for (int i = 0; i < n; ++i) {
-        const Cycle cand = ch.earliestColumn(bank, BufferSide::Mem, 0);
+        const Cycle cand = ch.earliestColumn(bank, 0);
         if (cand >= until)
             break;
         r.candidates.push_back(cand);
-        r.dataEnds.push_back(
-            ch.issueColumn(bank, BufferSide::Mem, write, cand).second);
+        r.dataEnds.push_back(ch.issueColumn(bank, write, cand).second);
     }
     return r;
 }
@@ -51,10 +50,10 @@ class ChannelTest : public ::testing::Test
 
 TEST_F(ChannelTest, ActivateRespectsTrrdAcrossBanks)
 {
-    Cycle a0 = ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    Cycle a1 = ch.issueActivate(8, BufferSide::Mem, 0, 0); // other group
+    Cycle a0 = ch.issueActivate(0, 0, 0);
+    Cycle a1 = ch.issueActivate(8, 0, 0); // other group
     EXPECT_GE(a1, a0 + t.tRRD_S);
-    Cycle a2 = ch.issueActivate(9, BufferSide::Mem, 0, 0); // same group as 8
+    Cycle a2 = ch.issueActivate(9, 0, 0); // same group as 8
     EXPECT_GE(a2, a1 + t.tRRD_L);
 }
 
@@ -64,31 +63,31 @@ TEST_F(ChannelTest, FourActivateWindowEnforced)
     // Use banks from different groups so only tRRD_S and tFAW bind.
     for (int i = 0; i < 5; ++i)
         acts.push_back(
-            ch.issueActivate(i * org.banksPerGroup, BufferSide::Mem, 0, 0));
+            ch.issueActivate(i * org.banksPerGroup, 0, 0));
     // The fifth activation must leave the first's tFAW window.
     EXPECT_GE(acts[4], acts[0] + t.tFAW);
 }
 
 TEST_F(ChannelTest, CaBusSerializesCommands)
 {
-    Cycle a0 = ch.issueActivate(0, BufferSide::Mem, 0, 0);
+    Cycle a0 = ch.issueActivate(0, 0, 0);
     // A command to a totally different bank still needs a C/A slot.
-    Cycle a1 = ch.issueActivate(16, BufferSide::Mem, 0, 0);
+    Cycle a1 = ch.issueActivate(16, 0, 0);
     EXPECT_GE(a1, a0 + t.caMemCmd);
 }
 
 TEST_F(ChannelTest, ReadDataLandsTclAfterCommand)
 {
-    ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    auto [cmd, data_end] = ch.issueColumn(0, BufferSide::Mem, false, 0);
+    ch.issueActivate(0, 0, 0);
+    auto [cmd, data_end] = ch.issueColumn(0, false, 0);
     EXPECT_EQ(data_end, cmd + t.tCL + t.tBL);
 }
 
 TEST_F(ChannelTest, BackToBackReadsPipelineOnDataBus)
 {
-    ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    auto [c0, e0] = ch.issueColumn(0, BufferSide::Mem, false, 0);
-    auto [c1, e1] = ch.issueColumn(0, BufferSide::Mem, false, 0);
+    ch.issueActivate(0, 0, 0);
+    auto [c0, e0] = ch.issueColumn(0, false, 0);
+    auto [c1, e1] = ch.issueColumn(0, false, 0);
     (void)c0;
     (void)c1;
     // Data bus: consecutive bursts are contiguous, tBL apart.
@@ -97,9 +96,9 @@ TEST_F(ChannelTest, BackToBackReadsPipelineOnDataBus)
 
 TEST_F(ChannelTest, DataBusBytesAccumulate)
 {
-    ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    ch.issueColumn(0, BufferSide::Mem, false, 0);
-    ch.issueColumn(0, BufferSide::Mem, false, 0);
+    ch.issueActivate(0, 0, 0);
+    ch.issueColumn(0, false, 0);
+    ch.issueColumn(0, false, 0);
     EXPECT_EQ(ch.dataBusBytes(), 2 * org.burstBytes);
 }
 
@@ -118,17 +117,15 @@ TEST_F(ChannelTest, ColumnTrainMatchesBurstByBurst)
                 const auto bank = static_cast<BankId>(rng.uniformInt(0, 31));
                 const bool write = rng.uniform() < 0.5;
                 const auto n = static_cast<int>(rng.uniformInt(1, 16));
-                base.issueActivate(bank, BufferSide::Mem, 3,
-                                   rng.uniformInt(0, 40));
+                base.issueActivate(bank, 3, rng.uniformInt(0, 40));
                 // A burst the other way first: a write train right
                 // after a read waits for the data bus.
                 if (rng.uniform() < 0.5)
-                    base.issueColumn(bank, BufferSide::Mem, !write, 0);
+                    base.issueColumn(bank, !write, 0);
                 // So does one behind a reservation (a PIM result).
                 if (rng.uniform() < 0.25)
                     base.reserveDataBus(
-                        base.earliestColumn(bank, BufferSide::Mem, 0) +
-                            tp->tCL,
+                        base.earliestColumn(bank, 0) + tp->tCL,
                         static_cast<int>(rng.uniformInt(1, 4)));
                 Channel probe = base;
                 const Bursts all =
@@ -146,8 +143,8 @@ TEST_F(ChannelTest, ColumnTrainMatchesBurstByBurst)
                 for (Cycle until : untils) {
                     Channel train = base;
                     Channel ref = base;
-                    const Channel::ColumnTrain tr = train.issueColumnTrain(
-                        bank, BufferSide::Mem, write, n, until);
+                    const Channel::ColumnTrain tr =
+                        train.issueColumnTrain(bank, write, n, until);
                     const Bursts bb =
                         issueBurstByBurst(ref, bank, write, n, until);
                     ASSERT_EQ(static_cast<std::size_t>(tr.issued),
@@ -175,9 +172,8 @@ TEST_F(ChannelTest, ColumnTrainMatchesBurstByBurst)
                         EXPECT_EQ(train.banks().earliestPrecharge(bank, side),
                                   ref.banks().earliestPrecharge(bank, side));
                     // The next burst finds the same buses.
-                    EXPECT_EQ(
-                        train.issueColumn(bank, BufferSide::Mem, !write, 0),
-                        ref.issueColumn(bank, BufferSide::Mem, !write, 0));
+                    EXPECT_EQ(train.issueColumn(bank, !write, 0),
+                              ref.issueColumn(bank, !write, 0));
                     const Cycle busy_end = ref.earliestCa(0) + tp->tCL + 8;
                     for (Cycle from = 0; from < busy_end; from += 3)
                         for (Cycle to = from + 1; to <= busy_end; to += 2)
@@ -193,10 +189,10 @@ TEST_F(ChannelTest, ColumnTrainMatchesBurstByBurst)
 
 TEST_F(ChannelTest, CommandCountsRecorded)
 {
-    ch.issueActivate(0, BufferSide::Mem, 0, 0);
-    ch.issueColumn(0, BufferSide::Mem, false, 0);
-    ch.issueColumn(0, BufferSide::Mem, true, 0);
-    ch.issuePrecharge(0, BufferSide::Mem, 0);
+    ch.issueActivate(0, 0, 0);
+    ch.issueColumn(0, false, 0);
+    ch.issueColumn(0, true, 0);
+    ch.issuePrecharge(0, 0);
     const auto &c = ch.commandCounts();
     EXPECT_EQ(c.count(CommandType::Act), 1u);
     EXPECT_EQ(c.count(CommandType::Rd), 1u);
@@ -206,14 +202,14 @@ TEST_F(ChannelTest, CommandCountsRecorded)
 
 TEST_F(ChannelTest, RefreshClosesAllBanksAndReschedules)
 {
-    ch.issueActivate(0, BufferSide::Mem, 3, 0);
+    ch.issueActivate(0, 3, 0);
     Cycle due_before = ch.nextRefreshDue();
     Cycle done = ch.issueRefresh(due_before);
     EXPECT_GE(done, due_before + t.tRFC);
     EXPECT_EQ(ch.nextRefreshDue(), due_before + t.tREFI);
     EXPECT_EQ(ch.banks().openRow(0, BufferSide::Mem), -1);
     // Bank is blocked for tRFC.
-    EXPECT_GE(ch.earliestActivate(0, BufferSide::Mem, 0), done);
+    EXPECT_GE(ch.earliestActivate(0, 0), done);
 }
 
 TEST_F(ChannelTest, PostponeRefreshHasBudgetOfEight)
@@ -253,7 +249,7 @@ TEST_F(ChannelTest, PimActivateGroupWithoutCaIsFree)
 TEST_F(ChannelTest, PimCaCommandsAreWiderThanMemCommands)
 {
     Cycle p0 = ch.issuePimCaCommand(CommandType::PimHeader, 0);
-    Cycle a0 = ch.issueActivate(0, BufferSide::Mem, 0, 0);
+    Cycle a0 = ch.issueActivate(0, 0, 0);
     EXPECT_GE(a0, p0 + t.caPimCmd);
 }
 
@@ -289,11 +285,10 @@ TEST_F(ChannelTest, DualRowBufferAllowsMemReadDuringPimOpenRow)
     // Open a PIM row, then a MEM row on the same bank: with dual
     // buffers both stay open (the core NeuPIMs mechanism).
     Cycle pim_act = ch.issuePimActivateGroup(0, 4, 1, 0, true);
-    Cycle mem_act =
-        ch.issueActivate(0, BufferSide::Mem, 2, pim_act + t.tRC());
+    Cycle mem_act = ch.issueActivate(0, 2, pim_act + t.tRC());
     EXPECT_EQ(ch.banks().openRow(0, BufferSide::Pim), 1);
     EXPECT_EQ(ch.banks().openRow(0, BufferSide::Mem), 2);
-    auto [cmd, end] = ch.issueColumn(0, BufferSide::Mem, false, mem_act);
+    auto [cmd, end] = ch.issueColumn(0, false, mem_act);
     (void)cmd;
     EXPECT_GT(end, 0u);
     EXPECT_EQ(ch.banks().openRow(0, BufferSide::Pim), 1); // still open
@@ -302,7 +297,7 @@ TEST_F(ChannelTest, DualRowBufferAllowsMemReadDuringPimOpenRow)
 TEST_F(ChannelTest, SingleRowBufferEvictsMemRowOnPimActivate)
 {
     Channel blocked(t, org, false);
-    blocked.issueActivate(0, BufferSide::Mem, 2, 0);
+    blocked.issueActivate(0, 2, 0);
     EXPECT_EQ(blocked.banks().openRow(0, BufferSide::Mem), 2);
     blocked.issuePimActivateGroup(0, 4, 1, 10'000, true);
     // Baseline bank: PIM activation clobbered the MEM row.

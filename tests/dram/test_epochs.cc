@@ -37,8 +37,6 @@ struct Trace
     std::vector<MemSchedStats> sched;
     std::vector<Bytes> dataBytes;
     std::vector<double> dataUtil;
-    std::vector<Cycle> caBusy;
-    std::vector<std::vector<Cycle>> bankBusy;
     /** Every command each channel issued, in issue order. */
     std::vector<std::vector<CommandRecord>> commands;
     /** Rows the controllers advanced over in closed form. */
@@ -87,8 +85,6 @@ finish(Trace &tr, EventQueue &eq,
         tr.dataBytes.push_back(mc->channel().dataBusBytes());
         tr.dataUtil.push_back(
             mc->channel().dataBusUtilization(0, tr.end + 1));
-        tr.caBusy.push_back(mc->channel().caBusyCycles());
-        tr.bankBusy.push_back(mc->memBankBusyCycles());
         tr.rowsAdvanced += mc->rowsAdvanced();
     }
 }
@@ -324,8 +320,6 @@ expectSameRun(const Trace &with, const Trace &without, std::uint64_t seed)
     }
     EXPECT_EQ(with.dataBytes, without.dataBytes);
     EXPECT_EQ(with.dataUtil, without.dataUtil);
-    EXPECT_EQ(with.caBusy, without.caBusy);
-    EXPECT_EQ(with.bankBusy, without.bankBusy);
 }
 
 struct EpochCase
