@@ -462,7 +462,7 @@ faultSweep()
 
 // --- mem_sched_sweep: engine grid, SBI hide-fraction fit ------------
 //
-// For each DRAM arbitration policy (frfcfs, pim-frfcfs, paws), run the
+// For each DRAM arbitration policy (frfcfs, paws), run the
 // cycle-accurate engine over the SBI grid (batch 256-768 x sequence
 // 512-1536), measure the per-layer period, and report two analytic
 // recalibrations against it: (a) the best CONSTANT hide fraction — a
@@ -585,7 +585,7 @@ memSchedSweep()
 {
     Sweep sw{"mem_sched_sweep", "Memory-scheduler sweep (NeuPIMs+SBI "
                                 "engine grid, " + kLlm.name + ")"};
-    for (const char *sched : {"frfcfs", "pim-frfcfs", "paws"})
+    for (const char *sched : {"frfcfs", "paws"})
         sw.specs.push_back(spec(sched, 0.0, 0.0));
     sw.run = memSchedRun;
     return sw;

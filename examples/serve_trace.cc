@@ -16,7 +16,7 @@
  *                 [--model NAME] [--backend NAME] [--traffic KIND]
  *                 [--dataset NAME] [--trace FILE.csv]
  *                 [--calibrate] [--dump-trace]
- *                 [--mem-sched frfcfs|pim-frfcfs|paws]
+ *                 [--mem-sched frfcfs|paws]
  *                 [--prefill whole|chunked] [--chunk N]
  *                 [--no-piggyback]
  *                 [--preempt off|recompute|swap]
@@ -59,11 +59,10 @@
  *
  * --mem-sched selects the DRAM command-arbitration policy of every
  * backend's memory controllers (dram/mem_sched.h): frfcfs is the
- * paper's arbitration (bit-identical to the historical engine),
- * pim-frfcfs drains PIM at row-buffer-friendly priority, paws runs
- * PAWS-style cap-and-switch MEM<->PIM modes. The choice also selects
- * the analytic model's calibrated SBI overlap surface. Runs whose
- * latency model executed the cycle-accurate engine (--hybrid, or
+ * paper's arbitration (bit-identical to the historical engine), paws
+ * runs PAWS-style cap-and-switch MEM<->PIM modes. The choice also
+ * selects the analytic model's calibrated SBI overlap surface. Runs
+ * whose latency model executed the cycle-accurate engine (--hybrid, or
  * --calibrate's anchor) print a mem-sched summary line (row hits,
  * misses and conflicts, stall/waste cycles, mode switches) under the
  * config row.
@@ -189,7 +188,7 @@ usage(const char *argv0)
         "          [--trace FILE.csv] [--calibrate] [--dump-trace]\n"
         "          [--prefill whole|chunked] [--chunk N] "
         "[--no-piggyback]\n"
-        "          [--mem-sched frfcfs|pim-frfcfs|paws]\n"
+        "          [--mem-sched frfcfs|paws]\n"
         "          [--preempt off|recompute|swap] [--victim "
         "lifo|fewest|longest]\n"
         "          [--swap-gbps F] [--kv-scale N] [--policy "

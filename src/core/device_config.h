@@ -89,12 +89,11 @@ struct DeviceConfig
 
     /**
      * MEM vs PIM command arbitration (dram/mem_sched.h). FrFcfs is
-     * the paper's policy and golden-locked; PimFrFcfs and Paws open
-     * the co-scheduling design space at the command level. The choice
-     * also selects the analytic model's calibrated SBI overlap anchor
-     * (iteration_model.cc).
+     * the paper's policy and golden-locked; Paws alternates PIM and
+     * MEM modes. The choice also selects the analytic model's
+     * calibrated SBI overlap surface (iteration_model.cc).
      */
-    dram::MemSchedConfig memSched;
+    dram::MemSchedKind memSched = dram::MemSchedKind::FrFcfs;
 
     /**
      * Inert: nothing reads it. The engine steps every channel on one

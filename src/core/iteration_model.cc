@@ -122,12 +122,11 @@ namespace {
  * The surface shape is the finding: overlap collapses to ~0 at 4
  * requests/channel/sub-batch (one request per pipelined-MHA chunk —
  * no interleaving grain), then plateaus batch-wise while barely
- * moving with KV length. FR-FCFS and PIM-FRFCFS overlap nearly
- * identically (PIM priority shifts *when* commands issue, not how
- * much GEMM hides under MHA); PAWS's mode exclusivity batches each
- * class's commands into long runs, hiding up to ~0.9 of the span at
- * large batches. No constant fraction fits any of these surfaces —
- * the historical 0.25 left the documented ±9% (and worse) residual.
+ * moving with KV length. FR-FCFS plateaus at ~0.3-0.4; PAWS's mode
+ * exclusivity batches each class's commands into long runs, hiding
+ * up to ~0.9 of the span at large batches. No constant fraction fits
+ * either surface — the historical 0.25 left the documented ±9% (and
+ * worse) residual.
  */
 constexpr double kSbiGridSubBatch[4] = {4.0, 6.0, 8.0, 12.0};
 constexpr double kSbiGridKvLen[3] = {512.0, 1024.0, 1536.0};
@@ -138,31 +137,12 @@ constexpr double kSbiHideFrFcfs[4][3] = {
     {0.3783, 0.2859, 0.2912},
     {0.3951, 0.2989, 0.3038},
 };
-constexpr double kSbiHidePimFrFcfs[4][3] = {
-    {0.0426, 0.0353, 0.0454},
-    {0.3490, 0.2633, 0.2682},
-    {0.3792, 0.2865, 0.2920},
-    {0.3952, 0.2994, 0.3042},
-};
 constexpr double kSbiHidePaws[4][3] = {
     {0.1271, 0.0862, 0.0917},
     {0.4307, 0.3240, 0.3282},
     {0.7351, 0.4978, 0.5025},
     {0.8972, 0.6749, 0.6802},
 };
-
-const double (*sbiHideSurface(dram::MemSchedKind kind))[3]
-{
-    switch (kind) {
-      case dram::MemSchedKind::PimFrFcfs:
-        return kSbiHidePimFrFcfs;
-      case dram::MemSchedKind::Paws:
-        return kSbiHidePaws;
-      case dram::MemSchedKind::FrFcfs:
-        break;
-    }
-    return kSbiHideFrFcfs;
-}
 
 /** Index of the grid cell containing @p v (clamped), and the
  * interpolation weight toward the upper edge. */
@@ -192,7 +172,9 @@ double
 calibratedSbiHideFraction(const DeviceConfig &cfg,
                           double per_channel_sb, double kv_len)
 {
-    const double(*surface)[3] = sbiHideSurface(cfg.memSched.kind);
+    const double(*surface)[3] = cfg.memSched == dram::MemSchedKind::Paws
+                                    ? kSbiHidePaws
+                                    : kSbiHideFrFcfs;
     std::size_t i, j;
     double tx, ty;
     gridCell(kSbiGridSubBatch, per_channel_sb, i, tx);
@@ -597,7 +579,7 @@ AnalyticIterationModel::calibrate(int batch, int seq_len,
     // The engine run's DRAM scheduling stats become this model's
     // MemSchedSummary.
     memSchedSummary_ = summarizeMemSched(
-        dram::memSchedKindName(cfg_.memSched.kind), measured.memSched,
+        dram::memSchedKindName(cfg_.memSched), measured.memSched,
         measured.memBankUtil);
 
     scale_ = 1.0;
@@ -815,7 +797,7 @@ HybridIterationModel::memSchedSummary() const
     if (cache_.empty())
         return {};
     return summarizeMemSched(
-        dram::memSchedKindName(executor_.config().memSched.kind),
+        dram::memSchedKindName(executor_.config().memSched),
         memSchedAccum_, bankUtilSum_ / static_cast<double>(cache_.size()));
 }
 

@@ -126,11 +126,9 @@ scaleKvCapacity(runtime::ServingConfig &cfg, int denominator)
 void
 applyMemSched(DeviceConfig &dev, const std::string &name)
 {
-    dram::MemSchedKind kind;
-    if (!dram::parseMemSchedKind(name, kind))
+    if (!dram::parseMemSchedKind(name, dev.memSched))
         fatal("unknown memory scheduler '", name,
-              "' (expected frfcfs|pim-frfcfs|paws)");
-    dev.memSched.kind = kind;
+              "' (expected frfcfs|paws)");
 }
 
 std::unique_ptr<AnalyticIterationModel>

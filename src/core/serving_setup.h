@@ -65,7 +65,7 @@ makeHybridIterationModel(const DeviceConfig &dev,
                          const model::LlmConfig &llm, int sample_every);
 
 /**
- * Apply a --mem-sched policy name ("frfcfs" | "pim-frfcfs" | "paws",
+ * Apply a --mem-sched policy name ("frfcfs" | "paws",
  * dram/mem_sched.h) onto @p dev — the knob selects both the
  * controller's command arbitration and the analytic model's
  * calibrated SBI overlap surface. fatal() on unknown names; "frfcfs"

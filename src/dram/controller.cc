@@ -118,9 +118,8 @@ void
 MemoryController::kick()
 {
     Cycle now = eq_.now();
-    if (kickScheduled_ && nextKickAt_ <= now)
+    if (nextKickAt_ <= now)
         return;
-    kickScheduled_ = true;
     nextKickAt_ = now;
     eq_.schedule(now, [this] { wake(); });
 }
@@ -128,16 +127,12 @@ MemoryController::kick()
 void
 MemoryController::wake()
 {
-    // A superseded wake-up (a kick overtook its resume, or a twin at
-    // the cycle the loop already ran) would issue nothing and only
-    // re-arm a duplicate resume, so it does nothing. It still runs
-    // when a policy held back a MEM command that is due by now: now
-    // may change which MEM job wins the (cycle, seq) tie, and
-    // pim-frfcfs lets a row hit pass (DESIGN.md §3.1).
+    // Only the registered wake-up runs the loop. A superseded one (a
+    // later kick or run replaced its registration) would issue nothing
+    // under either policy and only re-arm a duplicate resume
+    // (DESIGN.md §3.1).
     const Cycle now = eq_.now();
-    const bool registered = kickScheduled_ && nextKickAt_ == now;
-    if (!registered &&
-        (lastRunAt_ == now || (memScanValid_ && memBest_ > now)))
+    if (nextKickAt_ != now)
         return;
     beginRun(now);
     const Cycle resume = process();
@@ -153,8 +148,7 @@ MemoryController::wake()
 void
 MemoryController::beginRun(Cycle at)
 {
-    now_ = lastRunAt_ = at;
-    kickScheduled_ = false;
+    now_ = at;
     nextKickAt_ = kCycleMax;
 }
 
@@ -172,10 +166,9 @@ MemoryController::scheduleResume(Cycle at)
 void
 MemoryController::advanceEpoch(Cycle end)
 {
-    // Only the registered resume starts a run: in a MEM-only stretch
-    // every run ends with memBest_ = resume + horizon, so wake() skips
-    // any superseded event before the resume (DESIGN.md §3.4).
-    if (!kickScheduled_ || nextKickAt_ >= end)
+    // Only the registered resume starts a run, as in wake()
+    // (DESIGN.md §3.4).
+    if (nextKickAt_ >= end)
         return;
     replayAt_ = nextKickAt_;
     addWakes(nextKickAt_, 1, 1);
@@ -454,7 +447,6 @@ MemoryController::advancePeriods(std::uint64_t k)
     if (memScanValid_ && memBest_ != kCycleMax)
         memBest_ += shift;
     now_ += shift;
-    lastRunAt_ += shift;
     channel_.advancePeriods(mark_.channel, dt, p, k);
     rowsAdvanced_ += static_cast<std::uint64_t>(moved);
 }
@@ -474,7 +466,7 @@ MemoryController::fireEpochWake(Cycle w)
         return replayAt_ = w + run.stride;
     if (++runPos_ < chain_.size())
         return replayAt_ = chain_[runPos_].first;
-    if (kickScheduled_)
+    if (nextKickAt_ != kCycleMax)
         scheduleResume(nextKickAt_);
     chain_.clear();
     completions_.clear();
@@ -990,9 +982,6 @@ MemoryController::process()
         v.cm = cm;
         v.cp = cp;
         v.memPending = pendingMemJobs();
-        if (mem_idx >= 0)
-            v.memIsRowHit =
-                memInFlight_[mem_idx].next == MemExec::Next::Column;
 
         // The policy arbitrates only when both classes hold a legal
         // command; a lone class always issues (no policy can idle the
@@ -1022,7 +1011,6 @@ MemoryController::process()
             // only registered wake-up.
             const Cycle resume = cand - cfg_.horizon;
             if (resume >= epochEnd_) {
-                kickScheduled_ = true;
                 nextKickAt_ = resume;
                 return resume;
             }

@@ -35,9 +35,9 @@
  * locks this invariant.
  *
  * Arbitration between the two classes is the controller's MemArbiter
- * (dram/mem_sched.h), a value configured by kind: FR-FCFS reproduces
- * the historical choice rule bit-for-bit; PIM-FRFCFS and PAWS bias
- * toward PIM with explicit starvation caps and mode switching.
+ * (dram/mem_sched.h), a value configured by kind: FR-FCFS is the
+ * paper's choice rule; PAWS alternates PIM and MEM modes under
+ * stint caps.
  */
 
 #ifndef NEUPIMS_DRAM_CONTROLLER_H_
@@ -120,7 +120,7 @@ struct ControllerConfig
     int memIssueWindow = 8;
 
     /** Arbitration policy between MEM and PIM command classes. */
-    MemSchedConfig sched;
+    MemSchedKind sched = MemSchedKind::FrFcfs;
 
     /**
      * Blocked mode: serialize MEM and PIM phases, as a baseline bank's
@@ -246,8 +246,8 @@ class MemoryController
     };
 
     void kick();
-    /** A kick or resume event: run the arbitration loop unless this
-     * wake-up was superseded (DESIGN.md §3.1), then invoke the
+    /** A kick or resume event: unless a later kick or run superseded
+     * it (DESIGN.md §3.1), run the arbitration loop, then invoke the
      * completions it collected and schedule its resume. */
     void wake();
     /** Start a run of the loop at @p at: set the clock, clear the
@@ -360,9 +360,8 @@ class MemoryController
     int memBestIdx_ = -1;
     std::unique_ptr<PimExec> pim_;
 
-    bool kickScheduled_ = false;
+    /** The registered wake-up's cycle; kCycleMax when none is. */
     Cycle nextKickAt_ = kCycleMax;
-    Cycle lastRunAt_ = kCycleMax; ///< cycle of the last arbitration loop
     /** The clock every decision reads: the wake-up being run. */
     Cycle now_ = 0;
 

@@ -6,78 +6,57 @@
 
 namespace neupims::dram {
 
+namespace {
+
+/** Paws: PIM commands per PIM-mode stint before the channel switches
+ * to MEM mode (when MEM work is waiting). */
+constexpr int kPawsPimCap = 48;
+
+} // namespace
+
 const char *
 memSchedKindName(MemSchedKind kind)
 {
-    switch (kind) {
-      case MemSchedKind::FrFcfs:
-        return "frfcfs";
-      case MemSchedKind::PimFrFcfs:
-        return "pim-frfcfs";
-      case MemSchedKind::Paws:
-        return "paws";
-    }
-    return "frfcfs";
+    return kind == MemSchedKind::Paws ? "paws" : "frfcfs";
 }
 
 bool
 parseMemSchedKind(const std::string &name, MemSchedKind &out)
 {
-    if (name == "frfcfs") {
+    if (name == "frfcfs")
         out = MemSchedKind::FrFcfs;
-        return true;
-    }
-    if (name == "pim-frfcfs") {
-        out = MemSchedKind::PimFrFcfs;
-        return true;
-    }
-    if (name == "paws") {
+    else if (name == "paws")
         out = MemSchedKind::Paws;
-        return true;
-    }
-    return false;
+    else
+        return false;
+    return true;
 }
 
 bool
 MemArbiter::choosePim(const ArbView &v)
 {
-    switch (cfg_.kind) {
-      case MemSchedKind::FrFcfs:
-        // The historical arbitration: earliest candidate issues, PIM
-        // wins ties (§5.3). The executor golden pins it bit-for-bit.
+    // FR-FCFS: earliest candidate issues, PIM wins ties (§5.3). The
+    // executor golden pins it bit-for-bit.
+    if (kind_ == MemSchedKind::FrFcfs)
         return v.cp <= v.cm;
-      case MemSchedKind::PimFrFcfs:
-        // An active kernel's commands drain ahead of MEM activates and
-        // precharges, but MEM row hits pass untouched and the cap on
-        // consecutively deferred MEM decisions guarantees the MEM
-        // stream forward progress.
-        if (v.cp <= v.cm)
-            return true; // PIM is earliest anyway (FR-FCFS agrees)
-        if (v.memIsRowHit)
-            return false; // row hits cost no row-buffer state: let pass
-        return deferred_ < cfg_.pimStarveCap;
-      case MemSchedKind::Paws:
-        // GPGPU-Sim dram_sched_paws shape: a PIM stint is capped at
-        // pawsPimCap commands once MEM work waits; the MEM stint budget
-        // is the job backlog captured at switch time — drain what
-        // accumulated, no more. Both caps bound every stint, so neither
-        // class can be starved. PAWS bins pending requests per row to
-        // serve row hits first; an NPU stream opens each row once, so
-        // there are no bins here (DESIGN.md §11). Both classes have
-        // work here, so neither switch can deadlock.
-        if (pimMode_ ? cfg_.pawsPimCap > 0 &&
-                           pimCmdsThisStint_ >= cfg_.pawsPimCap
-                     : memJobsThisStint_ >= memStintBudget_) {
-            pimMode_ = !pimMode_;
-            ++stats_.modeSwitches;
-            pimCmdsThisStint_ = 0;
-            memJobsThisStint_ = 0;
-            if (!pimMode_)
-                memStintBudget_ = std::max<std::size_t>(1, v.memPending);
-        }
-        return pimMode_;
+    // Paws, GPGPU-Sim dram_sched_paws shape: a PIM stint is capped at
+    // kPawsPimCap commands once MEM work waits; the MEM stint budget is
+    // the job backlog captured at switch time — drain what accumulated,
+    // no more. Both caps bound every stint, so neither class can be
+    // starved. PAWS bins pending requests per row to serve row hits
+    // first; an NPU stream opens each row once, so there are no bins
+    // here (DESIGN.md §11). Both classes have work here, so neither
+    // switch can deadlock.
+    if (pimMode_ ? pimCmdsThisStint_ >= kPawsPimCap
+                 : memJobsThisStint_ >= memStintBudget_) {
+        pimMode_ = !pimMode_;
+        ++stats_.modeSwitches;
+        pimCmdsThisStint_ = 0;
+        memJobsThisStint_ = 0;
+        if (!pimMode_)
+            memStintBudget_ = std::max<std::size_t>(1, v.memPending);
     }
-    return v.cp <= v.cm;
+    return pimMode_;
 }
 
 void
@@ -87,22 +66,10 @@ MemArbiter::recordIssue(const ArbView &v, bool picked_pim)
         ++stats_.pimCommands;
         if (v.cm < v.cp)
             stats_.pimWasteCycles += v.cp - v.cm;
+        if (kind_ == MemSchedKind::Paws)
+            ++pimCmdsThisStint_;
     } else if (v.cp < v.cm) {
         stats_.pimStallCycles += v.cm - v.cp;
-    }
-    switch (cfg_.kind) {
-      case MemSchedKind::FrFcfs:
-        break;
-      case MemSchedKind::PimFrFcfs:
-        if (!picked_pim)
-            deferred_ = 0;
-        else if (v.cm < v.cp)
-            ++deferred_; // a ready MEM command waited for this
-        break;
-      case MemSchedKind::Paws:
-        if (picked_pim)
-            ++pimCmdsThisStint_;
-        break;
     }
 }
 

@@ -5,20 +5,14 @@
  * The MemoryController owns the command state machines (what a MEM row
  * job or PIM kernel *can* issue next and when); its MemArbiter makes
  * the *choice* between the two classes when both have a legal command.
- * Three kinds reproduce the policy space of the PIM-scheduling
- * literature (see DESIGN.md §11):
+ * Two kinds (see DESIGN.md §11):
  *
- *  - FrFcfs: the original arbitration, bit-identical to the historical
- *    controller — earliest candidate issues, PIM wins ties (§5.3).
- *    Golden-locked by tests/core/test_golden_executor.cc.
- *  - PimFrFcfs: PIM commands drain at priority even when a MEM command
- *    is ready earlier, except that (a) MEM row *hits* always pass (they
- *    disturb no row buffer — the row-buffer-friendly rule of the
- *    Sacusa pim_frfcfs scheduler) and (b) a starvation cap bounds the
- *    number of consecutively deferred MEM decisions.
+ *  - FrFcfs: the paper's arbitration — earliest candidate issues, PIM
+ *    wins ties (§5.3). Golden-locked by
+ *    tests/core/test_golden_executor.cc.
  *  - Paws: PAWS-style cap-and-switch — the channel alternates between
  *    an explicit PIM mode and MEM mode. A PIM stint ends after
- *    `pawsPimCap` PIM commands (with MEM work waiting); a MEM stint
+ *    `kPawsPimCap` PIM commands (with MEM work waiting); a MEM stint
  *    ends once it has completed the MEM backlog captured at switch
  *    time, so neither class can starve.
  *
@@ -43,30 +37,13 @@
 
 namespace neupims::dram {
 
-enum class MemSchedKind { FrFcfs, PimFrFcfs, Paws };
+enum class MemSchedKind { FrFcfs, Paws };
 
-/** Canonical CLI/JSON names: "frfcfs", "pim-frfcfs", "paws". */
+/** Canonical CLI/JSON names: "frfcfs", "paws". */
 const char *memSchedKindName(MemSchedKind kind);
 
 /** Parse a canonical name; returns false (and leaves @p out) on junk. */
 bool parseMemSchedKind(const std::string &name, MemSchedKind &out);
-
-/** Tuning knobs, embedded in ControllerConfig. */
-struct MemSchedConfig
-{
-    MemSchedKind kind = MemSchedKind::FrFcfs;
-    /**
-     * PimFrFcfs: maximum consecutive decisions in which a ready MEM
-     * command is deferred behind a later PIM command before one MEM
-     * command is force-issued.
-     */
-    int pimStarveCap = 8;
-    /**
-     * Paws: PIM commands per PIM-mode stint before the channel
-     * switches to MEM mode (when MEM work is waiting).
-     */
-    int pawsPimCap = 48;
-};
 
 /** A channel's scheduling statistics. */
 struct MemSchedStats
@@ -105,7 +82,6 @@ struct ArbView
 {
     Cycle cm = kCycleMax;  ///< earliest MEM candidate
     Cycle cp = kCycleMax;  ///< earliest PIM candidate
-    bool memIsRowHit = false; ///< chosen MEM candidate hits its open row
     std::size_t memPending = 0; ///< queued + in-flight MEM jobs
 };
 
@@ -118,7 +94,7 @@ struct ArbView
 class MemArbiter
 {
   public:
-    explicit MemArbiter(const MemSchedConfig &cfg) : cfg_(cfg) {}
+    explicit MemArbiter(MemSchedKind kind) : kind_(kind) {}
 
     /**
      * Decide the class of the next issued command. Called only when
@@ -140,7 +116,7 @@ class MemArbiter
     void
     noteMemJobsCompleted(std::uint64_t n = 1)
     {
-        if (cfg_.kind == MemSchedKind::Paws)
+        if (kind_ == MemSchedKind::Paws)
             memJobsThisStint_ += n;
     }
 
@@ -149,10 +125,8 @@ class MemArbiter
     const MemSchedStats &stats() const { return stats_; }
 
   private:
-    MemSchedConfig cfg_;
+    MemSchedKind kind_;
     MemSchedStats stats_;
-    /** PimFrFcfs: consecutive decisions a ready MEM command waited. */
-    int deferred_ = 0;
     /** Paws: the mode (a queued kernel claims the channel first), the
      * stint's PIM commands and MEM jobs, and its MEM job budget. */
     bool pimMode_ = true;

@@ -47,7 +47,7 @@ namespace neupims::runtime {
 struct MemSchedSummary
 {
     bool valid = false;
-    std::string policy; ///< "frfcfs" | "pim-frfcfs" | "paws"
+    std::string policy; ///< "frfcfs" | "paws"
     std::uint64_t rowHits = 0;
     std::uint64_t rowMisses = 0;
     std::uint64_t rowConflicts = 0;

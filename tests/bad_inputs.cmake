@@ -48,6 +48,7 @@ set(cases
     "SERVE_TRACE||${st} --preempt sometimes|unknown preemption mode 'sometimes'"
     "SERVE_TRACE||${st} --classes four-tier|unknown class mix 'four-tier'"
     "SERVE_TRACE||${st} --mem-sched fifo|unknown memory scheduler 'fifo'"
+    "SERVE_TRACE||${st} --mem-sched pim-frfcfs|unknown memory scheduler 'pim-frfcfs'"
     "SERVE_TRACE||${st} --traffic diurnal|unknown traffic model 'diurnal'"
     "SERVE_TRACE||${st} --dataset wiki|unknown dataset 'wiki'"
     "SERVE_TRACE||${st} --hybrid-anchors FILE|usage:"

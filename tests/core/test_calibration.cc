@@ -24,7 +24,7 @@ TEST(CalibrationAnchors, PolicyIsPartOfTheAnchorKey)
     const int layers = llm.layersPerDevice(llm.defaultPp);
 
     auto dev_paws = backend.device;
-    dev_paws.memSched.kind = dram::MemSchedKind::Paws;
+    dev_paws.memSched = dram::MemSchedKind::Paws;
     AnalyticIterationModel frfcfs(backend.device, llm, llm.defaultTp,
                                   layers);
     AnalyticIterationModel paws(dev_paws, llm, llm.defaultTp, layers);
@@ -66,7 +66,7 @@ TEST(CalibrationAnchors, HideFractionSurfaceSanity)
 {
     auto dev = DeviceConfig::neuPims();
     auto paws = dev;
-    paws.memSched.kind = dram::MemSchedKind::Paws;
+    paws.memSched = dram::MemSchedKind::Paws;
 
     for (double per_ch : {1.0, 4.0, 6.0, 8.0, 12.0, 40.0}) {
         for (double kv : {64.0, 512.0, 1024.0, 1536.0, 4096.0}) {

@@ -314,12 +314,11 @@ TEST(ExecutorRows, EveryRowActivatesOnceOnEveryBackendAndPolicy)
          {ModeParam{"NpuOnly"}, ModeParam{"SerialNpuPim"},
           ModeParam{"NeuPimsSerial"}, ModeParam{"NeuPimsSbi"}}) {
         for (dram::MemSchedKind kind :
-             {dram::MemSchedKind::FrFcfs, dram::MemSchedKind::PimFrFcfs,
-              dram::MemSchedKind::Paws}) {
+             {dram::MemSchedKind::FrFcfs, dram::MemSchedKind::Paws}) {
             SCOPED_TRACE(::testing::Message()
                          << mode.name << " " << dram::memSchedKindName(kind));
             DeviceConfig dev = mode.make();
-            dev.memSched.kind = kind;
+            dev.memSched = kind;
             runtime::WorkloadGenerator gen(runtime::datasetByName("ShareGPT"),
                                            42);
             auto comp = buildComposition(gen.warmBatch(64), dev.org.channels,

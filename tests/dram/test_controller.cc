@@ -464,45 +464,6 @@ TEST_F(ControllerTest, MidStreamEnqueuesLeaveNoDuplicateWakeUps)
     EXPECT_LE(eq.executedEvents(), commands + 4 * (late + 1));
 }
 
-TEST_F(ControllerTest, SupersededWakeUpServesDueRowHit)
-{
-    // pim-frfcfs may hold a due MEM command back for a PIM kernel; a
-    // superseded wake-up must then still run, because at its cycle an
-    // older row hit can win the (cycle, seq) tie and pass the kernel.
-    auto cfg = ControllerConfig::make(true);
-    cfg.horizon = 16;
-    cfg.sched.kind = MemSchedKind::PimFrFcfs;
-    cfg.sched.pimStarveCap = 1;
-    MemoryController mc(eq, t, org, cfg);
-    Cycle done_a = 0;
-    auto mem = [&](BankId bank, Cycle *done) {
-        MemJob job;
-        job.bank = bank;
-        job.bursts = 2;
-        if (done != nullptr)
-            job.onComplete = [done](Cycle c) { *done = c; };
-        mc.enqueueMem(std::move(job));
-    };
-    PimJob pim;
-    pim.rowTiles = 4;
-    pim.banksUsed = 4;
-    pim.gwrites = 1;
-    mc.enqueuePim(std::move(pim));
-    // The kernel's activation at 22 defers C's bank to 70 and spends
-    // the starvation cap; C's forced resume is registered at 54.
-    mem(1, nullptr);
-    eq.schedule(20, [&] {
-        // The cap forces A's ACT at 26; B, no row hit, yields to the
-        // kernel, whose compute ends at 116: the resume moves to 100.
-        mem(10, &done_a);
-        mem(20, nullptr);
-    });
-    eq.run();
-    // At the superseded wake-up (54) A's row is due and A is older than
-    // B, so its reads issue at 54 rather than at the resume (100).
-    EXPECT_EQ(done_a, 70u);
-}
-
 TEST_F(ControllerTest, IdleReportsPendingWork)
 {
     auto mc = make(true);

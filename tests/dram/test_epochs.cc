@@ -332,11 +332,8 @@ struct EpochCase
 std::string
 caseName(const EpochCase &c)
 {
-    std::string name = memSchedKindName(c.kind);
-    for (char &ch : name)
-        if (ch == '-')
-            ch = '_';
-    return name + (c.dual ? "_dual_h" : "_blocked_h") +
+    return memSchedKindName(c.kind) +
+           std::string(c.dual ? "_dual_h" : "_blocked_h") +
            std::to_string(c.horizon);
 }
 
@@ -358,7 +355,7 @@ configFor(const EpochCase &c)
     cfg.org.channels = kChannels;
     cfg.ctrl = ControllerConfig::make(c.dual);
     cfg.ctrl.horizon = c.horizon;
-    cfg.ctrl.sched.kind = c.kind;
+    cfg.ctrl.sched = c.kind;
     return cfg;
 }
 
@@ -441,8 +438,7 @@ std::vector<EpochCase>
 allCases()
 {
     std::vector<EpochCase> cases;
-    for (MemSchedKind kind : {MemSchedKind::FrFcfs, MemSchedKind::PimFrFcfs,
-                              MemSchedKind::Paws})
+    for (MemSchedKind kind : {MemSchedKind::FrFcfs, MemSchedKind::Paws})
         for (bool dual : {true, false})
             for (Cycle horizon : {Cycle{16}, Cycle{256}})
                 cases.push_back({kind, dual, horizon});

@@ -1,12 +1,12 @@
 /**
  * @file
- * Property tests for the pluggable DRAM arbitration policies
- * (dram/mem_sched.h): every policy completes every job on randomized
- * mixed MEM/PIM floods (no starvation under the caps), the row-buffer
- * outcome counters are conserved against completed MEM jobs, FR-FCFS
- * carries identically-zero contention integrals and reproduces the
- * historical controller decision-for-decision, and the Paws stint
- * machinery actually switches modes under contention.
+ * Property tests for the DRAM arbitration policies (dram/mem_sched.h):
+ * both policies complete every job on randomized mixed MEM/PIM floods
+ * over dual and blocked banks (no starvation under the Paws caps), the
+ * row-buffer outcome counters are conserved against completed MEM
+ * jobs, FR-FCFS is the default, selected by name runs the default's
+ * iteration and carries identically-zero contention integrals, and
+ * the Paws stint machinery actually switches modes under contention.
  */
 
 #include <gtest/gtest.h>
@@ -16,23 +16,28 @@
 
 #include "common/rng.h"
 #include "core/batch_builder.h"
+#include "core/device_config.h"
 #include "core/executor.h"
+#include "core/serving_setup.h"
 #include "dram/controller.h"
 #include "dram/mem_sched.h"
 
 namespace neupims::dram {
 namespace {
 
+constexpr MemSchedKind kKinds[] = {MemSchedKind::FrFcfs,
+                                   MemSchedKind::Paws};
+
 TEST(MemSchedNames, RoundTripAndJunk)
 {
-    for (auto kind : {MemSchedKind::FrFcfs, MemSchedKind::PimFrFcfs,
-                      MemSchedKind::Paws}) {
+    for (MemSchedKind kind : kKinds) {
         MemSchedKind out = MemSchedKind::FrFcfs;
         EXPECT_TRUE(parseMemSchedKind(memSchedKindName(kind), out));
         EXPECT_EQ(out, kind);
     }
     MemSchedKind out = MemSchedKind::Paws;
     EXPECT_FALSE(parseMemSchedKind("fcfs", out));
+    EXPECT_FALSE(parseMemSchedKind("pim-frfcfs", out));
     EXPECT_FALSE(parseMemSchedKind("", out));
     EXPECT_EQ(out, MemSchedKind::Paws); // junk leaves the out-param
 }
@@ -46,7 +51,6 @@ struct FloodResult
     int pimJobs = 0;
     MemSchedStats stats;
     std::uint64_t completedMemJobs = 0;
-    CommandCounts commands;
 };
 
 /**
@@ -55,14 +59,14 @@ struct FloodResult
  * to completion.
  */
 FloodResult
-runFlood(std::uint64_t seed, const MemSchedConfig &sched, int jobs = 500,
-         double mem_share = 0.7)
+runFlood(std::uint64_t seed, MemSchedKind kind, bool dual = true,
+         int jobs = 500, double mem_share = 0.7)
 {
     EventQueue eq;
     TimingParams t;
     Organization org;
-    auto cfg = ControllerConfig::make(true);
-    cfg.sched = sched;
+    auto cfg = ControllerConfig::make(dual);
+    cfg.sched = kind;
     MemoryController mc(eq, t, org, cfg);
 
     Rng rng(seed);
@@ -99,35 +103,30 @@ runFlood(std::uint64_t seed, const MemSchedConfig &sched, int jobs = 500,
     EXPECT_TRUE(mc.idle());
     r.stats = mc.memSchedStats();
     r.completedMemJobs = mc.completedMemJobs();
-    r.commands = mc.channel().commandCounts();
     return r;
 }
 
+/** The flood parameter is (seed, setup): setup 2k + b runs kKinds[k]
+ * on dual (b = 0) or blocked (b = 1) banks. */
 class PolicyFlood
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>>
-{};
+{
+  protected:
+    FloodResult flood() const
+    {
+        auto [seed, setup] = GetParam();
+        return runFlood(seed, kKinds[setup / 2], setup % 2 == 0);
+    }
+};
 
 /** No starvation: every queued job of both classes completes under
- * every policy, including deliberately hostile cap settings. */
+ * every policy and bank mode, Paws at its stint caps. */
 TEST_P(PolicyFlood, AllJobsCompleteUnderEveryPolicyAndCap)
 {
-    auto [seed, kind_idx] = GetParam();
-    static const MemSchedKind kinds[] = {MemSchedKind::FrFcfs,
-                                         MemSchedKind::PimFrFcfs,
-                                         MemSchedKind::Paws};
-    for (auto [starve, pim_cap] :
-         {std::pair{1, 4}, std::pair{8, 48}, std::pair{64, 512}}) {
-        MemSchedConfig sched;
-        sched.kind = kinds[kind_idx];
-        sched.pimStarveCap = starve;
-        sched.pawsPimCap = pim_cap;
-        auto r = runFlood(seed, sched);
-        EXPECT_EQ(r.memCompleted, r.memJobs)
-            << memSchedKindName(sched.kind) << " cap " << starve;
-        EXPECT_EQ(r.pimCompleted, r.pimJobs)
-            << memSchedKindName(sched.kind) << " cap " << pim_cap;
-        EXPECT_GT(r.makespan, 0u);
-    }
+    auto r = flood();
+    EXPECT_EQ(r.memCompleted, r.memJobs);
+    EXPECT_EQ(r.pimCompleted, r.pimJobs);
+    EXPECT_GT(r.makespan, 0u);
 }
 
 /** Row-outcome conservation: every completed MEM row is one hit, miss
@@ -135,13 +134,7 @@ TEST_P(PolicyFlood, AllJobsCompleteUnderEveryPolicyAndCap)
  * command counters moved. */
 TEST_P(PolicyFlood, RowCountersConservedAgainstCompletedJobs)
 {
-    auto [seed, kind_idx] = GetParam();
-    static const MemSchedKind kinds[] = {MemSchedKind::FrFcfs,
-                                         MemSchedKind::PimFrFcfs,
-                                         MemSchedKind::Paws};
-    MemSchedConfig sched;
-    sched.kind = kinds[kind_idx];
-    auto r = runFlood(seed, sched);
+    auto r = flood();
     EXPECT_EQ(r.stats.rowHits + r.stats.rowMisses + r.stats.rowConflicts,
               r.completedMemJobs);
     EXPECT_GT(r.stats.memCommands, 0u);
@@ -151,7 +144,7 @@ TEST_P(PolicyFlood, RowCountersConservedAgainstCompletedJobs)
 INSTANTIATE_TEST_SUITE_P(
     SeedsByPolicy, PolicyFlood,
     ::testing::Combine(::testing::Values(11u, 222u, 3333u),
-                       ::testing::Values(0, 1, 2)));
+                       ::testing::Values(0, 1, 2, 3)));
 
 /** FR-FCFS never defers either class behind a later candidate, so
  * both contention integrals are identically zero and the mode-switch
@@ -159,41 +152,35 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FrFcfs, ContentionIntegralsIdenticallyZero)
 {
     for (std::uint64_t seed : {5u, 55u, 555u}) {
-        MemSchedConfig sched; // default kind == FrFcfs
-        auto r = runFlood(seed, sched);
+        auto r = runFlood(seed, MemSchedKind::FrFcfs);
         EXPECT_EQ(r.stats.pimStallCycles, 0u);
         EXPECT_EQ(r.stats.pimWasteCycles, 0u);
         EXPECT_EQ(r.stats.modeSwitches, 0u);
     }
 }
 
-/** Byte-identity at the controller: a default-constructed config and
- * an explicit FrFcfs selection produce the same makespan, completion
- * counts and per-command-type counts on the same workload. */
+/** FR-FCFS, the paper's arbitration, is what a default-constructed
+ * controller config and every device preset select. */
 TEST(FrFcfs, ExplicitSelectionMatchesDefaultConfig)
 {
-    for (std::uint64_t seed : {5u, 55u, 555u}) {
-        auto def = runFlood(seed, MemSchedConfig{});
-        MemSchedConfig explicit_cfg;
-        explicit_cfg.kind = MemSchedKind::FrFcfs;
-        auto exp = runFlood(seed, explicit_cfg);
-        EXPECT_EQ(def.makespan, exp.makespan);
-        EXPECT_EQ(def.memCompleted, exp.memCompleted);
-        EXPECT_EQ(def.pimCompleted, exp.pimCompleted);
-        for (auto type :
-             {CommandType::Act, CommandType::Pre, CommandType::Rd,
-              CommandType::Wr, CommandType::Ref, CommandType::PimGemv,
-              CommandType::PimHeader, CommandType::PimActivate,
-              CommandType::PimGwrite, CommandType::PimDotProduct}) {
-            EXPECT_EQ(def.commands.count(type), exp.commands.count(type));
-        }
+    EXPECT_EQ(ControllerConfig{}.sched, MemSchedKind::FrFcfs);
+    std::vector<core::DeviceConfig> presets = {
+        core::DeviceConfig::npuOnly(), core::DeviceConfig::naiveNpuPim(),
+        core::DeviceConfig::neuPims()};
+    for (int steps = 0; steps < 8; ++steps)
+        presets.push_back(core::DeviceConfig::ablation(
+            steps & 1, steps & 2, steps & 4));
+    for (const core::DeviceConfig &dev : presets) {
+        EXPECT_EQ(dev.memSched, MemSchedKind::FrFcfs) << dev.name;
+        EXPECT_EQ(dev.controllerConfig().sched, MemSchedKind::FrFcfs)
+            << dev.name;
     }
 }
 
-/** Byte-identity at the engine: a full measured iteration under the
- * default device config equals one with FrFcfs selected explicitly,
- * cycle for cycle (the golden executor test locks the same bytes
- * against the historical engine). */
+/** Selecting FR-FCFS by name, as the CLIs do, over an earlier Paws
+ * selection runs a measured iteration cycle for cycle like the default
+ * device (the golden executor test locks the same bytes against the
+ * historical engine). */
 TEST(FrFcfs, ExecutorIterationBitIdenticalToDefault)
 {
     auto llm = model::gpt3_13b();
@@ -203,10 +190,11 @@ TEST(FrFcfs, ExecutorIterationBitIdenticalToDefault)
     core::DeviceExecutor base(dev, llm, llm.defaultTp, 3);
     auto r0 = base.runIteration(comp, 3, 1);
 
-    auto dev2 = dev;
-    dev2.memSched.kind = MemSchedKind::FrFcfs;
-    core::DeviceExecutor explicit_sel(dev2, llm, llm.defaultTp, 3);
-    auto r1 = explicit_sel.runIteration(comp, 3, 1);
+    auto by_name = dev;
+    by_name.memSched = MemSchedKind::Paws;
+    core::applyMemSched(by_name, "frfcfs");
+    core::DeviceExecutor selected(by_name, llm, llm.defaultTp, 3);
+    auto r1 = selected.runIteration(comp, 3, 1);
 
     EXPECT_EQ(r0.perLayerCycles, r1.perLayerCycles);
     EXPECT_EQ(r0.iterationCycles, r1.iterationCycles);
@@ -214,39 +202,13 @@ TEST(FrFcfs, ExecutorIterationBitIdenticalToDefault)
     EXPECT_EQ(r0.pimBankBusyCycles, r1.pimBankBusyCycles);
 }
 
-/** PIM-priority policies actually bias: on the same flood,
- * pim-frfcfs accumulates waste (bus held for later PIM commands)
- * and Paws switches modes. */
+/** Paws actually biases: on the same kind of flood it holds the bus
+ * for later PIM commands while MEM work is ready, and switches modes. */
 TEST(PimPolicies, BiasObservableInStats)
 {
-    MemSchedConfig pf;
-    pf.kind = MemSchedKind::PimFrFcfs;
-    auto r = runFlood(77u, pf);
-    EXPECT_GT(r.stats.pimWasteCycles, 0u);
-
-    MemSchedConfig paws;
-    paws.kind = MemSchedKind::Paws;
-    paws.pawsPimCap = 8; // small stints force frequent switching
-    auto p = runFlood(77u, paws);
+    auto p = runFlood(77u, MemSchedKind::Paws);
+    EXPECT_GT(p.stats.pimWasteCycles, 0u);
     EXPECT_GT(p.stats.modeSwitches, 0u);
-}
-
-/** The starvation cap is live: with cap 1 a MEM command is forced
- * through at every other contended decision, so MEM finishes no later
- * than under an effectively-unbounded cap. */
-TEST(PimFrFcfs, StarveCapBoundsMemDeferral)
-{
-    MemSchedConfig tight;
-    tight.kind = MemSchedKind::PimFrFcfs;
-    tight.pimStarveCap = 1;
-    MemSchedConfig loose = tight;
-    loose.pimStarveCap = 1 << 20;
-    auto t = runFlood(99u, tight);
-    auto l = runFlood(99u, loose);
-    EXPECT_EQ(t.memCompleted, t.memJobs);
-    EXPECT_EQ(l.memCompleted, l.memJobs);
-    // Tighter cap defers no more MEM work than the loose one.
-    EXPECT_LE(t.stats.pimWasteCycles, l.stats.pimWasteCycles);
 }
 
 } // namespace
