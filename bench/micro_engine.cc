@@ -226,16 +226,24 @@ BM_MemStream(benchmark::State &state)
 BENCHMARK(BM_MemStream)->Arg(1024)->Arg(16384);
 
 /** One all-channel read stream of @p bursts-burst rows on a fresh
- * device; adds its DRAM commands and row jobs to @p commands and
+ * device, with @p pim beside it one 512-tile kernel per channel under
+ * paws; adds its DRAM commands and row jobs to @p commands and
  * @p rows. */
 void
-deviceStream(int bursts, double &commands, double &rows)
+deviceStream(int bursts, double &commands, double &rows, bool pim = false)
 {
     EventQueue eq;
     MemConfig cfg;
+    if (pim)
+        cfg.ctrl.sched = MemSchedKind::Paws;
     HbmStack hbm(eq, cfg);
     npu::DmaEngine dma(eq, hbm);
     dma.streamAllChannels(8_MiB, false, bursts, [](Cycle) {});
+    for (ChannelId ch = 0; pim && ch < hbm.numChannels(); ++ch) {
+        PimJob job;
+        job.rowTiles = 512;
+        hbm.controller(ch).enqueuePim(std::move(job));
+    }
     eq.run();
     for (std::uint64_t n : hbm.totalCommandCounts().counts)
         commands += static_cast<double>(n);
@@ -299,6 +307,38 @@ BM_DeviceStreamBurst16OverBurst2(benchmark::State &state)
         time2 > 0.0 ? (time16 / rows16) / (time2 / rows2) : 0.0;
 }
 BENCHMARK(BM_DeviceStreamBurst16OverBurst2);
+
+/**
+ * The 16-burst stream with and without a PIM kernel beside it on every
+ * channel, timed as BM_DeviceStreamBurst16OverBurst2 times its row
+ * types. beside_pim_over_mem_only is the paws stream's thread CPU time
+ * per row over the MEM-only stream's (CI gates it): epochs run beside
+ * the kernels (DESIGN.md §3.4), so it stays near 1.
+ */
+void
+BM_DeviceStreamBesidePimOverMemOnly(benchmark::State &state)
+{
+    double commands = 0.0;
+    double rowsPim = 0.0, rowsMem = 0.0;
+    double timePim = 0.0, timeMem = 0.0;
+    bool memFirst = false;
+    auto timed = [&commands](bool pim, double &rows) {
+        double start = threadCpuSeconds();
+        deviceStream(16, commands, rows, pim);
+        return threadCpuSeconds() - start;
+    };
+    for (auto _ : state) {
+        if (memFirst)
+            timeMem += timed(false, rowsMem);
+        timePim += timed(true, rowsPim);
+        if (!memFirst)
+            timeMem += timed(false, rowsMem);
+        memFirst = !memFirst;
+    }
+    state.counters["beside_pim_over_mem_only"] =
+        timeMem > 0.0 ? (timePim / rowsPim) / (timeMem / rowsMem) : 0.0;
+}
+BENCHMARK(BM_DeviceStreamBesidePimOverMemOnly);
 
 void
 BM_PimKernel(benchmark::State &state)

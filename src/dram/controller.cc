@@ -78,8 +78,6 @@ MemoryController::enqueuePim(PimJob job)
                    job.banksUsed <= channel_.numBanks());
     NEUPIMS_ASSERT(!epoch_ || !epoch_->replaying,
                    "a completion enqueued during an epoch replay");
-    if (epoch_)
-        ++epoch_->pimJobs;
     pimQueue_.push_back(std::move(job));
     kick();
 }
@@ -134,6 +132,8 @@ MemoryController::wake()
     const Cycle now = eq_.now();
     if (nextKickAt_ != now)
         return;
+    if (epoch_ && epoch_->blocker == this)
+        epoch_->blocker = nullptr;
     beginRun(now);
     const Cycle resume = process();
     for (Completion &c : completions_)
@@ -181,8 +181,9 @@ MemoryController::advanceEpoch(Cycle end)
     mark_.valid = false;
 }
 
-Cycle
-MemoryController::completionBound(Cycle now) const
+void
+MemoryController::completionBounds(Cycle now, Cycle &hard,
+                                   Cycle &soft) const
 {
     // Each remaining burst of a stream takes its own C/A slot, in
     // order, so its last one issues no sooner than (bursts - 1) slots
@@ -192,11 +193,97 @@ MemoryController::completionBound(Cycle now) const
         if (d.rowsLeft > 0)
             fewest = std::min(fewest, d.burstsLeft);
     }
+    const Cycle pim = pimBound(now);
+    hard = std::min(hard, pim);
     if (fewest == UINT64_MAX)
+        return;
+    // Beside a kernel a paws stint can switch to MEM after a PIM command
+    // that takes no C/A slot, before its run's horizon: the horizon rule
+    // does not cover its MEM completions.
+    Cycle &m = cfg_.sched == MemSchedKind::Paws && pim != kCycleMax ? hard
+                                                                    : soft;
+    const auto &t = channel_.timing();
+    m = std::min(m, channel_.earliestCa(now) + (fewest - 1) * t.caMemCmd +
+                        std::min(t.tCL, t.tCWL) + t.tBL);
+}
+
+Cycle
+MemoryController::pimBound(Cycle now) const
+{
+    if (!pim_ && pimQueue_.empty())
         return kCycleMax;
     const auto &t = channel_.timing();
-    return channel_.earliestCa(now) + (fewest - 1) * t.caMemCmd +
-           std::min(t.tCL, t.tCWL) + t.tBL;
+    const Cycle ca = channel_.earliestCa(now);
+    // MEM rows a paws MEM stint retires before the kernel's next
+    // command, its budget or the MEM work left: each takes a burst, a
+    // queued row all of its own, so the last issues at `held` or later.
+    const std::uint64_t rows =
+        std::min(arbiter_.memJobsBeforePim(), pendingMemJobs());
+    Cycle held = 0;
+    if (rows > 0) {
+        const std::uint64_t open =
+            std::min<std::uint64_t>(rows, memInFlight_.size());
+        int row = channel_.organization().burstsPerRow();
+        for (const MemStream &s : memQueue_)
+            row = std::min({row, s.bursts, s.tailBursts});
+        held = ca + (open + (rows - open) * static_cast<std::uint64_t>(row) -
+                     1) * t.caMemCmd;
+    }
+    using Phase = PimExec::Phase;
+    const PimExec *p = pim_.get();
+    // A finished kernel's cycle is known, and may lie behind now: the
+    // wake-up that collects it lies no sooner than a horizon before
+    // the stint's end.
+    if (p && p->phase == Phase::Precharge)
+        return std::max({p->resultEnd, p->kernelComputeEnd,
+                         held > cfg_.horizon ? held - cfg_.horizon : 0});
+    const PimJob &job = p ? p->job : pimQueue_.front();
+    Cycle end = p ? std::max(now, p->kernelComputeEnd) : 0;
+    if (!p || p->phase != Phase::FinalResult) {
+        // The current round's first activation: the header and GWRITEs
+        // take a C/A slot each, GWRITEs tGWRITE apart, and group 0 one
+        // more, after the stint (DESIGN.md §3.4).
+        Cycle first;
+        if (p && (p->phase == Phase::DotProduct ||
+                  p->phase == Phase::RoundResult || p->group > 0)) {
+            first = p->groupRowReady[0] - t.tRCD;
+        } else {
+            const Cycle hdr = p ? p->phase == Phase::Header : job.header;
+            const auto gw = static_cast<Cycle>(
+                job.gwrites - (p ? p->gwritesDone : 0));
+            first = std::max({held, ca + (hdr + gw) * t.caPimCmd,
+                              p ? p->gwriteReady : 0});
+            if (gw > 0)
+                first = std::max(first, ca + hdr * t.caPimCmd + t.tGWRITE +
+                                            (gw - 1) * std::max(t.tGWRITE,
+                                                                t.caPimCmd));
+            first = channel_.earliestPimActivateGroup(
+                0, std::min(4, p ? p->banksThisRound
+                                 : std::min(job.rowTiles, job.banksUsed)),
+                first, false);
+        }
+        // Later rounds reopen the same banks, tRC apart, after the
+        // activation window passed a round's groups; a fine-grained
+        // round also waits for the last one's compute and readback.
+        // Each round computes tRCD + pimComputePerRow after it opens.
+        const auto groups = static_cast<Cycle>(ceilDiv(job.banksUsed, 4));
+        Cycle spacing =
+            std::max(t.tRC(), groups / 4 * t.tFAW + groups % 4 * t.tRRD_S);
+        if (!job.composite)
+            spacing = std::max(spacing,
+                               t.tRCD + t.pimComputePerRow + t.caPimCmd);
+        const auto later = static_cast<Cycle>(
+            ceilDiv(job.rowTiles, job.banksUsed) - (p ? p->round : 0) - 1);
+        end = std::max(end, first + later * spacing + t.tRCD +
+                                t.pimComputePerRow);
+    }
+    // The results follow, after the stint's last burst on the data bus.
+    const Cycle done =
+        end + (job.composite
+                   ? t.tBL * static_cast<Cycle>(std::max(1, job.resultBursts))
+                   : t.tCL + t.tBL);
+    return rows > 0 ? std::max(done, held + std::min(t.tCL, t.tCWL) + t.tBL)
+                    : done;
 }
 
 bool
@@ -514,8 +601,9 @@ MemoryController::refillMemWindow()
         if (banksBusyMask_ & (1ULL << s.bank))
             break;
         // An advance leaves the state just before a later row of the
-        // same stream enters, on a free bank (DESIGN.md §3.6).
-        if (epochEnd_ != 0 && notePeriod())
+        // same stream enters, on a free bank; the state it compares
+        // holds no PIM work (DESIGN.md §3.6).
+        if (epochEnd_ != 0 && !pim_ && pimQueue_.empty() && notePeriod())
             NEUPIMS_ASSERT(!(banksBusyMask_ & (1ULL << s.bank)) &&
                            s.rows >= 1);
         MemExec exec;
@@ -631,22 +719,23 @@ MemoryController::scanMem()
 }
 
 Cycle
-MemoryController::candidatePim() const
+MemoryController::candidatePim(bool with_ca) const
 {
     if (!pim_)
         return kCycleMax;
     const auto &p = *pim_;
     const auto &t = channel_.timing();
     Cycle lb = now_;
+    auto ca = [&](Cycle c) { return with_ca ? channel_.earliestCa(c) : c; };
     switch (p.phase) {
       case PimExec::Phase::Header:
-        return channel_.earliestCa(lb);
+        return ca(lb);
       case PimExec::Phase::Gwrite:
-        return channel_.earliestCa(std::max(lb, p.gwriteReady));
+        return ca(std::max(lb, p.gwriteReady));
       case PimExec::Phase::Group: {
         // The operand vector must be staged before any dot-products.
         Cycle ready = std::max(lb, p.gwriteReady);
-        bool needs_ca = !p.job.composite || p.group == 0;
+        bool needs_ca = with_ca && (!p.job.composite || p.group == 0);
         Cycle c = channel_.earliestPimActivateGroup(
             p.group * 4, std::min(4, p.banksThisRound - p.group * 4),
             ready, needs_ca);
@@ -661,15 +750,13 @@ MemoryController::candidatePim() const
         return c;
       }
       case PimExec::Phase::DotProduct:
-        return channel_.earliestCa(
-            std::max(lb, p.groupRowReady[p.dotProductsDone / 4]));
+        return ca(std::max(lb, p.groupRowReady[p.dotProductsDone / 4]));
       case PimExec::Phase::RoundResult:
-        return channel_.earliestCa(std::max(lb, p.roundComputeEnd));
+        return ca(std::max(lb, p.roundComputeEnd));
       case PimExec::Phase::FinalResult:
         return std::max(lb, p.kernelComputeEnd);
       case PimExec::Phase::Precharge:
-        return channel_.earliestCa(
-            std::max({lb, p.kernelComputeEnd, p.resultEnd}));
+        return ca(std::max({lb, p.kernelComputeEnd, p.resultEnd}));
       case PimExec::Phase::Done:
         return kCycleMax;
     }
@@ -724,16 +811,39 @@ MemoryController::runTrain(int which)
     // that job's own ready cycle. Stop there, where a refresh falls
     // due, or where the next burst's wake-up would reach the epoch's
     // end (DESIGN.md §3.4).
-    Cycle until = std::min(channel_.nextRefreshDue(),
-                           epochEnd_ + cfg_.horizon);
+    const Cycle due = channel_.nextRefreshDue();
+    Cycle until = std::min(due, epochEnd_ + cfg_.horizon);
     // The scan that picked the winner left every ready cycle current.
     for (int i = 0; i < which; ++i)
         until = std::min(until, memInFlight_[i].ready);
+    // Beside a kernel, frfcfs picks PIM once the bus reaches the
+    // kernel's candidate without its C/A term: PIM wins ties. A paws
+    // MEM stint cannot switch before a row retires, but each burst's
+    // pick adds its stall behind a kernel whose next command takes no
+    // C/A slot: one waiting for its ready cycle, or for its pick's
+    // wake-up, a horizon before the burst (DESIGN.md §3.4).
+    const Cycle pim = candidatePim(false);
+    const bool stalls =
+        cfg_.sched == MemSchedKind::Paws && pim < due &&
+        (pim_->phase == PimExec::Phase::FinalResult ||
+         (pim_->phase == PimExec::Phase::Group && pim_->job.composite &&
+          pim_->group > 0));
+    if (cfg_.sched == MemSchedKind::FrFcfs)
+        until = std::min(until, pim);
+    else if (stalls && !pim_->job.header)
+        // Later picks find the kernel held at the refresh by its guard.
+        until = std::min(until, due + cfg_.horizon + 1 -
+                                    channel_.timing().refreshGuard);
     const Channel::ColumnTrain tr = channel_.issueColumnTrain(
         m.job.bank, m.job.write, m.job.bursts - m.burstsDone, until);
     if (tr.issued == 0)
         return;
     const auto n = static_cast<Cycle>(tr.issued);
+    for (Cycle i = 0; stalls && i < n; ++i) {
+        const Cycle c = tr.first + i * tr.step;
+        arbiter_.recordIssue(
+            {c, std::max(pim, c - std::min(c, cfg_.horizon)), 0}, false);
+    }
     // The train follows the job's own burst, so nothing else pushes
     // its first one: all its candidates are step apart. Each beyond
     // the horizon had its own wake-up, horizon cycles before it.
@@ -939,8 +1049,6 @@ void
 MemoryController::finishPim(Cycle done)
 {
     ++completedPimJobs_;
-    if (epoch_)
-        --epoch_->pimJobs;
     auto job = std::move(pim_->job);
     pim_.reset();
     // Same deferred-callback contract as finishMem.
@@ -1015,10 +1123,13 @@ MemoryController::process()
                 return resume;
             }
             // Inside an epoch that wake-up runs now, virtually. Only
-            // the clock moved, and it binds no candidate, so the run
-            // at `resume` reaches this same decision (DESIGN.md §3.4).
+            // the clock moved. If it binds no candidate, the run at
+            // `resume` reaches this same decision; paws's deferred
+            // class may lie at or before it (DESIGN.md §3.4).
             addWakes(resume, 1, 1);
             beginRun(resume);
+            if (std::min(cm, cp) <= resume)
+                continue;
         }
 
         memScanValid_ = false;

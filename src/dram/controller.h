@@ -22,8 +22,9 @@
  * controller never commits bus slots more than `horizon` cycles ahead
  * of simulated time, so a PIM kernel arriving mid-phase observes at
  * most `horizon` cycles of priority staleness. Inside an HbmStack,
- * MEM-only stretches run as epochs on a virtual clock (DESIGN.md §3.4)
- * with the exact schedule of the event-by-event path.
+ * stretches between arrivals run as epochs on a virtual clock, MEM
+ * bursts and PIM phases alike (DESIGN.md §3.4), with the exact
+ * schedule of the event-by-event path.
  *
  * Committed-schedule lifetime: a schedule (and its horizon-ahead
  * commitments) lives exactly as long as the controller object. The
@@ -95,16 +96,23 @@ struct PimJob
     bool header = true;       ///< PIM_HEADER announced (refresh-safe)
     /**
      * Invoked once the kernel's completion cycle (results returned to
-     * the host) is known; same synchronous contract as MemJob.
+     * the host) is known; same synchronous contract as MemJob. Inside
+     * an HbmStack an epoch can hold it back too: it may run after the
+     * controller moved on, so it may only schedule, at or after its
+     * cycle (DESIGN.md §3.4).
      */
     std::function<void(Cycle)> onComplete;
 };
 
+class MemoryController;
+
 /** What an HbmStack shares with its controllers (DESIGN.md §3.4). */
 struct EpochState
 {
-    int pimJobs = 0;        ///< PIM kernels queued or running, device-wide
     bool replaying = false; ///< an epoch is invoking its completions
+    /** The controller whose completion bound declined the last offer;
+     * the stack declines at once until it runs again. */
+    const MemoryController *blocker = nullptr;
 };
 
 struct ControllerConfig
@@ -279,9 +287,14 @@ class MemoryController
     /** Keep issuing in-flight job @p which's bursts as one train while
      * it stays the winner and its wake-ups stay inside the epoch. */
     void runTrain(int which);
-    /** No completion this controller collects from @p now on lands
-     * before the returned cycle (DESIGN.md §3.4). */
-    Cycle completionBound(Cycle now) const;
+    /** Lower @p hard and @p soft to bounds below which no completion
+     * this controller collects from @p now on lands (DESIGN.md §3.4):
+     * @p hard caps an epoch's end on its own, and the horizon rule may
+     * overrule @p soft. */
+    void completionBounds(Cycle now, Cycle &hard, Cycle &soft) const;
+    /** The PIM kernels' part of the hard bound: the active kernel
+     * completes first. */
+    Cycle pimBound(Cycle now) const;
 
     // --- periods in closed form (DESIGN.md §3.6) ---
     /** A row of the front stream is about to enter the window inside an
@@ -310,8 +323,9 @@ class MemoryController
     /** Recompute @p m's next command and ready cycles. */
     void recomputeNext(MemExec &m) const;
     /** Earliest cycle the active PIM kernel's next command could
-     * issue; kCycleMax if none. */
-    Cycle candidatePim() const;
+     * issue; kCycleMax if none. Without @p with_ca the C/A bus is left
+     * out, as a burst train beside the kernel compares it. */
+    Cycle candidatePim(bool with_ca = true) const;
 
     /** Issue the next sub-command of in-flight mem job @p which.
      * @return whether it issued a burst and the job is still in flight. */

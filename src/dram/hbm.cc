@@ -38,21 +38,26 @@ HbmStack::~HbmStack()
 bool
 HbmStack::runBatch()
 {
-    if (epoch_.pimJobs > 0)
+    // A bound at or before now stays there until its controller runs.
+    if (epoch_.blocker)
         return false;
     const Cycle t = eq_.now();
-    // No run in [t, t + span) issues a command before t + span, so no
-    // completion it collects is due sooner; and no completion at all is
-    // due before a controller's completion bound (DESIGN.md §3.4).
+    // No MEM completion collected in [t, t + span) is due before
+    // t + span, and none at all before its controller's soft bound; no
+    // completion is due before a hard bound (DESIGN.md §3.4).
     const Cycle span = std::min(cfg_.ctrl.horizon, cfg_.timing.tRFC);
-    Cycle bound = kCycleMax;
+    Cycle hard = kCycleMax;
+    Cycle soft = kCycleMax;
     for (const auto &c : ctrls_) {
-        if (c)
-            bound = std::min(bound, c->completionBound(t));
+        if (!c)
+            continue;
+        c->completionBounds(t, hard, soft);
+        if (hard <= t) {
+            epoch_.blocker = c.get();
+            return false;
+        }
     }
-    const Cycle end = eq_.taggedEnd(std::max(t + span, bound));
-    if (end <= t)
-        return false;
+    const Cycle end = eq_.taggedEnd(std::min(hard, std::max(t + span, soft)));
     ++epochs_;
     for (auto &c : ctrls_) {
         if (c)

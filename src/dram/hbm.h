@@ -4,8 +4,10 @@
  * with its own memory controller (Table 2), plus aggregate statistics
  * used by the metrics and power layers.
  *
- * The stack is its queue's batcher: while no controller has PIM work,
- * it runs stretches of controller wake-ups as epochs (DESIGN.md §3.4).
+ * The stack is its queue's batcher: it runs the stretches of
+ * controller wake-ups between arrivals as epochs, MEM streams and PIM
+ * kernels alike, each ending before the first completion it could
+ * collect too early (DESIGN.md §3.4).
  */
 
 #ifndef NEUPIMS_DRAM_HBM_H_
@@ -150,8 +152,10 @@ class HbmStack : private EventQueue::Batcher
     ChannelActivity channelActivity(ChannelId ch, Cycle window) const;
 
   private:
-    /** Run an epoch from the queue's current cycle unless a PIM job is
-     * pending or an untagged event is due there. */
+    /** Run an epoch from the queue's current cycle to the first
+     * untagged event or completion bound; decline when a controller's
+     * bound lies at or before now, as a finished kernel's can while it
+     * waits for its PIM_PRECHARGE (DESIGN.md §3.4). */
     bool runBatch() override;
 
     EventQueue &eq_;

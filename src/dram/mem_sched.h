@@ -107,8 +107,8 @@ class MemArbiter
 
     /**
      * Account an issued command (both arbitrated and auto-picked). A
-     * MEM pick reads no candidate and its account is idempotent, so
-     * the rest of a burst train (DESIGN.md §3.4) needs no further call.
+     * MEM pick adds only its stall behind a ready PIM command, which a
+     * burst train (DESIGN.md §3.4) accounts burst by burst.
      */
     void recordIssue(const ArbView &v, bool picked_pim);
 
@@ -118,6 +118,17 @@ class MemArbiter
     {
         if (kind_ == MemSchedKind::Paws)
             memJobsThisStint_ += n;
+    }
+
+    /** MEM jobs a Paws MEM stint still completes before it can pick
+     * PIM while MEM work lasts; 0 in PIM mode and under FrFcfs. */
+    std::size_t
+    memJobsBeforePim() const
+    {
+        return kind_ == MemSchedKind::Paws && !pimMode_ &&
+                       memJobsThisStint_ < memStintBudget_
+                   ? memStintBudget_ - memJobsThisStint_
+                   : 0;
     }
 
     /** The arbitration counters; the row and MEM command fields stay

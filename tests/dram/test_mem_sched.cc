@@ -120,21 +120,15 @@ class PolicyFlood
 };
 
 /** No starvation: every queued job of both classes completes under
- * every policy and bank mode, Paws at its stint caps. */
-TEST_P(PolicyFlood, AllJobsCompleteUnderEveryPolicyAndCap)
+ * every policy and bank mode. Row-outcome conservation: every
+ * completed MEM row is one hit, miss or conflict (hits + misses +
+ * conflicts == completions), and both command counters moved. */
+TEST_P(PolicyFlood, RowCountersConservedAgainstCompletedJobs)
 {
     auto r = flood();
     EXPECT_EQ(r.memCompleted, r.memJobs);
     EXPECT_EQ(r.pimCompleted, r.pimJobs);
     EXPECT_GT(r.makespan, 0u);
-}
-
-/** Row-outcome conservation: every completed MEM row is one hit, miss
- * or conflict (hits + misses + conflicts == completions), and both
- * command counters moved. */
-TEST_P(PolicyFlood, RowCountersConservedAgainstCompletedJobs)
-{
-    auto r = flood();
     EXPECT_EQ(r.stats.rowHits + r.stats.rowMisses + r.stats.rowConflicts,
               r.completedMemJobs);
     EXPECT_GT(r.stats.memCommands, 0u);

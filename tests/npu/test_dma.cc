@@ -218,6 +218,41 @@ TEST_F(DmaTest, MemOnlyStreamRunsAsEpochs)
     EXPECT_LE(hbm.epochs(), 4u);
 }
 
+TEST_F(DmaTest, MemStreamBesidePimRunsAsEpochs)
+{
+    // An 8 MiB stream of 16-burst rows beside one 512-tile composite
+    // kernel with PIM_HEADER on every channel, under both policies:
+    // epochs run beside the kernels (DESIGN.md §3.4), so the kicks and
+    // the done event are all that execute, 33 events for about 147,000
+    // commands in 4 (frfcfs) and 6 (paws) epochs. While any kernel was
+    // queued or running, the stack used to decline every epoch: 5,793
+    // and 149,569 events, the paws stack in no epoch at all. The counts
+    // are exact, so every build checks them.
+    auto besidePim = [](EventQueue &q, dram::HbmStack &stack,
+                        DmaEngine &engine) {
+        engine.streamAllChannels(8_MiB, false, 16, [](Cycle) {});
+        for (ChannelId ch = 0; ch < stack.numChannels(); ++ch) {
+            dram::PimJob job;
+            job.rowTiles = 512;
+            stack.controller(ch).enqueuePim(std::move(job));
+        }
+        q.run();
+        std::uint64_t commands = 0;
+        for (std::uint64_t n : stack.totalCommandCounts().counts)
+            commands += n;
+        EXPECT_GT(commands, 140'000u);
+        EXPECT_LT(1000 * q.executedEvents(), commands);
+        EXPECT_LE(stack.epochs(), 8u);
+    };
+    besidePim(eq, hbm, dma);
+    EventQueue paws_eq;
+    dram::MemConfig paws_cfg;
+    paws_cfg.ctrl.sched = dram::MemSchedKind::Paws;
+    dram::HbmStack paws_hbm(paws_eq, paws_cfg);
+    DmaEngine paws_dma(paws_eq, paws_hbm);
+    besidePim(paws_eq, paws_hbm, paws_dma);
+}
+
 TEST_F(DmaTest, MemOnlyStreamAdvancesWholePeriods)
 {
     // A steady MEM-only stream repeats its controller state every group
