@@ -240,9 +240,9 @@ MemoryController::pimBound(Cycle now) const
     const PimJob &job = p ? p->job : pimQueue_.front();
     Cycle end = p ? std::max(now, p->kernelComputeEnd) : 0;
     if (!p || p->phase != Phase::FinalResult) {
-        // The current round's first activation: the header and GWRITEs
-        // take a C/A slot each, GWRITEs tGWRITE apart, and group 0 one
-        // more, after the stint (DESIGN.md §3.4).
+        // The current round's first activation: after the stint, the
+        // header's C/A slot and each GWRITE's, GWRITEs and group 0
+        // tGWRITE and a C/A slot apart (DESIGN.md §3.4).
         Cycle first;
         if (p && (p->phase == Phase::DotProduct ||
                   p->phase == Phase::RoundResult || p->group > 0)) {
@@ -251,12 +251,9 @@ MemoryController::pimBound(Cycle now) const
             const Cycle hdr = p ? p->phase == Phase::Header : job.header;
             const auto gw = static_cast<Cycle>(
                 job.gwrites - (p ? p->gwritesDone : 0));
-            first = std::max({held, ca + (hdr + gw) * t.caPimCmd,
-                              p ? p->gwriteReady : 0});
-            if (gw > 0)
-                first = std::max(first, ca + hdr * t.caPimCmd + t.tGWRITE +
-                                            (gw - 1) * std::max(t.tGWRITE,
-                                                                t.caPimCmd));
+            first = std::max(held, std::max(ca + hdr * t.caPimCmd,
+                                            p ? p->gwriteReady : 0) +
+                                       gw * std::max(t.tGWRITE, t.caPimCmd));
             first = channel_.earliestPimActivateGroup(
                 0, std::min(4, p ? p->banksThisRound
                                  : std::min(job.rowTiles, job.banksUsed)),

@@ -287,13 +287,11 @@ class MemoryController
     /** Keep issuing in-flight job @p which's bursts as one train while
      * it stays the winner and its wake-ups stay inside the epoch. */
     void runTrain(int which);
-    /** Lower @p hard and @p soft to bounds below which no completion
-     * this controller collects from @p now on lands (DESIGN.md §3.4):
-     * @p hard caps an epoch's end on its own, and the horizon rule may
-     * overrule @p soft. */
+    /** Lower @p hard and @p soft to bounds no completion this
+     * controller collects from @p now on lands before (DESIGN.md §3.4):
+     * @p hard caps an epoch's end, the horizon rule may overrule @p soft. */
     void completionBounds(Cycle now, Cycle &hard, Cycle &soft) const;
-    /** The PIM kernels' part of the hard bound: the active kernel
-     * completes first. */
+    /** The kernels' part of @p hard: the active one completes first. */
     Cycle pimBound(Cycle now) const;
 
     // --- periods in closed form (DESIGN.md §3.6) ---
@@ -406,6 +404,7 @@ class MemoryController
     std::vector<WakeRun> chain_;  ///< the epoch's wake-ups, in runs
     std::size_t runPos_ = 0;      ///< replay cursor: the current run
     Cycle replayAt_ = 0;          ///< replay cursor: its next wake-up
+    Cycle listedStop_ = 0;        ///< replayStop() when last listed
     std::size_t compPos_ = 0;     ///< replay cursor into completions_
 
     /** A row admission inside an epoch, normalized, with the logs'

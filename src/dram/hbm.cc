@@ -84,9 +84,9 @@ HbmStack::runBatch()
     });
     epoch_.replaying = true;
     running_.clear();
-    // Before `stop`, each listed run fires at every cycle and invokes
-    // no completion (replayStop()): each such cycle with an empty
-    // bucket would only re-queue the list, in order.
+    // Before its stop (replayStop()) a listed run would only re-queue
+    // itself at every cycle, in list order: it fires at its stop, or at
+    // a stale event of its own once its lagging cursor catches up.
     Cycle stop = end;
     while (true) {
         const Cycle w =
@@ -95,26 +95,34 @@ HbmStack::runBatch()
             break;
         fired_.swap(running_);
         running_.clear();
-        for (MemoryController *c : fired_)
-            c->replayAt_ = w;
         auto fire = [&](MemoryController *c) {
             const Cycle next = c->fireEpochWake(w);
-            if (next == w + 1)
+            if (next == w + 1) {
+                c->listedStop_ = c->replayStop();
                 running_.push_back(c);
-            else if (next != kCycleMax)
+            } else if (next != kCycleMax)
                 queue(next, c);
         };
         while (!pending_.empty() && pending_.front().at == w) {
             std::pop_heap(pending_.begin(), pending_.end(), later);
             MemoryController *c = pending_.back().ctrl;
             pending_.pop_back();
+            c->replayAt_ = std::max(c->replayAt_, w);
             fire(c);
         }
-        for (MemoryController *c : fired_)
+        for (MemoryController *c : fired_) {
+            if (c->replayAt_ > w) // a stale event fired it
+                continue;
+            if (c->listedStop_ > w) {
+                running_.push_back(c);
+                continue;
+            }
+            c->replayAt_ = w;
             fire(c);
+        }
         stop = end;
         for (const MemoryController *c : running_)
-            stop = std::min(stop, c->replayStop());
+            stop = std::min(stop, c->listedStop_);
     }
     epoch_.replaying = false;
     for (auto &c : ctrls_)
